@@ -38,7 +38,7 @@ from repro.core.config import DsrConfig, ExpiryMode
 from repro.core.link_cache import LinkCache
 from repro.core.messages import RouteError, RouteReply, RouteRequest
 from repro.core.request_table import RequestTable, SeenTable
-from repro.core.routes import concatenate_routes, is_valid_route
+from repro.core.routes import concatenate_routes
 from repro.core.expiry import make_timeout_policy
 from repro.core.freshness import LinkBreakHistory
 from repro.core.negative_cache import NegativeCache
@@ -155,23 +155,21 @@ class DsrAgent:
         self._error_counter += 1
         return self._error_counter
 
-    def _filtered(self, route: Sequence[int]) -> List[int]:
-        """Apply the negative-cache pre-insertion filter to ``route``."""
-        if self.negative is None:
-            return list(route)
-        return self.negative.filter_route(route, self._now())
-
     def _cache_add(self, route: Sequence[int], stamp: Optional[float] = None) -> bool:
         """Insert a route (starting at this node) after negative filtering.
 
+        The cache validates (degenerate and looping routes are ignored) and
+        takes its own copy, so callers pass slices and need not pre-check.
         ``stamp`` overrides the entry time — freshness tagging caches a
         reply at its *generation* time, not its arrival time, so information
         age survives re-serving.
         """
-        filtered = self._filtered(route)
-        if len(filtered) < 2:
-            return False
-        return self.cache.add(filtered, self._now() if stamp is None else stamp)
+        now = self._sim.now
+        if self.negative is not None:
+            route = self.negative.filter_route(route, now)
+            if len(route) < 2:
+                return False
+        return self.cache.add(route, now if stamp is None else stamp)
 
     def _lookup_with_age(self, dst: int, purpose: str):
         """Cache lookup instrumented for the "% invalid cached routes"
@@ -257,18 +255,18 @@ class DsrAgent:
             self._learn_from_route(packet.info.route)
         self._transmit_source_routed(packet)
 
-    def _learn_from_route(self, route: Sequence[int]) -> None:
+    def _learn_from_route(self, route: Sequence[int]) -> bool:
         """Cache what a route passing through us teaches: the suffix toward
-        its end and the reversed prefix back toward its start."""
+        its end and the reversed prefix back toward its start.  Returns
+        False if we are not on the route."""
         if self.node_id not in route:
-            return
-        index = list(route).index(self.node_id)
-        suffix = list(route[index:])
-        if len(suffix) >= 2:
-            self._cache_add(suffix)
-        prefix = list(reversed(route[: index + 1]))
-        if len(prefix) >= 2:
-            self._cache_add(prefix)
+            return False
+        index = route.index(self.node_id)
+        if index + 2 <= len(route):
+            self._cache_add(route[index:])
+        if index >= 1:
+            self._cache_add(route[index::-1])
+        return True
 
     # ------------------------------------------------------------------
     # Packet reception (MAC deliver callback)
@@ -309,14 +307,14 @@ class DsrAgent:
             # The destination replies to *every* request copy it receives so
             # the source learns alternate routes (paper section 3).
             self._seen_requests.insert((request.origin, request.request_id), self._now())
-            self._cache_add(list(reversed(accumulated)))
+            self._cache_add(accumulated[::-1])
             self._send_reply(accumulated, request, from_cache=False)
             return
 
         if self._seen_requests.seen((request.origin, request.request_id), self._now()):
             return
         self._seen_requests.insert((request.origin, request.request_id), self._now())
-        self._cache_add(list(reversed(accumulated)))
+        self._cache_add(accumulated[::-1])
 
         if self.config.reply_from_cache:
             found = self._lookup_with_age(request.target, purpose="reply")
@@ -758,32 +756,19 @@ class DsrAgent:
         chain ourselves through the transmitter we just overheard (we are
         demonstrably its neighbour) — the paper's "liberal snooping".
         """
-        me = self.node_id
-        if me in route:
-            self._learn_from_route(route)
+        if self._learn_from_route(route):
             return
-        transmitter = route[transmitter_index]
-        onward = [me] + list(route[transmitter_index:])
-        if is_valid_route(onward):
-            self._cache_add(onward)
-        backward = [me] + list(reversed(route[: transmitter_index + 1]))
-        if is_valid_route(backward):
-            self._cache_add(backward)
+        me = self.node_id
+        self._cache_add([me, *route[transmitter_index:]])
+        self._cache_add([me, *route[transmitter_index::-1]])
 
     def _snoop_carried_route(self, carried: Sequence[int], transmitter: int) -> None:
-        me = self.node_id
-        if me in carried:
+        """Learn from the route a snooped reply carries, entering it at the
+        reply's transmitter if that node is on it."""
+        if transmitter in carried:
+            self._snoop_route(carried, carried.index(transmitter))
+        else:
             self._learn_from_route(carried)
-            return
-        if transmitter not in carried:
-            return
-        index = list(carried).index(transmitter)
-        onward = [me] + list(carried[index:])
-        if is_valid_route(onward):
-            self._cache_add(onward)
-        backward = [me] + list(reversed(carried[: index + 1]))
-        if is_valid_route(backward):
-            self._cache_add(backward)
 
     def _maybe_shorten(self, packet: Packet, transmitter_index: int) -> None:
         """Gratuitous route shortening: we overheard a packet we appear

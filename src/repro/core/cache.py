@@ -22,12 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.routes import (
-    contains_link,
-    is_valid_route,
-    route_links,
-    truncate_at_link,
-)
+from repro.core.routes import is_valid_route, link_position, route_links
 
 Link = Tuple[int, int]
 
@@ -139,7 +134,10 @@ class PathCache:
         return link in self._links_forwarded
 
     def contains_link(self, link: Link) -> bool:
-        return any(contains_link(path.route, link) for path in self._paths.values())
+        for route in self._paths:
+            if link_position(route, link) >= 0:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Invalidations
@@ -155,13 +153,13 @@ class PathCache:
         replacements: List[CachedPath] = []
         doomed: List[Tuple[int, ...]] = []
         for key, cached in self._paths.items():
-            if not contains_link(cached.route, link):
+            position = link_position(key, link)
+            if position < 0:
                 continue
             lifetimes.append(max(0.0, now - cached.added))
             doomed.append(key)
-            prefix = truncate_at_link(cached.route, link)
-            if prefix is not None and len(prefix) >= 2:
-                replacements.append(CachedPath(tuple(prefix), cached.added))
+            if position >= 1:
+                replacements.append(CachedPath(key[: position + 1], cached.added))
         for key in doomed:
             del self._paths[key]
         for replacement in replacements:

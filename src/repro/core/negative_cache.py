@@ -17,9 +17,7 @@ read) plus an explicit purge hook.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
-
-from repro.core.routes import route_links
+from typing import Optional, Sequence, Tuple
 
 Link = Tuple[int, int]
 
@@ -58,23 +56,32 @@ class NegativeCache:
             return False
         return True
 
+    def _first_bad_hop(self, route: Sequence[int], now: float) -> int:
+        """Index of the hop at which the earliest quarantined link of
+        ``route`` leaves, or -1.  Like :meth:`contains`, expires the stale
+        entries it reads."""
+        entries = self._entries
+        if entries:  # usually empty: nothing has broken lately
+            for i in range(len(route) - 1):
+                link = (route[i], route[i + 1])
+                if link in entries and self.contains(link, now):
+                    return i
+        return -1
+
     def first_bad_link(self, route: Sequence[int], now: float) -> Optional[Link]:
         """The earliest quarantined link on ``route``, or None."""
-        for link in route_links(route):
-            if self.contains(link, now):
-                return link
-        return None
+        i = self._first_bad_hop(route, now)
+        return None if i < 0 else (route[i], route[i + 1])
 
-    def filter_route(self, route: Sequence[int], now: float) -> List[int]:
-        """Truncate ``route`` just before its first quarantined link.
+    def filter_route(self, route: Sequence[int], now: float) -> Sequence[int]:
+        """Truncate ``route`` just before its first quarantined link (the
+        route itself, not a copy, when there is none).
 
         This is the pre-insertion filter keeping route cache and negative
         cache mutually exclusive.
         """
-        for i, link in enumerate(route_links(route)):
-            if self.contains(link, now):
-                return list(route[: i + 1])
-        return list(route)
+        i = self._first_bad_hop(route, now)
+        return route if i < 0 else route[: i + 1]
 
     def purge(self, now: float) -> int:
         """Drop expired entries eagerly; returns how many were removed."""

@@ -33,14 +33,24 @@ def is_valid_route(route: Sequence[int]) -> bool:
 
 
 def route_links(route: Sequence[int]) -> Iterator[Link]:
-    """Yield the directed links of a route in order."""
-    for a, b in zip(route, route[1:]):
-        yield (a, b)
+    """The directed links of a route, in order."""
+    return zip(route, route[1:])
+
+
+def link_position(route: Sequence[int], link: Link) -> int:
+    """Index of the hop at which ``link`` first leaves, or -1 if the route
+    does not traverse it."""
+    a, b = link
+    if a not in route:  # one C-level scan rejects most routes
+        return -1
+    for i in range(len(route) - 1):
+        if route[i] == a and route[i + 1] == b:
+            return i
+    return -1
 
 
 def contains_link(route: Sequence[int], link: Link) -> bool:
-    a, b = link
-    return any(x == a and y == b for x, y in route_links(route))
+    return link_position(route, link) >= 0
 
 
 def truncate_at_link(route: Sequence[int], link: Link) -> Optional[List[int]]:
@@ -50,12 +60,10 @@ def truncate_at_link(route: Sequence[int], link: Link) -> Optional[List[int]]:
     or None if the link was the first hop / the prefix degenerates.  Returns
     the route unchanged (as a list) if the link does not appear.
     """
-    a, b = link
-    for i, (x, y) in enumerate(route_links(route)):
-        if x == a and y == b:
-            prefix = list(route[: i + 1])
-            return prefix if len(prefix) >= 2 else None
-    return list(route)
+    position = link_position(route, link)
+    if position < 0:
+        return list(route)
+    return list(route[: position + 1]) if position >= 1 else None
 
 
 def concatenate_routes(

@@ -163,7 +163,11 @@ def _is_order_laundered(node: ast.AST) -> bool:
     return False
 
 
-_SCHEDULING_ATTRS = frozenset({"schedule", "schedule_at"})
+# reserve_seq counts: it hands out a place in the event order even though
+# the push (schedule_reserved) may come later or never.
+_SCHEDULING_ATTRS = frozenset(
+    {"schedule", "schedule_at", "reserve_seq", "schedule_reserved"}
+)
 _TIMER_TYPES = frozenset({"Timer", "PeriodicTimer"})
 
 
@@ -190,8 +194,9 @@ class NoUnorderedScheduling(Rule):
     """DET003: set-iteration order must never reach the event scheduler.
 
     Iterating a set (or ``dict.keys()`` of a hash-keyed mapping) and
-    scheduling events / starting timers per element bakes hash order into
-    the event sequence.  Wrap the iterable in ``sorted(...)``.
+    scheduling events / reserving sequence numbers / starting timers per
+    element bakes hash order into the event sequence.  Wrap the iterable in
+    ``sorted(...)``.
     """
 
     code = "DET003"

@@ -3,9 +3,10 @@
 SIM001 — the event heap belongs to :class:`repro.sim.engine.Simulator`.
 Its determinism contract (total ``(time, seq)`` order, lazy cancellation,
 compaction bookkeeping) holds only while every mutation goes through
-``schedule``/``schedule_at``/``cancel``; a ``heapq`` call on another
-object's heap bypasses the sequence counter and the cancelled-event
-accounting at once.
+``schedule``/``schedule_at``/``cancel`` — or, for a wake-up that is pushed
+only if it comes to matter, ``reserve_seq`` + ``schedule_reserved``; a
+``heapq`` call on another object's heap bypasses the sequence counter and
+the cancelled-event accounting at once.
 
 API001 — shipped modules must never import from the test tree: tests are
 not installed, so such an import works in CI and crashes for users.
@@ -73,8 +74,9 @@ class NoDirectHeapAccess(Rule):
                     ctx,
                     node,
                     f"heapq.{member}() on the simulator's event heap — go "
-                    "through Simulator.schedule/schedule_at/cancel so the "
-                    "(time, seq) order and cancellation bookkeeping hold",
+                    "through Simulator.schedule/schedule_at/cancel (or "
+                    "reserve_seq + schedule_reserved for a deferred push) so "
+                    "the (time, seq) order and cancellation bookkeeping hold",
                 )
 
 

@@ -72,7 +72,7 @@ class DcfMac:
         self._sim = sim
         self._radio = radio
         self._rng = rng
-        self.timing = timing or MacTiming()
+        self.timing = timing or MacTiming()  # also resolves _difs/_eifs
         self._tracer = tracer or Tracer()
         self.queue = InterfaceQueue(queue_capacity)
         radio.mac = self
@@ -93,16 +93,33 @@ class DcfMac:
 
         self._current: Optional[_Attempt] = None
         self._awaiting: Optional[str] = None  # 'cts' | 'ack'
-        self._cw = self.timing.cw_min
+        self._cw = self._timing.cw_min
         self._backoff_remaining = 0.0
+        # Non-None exactly while the defer timer runs.
         self._defer_started: Optional[float] = None
-        self._defer_ifs = self.timing.difs  # IFS in force for the current defer
+        self._defer_ifs = self._difs  # IFS in force for the current defer
         self._eifs_pending = False
         self._defer_timer = Timer(sim, self._defer_expired)
         self._response_timer = Timer(sim, self._response_timeout)
         self._nav_until = 0.0
+        # Engine sequence number held for the wake-up at ``_nav_until`` when
+        # the NAV was set with no attempt in hand (see _set_nav).
+        self._nav_wake_seq: Optional[int] = None
         self._seq = 0
         self._last_seq: Dict[int, int] = {}
+
+    @property
+    def timing(self) -> MacTiming:
+        return self._timing
+
+    @timing.setter
+    def timing(self, timing: MacTiming) -> None:
+        # MacTiming derives DIFS/EIFS on every read, and the defer path wants
+        # them on every medium transition: resolve them once per timing.
+        self._timing = timing
+        self._difs = timing.difs
+        self._eifs = timing.eifs
+        self._use_eifs = timing.use_eifs
 
     # ------------------------------------------------------------------
     # Upper-layer entry point
@@ -138,37 +155,46 @@ class DcfMac:
         self._seq += 1
         self._current = _Attempt(entry.packet, entry.next_hop, self._seq)
         self._radio.mac_idle = False
-        self._cw = self.timing.cw_min
+        wake_seq = self._nav_wake_seq
+        if wake_seq is not None:
+            self._nav_wake_seq = None
+            if self._sim.now < self._nav_until:
+                # The NAV armed while we were idle now matters: put its
+                # expiry wake-up where _set_nav would have scheduled it.
+                self._sim.schedule_reserved(
+                    self._nav_until, wake_seq, self.on_medium_change
+                )
+        self._cw = self._timing.cw_min
         self._draw_backoff()
         self._begin_defer()
 
     def _draw_backoff(self) -> None:
         slots = int(self._rng.integers(0, self._cw + 1))
-        self._backoff_remaining = slots * self.timing.slot
+        self._backoff_remaining = slots * self._timing.slot
 
     def _medium_free(self) -> bool:
         return not self._radio.busy and self._sim.now >= self._nav_until
 
     def _begin_defer(self) -> None:
-        if self._current is None or self._awaiting is not None:
+        if (
+            self._current is None
+            or self._awaiting is not None
+            or self._defer_started is not None
+        ):
             return
-        if self._defer_timer.running:
-            return
-        if not self._medium_free():
-            return  # resumed by on_medium_change when the medium clears
+        if self._medium_free():
+            self._arm_defer()
+        # else: resumed by on_medium_change when the medium clears
+
+    def _arm_defer(self) -> None:
         self._defer_started = self._sim.now
         self._defer_ifs = (
-            self.timing.eifs
-            if (self.timing.use_eifs and self._eifs_pending)
-            else self.timing.difs
+            self._eifs if (self._use_eifs and self._eifs_pending) else self._difs
         )
         self._defer_timer.start(self._defer_ifs + self._backoff_remaining)
 
     def _pause_defer(self) -> None:
-        # _defer_started is non-None exactly while the defer timer runs, and
-        # testing the attribute is far cheaper than Timer.running — this is
-        # called for every overheard NAV update.
-        if self._defer_started is None or not self._defer_timer.running:
+        if self._defer_started is None:
             return
         elapsed = self._sim.now - self._defer_started
         consumed = max(0.0, elapsed - self._defer_ifs)
@@ -185,7 +211,7 @@ class DcfMac:
             return
         attempt = self._current
         packet_bytes = attempt.packet.size_bytes()
-        timing = self.timing
+        timing = self._timing
         if attempt.next_hop == BROADCAST:
             frame = Frame(
                 FrameKind.DATA,
@@ -218,7 +244,7 @@ class DcfMac:
         if self._current is None:
             return
         attempt = self._current
-        timing = self.timing
+        timing = self._timing
         nav = timing.ack_airtime + timing.sifs
         frame = Frame(
             FrameKind.DATA,
@@ -255,17 +281,17 @@ class DcfMac:
             # pause.  This is the common case — every transmission pings
             # every carrier-sense neighbour, and most of them are idle.
             return
-        if self._medium_free():
-            self._begin_defer()
-        else:
+        if self._radio.busy or self._sim.now < self._nav_until:
             self._pause_defer()
+        elif self._awaiting is None and self._defer_started is None:
+            self._arm_defer()
 
     def on_tx_complete(self, frame: Frame) -> None:
         """Our own frame just left the antenna; sequence the exchange."""
         attempt = self._current
         if attempt is None:
             return  # a SIFS response (CTS/ACK); nothing to sequence
-        timing = self.timing
+        timing = self._timing
         if frame.kind is FrameKind.RTS and frame.seq == attempt.seq:
             self._awaiting = "cts"
             self._response_timer.start(timing.cts_timeout)
@@ -279,7 +305,7 @@ class DcfMac:
     def on_corrupt_frame(self) -> None:
         """The radio heard a frame it could not decode: defer EIFS next
         (802.11's protection for the unseen exchange's ACK)."""
-        if self.timing.use_eifs:
+        if self._use_eifs:
             self._eifs_pending = True
 
     def on_frame(self, frame: Frame) -> None:
@@ -299,7 +325,7 @@ class DcfMac:
             self.promiscuous(frame.packet)
 
     def _on_frame_for_us(self, frame: Frame) -> None:
-        timing = self.timing
+        timing = self._timing
         if frame.kind is FrameKind.RTS:
             cts = Frame(
                 FrameKind.CTS,
@@ -356,10 +382,10 @@ class DcfMac:
         if attempt is None:
             return
         attempt.retries += 1
-        if attempt.retries > self.timing.retry_limit:
+        if attempt.retries > self._timing.retry_limit:
             self._finish_current(success=False)
             return
-        self._cw = min(2 * (self._cw + 1) - 1, self.timing.cw_max)
+        self._cw = min(2 * (self._cw + 1) - 1, self._timing.cw_max)
         self._draw_backoff()
         self._begin_defer()
 
@@ -369,7 +395,7 @@ class DcfMac:
         self._current = None
         self._radio.mac_idle = True
         self._awaiting = None
-        self._cw = self.timing.cw_min
+        self._cw = self._timing.cw_min
         if attempt.next_hop != BROADCAST:
             if success:
                 self.on_unicast_success(attempt.packet, attempt.next_hop)
@@ -394,5 +420,15 @@ class DcfMac:
         if until <= self._nav_until:
             return
         self._nav_until = until
+        # Also when idle: after a broadcast the defer timer can be running
+        # with no attempt in hand (see docs/protocol.md), and NAV pauses it.
         self._pause_defer()
-        self._sim.schedule_at(until, self.on_medium_change)
+        if self._current is None:
+            # The expiry wake-up does nothing unless an attempt begins before
+            # it — the common case for an overhearer.  Hold its place in the
+            # event order; _try_start schedules it if it comes to matter.  An
+            # earlier reservation is dropped: its wake-up would find the NAV
+            # extended and the defer timer stopped.
+            self._nav_wake_seq = self._sim.reserve_seq()
+        else:
+            self._sim.schedule_at(until, self.on_medium_change)

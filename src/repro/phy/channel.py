@@ -114,36 +114,59 @@ class Channel:
         sender.begin_transmit(tx)
         plan = self._plan_for(sender.node_id, now)
         energy = self.energy
-        if self.capture is not None:
-            lossy = self._lossy
-            loss_model = self._loss_model
-            rng = self._rng
-            for radio, in_rx, distance, power in plan:
-                receivable = in_rx and (
-                    not lossy or loss_model.delivered(distance, rng)
+        lossy = self._lossy
+        loss_model = self._loss_model
+        rng = self._rng
+        capture = self.capture
+        threshold = 0.0 if capture is None else capture.threshold_db
+        # One pass over the listeners, in carrier-sense neighbour order: the
+        # medium-change callbacks schedule timers, so their order is part of
+        # the event order.  A reception in progress is ``receptions[tx] =
+        # corrupt``; only decodable frames get one, carrier-sense-only energy
+        # is a bare counter since its corrupt flag could never be read.
+        for radio, receivable, distance, power in plan:
+            if lossy and receivable:
+                # One draw per in-range listener, in plan order.
+                receivable = loss_model.delivered(distance, rng)
+            receptions = radio.receptions
+            if capture is None:
+                # Any overlap corrupts.  ``busy`` doubles as the new
+                # reception's corrupt flag: energy from a second source
+                # corrupts, and its absence means the listener was clear.
+                busy = (
+                    bool(receptions)
+                    or radio.cs_energy > 0
+                    or radio.sending is not None
                 )
-                radio.energy_start(tx, receivable, power)
-                if energy is not None:
-                    energy.charge_rx(radio.node_id, duration)
-        elif self._lossy:
-            loss_model = self._loss_model
-            rng = self._rng
-            for radio, in_rx, distance, _power in plan:
-                # Short-circuit keeps the RNG draw order identical to the
-                # unmemoised loop: one draw per in-range listener, in
-                # carrier-sense neighbour order.
-                radio.energy_start(tx, in_rx and loss_model.delivered(distance, rng))
-                if energy is not None:
-                    energy.charge_rx(radio.node_id, duration)
-        elif energy is not None:
-            for radio, in_rx, _distance, _power in plan:
-                radio.energy_start(tx, in_rx)
+                if busy:
+                    for other in receptions:
+                        receptions[other] = True
+                corrupt = busy
+            else:
+                # Pairwise strongest-interferer capture: each decodable
+                # frame already on the air survives the new arrival iff its
+                # power exceeds the new arrival's by the threshold; the new
+                # arrival starts clean iff the listener is not transmitting
+                # (half duplex always wins) and it beats the *strongest*
+                # energy currently heard by the threshold.
+                heard = radio.heard_power
+                busy = bool(heard) or radio.sending is not None
+                for other in receptions:
+                    if heard[other] < power + threshold:
+                        receptions[other] = True
+                corrupt = receivable and (
+                    radio.sending is not None
+                    or any(power < level + threshold for level in heard.values())
+                )
+                heard[tx] = power
+            if receivable:
+                receptions[tx] = corrupt
+            else:
+                radio.cs_energy += 1
+            if not busy and not radio.mac_idle and radio.mac is not None:
+                radio.mac.on_medium_change()
+            if energy is not None:
                 energy.charge_rx(radio.node_id, duration)
-        else:
-            # The common configuration (disk propagation, no energy model):
-            # nothing in the loop but the energy_start calls themselves.
-            for radio, in_rx, _distance, _power in plan:
-                radio.energy_start(tx, in_rx)
         if energy is not None:
             energy.charge_tx(sender.node_id, duration)
         self._sim.schedule(duration, self._finish, tx, sender, plan)
@@ -196,6 +219,24 @@ class Channel:
     def _finish(self, tx: Transmission, sender: "Radio", plan: List[tuple]) -> None:
         # End energy at listeners first so the sender's completion callback
         # observes a consistent medium.
-        for entry in plan:
-            entry[0].energy_end(tx)
+        capture = self.capture is not None
+        frame = tx.frame
+        for radio, in_rx, _distance, _power in plan:
+            if capture:
+                del radio.heard_power[tx]
+            corrupt = radio.receptions.pop(tx, None) if in_rx else None
+            if corrupt is not None:
+                radio.frame_end(frame, corrupt)
+                continue
+            # Carrier-sense-only energy (out of range, or lost): no decode
+            # outcome to deliver, just the possible busy -> free transition.
+            radio.cs_energy -= 1
+            if (
+                radio.cs_energy == 0
+                and not radio.mac_idle
+                and not radio.receptions
+                and radio.sending is None
+                and radio.mac is not None
+            ):
+                radio.mac.on_medium_change()
         sender.end_transmit(tx)

@@ -1,35 +1,29 @@
 """Per-node half-duplex transceiver.
 
-The radio tracks the set of transmissions it currently hears and decides,
-per transmission, whether the frame survives: decodable means the frame was
-in receive range, no other heard transmission overlapped any part of it, and
-this radio was not itself transmitting at any point during it.
+The radio holds what a node currently hears and sends.  Whether a heard
+frame survives is decided while the channel walks a frame's listeners (see
+:meth:`repro.phy.channel.Channel.transmit`): decodable means the frame was
+in receive range, no other heard transmission overlapped any part of it
+(or, under a capture profile, none strong enough), and this radio was not
+itself transmitting at any point during it.
 
-The MAC attaches via three callbacks:
+The MAC attaches via three callbacks, plus an optional fourth:
 
 * ``on_medium_change()`` — physical carrier-sense transitions,
 * ``on_frame(frame)`` — a successfully decoded frame,
-* ``on_tx_complete(frame)`` — the radio finished sending our own frame.
+* ``on_tx_complete(frame)`` — the radio finished sending our own frame,
+* ``on_corrupt_frame()`` — a decodable frame was ruined (EIFS), if defined.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.phy.channel import Channel, Transmission
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.frames import Frame
-
-# A reception in progress is a mutable [receivable, corrupt] pair.  A bare
-# list beats a (slotted) class here: receptions are created and destroyed
-# once per heard frame per listener — the hottest allocation site in the
-# whole simulator.  Only *decodable* frames get an entry; carrier-sense-only
-# energy (out of receive range) is a bare counter, since its corrupt flag
-# could never be read.
-_RECEIVABLE = 0
-_CORRUPT = 1
 
 
 class Radio:
@@ -45,17 +39,17 @@ class Radio:
         # them knowing the flag exists.  Most energy transitions happen at
         # idle bystanders, so skipping the callback here is a real win.
         self.mac_idle = False
-        self._transmitting: Optional[Transmission] = None
-        self._receptions: Dict[Transmission, List[bool]] = {}
-        self._cs_energy = 0  # in-flight transmissions heard but not decodable
-        # Capture (profile opt-in): the threshold the channel's CaptureModel
-        # configured, and the relative power of every transmission currently
-        # heard.  None keeps the legacy any-overlap-corrupts fast path.
-        capture = channel.capture
-        self._capture_db: Optional[float] = (
-            None if capture is None else capture.threshold_db
-        )
-        self._heard_power: Dict[Transmission, float] = {}
+        # What this radio currently hears.  The channel's delivery passes
+        # (Channel.transmit / Channel._finish) own the reception rules and
+        # update these for every listener of a frame in one loop; the radio
+        # itself only touches them for its own half-duplex transmissions.
+        self.sending: Optional[Transmission] = None
+        #: In-flight decodable transmissions -> corrupt so far?
+        self.receptions: Dict[Transmission, bool] = {}
+        #: In-flight transmissions heard but not decodable.
+        self.cs_energy = 0
+        #: Relative power of every transmission heard (capture profiles only).
+        self.heard_power: Dict[Transmission, float] = {}
         channel.attach(self)
 
     # -- state queries -----------------------------------------------------
@@ -64,35 +58,36 @@ class Radio:
     def busy(self) -> bool:
         """Physical carrier sense: energy on the air or transmitting."""
         return (
-            self._transmitting is not None
-            or bool(self._receptions)
-            or self._cs_energy > 0
+            self.sending is not None
+            or bool(self.receptions)
+            or self.cs_energy > 0
         )
 
     @property
     def transmitting(self) -> bool:
-        return self._transmitting is not None
+        return self.sending is not None
 
     # -- transmit path -----------------------------------------------------
 
     def transmit(self, frame: "Frame", duration: float) -> None:
         """Hand a frame to the channel (the MAC has already deferred)."""
-        if self._transmitting is not None:
+        if self.sending is not None:
             raise SimulationError(
                 f"node {self.node_id} started a transmission while already sending"
             )
         self._channel.transmit(self, frame, duration)
 
     def begin_transmit(self, tx: Transmission) -> None:
-        self._transmitting = tx
+        self.sending = tx
         # Half duplex: anything we were receiving is lost.
-        for reception in self._receptions.values():
-            reception[_CORRUPT] = True
+        receptions = self.receptions
+        for other in receptions:
+            receptions[other] = True
         if self.mac is not None and not self.mac_idle:
             self.mac.on_medium_change()
 
     def end_transmit(self, tx: Transmission) -> None:
-        self._transmitting = None
+        self.sending = None
         if self.mac is not None:
             if not self.mac_idle:
                 self.mac.on_medium_change()
@@ -100,83 +95,12 @@ class Radio:
 
     # -- receive path ------------------------------------------------------
 
-    def energy_start(
-        self, tx: Transmission, receivable: bool, power: float = 0.0
-    ) -> None:
-        if self._capture_db is not None:
-            self._capture_start(tx, receivable, power)
-            return
-        # `busy` doubles as the new reception's corrupt flag: energy from a
-        # second source corrupts, and its absence means we were clear.
-        receptions = self._receptions
-        busy = (
-            bool(receptions)
-            or self._cs_energy > 0
-            or self._transmitting is not None
-        )
-        if busy:
-            for reception in receptions.values():
-                reception[_CORRUPT] = True
-        if receivable:
-            receptions[tx] = [True, busy]
-        else:
-            self._cs_energy += 1
-        if not busy and self.mac is not None and not self.mac_idle:
-            self.mac.on_medium_change()
-
-    def _capture_start(
-        self, tx: Transmission, receivable: bool, power: float
-    ) -> None:
-        """Reception start under the capture model.
-
-        Pairwise strongest-interferer capture: an overlap no longer corrupts
-        unconditionally.  Each decodable frame already on the air survives
-        the new arrival iff its power exceeds the new arrival's by the
-        threshold; the new arrival starts clean iff we are not transmitting
-        and it beats the *strongest* energy currently heard by the threshold.
-        Half duplex is unchanged — our own transmission always wins.
-        """
-        receptions = self._receptions
-        heard = self._heard_power
-        threshold = self._capture_db
-        busy = bool(heard) or self._transmitting is not None
-        for rx_tx, reception in receptions.items():
-            if heard[rx_tx] < power + threshold:
-                reception[_CORRUPT] = True
-        if receivable:
-            corrupt = self._transmitting is not None or any(
-                power < other + threshold for other in heard.values()
-            )
-            receptions[tx] = [True, corrupt]
-        else:
-            self._cs_energy += 1
-        heard[tx] = power
-        if not busy and self.mac is not None and not self.mac_idle:
-            self.mac.on_medium_change()
-
-    def energy_end(self, tx: Transmission) -> None:
-        if self._capture_db is not None:
-            self._heard_power.pop(tx, None)
-        reception = self._receptions.pop(tx, None)
-        if reception is None:
-            # Carrier-sense-only energy: no decode outcome to deliver, just
-            # the possible busy -> free transition.
-            if self._cs_energy > 0:
-                self._cs_energy -= 1
-                if (
-                    not self.mac_idle
-                    and self._cs_energy == 0
-                    and not self._receptions
-                    and self._transmitting is None
-                    and self.mac is not None
-                ):
-                    self.mac.on_medium_change()
-            return
+    def frame_end(self, frame: "Frame", corrupt: bool) -> None:
+        """A frame this radio could have decoded just left the air."""
         mac = self.mac
         if mac is None:
             return
-        receivable, corrupt = reception
-        if receivable and corrupt:
+        if corrupt:
             # A decodable frame was ruined (collision / half duplex): the
             # MAC may apply EIFS deference.
             on_corrupt = getattr(mac, "on_corrupt_frame", None)
@@ -184,10 +108,10 @@ class Radio:
                 on_corrupt()
         if (
             not self.mac_idle
-            and not self._receptions
-            and self._cs_energy == 0
-            and self._transmitting is None
+            and not self.receptions
+            and self.cs_energy == 0
+            and self.sending is None
         ):
             mac.on_medium_change()
-        if receivable and not corrupt:
-            mac.on_frame(tx.frame)
+        if not corrupt:
+            mac.on_frame(frame)

@@ -230,6 +230,42 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
+    def reserve_seq(self) -> int:
+        """Take the next sequence number without scheduling anything.
+
+        For wake-ups that usually turn out to be unnecessary: reserve at the
+        moment an eager caller would have called :meth:`schedule_at`, and
+        call :meth:`schedule_reserved` only if the wake-up is still wanted
+        before its instant arrives.  The event then runs exactly where the
+        eager one would have (same ``(time, seq)`` key), and every other
+        event keeps its key because the counter ticked either way.
+        """
+        seq = self._seq + 1
+        self._seq = seq
+        return seq
+
+    def schedule_reserved(
+        self, time: float, seq: int, fn: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Schedule ``fn(*args)`` at ``time`` under a sequence number taken
+        earlier with :meth:`reserve_seq` (each reservation is used at most
+        once).
+
+        ``time`` must still lie strictly ahead: at ``time == now`` events
+        with later sequence numbers may already have run, and the place in
+        line the reservation held is gone.
+        """
+        if time <= self.now:
+            raise SimulationError(
+                f"a reserved event must be pushed before its instant "
+                f"(time={time}, now={self.now})"
+            )
+        if not 0 < seq <= self._seq:
+            raise SimulationError(f"sequence number {seq} was never reserved")
+        event = Event(time, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
+
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if it already fired)."""
         event.cancel()

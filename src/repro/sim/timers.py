@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
 
 
@@ -39,8 +40,12 @@ class Timer:
 
     def start(self, delay: float, *args: Any) -> None:
         """(Re)arm the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire, args)
+        if self._event is not None:
+            self._event.cancel()
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        sim = self._sim
+        self._event = sim.schedule_at(sim.now + delay, self._fire, args)
 
     def cancel(self) -> None:
         """Disarm the timer if it is pending."""

@@ -53,6 +53,17 @@ def test_suppression_comment_is_honoured(code, fixture_dir, project_root):
     assert result.clean, [finding.render() for finding in result.findings]
 
 
+def test_det003_reaches_the_reserve_then_push_entry_points():
+    """``reserve_seq`` hands out a place in the event order and
+    ``schedule_reserved`` pushes under it: hash-order iteration must not
+    reach either, exactly as for ``schedule``/``schedule_at``."""
+    fixture_dir = FIXTURES / "det003_reserved"
+    bad = _lint("DET003", fixture_dir / "bad.py", None)
+    assert [finding.code for finding in bad.findings] == ["DET003", "DET003"]
+    assert _lint("DET003", fixture_dir / "good.py", None).clean
+    assert _lint("DET003", fixture_dir / "suppressed.py", None).clean
+
+
 def test_cache001_project_is_auto_discovered():
     """Without --project-root, the model is found by walking up from the file."""
     result = lint_paths([CACHE_PROJECT / "analysis" / "bad.py"], select=["CACHE001"])

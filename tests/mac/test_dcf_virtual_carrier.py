@@ -98,3 +98,120 @@ def test_grey_zone_losses_recovered_by_retries():
     # At ~24 % loss per frame the 4-frame exchange succeeds ~33 % per
     # attempt; with 7 retries most packets should get through.
     assert len(delivered_uids) >= 6
+
+
+# ----------------------------------------------------------------------
+# Lazy NAV wake-ups: the expiry event is only reserved while the overhearer
+# has nothing to send, and pushed (under the reserved sequence number) if an
+# attempt begins before the NAV runs out.
+# ----------------------------------------------------------------------
+
+
+def _overhearer():
+    sim, macs, uppers, _ = build_macs([(0.0, 0.0), (200.0, 0.0), (100.0, 100.0)])
+    return sim, macs[2], uppers
+
+
+def test_idle_overhearer_schedules_no_nav_wakeup():
+    sim, mac, _ = _overhearer()
+    pending = sim.pending_events
+    mac.on_frame(Frame(FrameKind.RTS, src=0, dst=1, duration=0.005))
+    assert mac._nav_until == 0.005
+    assert sim.pending_events == pending
+    assert sim.run(until=0.1) == 0  # and nothing ever fires for it
+
+
+def test_packet_enqueued_mid_nav_starts_deferring_exactly_at_nav_expiry():
+    sim, mac, uppers = _overhearer()
+    mac.on_frame(Frame(FrameKind.RTS, src=0, dst=1, duration=0.05))
+    sim.run(until=0.02)
+    pending = sim.pending_events
+    mac.enqueue(_packet(2, 1, uid=1), 1)
+    assert sim.pending_events == pending + 1  # the wake-up, nothing else yet
+    assert not mac._defer_timer.running
+    sim.run(until=0.05)
+    assert mac._defer_started == 0.05
+    assert mac._defer_timer.running
+    sim.run(until=0.2)
+    assert [p.uid for p in uppers[1].delivered] == [1]
+
+
+def test_nav_extended_twice_while_idle_wakes_once_at_the_latest_expiry():
+    sim, mac, _ = _overhearer()
+    mac.on_frame(Frame(FrameKind.RTS, src=0, dst=1, duration=0.01))
+    mac.on_frame(Frame(FrameKind.CTS, src=1, dst=0, duration=0.03))
+    sim.run(until=0.005)
+    pending = sim.pending_events
+    mac.enqueue(_packet(2, 1, uid=1), 1)
+    assert sim.pending_events == pending + 1
+    assert sim.run(until=0.02) == 0  # no wake-up at the superseded expiry
+    assert not mac._defer_timer.running
+    assert sim.run(until=0.03) == 1
+    assert mac._defer_started == 0.03
+
+
+def test_nav_set_during_an_attempt_still_wakes_eagerly():
+    sim, mac, _ = _overhearer()
+    mac.enqueue(_packet(2, 1, uid=1), 1)
+    pending = sim.pending_events
+    mac.on_frame(Frame(FrameKind.RTS, src=0, dst=1, duration=0.005))
+    # The defer timer was paused (cancelled events stay in the heap) and
+    # the wake-up pushed at once.
+    assert sim.pending_events == pending + 1
+    assert not mac._defer_timer.running
+    sim.run(until=0.005)
+    assert mac._defer_started == 0.005
+
+
+# ----------------------------------------------------------------------
+# Post-broadcast defer timer: a known deviation from 802.11, pinned here
+# because the golden results include it (docs/protocol.md, MAC section).
+# ----------------------------------------------------------------------
+
+
+def _after_lone_broadcast(tracer=None):
+    """Node 0 has just finished a broadcast and its queue is empty."""
+    from repro.net.addresses import BROADCAST
+
+    sim, macs, uppers, _ = build_macs([(0.0, 0.0), (200.0, 0.0)], tracer=tracer)
+    macs[0].enqueue(_packet(0, BROADCAST, uid=1), BROADCAST)
+    while not uppers[1].delivered:
+        sim.run(max_events=1)
+    return sim, macs[0]
+
+
+def test_defer_timer_runs_on_after_a_broadcast_with_nothing_to_send():
+    """The radio reports the medium free *before* it reports the frame
+    complete, so the MAC re-arms the defer timer for the attempt that is
+    about to finish; with an empty queue it keeps running unowned."""
+    sim, mac = _after_lone_broadcast()
+    assert mac._current is None
+    assert mac._defer_timer.running
+    assert mac._defer_timer.expiry == sim.now + (
+        mac.timing.difs + mac._backoff_remaining
+    )
+
+
+def test_overheard_nav_pauses_the_unowned_defer_timer():
+    sim, mac = _after_lone_broadcast()
+    cancelled = sim.stats().cancelled
+    mac.on_frame(Frame(FrameKind.RTS, src=5, dst=9, duration=0.01))
+    assert not mac._defer_timer.running
+    assert sim.stats().cancelled == cancelled + 1
+
+
+def test_next_packet_rides_the_unowned_defer_timer_not_its_own_backoff():
+    from repro.net.addresses import BROADCAST
+    from repro.sim.trace import Tracer
+
+    sent = []
+    tracer = Tracer()
+    tracer.subscribe("mac.tx", sent.append)
+    sim, mac = _after_lone_broadcast(tracer)
+    stale_expiry = mac._defer_timer.expiry
+    mac.enqueue(_packet(0, BROADCAST, uid=2), BROADCAST)
+    own_expiry = sim.now + (mac.timing.difs + mac._backoff_remaining)
+    assert own_expiry != stale_expiry  # a fresh backoff was drawn ...
+    assert mac._defer_timer.expiry == stale_expiry  # ... and not used
+    sim.run(until=1.0)
+    assert [record.time for record in sent] == [sent[0].time, stale_expiry]

@@ -160,3 +160,71 @@ def test_duplicate_radio_attachment_rejected():
     sim, channel, radios, macs = build([(0.0, 0.0), (200.0, 0.0)])
     with pytest.raises(SimulationError):
         Radio(0, channel)
+
+
+def test_callback_sequence_of_one_frame_over_a_mixed_plan():
+    """One frame, every kind of listener, in carrier-sense neighbour order:
+    in-range and attentive (1), sensed-only and attentive (2), the same two
+    with a MAC that declared itself idle (3, 4), and in range but already
+    hearing a hidden sender (5 hears 6, which 0 cannot sense)."""
+    log = []
+
+    class LoggingMac:
+        def __init__(self, node_id):
+            self.node_id = node_id
+
+        def on_medium_change(self):
+            log.append((self.node_id, "medium"))
+
+        def on_frame(self, frame):
+            log.append((self.node_id, "frame", frame.src))
+
+        def on_tx_complete(self, frame):
+            log.append((self.node_id, "tx_complete"))
+
+    class EifsMac(LoggingMac):
+        def on_corrupt_frame(self):
+            log.append((self.node_id, "corrupt"))
+
+    positions = [
+        (0.0, 0.0),
+        (200.0, 0.0),
+        (400.0, 0.0),
+        (0.0, 200.0),
+        (0.0, 400.0),
+        (-200.0, 0.0),
+        (-700.0, 0.0),
+    ]
+    sim = Simulator()
+    mobility = StaticModel(positions)
+    neighbors = NeighborCache(mobility, DiskPropagation(rx_range=250.0, cs_range=550.0))
+    channel = Channel(sim, neighbors)
+    radios = {i: Radio(i, channel) for i in mobility.node_ids}
+    for i, radio in radios.items():
+        radio.mac = EifsMac(i) if i == 5 else LoggingMac(i)
+    radios[3].mac_idle = radios[4].mac_idle = True
+
+    sim.schedule(0.0, radios[6].transmit, _frame(6, 5), 0.010)
+    sim.schedule(0.001, radios[0].transmit, _frame(0, 1), 0.002)
+    sim.run(until=0.0005)
+    assert log == [(6, "medium"), (5, "medium")]
+    del log[:]
+
+    sim.run(until=0.005)
+    assert log == [
+        # start: the sender, then its listeners in plan order; 3 and 4 are
+        # idle and 5 was busy already, so none of them is told
+        (0, "medium"),
+        (1, "medium"),
+        (2, "medium"),
+        # end: listeners first, in plan order ...
+        (1, "medium"),
+        (1, "frame", 0),
+        (2, "medium"),
+        (3, "frame", 0),  # an idle MAC still gets its frames
+        (5, "corrupt"),  # overlapped by 6's energy; medium still busy
+        # ... then the sender
+        (0, "medium"),
+        (0, "tx_complete"),
+    ]
+    assert not radios[4].busy and radios[5].busy

@@ -191,3 +191,29 @@ def test_invalid_compact_ratio_rejected():
         Simulator(compact_ratio=0.0)
     with pytest.raises(SimulationError):
         Simulator(compact_ratio=1.5)
+
+
+def test_reserved_event_keeps_its_place_among_same_instant_events():
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(1.0, fired.append, "a")
+    seq = sim.reserve_seq()
+    sim.schedule_at(1.0, fired.append, "c")
+    assert sim.pending_events == 2  # a reservation puts nothing in the heap
+    sim.run(until=0.5)
+    sim.schedule_reserved(1.0, seq, fired.append, "b")
+    sim.run()
+    assert fired == ["a", "b", "c"]
+
+
+def test_reserved_event_must_be_pushed_before_its_instant():
+    sim = Simulator()
+    seq = sim.reserve_seq()
+    sim.run(until=1.0)
+    with pytest.raises(SimulationError):
+        sim.schedule_reserved(1.0, seq, lambda: None)  # the instant has begun
+    with pytest.raises(SimulationError):
+        sim.schedule_reserved(0.5, seq, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_reserved(2.0, seq + 1, lambda: None)  # never handed out
+    assert sim.pending_events == 0
