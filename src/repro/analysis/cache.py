@@ -47,8 +47,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -82,15 +80,35 @@ def scenario_hash(config: Union[ScenarioConfig, Dict[str, Any]]) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+# The field plan, resolved once.  Every field of the record is an immutable
+# scalar except the ``drop_reasons`` dict, which both directions copy; a
+# field of another shape fails tests/analysis/test_field_plans.py, naming
+# this module.
+_RESULT_FIELDS: Tuple[str, ...] = tuple(
+    field.name for field in dataclasses.fields(SimulationResult)
+)
+
+
 def result_to_payload(result: SimulationResult) -> Dict[str, Any]:
-    """A plain-JSON-types dict capturing the full result record."""
-    return dataclasses.asdict(result)
+    """A plain-JSON-types dict capturing the full result record.
+
+    The dict and its ``"drop_reasons"`` dict are fresh on every call.
+    """
+    record = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    record["drop_reasons"] = dict(result.drop_reasons)
+    return record
 
 
 def result_from_payload(payload: Dict[str, Any]) -> SimulationResult:
     """Inverse of :func:`result_to_payload` (unknown keys are rejected by
-    the dataclass constructor, which is exactly what invalidation wants)."""
-    return SimulationResult(**payload)
+    the dataclass constructor, which is exactly what invalidation wants).
+
+    The result does not alias ``payload``: ``drop_reasons`` is copied.
+    """
+    fields = dict(payload)
+    if "drop_reasons" in fields:
+        fields["drop_reasons"] = dict(fields["drop_reasons"])
+    return SimulationResult(**fields)
 
 
 def make_entry(key: str, result: SimulationResult) -> Dict[str, Any]:
@@ -102,8 +120,10 @@ def make_entry(key: str, result: SimulationResult) -> Dict[str, Any]:
     }
 
 
-def validate_entry(key: str, entry: Any) -> Dict[str, Any]:
-    """Check a cache document against the current format; returns it.
+def _entry_result(key: str, entry: Any) -> SimulationResult:
+    """Check a cache document against the current format and rebuild the
+    result it carries — validating *is* rebuilding, so a reader does both
+    in this one call.
 
     Raises :class:`ValueError` on anything a conforming store must not
     serve: wrong format version, a key/hash mismatch (content addressing
@@ -122,9 +142,14 @@ def validate_entry(key: str, entry: Any) -> Dict[str, Any]:
             f"does not match key {key[:12]}…"
         )
     try:
-        result_from_payload(dict(entry.get("result") or {}))
+        return result_from_payload(entry.get("result") or {})
     except Exception as exc:
         raise ValueError(f"cache entry result does not rebuild: {exc}") from exc
+
+
+def validate_entry(key: str, entry: Any) -> Dict[str, Any]:
+    """Check a cache document (see :func:`_entry_result`); returns it."""
+    _entry_result(key, entry)
     return entry
 
 
@@ -181,8 +206,13 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
 
+    def _entry_path(self, key: str) -> str:
+        # A string, not a Path: the hot read and write paths only hand it
+        # to os calls, and building a Path per key costs more than the join.
+        return os.path.join(self.root, key[:2], f"{key}.json")
+
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._entry_path(key))
 
     def get(self, key: str) -> Optional[SimulationResult]:
         """The cached result for ``key``, or ``None`` (counted as a miss).
@@ -190,42 +220,48 @@ class ResultCache:
         Unreadable or foreign-version entries are deleted and counted under
         ``stats.invalidated`` in addition to the miss.
         """
-        entry = self.get_entry(key)
-        if entry is None:
-            return None
-        return result_from_payload(entry["result"])
+        loaded = self._load(key)
+        return None if loaded is None else loaded[1]
 
     def get_entry(self, key: str) -> Optional[Dict[str, Any]]:
         """The raw stored document for ``key`` (validated), or ``None``.
 
         This is the remote-tier transport shape: the coordinator's
-        ``GET /v1/cache/<key>`` serves exactly this document.  The mtime
-        is refreshed *before* the read so a concurrent :meth:`prune` —
-        which re-checks mtimes right before unlinking — never evicts an
-        entry that is mid-fetch.
+        ``GET /v1/cache/<key>`` serves exactly this document.
         """
-        path = self._path(key)
-        self._touch(path)
+        loaded = self._load(key)
+        return None if loaded is None else loaded[0]
+
+    def _load(self, key: str) -> Optional[Tuple[Dict[str, Any], SimulationResult]]:
+        """One read, one parse, one validation that is also the rebuild:
+        the stored document for ``key`` and the result it carries.
+
+        The mtime is refreshed *before* the read so a concurrent
+        :meth:`prune` — which re-checks mtimes right before unlinking —
+        never evicts an entry that is mid-fetch.
+        """
+        path = self._entry_path(key)
         try:
-            entry = validate_entry(key, json.loads(path.read_text()))
+            os.utime(path)
+        except OSError:
+            pass  # absent, or pruned/replaced concurrently
+        try:
+            with open(path, "rb") as handle:
+                entry = json.loads(handle.read())
+            result = _entry_result(key, entry)
         except FileNotFoundError:
             self.stats.record_miss()
             return None
         except Exception:
-            path.unlink(missing_ok=True)
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
             self.stats.record_invalidated()
             self.stats.record_miss()
             return None
         self.stats.record_hit()
-        return entry
-
-    @staticmethod
-    def _touch(path: Path) -> None:
-        """Refresh ``path``'s mtime so LRU pruning sees the entry as used."""
-        try:
-            os.utime(path)
-        except OSError:
-            pass  # entry may have been pruned/replaced concurrently
+        return entry, result
 
     def put(self, key: str, result: SimulationResult) -> Path:
         """Persist ``result`` under ``key`` (atomic: temp file + rename)."""
@@ -241,15 +277,17 @@ class ResultCache:
         return self._write_entry(key, validate_entry(key, entry))
 
     def _write_entry(self, key: str, entry: Dict[str, Any]) -> Path:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(
+        path = self._entry_path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = (
+            f"{path.removesuffix('.json')}"
             f".tmp.{os.getpid()}.{threading.get_ident()}.{next(_tmp_seq)}"
         )
-        tmp.write_text(json.dumps(entry, sort_keys=True))
+        with open(tmp, "w") as handle:
+            handle.write(json.dumps(entry, sort_keys=True))
         os.replace(tmp, path)
         self.stats.record_store()
-        return path
+        return Path(path)
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
@@ -435,6 +473,11 @@ class HTTPCacheTier:
 
     def get_entry(self, key: str) -> Optional[Dict[str, Any]]:
         """Fetch and validate one entry; ``None`` on miss or any failure."""
+        # urllib pulls in http.client, ssl and email.*: only a process that
+        # talks to a coordinator pays for them, not every sweep pool worker.
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(self._url(key))
         try:
             with blocking("cache.remote.get"):
@@ -457,6 +500,8 @@ class HTTPCacheTier:
 
     def put_entry(self, key: str, entry: Dict[str, Any]) -> bool:
         """Push one entry; ``False`` (never an exception) on failure."""
+        import urllib.request
+
         data = json.dumps(entry, sort_keys=True).encode("utf-8")
         request = urllib.request.Request(
             self._url(key),
@@ -498,8 +543,8 @@ class TieredResultCache(ResultCache):
         if entry is None:
             return None
         try:
-            self.put_entry(key, entry)  # write through: disk-fast next time
-            result = result_from_payload(entry["result"])
+            result = _entry_result(key, entry)
+            self._write_entry(key, entry)  # write through: disk-fast next time
         except Exception:
             return None  # tier disagreement is a miss, never a crash
         self.stats.record_hit()

@@ -64,15 +64,16 @@ class ProjectModel:
     ``canonical_keys`` are the ``ScenarioConfig`` fields that reach the
     canonical JSON used for cache keys; ``derived_attrs`` are
     properties/methods (legitimate reads that are functions of the
-    fields).  ``asdict_based`` records whether ``scenario_to_dict`` uses
-    ``dataclasses.asdict`` — when it does, every dataclass field is
-    canonical by construction.
+    fields).  ``all_fields_canonical`` records whether ``scenario_to_dict``
+    encodes from the dataclass's own field list — a module-level plan built
+    from ``dataclasses.fields(ScenarioConfig)``, or ``dataclasses.asdict``
+    — so that every field is canonical by construction.
     """
 
     root: Optional[Path] = None
     canonical_keys: FrozenSet[str] = frozenset()
     derived_attrs: FrozenSet[str] = frozenset()
-    asdict_based: bool = False
+    all_fields_canonical: bool = False
 
     @property
     def available(self) -> bool:
@@ -103,19 +104,55 @@ def _dataclass_members(tree: ast.Module, class_name: str) -> Tuple[Set[str], Set
     return fields, defs
 
 
+def _called(node: ast.Call) -> Optional[str]:
+    """The function name a call spells, however imported or qualified."""
+    called = dotted_name(node.func)
+    return None if called is None else called.split(".")[-1]
+
+
+def _field_plans(tree: ast.Module) -> Set[str]:
+    """Module-level names bound to the complete ``ScenarioConfig`` field
+    list: a value built from ``dataclasses.fields(ScenarioConfig)`` with no
+    filtering comprehension."""
+    plans: Set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        parts = list(ast.walk(value))
+        lists_fields = any(
+            isinstance(sub, ast.Call)
+            and _called(sub) == "fields"
+            and sub.args
+            and dotted_name(sub.args[0]) == "ScenarioConfig"
+            for sub in parts
+        )
+        filtered = any(
+            isinstance(sub, ast.comprehension) and sub.ifs for sub in parts
+        )
+        if lists_fields and not filtered:
+            plans.update(t.id for t in targets if isinstance(t, ast.Name))
+    return plans
+
+
 def _scenario_to_dict_keys(tree: ast.Module) -> Tuple[Set[str], bool]:
-    """Keys explicitly written by ``scenario_to_dict``, and whether it is
-    ``dataclasses.asdict``-based (⇒ all fields are represented)."""
+    """Keys explicitly written by ``scenario_to_dict``, and whether it
+    encodes every dataclass field: by reading a field plan (see
+    :func:`_field_plans`) or through ``dataclasses.asdict``."""
     keys: Set[str] = set()
-    uses_asdict = False
+    all_fields = False
+    plans = _field_plans(tree)
     for node in ast.walk(tree):
         if not (isinstance(node, ast.FunctionDef) and node.name == "scenario_to_dict"):
             continue
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                called = dotted_name(sub.func)
-                if called is not None and called.split(".")[-1] == "asdict":
-                    uses_asdict = True
+            if isinstance(sub, ast.Call) and _called(sub) == "asdict":
+                all_fields = True
+            if isinstance(sub, ast.Name) and sub.id in plans:
+                all_fields = True
             if isinstance(sub, ast.Dict):
                 for key in sub.keys:
                     if isinstance(key, ast.Constant) and isinstance(key.value, str):
@@ -128,7 +165,7 @@ def _scenario_to_dict_keys(tree: ast.Module) -> Tuple[Set[str], bool]:
                         and isinstance(target.slice.value, str)
                     ):
                         keys.add(target.slice.value)
-    return keys, uses_asdict
+    return keys, all_fields
 
 
 def discover_project(start: Path) -> ProjectModel:
@@ -154,13 +191,13 @@ def _model_from_root(root: Path, config_py: Path, io_py: Path) -> ProjectModel:
     if config_tree is None or io_tree is None:
         return ProjectModel()
     fields, defs = _dataclass_members(config_tree, "ScenarioConfig")
-    explicit_keys, uses_asdict = _scenario_to_dict_keys(io_tree)
-    canonical = set(fields) if uses_asdict else explicit_keys & fields
+    explicit_keys, all_fields = _scenario_to_dict_keys(io_tree)
+    canonical = set(fields) if all_fields else explicit_keys & fields
     return ProjectModel(
         root=root,
         canonical_keys=frozenset(canonical),
         derived_attrs=frozenset(defs),
-        asdict_based=uses_asdict,
+        all_fields_canonical=all_fields,
     )
 
 

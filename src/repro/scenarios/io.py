@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Tuple, Union
 
 from repro.core.config import DsrConfig, ExpiryMode
 from repro.errors import ConfigurationError
@@ -32,10 +32,32 @@ _POST_V1_COMPAT_DEFAULTS: Dict[str, Any] = {
 }
 
 
+# The field plans, resolved once: the encoder reads exactly these names and
+# the decoder accepts exactly these names.  Every field of both records is an
+# immutable scalar (``dsr`` and ``expiry_mode`` are encoded by hand below), so
+# a shallow read is a full copy; tests/analysis/test_field_plans.py fails,
+# naming this module, when a field of another shape is added.
+_SCENARIO_FIELDS: Tuple[str, ...] = tuple(
+    field.name for field in dataclasses.fields(ScenarioConfig)
+)
+_DSR_FIELDS: Tuple[str, ...] = tuple(
+    field.name for field in dataclasses.fields(DsrConfig)
+)
+
+# json.dumps with these arguments builds this encoder anew on every call.
+_canonical_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def scenario_to_dict(config: ScenarioConfig) -> Dict[str, Any]:
-    """A plain-JSON-types dict capturing the full configuration."""
-    payload = dataclasses.asdict(config)
-    payload["dsr"]["expiry_mode"] = config.dsr.expiry_mode.value
+    """A plain-JSON-types dict capturing the full configuration.
+
+    The dict and its nested ``"dsr"`` dict are fresh on every call.
+    """
+    dsr = config.dsr
+    dsr_payload = {name: getattr(dsr, name) for name in _DSR_FIELDS}
+    dsr_payload["expiry_mode"] = dsr.expiry_mode.value
+    payload = {name: getattr(config, name) for name in _SCENARIO_FIELDS}
+    payload["dsr"] = dsr_payload
     for key, compat_default in _POST_V1_COMPAT_DEFAULTS.items():
         if payload[key] == compat_default:
             del payload[key]
@@ -51,7 +73,7 @@ def scenario_canonical_json(config: Union[ScenarioConfig, Dict[str, Any]]) -> st
     string, so its stability is what makes cache keys durable.
     """
     payload = config if isinstance(config, dict) else scenario_to_dict(config)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _canonical_encode(payload)
 
 
 def scenario_from_dict(payload: Dict[str, Any]) -> ScenarioConfig:
@@ -60,12 +82,10 @@ def scenario_from_dict(payload: Dict[str, Any]) -> ScenarioConfig:
     dsr_data = dict(data.pop("dsr", {}))
     if "expiry_mode" in dsr_data:
         dsr_data["expiry_mode"] = ExpiryMode(dsr_data["expiry_mode"])
-    known_dsr = {field.name for field in dataclasses.fields(DsrConfig)}
-    unknown = set(dsr_data) - known_dsr
+    unknown = dsr_data.keys() - _DSR_FIELDS
     if unknown:
         raise ConfigurationError(f"unknown DsrConfig fields: {sorted(unknown)}")
-    known_scenario = {field.name for field in dataclasses.fields(ScenarioConfig)}
-    unknown = set(data) - known_scenario
+    unknown = data.keys() - _SCENARIO_FIELDS
     if unknown:
         raise ConfigurationError(f"unknown ScenarioConfig fields: {sorted(unknown)}")
     return ScenarioConfig(dsr=DsrConfig(**dsr_data), **data)

@@ -85,9 +85,39 @@ def test_cache001_skips_without_project_model(tmp_path):
 def test_cache001_model_introspection():
     model = discover_project(CACHE_PROJECT / "analysis")
     assert model.available
-    assert model.asdict_based
+    assert model.all_fields_canonical
     assert model.canonical_keys == {"num_nodes", "duration", "seed"}
     assert {"offered_load", "but"} <= model.derived_attrs
+
+
+def test_cache001_field_plan_encoder_makes_every_field_canonical():
+    """``scenario_to_dict`` reading a module-level plan built from
+    ``dataclasses.fields(ScenarioConfig)`` is the shape the real tree uses."""
+    project = FIXTURES / "cache001_plan" / "project"
+    model = discover_project(project / "analysis")
+    assert model.all_fields_canonical
+    assert model.canonical_keys == {"num_nodes", "duration", "seed"}
+    assert _lint("CACHE001", project / "analysis" / "reads.py", project).clean
+
+
+def test_cache001_hand_listed_encoder_keys_only_what_it_lists():
+    """The same reads against an encoder that spells its keys out: the field
+    it leaves out cannot key the cache, and reading it is flagged."""
+    project = FIXTURES / "cache001_listed" / "project"
+    model = discover_project(project / "analysis")
+    assert not model.all_fields_canonical
+    assert model.canonical_keys == {"num_nodes", "seed"}
+    result = _lint("CACHE001", project / "analysis" / "reads.py", project)
+    assert [finding.code for finding in result.findings] == ["CACHE001"]
+    assert "config.duration" in result.findings[0].message
+
+
+def test_cache001_models_the_real_tree_from_its_field_plan():
+    import repro
+
+    model = discover_project(Path(repro.__file__).parent / "analysis")
+    assert model.all_fields_canonical
+    assert {"seed", "radio_profile", "dsr"} <= model.canonical_keys
 
 
 def test_trc001_only_applies_to_hot_subsystems(tmp_path):

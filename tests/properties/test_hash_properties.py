@@ -33,6 +33,15 @@ scenario_configs = st.builds(
     num_sessions=st.integers(min_value=0, max_value=6),
     packet_rate=st.floats(min_value=0.5, max_value=8.0, allow_nan=False),
     mobility_model=st.sampled_from(["waypoint", "gauss_markov", "rpgm"]),
+    # The post-v1 fields, at their defaults (elided from the canonical JSON)
+    # about as often as not.
+    radio_profile=st.sampled_from(["wavelan", "wavelan", "urban", "longhaul"]),
+    link_loss=st.one_of(
+        st.just(0.0), st.floats(min_value=0.01, max_value=0.9, allow_nan=False)
+    ),
+    walk_epoch=st.one_of(
+        st.just(10.0), st.floats(min_value=0.5, max_value=60.0, allow_nan=False)
+    ),
     protocol=st.sampled_from(["dsr", "aodv", "flooding"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     dsr=st.builds(
