@@ -25,7 +25,7 @@ from repro.phy.propagation import (
     log_distance_range,
     two_ray_ground_range,
 )
-from repro.phy.fading import EdgeLossModel, LossModel, NoLoss
+from repro.phy.fading import LossModel, NoLoss
 from repro.phy.energy import EnergyLedger, EnergyModel
 from repro.phy.neighbors import NeighborCache
 from repro.phy.channel import Channel, Transmission
@@ -44,7 +44,6 @@ __all__ = [
     "log_distance_range",
     "LossModel",
     "NoLoss",
-    "EdgeLossModel",
     "EnergyModel",
     "EnergyLedger",
     "NeighborCache",

@@ -1,10 +1,11 @@
-"""Probabilistic frame loss near the cell edge.
+"""The loss-model interface: probabilistic frame loss inside the disk.
 
 The disk model makes reception binary at exactly ``rx_range``; real radios
 (and ns-2 runs with shadowing enabled) see a *grey zone* where frames are
-lost with increasing probability.  :class:`EdgeLossModel` reproduces that:
+lost with increasing probability.  The one implementation,
+:class:`repro.phy.profiles.ProbabilisticReception`, reproduces that:
 reception is certain inside ``reliable_fraction * rx_range`` and decays
-linearly (by default) to zero at ``rx_range``.
+linearly to ``edge_delivery_probability`` at ``rx_range``.
 
 This matters to the paper's topic because grey-zone losses trigger MAC retry
 exhaustion on links that are *sometimes* usable — the noisiest possible
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.errors import ConfigurationError
 
 
 class LossModel:
@@ -34,48 +33,3 @@ class NoLoss(LossModel):
 
     def delivered(self, distance: float, rng: np.random.Generator) -> bool:
         return True
-
-
-@dataclass(frozen=True)
-class EdgeLossModel(LossModel):
-    """Linear loss ramp between the reliable zone and the cell edge.
-
-    Attributes
-    ----------
-    rx_range:
-        The disk radius used by the channel (must match the propagation
-        model's receive range).
-    reliable_fraction:
-        Fraction of the range with guaranteed delivery (default 0.8, i.e.
-        the last 20 % of the cell is the grey zone).
-    edge_delivery_probability:
-        Delivery probability exactly at ``rx_range`` (default 0).
-    """
-
-    rx_range: float = 250.0
-    reliable_fraction: float = 0.8
-    edge_delivery_probability: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.rx_range <= 0:
-            raise ConfigurationError("rx_range must be positive")
-        if not 0.0 <= self.reliable_fraction <= 1.0:
-            raise ConfigurationError("reliable_fraction must be in [0, 1]")
-        if not 0.0 <= self.edge_delivery_probability <= 1.0:
-            raise ConfigurationError("edge_delivery_probability must be in [0, 1]")
-
-    def delivery_probability(self, distance: float) -> float:
-        reliable = self.reliable_fraction * self.rx_range
-        if distance <= reliable:
-            return 1.0
-        if distance >= self.rx_range:
-            return self.edge_delivery_probability
-        span = self.rx_range - reliable
-        fraction = (distance - reliable) / span
-        return 1.0 - fraction * (1.0 - self.edge_delivery_probability)
-
-    def delivered(self, distance: float, rng: np.random.Generator) -> bool:
-        probability = self.delivery_probability(distance)
-        if probability >= 1.0:
-            return True
-        return bool(rng.random() < probability)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.phy.fading import EdgeLossModel, LossModel
+from repro.phy.fading import LossModel
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -214,8 +214,7 @@ def resolve_profile(config: "ScenarioConfig") -> RadioProfile:
 class ProbabilisticReception(LossModel):
     """Distance-dependent delivery probability with a flat loss floor.
 
-    The distance shape is the grey-zone ramp of
-    :class:`~repro.phy.fading.EdgeLossModel` — certain delivery inside
+    The distance shape is a grey-zone ramp — certain delivery inside
     ``reliable_fraction * rx_range``, linear decay to
     ``edge_delivery_probability`` at the cell edge — scaled by
     ``base_delivery``, a distance-*independent* factor
@@ -226,8 +225,9 @@ class ProbabilisticReception(LossModel):
     loss-driven link breaks rather than mobility-driven ones.
 
     One uniform draw per in-range listener, from the channel's explicitly
-    seeded fading stream, in carrier-sense neighbour order (the same draw
-    discipline as :class:`EdgeLossModel`, so the two compose predictably).
+    seeded fading stream, in carrier-sense neighbour order; a listener
+    whose probability is 1 costs no draw, so a pure grey zone
+    (``base_delivery=1``) draws only for listeners inside the ramp.
     """
 
     rx_range: float
@@ -298,10 +298,6 @@ def build_loss_model(
     * the scenario's ``grey_zone_fraction`` (legacy knob) overrides the
       profile's own grey zone when set;
     * ``link_loss`` scales everything by ``1 - link_loss``;
-    * when the result is exactly the pre-profile behaviour (no base loss,
-      zero edge probability) the *legacy* :class:`EdgeLossModel` object is
-      returned, so pre-profile scenarios run through identical code and
-      stay bit-identical;
     * ``None`` means no loss at all — the channel's fast NoLoss path.
     """
     if config.grey_zone_fraction > 0.0:
@@ -311,18 +307,8 @@ def build_loss_model(
         reliable = profile.reliable_fraction
         edge_probability = profile.edge_delivery_probability
     base = 1.0 - config.link_loss
-    if base >= 1.0:
-        if reliable >= 1.0:
-            return None
-        if edge_probability == 0.0:
-            return EdgeLossModel(
-                rx_range=profile.rx_range, reliable_fraction=reliable
-            )
-        return ProbabilisticReception(
-            rx_range=profile.rx_range,
-            reliable_fraction=reliable,
-            edge_delivery_probability=edge_probability,
-        )
+    if base >= 1.0 and reliable >= 1.0:
+        return None
     return ProbabilisticReception(
         rx_range=profile.rx_range,
         reliable_fraction=reliable,

@@ -10,7 +10,8 @@ threshold corresponds to roughly 2.2x the receive range.
 radius from physical radio parameters (transmit power, antenna gains and
 heights, receiver sensitivity), so scenarios can be specified in radio terms
 instead of a bare range number.  Probabilistic frame loss near the cell edge
-is modelled separately by :class:`EdgeLossModel` (see
+is modelled separately by
+:class:`~repro.phy.profiles.ProbabilisticReception` (see
 :mod:`repro.phy.channel`).
 """
 

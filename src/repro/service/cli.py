@@ -36,6 +36,7 @@ import json
 import signal
 import sys
 import threading
+import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.version import __version__
@@ -72,8 +73,8 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="engine processes per job (default: 1; parallelism normally "
-        "comes from --workers)",
+        help="engine processes per worker thread (default: 1; parallelism "
+        "normally comes from --workers)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -129,23 +130,22 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         metavar="SECONDS",
-        help="with --distributed: how long a silent worker holds a shard "
-        "before it is requeued (default: 10)",
+        help="how long a silent worker holds a shard before it is "
+        "requeued (default: 10)",
     )
     parser.add_argument(
         "--shard-size",
         type=int,
         default=4,
         metavar="N",
-        help="with --distributed: max scenarios per shard (default: 4)",
+        help="max scenarios per shard, the unit a worker claims (default: 4)",
     )
     parser.add_argument(
         "--seed-batch",
         type=int,
         default=1,
         metavar="N",
-        help="with --distributed: seed-batch grouping workers apply "
-        "within a shard (default: 1)",
+        help="seed-batch grouping workers apply within a shard (default: 1)",
     )
     parser.add_argument(
         "--no-trace",
@@ -190,7 +190,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     log = StructuredLogger("serve")
     shards_done_before = 0
-    if args.distributed and args.journal:
+    if args.journal:
         # Before construction: the service compacts the journal (dropping
         # lease records), so the shard history must be read first.
         from repro.service.journal import replay_shards
@@ -240,29 +240,17 @@ def _run_serve(args: argparse.Namespace) -> int:
             handle.write(f"{args.host} {httpd.port}\n")
     print(f"repro-serve {__version__} listening on {address}", flush=True)
 
-    stop = threading.Event()
-
-    def _on_signal(signum: int, _frame: Any) -> None:
-        # print, not slog: the handler may interrupt a thread that holds
-        # the logger's non-reentrant I/O lock.
-        print(
-            f"signal {signal.Signals(signum).name}: draining "
-            f"(grace {args.grace:g}s)",
-            file=sys.stderr,
-            flush=True,
-        )
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
+    drain_signal = _DrainSignal(args.grace)
+    signal.signal(signal.SIGTERM, drain_signal)
+    signal.signal(signal.SIGINT, drain_signal)
 
     server_thread = threading.Thread(
         target=httpd.serve_forever, name="repro-serve-http", daemon=True
     )
     server_thread.start()
     try:
-        while not stop.wait(timeout=0.2):
-            pass
+        while not drain_signal.received:
+            time.sleep(0.2)
     finally:
         httpd.shutdown()
         summary = service.drain(grace_s=args.grace)
@@ -276,6 +264,29 @@ def _run_serve(args: argparse.Namespace) -> int:
             f"{summary['pending']} still pending (journaled)",
         )
     return 0
+
+
+class _DrainSignal:
+    """The SIGTERM/SIGINT handler: raises a flag the main loop polls.
+
+    It runs on the main thread, in the middle of whatever that thread was
+    doing, so it takes no lock: ``print``, not the logger, and a plain
+    attribute, not a ``threading.Event`` whose ``set`` would deadlock
+    against the ``wait`` it interrupted (both take the event's lock).
+    """
+
+    def __init__(self, grace_s: float) -> None:
+        self.grace_s = grace_s
+        self.received = False
+
+    def __call__(self, signum: int, _frame: Any) -> None:
+        print(
+            f"signal {signal.Signals(signum).name}: draining "
+            f"(grace {self.grace_s:g}s)",
+            file=sys.stderr,
+            flush=True,
+        )
+        self.received = True
 
 
 # -- repro-submit ------------------------------------------------------------
@@ -363,8 +374,7 @@ def _build_submit_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("health", help="print the service health document")
     sub.add_parser("metrics", help="print the /metrics exposition")
-    jobs = sub.add_parser("jobs", help="list all jobs the service knows")
-    del jobs
+    sub.add_parser("jobs", help="list all jobs the service knows")
     return parser
 
 

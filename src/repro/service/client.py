@@ -374,22 +374,6 @@ class ServiceClient:
         response.pop("_status", None)
         return response
 
-    # -- the remote cache tier ------------------------------------------------
-
-    def cache_get_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """A raw cache entry by scenario hash; ``None`` on miss."""
-        try:
-            entry = self._request("GET", f"/v1/cache/{key}")
-        except ServiceError as exc:
-            if exc.status == 404:
-                return None
-            raise
-        entry.pop("_status", None)
-        return entry
-
-    def cache_put_entry(self, key: str, entry: Dict[str, Any]) -> None:
-        self._request("PUT", f"/v1/cache/{key}", dict(entry))
-
     def events(self, job_id: str) -> Iterator[Dict[str, Any]]:
         """Iterate the job's SSE stream as ``{"event": ..., "data": {...}}``
         dicts; ends when the server sends the terminal ``done`` event."""

@@ -1,33 +1,35 @@
 """The simulation service: a job-serving layer over :class:`SweepEngine`.
 
 ``SimulationService`` turns one-shot sweep execution into a long-running
-serving system:
+serving system with one execution path:
 
 * **Admission control** — submissions are validated (every payload must
   rebuild into a :class:`ScenarioConfig`) and bounded (queue depth,
   per-client in-flight limits) *at the door*; accepted jobs are never
   dropped.
-* **A worker pool** — ``workers`` threads drain a priority queue; each
-  job executes through a fresh :class:`SweepEngine` sharing the service's
-  content-addressed result cache, so warm-cache jobs resolve without
-  simulating and cold results persist for every later job.
-* **In-flight dedup** — concurrent jobs that share a scenario coalesce:
-  the first worker to claim a ``scenario_hash`` executes it, the others
-  follow its flight and receive the same result.  Combined with the disk
-  cache this gives exactly-once execution per scenario content.
+* **One coordinator** — a dispatcher thread moves admitted jobs, in
+  priority order, onto the shard board (:mod:`repro.service.leases`),
+  which resolves what the shared content-addressed cache already knows
+  and packs the rest into shards; workers claim a shard, heartbeat its
+  lease while a :class:`SweepEngine` executes it, and deliver the results;
+  a janitor thread expires silent leases and requeues their shards, so a
+  dead worker never loses work.
+* **Who claims** is the only thing ``distributed`` decides.  ``False``
+  (the default) starts ``workers`` in-process threads, each running the
+  same :class:`~repro.service.worker.ShardWorker` loop as ``repro-worker``
+  over direct calls and the service's own cache.  ``True`` starts none:
+  remote ``repro-worker`` processes claim over HTTP (``/v1/leases*``),
+  with the shared cache as the fleet's remote tier (``/v1/cache/<key>``).
+* **In-flight dedup** — concurrent jobs that share a scenario coalesce on
+  the board: the first job's shard owns the ``scenario_hash``, later jobs
+  wait for it and receive the same result.  Combined with the cache this
+  gives exactly-once execution per scenario content.
 * **Crash recovery** — every transition is journaled
   (:mod:`repro.service.journal`); a restarted service re-enqueues
   everything that was pending or running when the last one died.
 * **Graceful drain** — :meth:`drain` stops admission, lets running jobs
   finish within a grace period, checkpoints the ones that can't back to
   pending, and flushes the journal.
-* **Distributed mode** (``distributed=True``) — the service becomes a
-  *coordinator*: instead of executing jobs on local threads it packs each
-  job's grid into shards (:mod:`repro.service.leases`) that pull-based
-  remote workers claim, heartbeat and deliver over HTTP; a janitor thread
-  expires silent leases and requeues their shards, so a killed worker
-  never loses work.  The shared result cache doubles as the fleet's
-  remote tier (``/v1/cache/<key>``).
 
 Execution stays deterministic: the service adds scheduling, not
 semantics — a job's results are bit-identical to ``run_many`` over the
@@ -41,10 +43,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.cache import ResultCache, scenario_hash
-from repro.analysis.runner import ProgressUpdate, SweepEngine, TaskFn
+from repro.analysis.cache import ResultCache
+from repro.analysis.runner import TaskFn
 from repro.devtools.lockdep import OrderedLock
 from repro.errors import ConfigurationError, ReproError
 from repro.metrics.collector import SimulationResult
@@ -54,9 +56,11 @@ from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import scenario_from_dict, scenario_to_dict
 from repro.service.jobs import Job, JobState, new_job_id
 from repro.service.journal import JobJournal, replay, replay_spans
+from repro.service.client import ServiceError
 from repro.service.leases import Lease, LeaseNotFoundError, ShardBoard
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import AdmissionError, AdmissionPolicy, JobQueue
+from repro.service.worker import ShardWorker
 
 __all__ = [
     "SimulationService",
@@ -97,18 +101,37 @@ class ServiceDrainingError(ReproError):
 
 
 class NotDistributedError(ReproError):
-    """A lease/cache endpoint was used against a non-distributed service."""
+    """A cache endpoint was used against a service that has no cache."""
 
 
-class _Flight:
-    """One in-flight scenario execution: owner publishes, followers wait."""
+class _InProcessClient:
+    """The lease verbs as direct calls: what ``http.py`` and
+    :class:`ServiceClient` do between a remote worker and the same three
+    service methods, minus the wire (a :class:`~…worker.LeaseClient`)."""
 
-    __slots__ = ("event", "result", "error")
+    def __init__(self, service: "SimulationService") -> None:
+        self._service = service
+        # A lease this process granted is never unknown to it, so delivery
+        # has no error to translate.
+        self.complete = service.complete_shard
+        self.post_spans = service.ingest_spans
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Optional[SimulationResult] = None
-        self.error: Optional[str] = None
+    def claim(self, worker: str) -> Optional[Dict[str, Any]]:
+        """Like the HTTP claim, but an idle caller sleeps on the board's
+        wake-up instead of polling: ``None`` only once the service stops
+        handing out shards."""
+        service = self._service
+        while True:
+            claim = service.claim_shard(worker)
+            if claim is not None or not service._running():
+                return claim
+            service._board.wait_for(claimable=True, timeout=0.2)
+
+    def lease_heartbeat(self, lease_id: str) -> Dict[str, Any]:
+        try:
+            return self._service.lease_heartbeat(lease_id)
+        except LeaseNotFoundError as exc:
+            raise ServiceError(str(exc), 404) from None  # as http.py answers
 
 
 class SimulationService:
@@ -132,10 +155,6 @@ class SimulationService:
         tracer: Optional[FleetTracer] = None,
     ) -> None:
         self.workers = max(1, workers)
-        self.cache_dir = cache_dir
-        self.processes = processes
-        self.retries = retries
-        self._task_fn = task_fn
         self.metrics = ServiceMetrics(registry)
         # Fleet tracing is strictly optional: ``tracer=None`` keeps every
         # span site to a single attribute check (the bench's "plain" mode),
@@ -151,22 +170,22 @@ class SimulationService:
         self._lock = OrderedLock("service.jobs", rank=10)
         self._jobs: Dict[str, Job] = {}  # guarded-by: _lock
         self._queue = JobQueue()
-        self._inflight: Dict[str, _Flight] = {}  # guarded-by: _lock
         self._threads: List[threading.Thread] = []  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
         self._stopped = False  # guarded-by: _lock
+        # Set with _draining: cuts the janitor's between-tick sleep short.
+        self._drain_begun = threading.Event()
         # Tracing state: open span handles keyed "job:<id>"/"queue:<id>"/
         # "dispatch:<id>"/"shardq:<shard>"/"lease:<lease>", the trace->job
         # map, and which span ids each job has already journaled.
         self._open_spans: Dict[str, Span] = {}  # guarded-by: _lock
         self._trace_jobs: Dict[str, str] = {}  # guarded-by: _lock
         self._journaled_spans: Dict[str, Set[str]] = {}  # guarded-by: _lock
-        self.started_at = time.time()
         self.distributed = distributed
         self.lease_ttl_s = lease_ttl_s
-        # The shared cache instance: the coordinator's remote tier, the
-        # shard board's resolution source, and (non-distributed) a handle
-        # the /v1/cache endpoints serve even without distribution.
+        # The shared cache instance: the shard board's resolution source,
+        # the in-process workers' engine cache, and what the /v1/cache
+        # endpoints serve (a distributed fleet's remote tier).
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache_dir is not None else None
         )
@@ -195,17 +214,31 @@ class SimulationService:
                 traces=replayed_traces,
             )
 
-        self._board: Optional[ShardBoard] = None
-        if distributed:
-            assert self.cache is not None  # checked above
-            self._board = ShardBoard(
-                cache=self.cache,
-                journal=self._journal,
-                shard_size=shard_size,
-                seed_batch=seed_batch,
-                lease_ttl_s=lease_ttl_s,
-            )
-            self._board.on_trace = self._on_shard_event
+        self._board = ShardBoard(
+            cache=self.cache,
+            journal=self._journal,
+            shard_size=shard_size,
+            seed_batch=seed_batch,
+            lease_ttl_s=lease_ttl_s,
+        )
+        self._board.on_trace = self._on_shard_event
+        # Who claims from the board: a distributed coordinator waits for
+        # the remote fleet; otherwise ``workers`` threads of this process
+        # run the same loop over direct calls and the service's own cache.
+        self._local_workers: List[ShardWorker] = []
+        if not distributed:
+            client = _InProcessClient(self)
+            self._local_workers = [
+                ShardWorker(
+                    client,
+                    worker_id=f"local-{index}",
+                    processes=processes,
+                    retries=retries,
+                    task_fn=task_fn,
+                    cache=self.cache,
+                )
+                for index in range(self.workers)
+            ]
         self._refresh_gauges_locked()
 
     def _restore_traces_locked(
@@ -255,27 +288,21 @@ class SimulationService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "SimulationService":
-        """Spawn the worker pool — or, distributed, dispatcher + janitor
+        """Spawn dispatcher, janitor and the in-process workers, if any
         (idempotent)."""
         with self._lock:
             if self._threads or self._stopped:
                 return self
-            if self.distributed:
-                targets = [
-                    ("repro-service-dispatcher", self._dispatcher_loop),
-                    ("repro-service-janitor", self._janitor_loop),
-                ]
-                for name, target in targets:
-                    thread = threading.Thread(target=target, name=name, daemon=True)
-                    thread.start()
-                    self._threads.append(thread)
-                return self
-            for index in range(self.workers):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"repro-service-worker-{index}",
-                    daemon=True,
-                )
+            targets = [
+                ("repro-service-dispatcher", self._dispatcher_loop),
+                ("repro-service-janitor", self._janitor_loop),
+            ]
+            targets += [
+                (f"repro-service-worker-{worker.worker_id}", worker.run)
+                for worker in self._local_workers
+            ]
+            for name, target in targets:
+                thread = threading.Thread(target=target, name=name, daemon=True)
                 thread.start()
                 self._threads.append(thread)
         return self
@@ -310,7 +337,18 @@ class SimulationService:
             self._draining = True
             self.metrics.draining.set(1)
             threads = list(self._threads)
+        self._drain_begun.set()
         deadline = time.monotonic() + max(0.0, grace_s)
+        if threads and self._local_workers:
+            # The dispatcher feeds no new job from here on, so whatever is
+            # still claimable belongs to a running job: let the workers
+            # take it while the grace lasts, then have each finish the
+            # shard in hand and exit.
+            self._board.wait_for(
+                claimable=False, timeout=max(0.0, deadline - time.monotonic())
+            )
+        for worker in self._local_workers:
+            worker.stop()
         for thread in threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
         finished = checkpointed = pending = 0
@@ -553,11 +591,6 @@ class SimulationService:
         span = self._open_spans.get("job:" + job_id)
         return span.span_id if span is not None else None
 
-    def _open_span_id(self, key: str) -> Optional[str]:
-        with self._lock:
-            span = self._open_spans.get(key)
-        return span.span_id if span is not None else None
-
     def _trace_job_running_locked(self, job: Job) -> None:
         """Queue wait is over; the dispatch stage begins."""
         tracer = self.tracer
@@ -599,13 +632,19 @@ class SimulationService:
         self._journal.record_spans(job.id, job.trace_id, fresh)
         seen.update(blob["span_id"] for blob in fresh)
 
+    def _span_tracer(self) -> Optional[FleetTracer]:
+        """The tracer, if it records: the per-shard paths skip their span
+        bookkeeping (and its lock round trips) for a disabled one."""
+        tracer = self.tracer
+        return tracer if tracer is not None and tracer.enabled else None
+
     def _on_shard_event(self, event: str, shard_id: str, job_id: str) -> None:
         """Shard-board observer: per-shard queue.wait spans.
 
         Called by the board with its lock already released, so taking the
         service lock here is rank-clean (10 from nothing held).
         """
-        tracer = self.tracer
+        tracer = self._span_tracer()
         if tracer is None:
             return
         with self._lock:
@@ -652,38 +691,19 @@ class SimulationService:
             spans = self.tracer.trace_dicts(job.trace_id)
         return {"id": job.id, "trace_id": job.trace_id, "spans": spans}
 
-    def _worker_loop(self) -> None:
-        while self._running():
-            job = self._queue.pop(timeout=0.2)
-            if job is None:
-                continue
-            if not self._running():
-                self._queue.push(job)  # hand back untouched; drain will keep it pending
-                break
-            with self._lock:
-                if job.state is not JobState.PENDING:
-                    continue  # cancelled while queued
-                job.state = JobState.RUNNING
-                job.started_at = time.time()
-                if self._journal is not None:
-                    self._journal.record_state(job)
-                self._trace_job_running_locked(job)
-                self._refresh_gauges_locked()
-            job.touch()
-            try:
-                results = self._execute(job)
-            except Exception as exc:  # job-level failure, never worker death
-                self._finish_failed(job, f"{type(exc).__name__}: {exc}")
-            else:
-                self._finish_done(job, results)
-
-    # -- distributed mode: coordinator side ----------------------------------
+    # -- the coordinator: dispatcher, janitor, lease verbs --------------------
 
     def _dispatcher_loop(self) -> None:
-        """Move admitted jobs from the priority queue onto the shard board."""
+        """Move admitted jobs from the priority queue onto the shard board.
+
+        One job's worth of unclaimed shards at a time: while workers are
+        busy the backlog stays in the priority queue, where queue-depth
+        admission counts it and a higher priority overtakes it.
+        """
         board = self._board
-        assert board is not None
         while self._running():
+            if not board.wait_for(claimable=False, timeout=0.2):
+                continue
             job = self._queue.pop(timeout=0.2)
             if job is None:
                 continue
@@ -706,19 +726,18 @@ class SimulationService:
                 self._finish_failed(job, f"{type(exc).__name__}: {exc}")
                 continue
             self.metrics.sims_cache_hits.inc(job.progress.cached)
+            self.metrics.sims_deduped.inc(job.progress.deduped)
             if results is not None:
                 self._finish_done(job, results)
 
     def _janitor_loop(self) -> None:
         """Expire silent leases (requeueing their shards), refresh gauges."""
-        board = self._board
-        assert board is not None
         tick = min(1.0, max(0.05, self.lease_ttl_s / 4.0))
         while self._running():
-            expired = board.expire_leases(time.time())
+            expired = self._board.expire_leases(time.time())
             self._trace_leases_expired(expired)
-            self.sync_fleet_metrics()
-            time.sleep(tick)
+            self.fleet_status()
+            self._drain_begun.wait(tick)
 
     def _trace_leases_expired(self, expired: List[Lease]) -> None:
         """Close the shard.lease spans of leases the janitor expired."""
@@ -732,28 +751,23 @@ class SimulationService:
                     outcome="expired",
                 )
 
-    def sync_fleet_metrics(self) -> None:
-        """Fold the shard board's current totals into the metric set."""
-        if self._board is not None:
-            self.metrics.sync_fleet(self._board.counts(time.time()))
-
-    def _require_board(self) -> ShardBoard:
-        if self._board is None:
-            raise NotDistributedError(
-                "this service is not running in distributed mode"
-            )
-        return self._board
+    def _claims_open(self) -> bool:
+        """A draining coordinator shows its fleet an idle queue and the
+        workers back off; in-process workers keep claiming through the
+        grace period so running jobs can finish (see :meth:`drain`)."""
+        with self._lock:
+            return not self._stopped and not (self._draining and self.distributed)
 
     def claim_shard(self, worker: str) -> Optional[Dict[str, Any]]:
         """A worker's pull: the next shard as a claim doc, or ``None``."""
-        board = self._require_board()
-        if not self._running():
-            return None  # drain: the fleet sees an idle queue and backs off
+        board = self._board
+        if not self._claims_open():
+            return None
         lease = board.claim(worker, time.time())
         if lease is None:
             return None
         doc = lease.claim_doc(board.seed_batch)
-        tracer = self.tracer
+        tracer = self._span_tracer()
         if tracer is not None:
             with self._lock:
                 job = self._jobs.get(lease.shard.job_id)
@@ -782,8 +796,7 @@ class SimulationService:
 
     def lease_heartbeat(self, lease_id: str) -> Dict[str, Any]:
         """Renew a lease; raises :class:`LeaseNotFoundError` if lapsed."""
-        board = self._require_board()
-        lease = board.heartbeat(lease_id, time.time())
+        lease = self._board.heartbeat(lease_id, time.time())
         return {"id": lease.id, "ttl_s": lease.ttl_s, "deadline": lease.deadline}
 
     def complete_shard(
@@ -800,9 +813,9 @@ class SimulationService:
         they merge into the coordinator's trace and are journaled so the
         merged trace survives a coordinator restart.
         """
-        board = self._require_board()
+        board = self._board
         executed = int((stats or {}).get("executed", 0))
-        tracer = self.tracer
+        tracer = self._span_tracer()
         lease_span: Optional[Span] = None
         deliver_span: Optional[Span] = None
         if tracer is not None:
@@ -846,7 +859,7 @@ class SimulationService:
                     job = self._jobs.get(job_id)
                     if job is not None:
                         self._journal_trace_locked(job)
-        self.sync_fleet_metrics()
+        self.fleet_status()
         return {
             "accepted": outcome.accepted,
             "late": outcome.late,
@@ -856,12 +869,11 @@ class SimulationService:
 
     def leases(self) -> List[Dict[str, Any]]:
         """Active leases (the ``GET /v1/leases`` listing)."""
-        return self._require_board().lease_docs(time.time())
+        return self._board.lease_docs(time.time())
 
     def fleet_status(self) -> Dict[str, int]:
         """Shard/lease/worker counts; also refreshes the fleet metrics."""
-        board = self._require_board()
-        counts = board.counts(time.time())
+        counts = self._board.counts(time.time())
         self.metrics.sync_fleet(counts)
         return counts
 
@@ -884,112 +896,6 @@ class SimulationService:
             raise NotDistributedError("this service has no result cache")
         self.cache.put_entry(key, entry)
         self.metrics.remote_store()
-
-    def _execute(self, job: Job) -> List[SimulationResult]:
-        keys = [scenario_hash(payload) for payload in job.scenarios]
-        unique_keys = list(dict.fromkeys(keys))
-        payload_by_key = {
-            key: payload
-            for key, payload in zip(keys, job.scenarios)
-        }
-        cache = self.cache  # shared across jobs (and with the remote tier)
-
-        resolved: Dict[str, SimulationResult] = {}
-        cached = 0
-        tracer = self.tracer
-        lookup: Optional[Span] = None
-        if cache is not None:
-            if tracer is not None:
-                lookup = tracer.start(
-                    "cache.lookup",
-                    job.trace_id,
-                    parent_id=self._open_span_id("dispatch:" + job.id),
-                )
-            for key in unique_keys:
-                hit = cache.get(key)
-                if hit is not None:
-                    resolved[key] = hit
-                    cached += 1
-            if tracer is not None:
-                tracer.finish(lookup, keys=len(unique_keys), hits=cached)
-        self.metrics.sims_cache_hits.inc(cached)
-
-        owned: List[str] = []
-        followed: List[Tuple[str, _Flight]] = []
-        with self._lock:
-            for key in unique_keys:
-                if key in resolved:
-                    continue
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._inflight[key] = flight
-                    owned.append(key)
-                else:
-                    followed.append((key, flight))
-
-        job.progress.cached = cached
-        job.progress.completed = cached
-        job.touch()
-
-        try:
-            if owned:
-                resolved.update(self._run_owned(job, owned, payload_by_key, cache))
-        finally:
-            with self._lock:
-                flights = [(key, self._inflight.pop(key, None)) for key in owned]
-            for key, flight in flights:
-                if flight is None:
-                    continue
-                flight.result = resolved.get(key)
-                if flight.result is None and flight.error is None:
-                    flight.error = f"execution of {key[:12]}… did not complete"
-                flight.event.set()
-
-        for key, flight in followed:
-            flight.event.wait()
-            if flight.error is not None or flight.result is None:
-                raise RuntimeError(
-                    f"deduplicated scenario {key[:12]}… failed in its owning "
-                    f"job: {flight.error}"
-                )
-            resolved[key] = flight.result
-            self.metrics.sims_deduped.inc()
-            job.progress.deduped += 1
-            job.progress.completed = sum(1 for k in unique_keys if k in resolved)
-            job.touch()
-
-        return [resolved[key] for key in keys]
-
-    def _run_owned(
-        self,
-        job: Job,
-        owned: List[str],
-        payload_by_key: Dict[str, Dict[str, Any]],
-        cache: Optional[ResultCache],
-    ) -> Dict[str, SimulationResult]:
-        """Execute the claimed scenarios through a fresh engine."""
-        base_cached = job.progress.cached
-        base_completed = job.progress.completed
-
-        def on_progress(update: ProgressUpdate) -> None:
-            job.progress.executed = update.executed
-            job.progress.cached = base_cached + update.cached
-            job.progress.completed = base_completed + update.completed
-            job.touch()
-
-        engine = SweepEngine(
-            processes=self.processes,
-            cache=cache,
-            retries=self.retries,
-            progress=on_progress,
-            task_fn=self._task_fn,
-        )
-        configs = [scenario_from_dict(payload_by_key[key]) for key in owned]
-        report = engine.run(configs)
-        self.metrics.sims_executed.inc(report.executed)
-        self.metrics.sims_cache_hits.inc(report.cache_hits)
-        return dict(zip(owned, report.results))
 
     def _finish_done(self, job: Job, results: List[SimulationResult]) -> None:
         with self._lock:
@@ -1027,8 +933,3 @@ class SimulationService:
             return None
         return (job.trace_id, self._root_span_id_locked(job.id))
 
-
-def iter_scenarios(job: Job) -> Iterable[ScenarioConfig]:
-    """The job's payloads rebuilt as configs (validation already done)."""
-    for payload in job.scenarios:
-        yield scenario_from_dict(payload)

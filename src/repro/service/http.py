@@ -24,7 +24,8 @@ submitter's trace), returned on the 202 acknowledgement, and attached to
 claim responses so worker spans parent onto the coordinator's
 ``shard.lease`` span.
 
-Distributed mode adds the lease protocol and the remote cache tier::
+A distributed coordinator's fleet speaks the lease protocol and reads the
+remote cache tier::
 
     POST   /v1/leases/claim          {"worker": id} -> {"lease": {...}|null}
     POST   /v1/leases/{id}/heartbeat renew; 404 once the lease lapsed
@@ -38,7 +39,8 @@ Status mapping: invalid payloads are 400, unknown jobs 404, cancelling a
 running job 409, admission refusals 429 with a ``Retry-After`` hint, a
 draining service 503.  Accepted jobs are acknowledged with 202 and a
 ``Location`` header for polling.  Lease endpoints on a non-distributed
-service are 409; cache endpoints work whenever the service has a cache.
+service are 409 (its board is claimed by its own threads); cache endpoints
+work whenever the service has a cache.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if len(parts) == 4 and parts[3] == "trace":
                 return self._get_job_trace(parts[2])
         if parts[:2] == ["v1", "leases"] and len(parts) == 2:
-            return self._get_leases()
+            return self._lease_endpoint(self._get_leases)
         if parts[:2] == ["v1", "cache"] and len(parts) == 3:
             return self._get_cache(parts[2])
         self._send_error_json(404, f"no such resource: {self.path}")
@@ -169,11 +171,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return self._post_spans()
         if parts[:2] == ["v1", "leases"]:
             if len(parts) == 3 and parts[2] == "claim":
-                return self._post_claim()
+                return self._lease_endpoint(self._post_claim)
             if len(parts) == 4 and parts[3] == "heartbeat":
-                return self._post_heartbeat(parts[2])
+                return self._lease_endpoint(self._post_heartbeat, parts[2])
             if len(parts) == 4 and parts[3] == "complete":
-                return self._post_complete(parts[2])
+                return self._lease_endpoint(self._post_complete, parts[2])
         self._send_error_json(404, f"no such resource: {self.path}")
 
     def do_PUT(self) -> None:  # noqa: N802 - http.server API
@@ -350,6 +352,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- the lease protocol (distributed mode) --------------------------------
 
+    def _lease_endpoint(self, handler: Any, *args: str) -> None:
+        """Run a ``/v1/leases*`` handler — 409 unless a remote fleet is
+        what claims from this service's board."""
+        if not self.service.distributed:
+            return self._send_error_json(
+                409, "this service is not running in distributed mode"
+            )
+        handler(*args)
+
     def _post_claim(self) -> None:
         try:
             body = self._read_body()
@@ -358,10 +369,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         worker = str(body.get("worker") or "")
         if not worker:
             return self._send_error_json(400, "bad request: 'worker' is required")
-        try:
-            claim = self.service.claim_shard(worker)
-        except NotDistributedError as exc:
-            return self._send_error_json(409, str(exc))
+        claim = self.service.claim_shard(worker)
         # An idle queue is a 200 with a null lease: the worker backs off
         # and polls again, no error handling needed on its side.
         headers: Dict[str, str] = {}
@@ -375,8 +383,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _post_heartbeat(self, lease_id: str) -> None:
         try:
             doc = self.service.lease_heartbeat(lease_id)
-        except NotDistributedError as exc:
-            return self._send_error_json(409, str(exc))
         except LeaseNotFoundError as exc:
             return self._send_error_json(404, str(exc))
         self._send_json(200, doc)
@@ -414,19 +420,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 stats if isinstance(stats, dict) else None,
                 spans=spans,
             )
-        except NotDistributedError as exc:
-            return self._send_error_json(409, str(exc))
         except LeaseNotFoundError as exc:
             return self._send_error_json(404, str(exc))
         self._send_json(200, outcome)
 
     def _get_leases(self) -> None:
-        try:
-            docs = self.service.leases()
-            fleet = self.service.fleet_status()
-        except NotDistributedError as exc:
-            return self._send_error_json(409, str(exc))
-        self._send_json(200, {"leases": docs, "fleet": fleet})
+        self._send_json(
+            200,
+            {"leases": self.service.leases(), "fleet": self.service.fleet_status()},
+        )
 
     # -- the remote cache tier ------------------------------------------------
 
@@ -466,7 +468,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _get_metrics(self) -> None:
-        self.service.sync_fleet_metrics()  # fresh fleet gauges, no-op local
+        self.service.fleet_status()  # fresh fleet gauges
         body = self.service.metrics.render_prometheus().encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "text/plain; charset=utf-8")

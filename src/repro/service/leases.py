@@ -1,7 +1,8 @@
 """Scenario-grid shards and pull-based leases: the coordinator's work board.
 
-Distributed mode splits each job's scenario grid into **shards** —
-dispatch units a remote worker claims, executes, and delivers back.
+The service splits each job's scenario grid into **shards** — dispatch
+units a worker (a ``repro-worker`` process, or one of a non-distributed
+service's in-process threads) claims, executes, and delivers back.
 Packing reuses the sweep engine's dispatch discipline: tasks group into
 seed batches of one grid point (:func:`~repro.analysis.runner.grid_point_key`),
 units order longest-total-first (:func:`~repro.analysis.runner.estimate_cost`),
@@ -16,9 +17,10 @@ a slow-but-alive worker's late delivery is still accepted while its shard
 remains unresolved: results are pure functions of the scenario, so the
 first delivery wins and duplicates are dropped.
 
-Fleet-wide dedup mirrors the single-process ``_Flight`` mechanism: a key
-already owned by some job's in-flight shard is not re-packed — later jobs
-register as waiters and are assembled when the owning shard lands.
+In-flight dedup is the owner/waiter pair of tables: a key already owned
+by some job's in-flight shard is not re-packed — later jobs register as
+waiters (counted on their ``progress.deduped``) and are assembled when the
+owning shard lands.
 
 The board is deliberately clock-free (every method takes ``now``) and
 never calls back into the service *under its lock*; callers finish the
@@ -27,10 +29,16 @@ The one outward signal is the optional ``on_trace`` observer — shard
 lifecycle events (queued/claimed/requeued) buffered inside the lock and
 delivered after it is released, which is how the service keeps per-shard
 ``queue.wait`` spans without the board knowing about tracing.
+
+Blocking is opt-in and lives in one place, :meth:`ShardBoard.wait_for`:
+in-process workers sleep on it until a shard is claimable, the dispatcher
+until every packed shard has been claimed (jobs wait their turn in the
+priority queue, not on the board).
 """
 
 from __future__ import annotations
 
+import threading
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
@@ -79,9 +87,6 @@ class Shard:
     payloads: Dict[str, Dict[str, Any]]  # key -> scenario payload
     state: str = "pending"  # pending | leased | done
     requeues: int = 0
-
-    def cost(self) -> float:
-        return sum(estimate_cost(payload) for payload in self.payloads.values())
 
 
 @dataclass
@@ -134,7 +139,7 @@ class ShardBoard:
 
     def __init__(
         self,
-        cache: ResultCache,
+        cache: Optional[ResultCache] = None,
         journal: Optional[JobJournal] = None,
         shard_size: int = 4,
         seed_batch: int = 1,
@@ -146,6 +151,8 @@ class ShardBoard:
             raise ValueError("seed_batch must be >= 1")
         if lease_ttl_s <= 0:
             raise ValueError("lease_ttl_s must be > 0")
+        #: Persistence behind the ``_results`` memo; ``None`` keeps delivered
+        #: results in the memo only (a cache-less, non-distributed service).
         self.cache = cache
         self.journal = journal
         self.shard_size = shard_size
@@ -155,6 +162,9 @@ class ShardBoard:
         # the HTTP layer's service calls), above the journal/cache locks it
         # holds while journaling leases and resolving results.
         self._lock = OrderedLock("service.board", rank=20, reentrant=False)
+        # Notified whenever the queue gains its first or loses its last
+        # claimable shard; see wait_for().
+        self._queue_changed = threading.Condition(self._lock)
         self._results: Dict[str, SimulationResult] = {}  # guarded-by: _lock
         self._shards: Dict[str, Shard] = {}  # guarded-by: _lock
         self._queue: Deque[str] = deque()  # guarded-by: _lock
@@ -200,22 +210,25 @@ class ShardBoard:
         }
         with self._lock:
             entry = _JobEntry(job=job, keys=keys, remaining=set())
-            cached = 0
+            cached = deduped = 0
             to_pack: List[str] = []
             for key in dict.fromkeys(keys):
                 if key in self._results:
                     cached += 1
                     continue
-                hit = self.cache.get(key)
+                hit = self.cache.get(key) if self.cache is not None else None
                 if hit is not None:
                     self._results[key] = hit
                     cached += 1
                     continue
                 entry.remaining.add(key)
                 self._waiters.setdefault(key, []).append(job.id)
-                if key not in self._owner:  # fleet-wide in-flight dedup
+                if key in self._owner:  # in flight for another job's shard
+                    deduped += 1
+                else:
                     to_pack.append(key)
             job.progress.cached = cached
+            job.progress.deduped = deduped
             job.progress.completed = sum(
                 1 for key in keys if key in self._results
             )
@@ -227,6 +240,8 @@ class ShardBoard:
                 self._queue.append(shard.id)
                 for key in shard.keys:
                     self._owner[key] = shard.id
+            if shards:
+                self._queue_changed.notify_all()
             self._entries[job.id] = entry
             if self.journal is not None and shards:
                 self.journal.record_shard_plan(
@@ -297,31 +312,39 @@ class ShardBoard:
         granted: Optional[Lease] = None
         with self._lock:
             self._workers_seen[worker] = now
-            while self._queue:
-                shard_id = self._queue.popleft()
-                shard = self._shards.get(shard_id)
-                if shard is None or shard.state != "pending":
-                    continue  # delivered late or re-leased while queued
+            if self._queue:
+                shard = self._shards[self._queue.popleft()]
                 shard.state = "leased"
-                lease = Lease(
+                granted = Lease(
                     id=new_lease_id(),
                     shard=shard,
                     worker=worker,
                     ttl_s=self.lease_ttl_s,
                     deadline=now + self.lease_ttl_s,
                 )
-                self._leases[lease.id] = lease
-                self._lease_shard[lease.id] = shard.id
+                self._leases[granted.id] = granted
+                self._lease_shard[granted.id] = shard.id
                 self.leases_granted += 1
                 if self.journal is not None:
                     self.journal.record_lease(
-                        lease.id, shard.id, shard.job_id, worker, lease.deadline
+                        granted.id, shard.id, shard.job_id, worker, granted.deadline
                     )
-                granted = lease
-                break
+                if not self._queue:
+                    self._queue_changed.notify_all()
         if granted is not None:
             self._emit_trace([("claimed", granted.shard.id, granted.shard.job_id)])
         return granted
+
+    def wait_for(self, claimable: bool, timeout: float) -> bool:
+        """Block until the queue holds a shard to claim (``claimable``) or
+        holds none (``not claimable``); ``False`` when ``timeout`` lapsed."""
+        with self._queue_changed:
+            return self._queue_changed.wait_for(
+                lambda: self._claimable_locked() == claimable, timeout
+            )
+
+    def _claimable_locked(self) -> bool:
+        return bool(self._queue)
 
     def heartbeat(self, lease_id: str, now: float) -> Lease:
         """Renew an active lease's deadline; raises on unknown/expired."""
@@ -357,6 +380,7 @@ class ShardBoard:
                     shard.state = "pending"
                     shard.requeues += 1
                     self._queue.appendleft(shard.id)
+                    self._queue_changed.notify_all()
                     self.shards_requeued += 1
                     events.append(("requeued", shard.id, shard.job_id))
                 self.leases_expired += 1
@@ -397,6 +421,11 @@ class ShardBoard:
                 self._workers_seen[lease.worker] = now
             if shard.state == "done":
                 return CompleteOutcome(accepted=False, late=late)
+            if shard.state == "pending":
+                # Requeued when its lease expired, delivered late after all.
+                self._queue.remove(shard.id)
+                if not self._queue:
+                    self._queue_changed.notify_all()
             for key in shard.keys:
                 if key not in results and key not in failures:
                     failures[key] = "shard delivery omitted this key"
@@ -410,7 +439,8 @@ class ShardBoard:
                 self._owner.pop(key, None)
             for key, result in settled.items():
                 self._results[key] = result
-                self.cache.put(key, result)
+                if self.cache is not None:
+                    self.cache.put(key, result)
             if self.journal is not None:
                 self.journal.record_shard_done(shard.id, shard.job_id, shard.keys)
             owner_entry = self._entries.get(shard.job_id)
@@ -485,20 +515,13 @@ class ShardBoard:
 
     def counts(self, now: float) -> Dict[str, int]:
         """Fleet shape + lifetime totals, for metrics and listings."""
+        workers = self.worker_count(now)
         with self._lock:
-            by_state = {"pending": 0, "leased": 0, "done": 0}
-            for shard in self._shards.values():
-                by_state[shard.state] += 1
-            horizon = WORKER_SEEN_TTLS * self.lease_ttl_s
-            workers = sum(
-                1
-                for last_seen in self._workers_seen.values()
-                if now - last_seen <= horizon
-            )
+            pending = len(self._queue)  # the queue is exactly the pending shards
             return {
-                "shards_pending": by_state["pending"],
-                "shards_leased": by_state["leased"],
-                "shards_done": by_state["done"],
+                "shards_pending": pending,
+                "shards_leased": len(self._shards) - pending - self.shards_completed,
+                "shards_done": self.shards_completed,
                 "leases_active": len(self._leases),
                 "workers_connected": workers,
                 "leases_granted": self.leases_granted,

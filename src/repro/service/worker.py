@@ -1,8 +1,10 @@
-"""The pull-based remote sweep worker (``repro-worker``).
+"""The pull-based sweep worker (``repro-worker``, and the service's own threads).
 
-A worker is a loop around three HTTP verbs against a distributed
-coordinator (:class:`~repro.service.core.SimulationService` with
-``distributed=True``):
+A worker is a loop around three verbs against a
+:class:`~repro.service.core.SimulationService` — over HTTP
+(:class:`ServiceClient`) for a ``repro-worker`` process in a
+``distributed=True`` coordinator's fleet, as direct calls for the threads
+a non-distributed service starts itself:
 
 1. **claim** — ``POST /v1/leases/claim`` pulls the next shard (scenario
    payloads + keys + the coordinator's ``seed_batch``), or backs off when
@@ -19,6 +21,7 @@ over a :class:`~repro.analysis.cache.TieredResultCache`: a local disk tier
 plus the coordinator's ``/v1/cache`` remote tier.  Every result the worker
 computes is therefore pushed fleet-wide as soon as it settles, and a grid
 point any other worker already ran is a remote hit, not a re-simulation.
+(A worker handed a cache — ``ShardWorker(cache=...)`` — uses that instead.)
 
 The claim/heartbeat loops lean on :class:`ServiceClient`'s bounded
 transient-error retry, so a coordinator restart stalls the fleet instead
@@ -46,9 +49,9 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
-from repro.analysis.cache import HTTPCacheTier, TieredResultCache
+from repro.analysis.cache import HTTPCacheTier, ResultCache, TieredResultCache
 from repro.analysis.runner import SweepEngine, SweepExecutionError, TaskFn
 from repro.metrics.collector import SimulationResult
 from repro.obs.fleet import FleetTracer, Span
@@ -62,6 +65,27 @@ __all__ = ["ShardWorker", "main"]
 
 def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
+
+
+class LeaseClient(Protocol):
+    """What a worker asks of the service: the lease verbs and the span
+    fallback.  :class:`ServiceClient` speaks them over HTTP; failures
+    surface as :class:`ServiceError` (``status`` 404 for a lapsed lease)."""
+
+    def claim(self, worker: str) -> Optional[Dict[str, Any]]: ...
+
+    def lease_heartbeat(self, lease_id: str) -> Dict[str, Any]: ...
+
+    def complete(
+        self,
+        lease_id: str,
+        results: Dict[str, SimulationResult],
+        failures: Optional[Dict[str, str]] = None,
+        stats: Optional[Dict[str, Any]] = None,
+        spans: Optional[List[Dict[str, Any]]] = None,
+    ) -> Dict[str, Any]: ...
+
+    def post_spans(self, spans: List[Dict[str, Any]]) -> int: ...
 
 
 class _TracedRemoteTier(HTTPCacheTier):
@@ -91,22 +115,33 @@ class _TracedRemoteTier(HTTPCacheTier):
             return stored
 
 
-class _TracedTieredCache(TieredResultCache):
-    """A :class:`TieredResultCache` whose ``get`` is a ``cache.lookup``
-    span; the remote leg nests as a ``cache.remote`` child."""
+class _TracedCache(ResultCache):
+    """A view of another cache whose ``get`` is a ``cache.lookup`` span
+    (a tiered cache's remote leg nests as a ``cache.remote`` child).
 
-    def __init__(
-        self, worker: "ShardWorker", root: str, remote: HTTPCacheTier
-    ) -> None:
-        super().__init__(root, remote)
+    Reads and writes go through the wrapped instance, so its tiers and its
+    hit/miss statistics stay the one source of truth.
+    """
+
+    def __init__(self, worker: "ShardWorker", inner: ResultCache) -> None:
+        super().__init__(inner.root)
+        self.stats = inner.stats
         self._worker = worker
+        self._inner = inner
 
     def get(self, key: str) -> Optional[SimulationResult]:
         with self._worker.trace_span("cache.lookup", key=key) as span:
-            hit = super().get(key)
+            hit = self._inner.get(key)
             if span is not None:
                 span.attrs["hit"] = hit is not None
             return hit
+
+    def put(self, key: str, result: SimulationResult) -> Path:
+        return self._inner.put(key, result)
+
+
+#: ``ShardWorker(cache=...)`` default: build the worker's own tiered cache.
+_OWN_CACHE: Any = object()
 
 
 class ShardWorker:
@@ -114,7 +149,7 @@ class ShardWorker:
 
     def __init__(
         self,
-        client: ServiceClient,
+        client: LeaseClient,
         worker_id: Optional[str] = None,
         cache_dir: Optional[str] = None,
         processes: int = 1,
@@ -124,6 +159,7 @@ class ShardWorker:
         verbose: bool = False,
         tracer: Optional[FleetTracer] = None,
         log: Optional[StructuredLogger] = None,
+        cache: Optional[ResultCache] = _OWN_CACHE,
     ) -> None:
         self.client = client
         self.worker_id = worker_id or default_worker_id()
@@ -131,23 +167,33 @@ class ShardWorker:
         self.retries = retries
         self.poll_s = poll_s
         self._task_fn = task_fn
-        self.verbose = verbose
         self.tracer = tracer if tracer is not None else FleetTracer(proc=self.worker_id)
         base_log = log if log is not None else StructuredLogger(
             "worker", level="info" if verbose else "warning"
         )
         self.log = base_log.bind(worker=self.worker_id)
-        if cache_dir is None:
-            cache_dir = tempfile.mkdtemp(prefix="repro-worker-cache-")
-        # Local tier + the coordinator's /v1/cache remote tier: everything
-        # this worker computes becomes a fleet-wide hit immediately.  Both
-        # tiers are span-traced against the shard in hand.
-        self.cache: TieredResultCache = _TracedTieredCache(
-            self,
-            cache_dir,
-            _TracedRemoteTier(self, client.base_url, timeout=client.timeout),
+        if cache is _OWN_CACHE:
+            # Local tier + the coordinator's /v1/cache remote tier:
+            # everything this worker computes becomes a fleet-wide hit
+            # immediately.
+            assert isinstance(client, ServiceClient), "the remote tier needs a URL"
+            if cache_dir is None:
+                cache_dir = tempfile.mkdtemp(prefix="repro-worker-cache-")
+            cache = TieredResultCache(
+                cache_dir,
+                _TracedRemoteTier(self, client.base_url, timeout=client.timeout),
+            )
+        # Lookups are span-traced against the shard in hand; ``None`` (the
+        # caller has no cache) runs the engine uncached.
+        self.cache: Optional[ResultCache] = (
+            _TracedCache(self, cache) if cache is not None else None
         )
         self._stop = threading.Event()
+        # The signal-handler side of stop(): a plain attribute, because the
+        # handler interrupts the very thread that waits on ``_stop``, and
+        # ``threading.Event`` guards its flag with a non-reentrant lock — a
+        # signal landing inside ``Event.wait`` would deadlock ``Event.set``.
+        self._signalled = False
         self.shards_done = 0
         self.executed = 0
         # Trace context of the shard in hand.  Only the worker's main loop
@@ -156,12 +202,21 @@ class ShardWorker:
         self._span_stack: List[str] = []
 
     def stop(self) -> None:
-        """Finish (and deliver) the shard in hand, then exit the loop."""
+        """Finish (and deliver) the shard in hand, then exit the loop.
+
+        For other threads (an idle worker wakes at once); a signal handler
+        must use :meth:`stop_from_signal`.
+        """
         self._stop.set()
+
+    def stop_from_signal(self) -> None:
+        """:meth:`stop` without touching a lock; the loop notices within
+        one ``poll_s``."""
+        self._signalled = True
 
     @property
     def stopping(self) -> bool:
-        return self._stop.is_set()
+        return self._signalled or self._stop.is_set()
 
     # -- tracing --------------------------------------------------------------
 
@@ -206,7 +261,7 @@ class ShardWorker:
 
     def run(self, max_shards: Optional[int] = None) -> int:
         """The worker loop; returns the number of shards delivered."""
-        while not self._stop.is_set():
+        while not self.stopping:
             if max_shards is not None and self.shards_done >= max_shards:
                 break
             try:
@@ -215,12 +270,9 @@ class ShardWorker:
                 # Unreachable past the client's retries, or the service
                 # is not distributed (409): back off and try again.
                 self.log.info("claim.failed", error=str(exc))
-                if self._stop.wait(self.poll_s):
-                    break
-                continue
+                claim = None
             if claim is None:
-                if self._stop.wait(self.poll_s):
-                    break
+                self._stop.wait(self.poll_s)
                 continue
             self._execute_claim(claim)
         return self.shards_done
@@ -288,7 +340,7 @@ class ShardWorker:
                 for key in keys:
                     if key in failures:
                         continue
-                    hit = self.cache.get(key)
+                    hit = self.cache.get(key) if self.cache is not None else None
                     if hit is not None:
                         results[key] = hit
                     else:
@@ -476,11 +528,30 @@ def _run_worker(args: argparse.Namespace) -> int:
         verbose=args.verbose,
         tracer=FleetTracer(proc=worker_id, enabled=not args.no_trace),
     )
-    log = worker.log
+    on_signal = _signal_handler(worker, flight_task)
+    signal.signal(signal.SIGTERM, on_signal)
+    signal.signal(signal.SIGINT, on_signal)
+
+    print(
+        f"repro-worker {__version__} ({worker_id}) pulling from {args.url}",
+        flush=True,
+    )
+    delivered = worker.run(max_shards=args.max_shards)
+    worker.log.warning("worker.done", delivered=delivered, executed=worker.executed)
+    return 0
+
+
+def _signal_handler(
+    worker: ShardWorker, flight_task: Any
+) -> Callable[[int, Any], None]:
+    """The SIGTERM/SIGINT handler: runs on the main thread, in the middle
+    of whatever the worker loop was doing, so it takes no lock — ``print``
+    instead of the logger (non-reentrant I/O lock), a plain attribute
+    instead of the stop ``Event`` (see :meth:`ShardWorker.stop_from_signal`).
+    """
+    worker_id = worker.worker_id
 
     def _on_signal(signum: int, _frame: Any) -> None:
-        # print, not slog: the handler interrupts the main thread, which
-        # may be mid-log and holding the logger's non-reentrant I/O lock.
         print(
             f"[{worker_id}] signal {signal.Signals(signum).name}: finishing "
             "current shard, then exiting",
@@ -498,18 +569,9 @@ def _run_worker(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                     flush=True,
                 )
-        worker.stop()
+        worker.stop_from_signal()
 
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-
-    print(
-        f"repro-worker {__version__} ({worker_id}) pulling from {args.url}",
-        flush=True,
-    )
-    delivered = worker.run(max_shards=args.max_shards)
-    log.warning("worker.done", delivered=delivered, executed=worker.executed)
-    return 0
+    return _on_signal
 
 
 if __name__ == "__main__":  # pragma: no cover

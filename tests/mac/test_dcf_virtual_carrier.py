@@ -61,7 +61,7 @@ def test_grey_zone_losses_recovered_by_retries():
     import numpy as np
     from repro.mobility.static import StaticModel
     from repro.phy.channel import Channel
-    from repro.phy.fading import EdgeLossModel
+    from repro.phy.profiles import ProbabilisticReception
     from repro.phy.neighbors import NeighborCache
     from repro.phy.propagation import DiskPropagation
     from repro.phy.radio import Radio
@@ -74,7 +74,7 @@ def test_grey_zone_losses_recovered_by_retries():
     channel = Channel(
         sim,
         neighbors,
-        loss_model=EdgeLossModel(rx_range=250.0, reliable_fraction=0.8),
+        loss_model=ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8),
         rng=np.random.default_rng(3),
     )
     macs = {}

@@ -13,7 +13,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.mobility.static import StaticModel
 from repro.phy.channel import Channel
-from repro.phy.fading import EdgeLossModel
+from repro.phy.profiles import ProbabilisticReception
 from repro.phy.neighbors import NeighborCache
 from repro.phy.propagation import DiskPropagation
 from repro.sim.engine import Simulator
@@ -29,7 +29,7 @@ def _fixture(rng=None, loss_model=None):
 
 def test_lossy_channel_without_rng_is_rejected():
     with pytest.raises(SimulationError, match="explicit rng"):
-        _fixture(loss_model=EdgeLossModel(rx_range=250.0, reliable_fraction=0.8))
+        _fixture(loss_model=ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8))
 
 
 def test_lossless_channel_needs_no_rng():
@@ -48,7 +48,7 @@ def test_identical_streams_reproduce_identical_fading():
         channel = Channel(
             sim,
             neighbors,
-            loss_model=EdgeLossModel(rx_range=250.0, reliable_fraction=0.8),
+            loss_model=ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8),
             rng=RandomStreams(seed).stream("fading"),
         )
         sender = Radio(0, channel)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.phy.fading import EdgeLossModel, NoLoss
+from repro.phy.fading import NoLoss
+from repro.phy.profiles import ProbabilisticReception
 from repro.phy.propagation import (
     friis_cross_over_distance,
     log_distance_range,
@@ -54,7 +55,7 @@ def test_no_loss_always_delivers():
 
 
 def test_edge_loss_probability_shape():
-    model = EdgeLossModel(rx_range=250.0, reliable_fraction=0.8)
+    model = ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8)
     assert model.delivery_probability(100.0) == 1.0
     assert model.delivery_probability(200.0) == 1.0  # edge of reliable zone
     assert model.delivery_probability(225.0) == pytest.approx(0.5)
@@ -63,14 +64,14 @@ def test_edge_loss_probability_shape():
 
 
 def test_edge_loss_sampling_matches_probability():
-    model = EdgeLossModel(rx_range=250.0, reliable_fraction=0.8)
+    model = ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8)
     rng = np.random.default_rng(1)
     delivered = sum(model.delivered(225.0, rng) for _ in range(4000))
     assert 0.45 < delivered / 4000 < 0.55
 
 
 def test_edge_loss_floor_probability():
-    model = EdgeLossModel(
+    model = ProbabilisticReception(
         rx_range=250.0, reliable_fraction=0.8, edge_delivery_probability=0.4
     )
     assert model.delivery_probability(250.0) == pytest.approx(0.4)
@@ -79,11 +80,11 @@ def test_edge_loss_floor_probability():
 
 def test_edge_loss_validation():
     with pytest.raises(ConfigurationError):
-        EdgeLossModel(rx_range=0.0)
+        ProbabilisticReception(rx_range=0.0)
     with pytest.raises(ConfigurationError):
-        EdgeLossModel(reliable_fraction=1.5)
+        ProbabilisticReception(rx_range=250.0, reliable_fraction=1.5)
     with pytest.raises(ConfigurationError):
-        EdgeLossModel(edge_delivery_probability=-0.1)
+        ProbabilisticReception(rx_range=250.0, edge_delivery_probability=-0.1)
 
 
 def test_lossy_channel_drops_grey_zone_frames():
@@ -118,7 +119,7 @@ def test_lossy_channel_drops_grey_zone_frames():
         channel = Channel(
             sim,
             neighbors,
-            loss_model=EdgeLossModel(rx_range=250.0, reliable_fraction=0.8),
+            loss_model=ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8),
             rng=np.random.default_rng(9),
         )
         sender = Radio(0, channel)

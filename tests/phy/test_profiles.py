@@ -12,7 +12,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.mac.timing import MacTiming
 from repro.phy.energy import EnergyModel
-from repro.phy.fading import EdgeLossModel
 from repro.phy.profiles import (
     LONGHAUL,
     PROFILES,
@@ -100,14 +99,15 @@ def test_default_wavelan_loss_model_is_none():
 def test_grey_zone_still_builds_the_legacy_edge_loss_model():
     config = ScenarioConfig(grey_zone_fraction=0.2)
     model = build_loss_model(resolve_profile(config), config)
-    # Exactly the pre-profile object, so grey-zone runs stay bit-identical.
-    assert model == EdgeLossModel(rx_range=250.0, reliable_fraction=0.8)
+    # The pre-profile ramp (no base loss, zero edge probability), so
+    # grey-zone runs stay bit-identical (test_grey_zone_golden.py).
+    assert model == ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8)
 
 
 def test_grey_zone_overrides_the_profile_loss_shape():
     config = ScenarioConfig(radio_profile="urban", grey_zone_fraction=0.1)
     model = build_loss_model(resolve_profile(config), config)
-    assert isinstance(model, EdgeLossModel)
+    assert isinstance(model, ProbabilisticReception)
     assert model.reliable_fraction == pytest.approx(0.9)
     assert model.rx_range == URBAN.rx_range
 
@@ -149,8 +149,8 @@ def test_delivery_probability_ramp_shape():
 
 
 def test_certain_delivery_skips_the_rng_draw():
-    # Draw-sequence identity: p >= 1 must not consume a draw, matching
-    # EdgeLossModel, so composed models keep the documented draw discipline.
+    # Draw-sequence identity: p >= 1 must not consume a draw, so a pure
+    # grey zone draws only inside the ramp (the pre-profile discipline).
     class Exploding:
         def random(self):  # pragma: no cover - must never run
             raise AssertionError("drew from rng despite p >= 1")

@@ -5,6 +5,11 @@ These spin up a real ``SimulationService(distributed=True)`` behind a real
 running in threads — the exact production claim/heartbeat/complete path,
 minus the process boundary (the SIGKILL variant lives in
 ``tests/service/smoke_distributed.py`` and the CI smoke job).
+
+Only what a remote fleet adds lives here (lease expiry, the remote cache
+tier, fleet metrics); the contracts both modes share — results, order,
+warm cache, dedup, failure, drain + restart — are in ``test_service.py``,
+which borrows :class:`WorkerFleet` for its ``fleet`` arm.
 """
 
 import threading
@@ -64,41 +69,6 @@ class WorkerFleet:
             worker.stop()
         for thread in self.threads:
             thread.join(timeout=30.0)
-
-
-def test_cold_sweep_across_two_workers_matches_single_process(tmp_path):
-    configs = [small_config(seed=s) for s in range(1, 7)]
-    expected = [fake_result(scenario_to_dict(c)) for c in configs]
-    tasks = [CountingTask(), CountingTask()]
-    with distributed_server(tmp_path, shard_size=2) as client:
-        with WorkerFleet(client.base_url, tmp_path, n=2, task_fns=tasks):
-            job_id = client.submit(configs)
-            status = client.wait(job_id, timeout=60)
-            assert status["state"] == "done"
-            results = client.results(job_id)
-            fleet = client.leases()["fleet"]
-    assert results == expected
-    # Every seed ran exactly once, fleet-wide: the shard board never
-    # double-assigns a key and the remote tier dedups across workers.
-    executed = sorted(tasks[0].calls + tasks[1].calls)
-    assert executed == list(range(1, 7))
-    assert fleet["shards_completed"] == 3
-    assert fleet["leases_granted"] >= 3
-
-
-def test_resubmission_is_pure_cache_hit_with_zero_executions(tmp_path):
-    configs = [small_config(seed=s) for s in (1, 2, 3)]
-    task = CountingTask()
-    with distributed_server(tmp_path) as client:
-        with WorkerFleet(
-            client.base_url, tmp_path, n=1, task_fn=task
-        ):
-            first = client.fetch(client.submit(configs), timeout=60)
-            calls_after_first = list(task.calls)
-            second = client.fetch(client.submit(configs), timeout=60)
-    assert first == second
-    assert sorted(calls_after_first) == [1, 2, 3]
-    assert task.calls == calls_after_first  # warm job executed nothing
 
 
 def test_dead_worker_lease_expires_and_fleet_recovers(tmp_path):

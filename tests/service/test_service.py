@@ -1,9 +1,21 @@
-"""Tests for :class:`SimulationService`: scheduling without new semantics."""
+"""Tests for :class:`SimulationService`: scheduling without new semantics.
+
+The service has one execution path and two kinds of claimer, so the
+contracts below take the mode as an input: ``threads`` is the service
+alone (its in-process workers), ``fleet`` a ``distributed=True``
+coordinator behind HTTP with in-test :class:`ShardWorker` threads — the
+production claim/heartbeat/complete path minus the process boundary.
+Each contract test runs both (failures name the arm).
+"""
+
+import time
 
 import pytest
 
 from repro.analysis.runner import run_many
 from repro.errors import ConfigurationError
+from repro.scenarios.io import scenario_to_dict
+from repro.service.client import ServiceError
 from repro.service.core import (
     JobNotCancellableError,
     JobNotFoundError,
@@ -14,7 +26,11 @@ from repro.service.core import (
 from repro.service.jobs import JobState
 from repro.service.queue import AdmissionError
 
-from tests.service.helpers import BlockingTask, CountingTask, small_config
+from tests.service.helpers import BlockingTask, CountingTask, fake_result, small_config
+from tests.service.test_distributed import WorkerFleet
+from tests.service.test_http import LiveServer
+
+MODES = ("threads", "fleet")
 
 
 def _service(**kwargs):
@@ -23,64 +39,133 @@ def _service(**kwargs):
     return SimulationService(**kwargs)
 
 
+class ServiceIn:
+    """One service in the given mode: ``.service`` is built at once (so a
+    test can look at it first), ``with`` starts it — plus, for ``fleet``,
+    the HTTP server and ``workers`` :class:`ShardWorker` threads — and
+    drains it on the way out.  ``task_fn`` (``None``: real simulations),
+    ``workers`` and ``retries`` reach whoever executes."""
+
+    def __init__(self, mode, tmp_path, task_fn=None, workers=2, retries=1, **kwargs):
+        self.mode = mode
+        self.fleet = None
+        if mode == "threads":
+            self.service = SimulationService(
+                workers=workers, task_fn=task_fn, retries=retries, **kwargs
+            )
+            return
+        kwargs.setdefault("cache_dir", str(tmp_path / "coordinator-cache"))
+        self.server = LiveServer(distributed=True, **kwargs)
+        self.service = self.server.service
+        self._fleet_args = dict(
+            tmp_path=tmp_path, n=workers, task_fn=task_fn, retries=retries
+        )
+
+    def __enter__(self):
+        if self.mode == "threads":
+            return self.service.start()
+        client = self.server.__enter__()
+        self.fleet = WorkerFleet(client.base_url, **self._fleet_args)
+        self.fleet.__enter__()
+        return self.service
+
+    def __exit__(self, *exc_info):
+        if self.mode == "threads":
+            return self.service.drain(grace_s=5.0)
+        self.fleet.__exit__(*exc_info)
+        self.server.__exit__(*exc_info)
+
+
+def _wait_until_running(job, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while job.state is not JobState.RUNNING:
+        assert time.monotonic() < deadline, f"job still {job.state}"
+        time.sleep(0.01)
+
+
 # -- the determinism contract ------------------------------------------------
 
 
 def test_job_results_are_bit_identical_to_run_many(tmp_path):
     configs = [small_config(seed=s) for s in (1, 2)]
-    with SimulationService(workers=2, cache_dir=str(tmp_path / "cache")) as service:
-        job = service.submit(configs)
-        service.wait(job.id, timeout=120)
-        assert job.state is JobState.DONE
-        results = service.job_results(job.id)
-    assert results == run_many(configs, processes=1)
+    expected = run_many(configs, processes=1)
+    for mode in MODES:
+        cache_dir = str(tmp_path / mode / "cache")
+        with ServiceIn(mode, tmp_path / mode, cache_dir=cache_dir) as service:
+            job = service.submit(configs)
+            service.wait(job.id, timeout=120)
+            assert job.state is JobState.DONE, mode
+            assert service.job_results(job.id) == expected, mode
 
 
-def test_results_keep_submission_order_with_duplicates():
-    task = CountingTask()
-    configs = [small_config(seed=s) for s in (2, 1, 2)]
-    with _service(task_fn=task) as service:
-        job = service.submit(configs)
-        service.wait(job.id, timeout=30)
-        results = service.job_results(job.id)
-    assert [r.data_sent for r in results] == [102, 101, 102]
-    assert sorted(task.calls) == [1, 2]  # the duplicate cost nothing
+def test_results_keep_submission_order_with_duplicates(tmp_path):
+    # Seven scenarios, six distinct, shards of two: three shards split
+    # between two workers, whoever they are.
+    seeds = (2, 1, 2, 3, 4, 5, 6)
+    configs = [small_config(seed=s) for s in seeds]
+    expected = [fake_result(scenario_to_dict(c)) for c in configs]
+    for mode in MODES:
+        task = CountingTask()
+        harness = ServiceIn(mode, tmp_path / mode, task_fn=task, shard_size=2)
+        with harness as service:
+            job = service.submit(configs)
+            service.wait(job.id, timeout=60)
+            assert job.state is JobState.DONE, mode
+            assert service.job_results(job.id) == expected, mode
+            fleet = service.fleet_status()
+        # Every seed ran exactly once: the board never double-assigns a
+        # key, and the duplicate cost nothing.
+        assert sorted(task.calls) == [1, 2, 3, 4, 5, 6], mode
+        assert fleet["shards_completed"] == 3, mode
+        assert fleet["leases_granted"] >= 3, mode
 
 
 # -- caching across jobs -----------------------------------------------------
 
 
 def test_warm_cache_job_executes_nothing(tmp_path):
-    task = CountingTask()
-    configs = [small_config(seed=s) for s in (1, 2)]
-    with _service(task_fn=task, cache_dir=str(tmp_path / "cache")) as service:
-        first = service.submit(configs)
-        service.wait(first.id, timeout=30)
-        second = service.submit(configs)
-        service.wait(second.id, timeout=30)
-        assert second.state is JobState.DONE
-        assert service.job_results(second.id) == service.job_results(first.id)
-        assert second.progress.cached == 2
-        assert second.progress.executed == 0
-    assert sorted(task.calls) == [1, 2]  # two scenarios, two executions, ever
+    configs = [small_config(seed=s) for s in (1, 2, 3)]
+    for mode in MODES:
+        task = CountingTask()
+        cache_dir = str(tmp_path / mode / "cache")
+        harness = ServiceIn(
+            mode, tmp_path / mode, task_fn=task, workers=1, cache_dir=cache_dir
+        )
+        with harness as service:
+            first = service.submit(configs)
+            service.wait(first.id, timeout=60)
+            calls_after_first = list(task.calls)
+            second = service.submit(configs)
+            service.wait(second.id, timeout=60)
+            assert second.state is JobState.DONE, mode
+            assert service.job_results(second.id) == service.job_results(first.id)
+            assert second.progress.cached == 3, mode
+            assert second.progress.executed == 0, mode
+        assert sorted(calls_after_first) == [1, 2, 3], mode
+        assert task.calls == calls_after_first, mode  # the warm job ran nothing
 
 
-def test_concurrent_identical_jobs_execute_once():
-    # Two identical submissions racing on two workers: the in-flight dedup
-    # table must coalesce them onto one execution.
-    task = BlockingTask()
+def test_concurrent_identical_jobs_execute_once(tmp_path):
+    # Two identical submissions racing on two workers: the board's
+    # owner/waiter tables must coalesce them onto one execution, and say so.
     config = small_config(seed=7)
-    with _service(task_fn=task, workers=2) as service:
-        first = service.submit([config])
-        second = service.submit([config])
-        assert task.started.wait(timeout=10)
-        task.release.set()
-        service.wait(first.id, timeout=30)
-        service.wait(second.id, timeout=30)
-        assert first.state is JobState.DONE
-        assert second.state is JobState.DONE
-        assert service.job_results(first.id) == service.job_results(second.id)
-    assert task.calls == [7]  # exactly one simulation
+    for mode in MODES:
+        task = BlockingTask()
+        with ServiceIn(mode, tmp_path / mode, task_fn=task) as service:
+            first = service.submit([config])
+            second = service.submit([config])
+            assert task.started.wait(timeout=10), mode
+            # The follower is on the board, waiting on the leader's shard.
+            _wait_until_running(second)
+            task.release.set()
+            service.wait(first.id, timeout=30)
+            service.wait(second.id, timeout=30)
+            assert first.state is JobState.DONE, mode
+            assert second.state is JobState.DONE, mode
+            assert service.job_results(first.id) == service.job_results(second.id)
+            assert (first.progress.deduped, second.progress.deduped) == (0, 1), mode
+            assert service.metrics.snapshot()["service.sims.deduped"] == 1, mode
+        assert task.calls == [7], mode  # exactly one simulation
 
 
 # -- admission ---------------------------------------------------------------
@@ -97,6 +182,28 @@ def test_full_queue_refuses_without_dropping_accepted():
     service.wait(accepted.id, timeout=30)
     assert accepted.state is JobState.DONE  # the refusal cost it nothing
     service.drain(grace_s=5)
+
+
+def test_backlog_waits_in_the_priority_queue_not_on_the_board():
+    # One busy worker: the board takes one job's unclaimed shard and no
+    # more, so the rest of the backlog is still pending — counted by
+    # queue-depth admission and reordered by priority.
+    task = BlockingTask()
+    with _service(task_fn=task, workers=1, max_queue_depth=2) as service:
+        running = service.submit([small_config(seed=1)])
+        assert task.started.wait(timeout=10)
+        on_board = service.submit([small_config(seed=2)])
+        _wait_until_running(on_board)
+        low = service.submit([small_config(seed=3)], priority=0)
+        high = service.submit([small_config(seed=4)], priority=5)
+        with pytest.raises(AdmissionError):
+            service.submit([small_config(seed=5)])
+        assert (low.state, high.state) == (JobState.PENDING, JobState.PENDING)
+        task.release.set()
+        for job in (running, on_board, low, high):
+            service.wait(job.id, timeout=30)
+            assert job.state is JobState.DONE
+    assert task.calls == [1, 2, 4, 3]  # priority overtook submission order
 
 
 def test_per_client_inflight_limit():
@@ -143,17 +250,18 @@ def test_cancel_running_job_is_refused():
         service.wait(job.id, timeout=30)
 
 
-def test_failed_job_reports_error_not_results():
+def test_failed_job_reports_error_not_results(tmp_path):
     def broken(payload):
         raise ValueError("injected simulation failure")
 
-    with _service(task_fn=broken, retries=0) as service:
-        job = service.submit([small_config(seed=1)])
-        service.wait(job.id, timeout=30)
-        assert job.state is JobState.FAILED
-        assert "injected simulation failure" in job.error
-        with pytest.raises(JobNotReadyError):
-            service.job_results(job.id)
+    for mode in MODES:
+        with ServiceIn(mode, tmp_path / mode, task_fn=broken, retries=0) as service:
+            job = service.submit([small_config(seed=1)])
+            service.wait(job.id, timeout=30)
+            assert job.state is JobState.FAILED, mode
+            assert "injected simulation failure" in job.error, mode
+            with pytest.raises(JobNotReadyError):
+                service.job_results(job.id)
 
 
 def test_draining_service_refuses_submissions():
@@ -168,27 +276,32 @@ def test_draining_service_refuses_submissions():
 
 
 def test_restarted_service_requeues_and_completes(tmp_path):
-    journal = str(tmp_path / "journal.jsonl")
-    task = BlockingTask()
-    first = _service(task_fn=task, workers=1, journal_path=journal)
-    first.start()
-    job = first.submit([small_config(seed=4)])
-    assert task.started.wait(timeout=10)
-    # Drain with a worker stuck mid-job: the job must be checkpointed.
-    summary = first.drain(grace_s=0.2)
-    assert summary["checkpointed"] == 1
-    task.release.set()  # let the abandoned thread unwind
+    for mode in MODES:
+        journal = str(tmp_path / mode / "journal.jsonl")
+        task = BlockingTask()
+        first = ServiceIn(
+            mode, tmp_path / mode, task_fn=task, workers=1, journal_path=journal
+        )
+        with first as service:
+            job = service.submit([small_config(seed=4)])
+            assert task.started.wait(timeout=10), mode
+            # Drain with a worker stuck mid-job: the job must be checkpointed.
+            summary = service.drain(grace_s=0.2)
+            assert summary["checkpointed"] == 1, mode
+            task.release.set()  # let the abandoned worker unwind
 
-    second = _service(workers=1, journal_path=journal)
-    recovered = second.get_job(job.id)
-    assert recovered.recovered
-    assert recovered.state is JobState.PENDING
-    assert recovered.scenarios == job.scenarios
-    second.start()
-    second.wait(job.id, timeout=30)
-    assert second.get_job(job.id).state is JobState.DONE
-    assert second.job_results(job.id)
-    second.drain(grace_s=5)
+        second = ServiceIn(
+            mode, tmp_path / mode, task_fn=CountingTask(), workers=1,
+            journal_path=journal,
+        )
+        recovered = second.service.get_job(job.id)
+        assert recovered.recovered, mode
+        assert recovered.state is JobState.PENDING, mode
+        assert recovered.scenarios == job.scenarios, mode
+        with second as service:
+            service.wait(job.id, timeout=30)
+            assert service.get_job(job.id).state is JobState.DONE, mode
+            assert service.job_results(job.id), mode
 
 
 def test_terminal_jobs_survive_restart(tmp_path):
@@ -227,3 +340,42 @@ def test_wait_times_out_without_terminal_state():
     waited = service.wait(job.id, timeout=0.2)
     assert waited.state is JobState.PENDING
     service.drain(grace_s=0)
+
+
+# -- who claims --------------------------------------------------------------
+
+
+def test_idle_in_process_worker_wakes_on_submission_not_on_a_poll():
+    # An in-process worker with nothing to do sleeps on the board's
+    # wake-up; its poll_s only paces a worker the service turned away.  A
+    # worker that slept poll_s between empty claims would sit out this
+    # whole test.
+    service = _service(workers=1)
+    for worker in service._local_workers:
+        worker.poll_s = 30.0
+    with service:
+        time.sleep(0.3)  # the worker has claimed, found nothing, and blocked
+        job = service.submit([small_config(seed=1)])
+        service.wait(job.id, timeout=5)
+        assert job.state is JobState.DONE
+
+
+def test_lease_endpoints_stay_closed_on_a_non_distributed_service():
+    with LiveServer(workers=1, task_fn=CountingTask()) as client:
+        for call in (
+            lambda: client.claim("intruder"),
+            lambda: client.lease_heartbeat("l-0"),
+            lambda: client.complete("l-0", {}),
+            client.leases,
+        ):
+            with pytest.raises(ServiceError) as refused:
+                call()
+            assert refused.value.status == 409
+        assert client.health()["distributed"] is False
+        # ...and the board still serves the service's own workers.
+        assert len(client.fetch(client.submit([small_config(seed=1)]), timeout=30)) == 1
+
+
+def test_distributed_mode_still_needs_a_cache_dir():
+    with pytest.raises(ConfigurationError):
+        SimulationService(distributed=True)
