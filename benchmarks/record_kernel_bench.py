@@ -17,8 +17,6 @@ the seed tree on the same machine with the same best-of-N protocol):
   for the per-quantum neighbour refresh, all-pairs matrix vs uniform-grid
   cell list, with the neighbour sets asserted identical,
 * a 100-node cross-backend full simulation, metrics asserted bit-identical,
-* seed-batched ``run_many`` vs per-seed pool dispatch on a multi-seed
-  100-node sweep, results asserted identical,
 * a lossy-profile run (probabilistic reception drawing per-listener loss
   decisions on the channel hot path), asserted seed-deterministic.
 
@@ -39,7 +37,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis.runner import run_many  # noqa: E402
 from repro.mobility.waypoint import RandomWaypointModel  # noqa: E402
 from repro.phy.neighbors import NeighborCache  # noqa: E402
 from repro.phy.propagation import DiskPropagation  # noqa: E402
@@ -227,37 +224,6 @@ def measure_cross_index() -> dict:
     }
 
 
-def measure_seed_batch(rounds: int, seeds: int = 4) -> dict:
-    """Per-seed pool dispatch vs one seed-batched unit for the same sweep."""
-    configs = [_bench_scenario(seed) for seed in range(1, seeds + 1)]
-
-    def run(seed_batch: int):
-        start = time.perf_counter()
-        results = run_many(configs, processes=2, seed_batch=seed_batch)
-        return time.perf_counter() - start, results
-
-    per_seed_walls, batched_walls = [], []
-    expected = None
-    for _ in range(rounds):
-        wall, results = run(1)
-        per_seed_walls.append(wall)
-        expected = results
-        wall, results = run(len(configs))
-        batched_walls.append(wall)
-        if results != expected:
-            raise SystemExit("seed-batched sweep results diverged from per-seed")
-    per_seed, batched = min(per_seed_walls), min(batched_walls)
-    return {
-        "scenario": "paper_scenario(pause_time=0.0).but(duration=12.0, num_sessions=8)",
-        "seeds": seeds,
-        "processes": 2,
-        "per_seed_dispatch_wall_s": round(per_seed, 3),
-        "seed_batched_wall_s": round(batched, 3),
-        "speedup": round(per_seed / batched, 2),
-        "results_identical": True,
-    }
-
-
 def measure_lossy_profile(rounds: int) -> dict:
     """Wall time of a probabilistic-reception run (per-listener loss draws on
     the channel hot path), with a same-seed bit-identity check."""
@@ -295,11 +261,10 @@ def main() -> None:
     full = measure_full_run(args.rounds)
     chained = measure_chained(args.rounds)
     churn = measure_cancel_churn(args.rounds)
-    # Scaling and sweep benches are heavier per round; best-of-2 is plenty.
+    # Scaling and lossy benches are heavier per round; best-of-2 is plenty.
     slow_rounds = max(1, min(args.rounds, 2))
     scaling = measure_scaling(slow_rounds)
     cross_index = measure_cross_index()
-    seed_batch = measure_seed_batch(slow_rounds)
     lossy = measure_lossy_profile(slow_rounds)
 
     report = {
@@ -333,13 +298,11 @@ def main() -> None:
             "curve": scaling,
         },
         "cross_index_full_run": cross_index,
-        "seed_batched_sweep": seed_batch,
         "lossy_profile_run": lossy,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["speedup"], indent=2))
     print(json.dumps(scaling, indent=2))
-    print(json.dumps(seed_batch, indent=2))
     print(json.dumps(lossy, indent=2))
     print(f"wrote {args.output}")
 

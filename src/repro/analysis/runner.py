@@ -13,12 +13,9 @@ modes — the only thing that differs is which map drains the task list:
 1. every config becomes an indexed ``(key, payload)`` task;
 2. keys already resolved (session memo, then on-disk cache) short-circuit;
 3. duplicate keys within the batch collapse to one simulation;
-4. remaining tasks are ordered longest-job-first (low-pause / high-load
-   scenarios dominate wall time, so they must start early), optionally
-   grouped into seed batches (``seed_batch`` > 1 chunks replications of one
-   grid point into a single dispatch unit, amortising process spawn and
-   import cost across seeds), and drained via ``imap_unordered`` for pool
-   load balancing;
+4. remaining tasks are ordered longest-job-first by :func:`plan_dispatch`
+   (low-pause / high-load scenarios dominate wall time, so they must start
+   early) and drained via ``imap_unordered`` for pool load balancing;
 5. a task whose worker raises or dies is retried in the parent process, a
    bounded number of times; failures that survive the retries raise
    :class:`SweepExecutionError` — never silently dropped;
@@ -76,38 +73,6 @@ def _guarded(
         return key, None, f"{type(exc).__name__}: {exc}", wall
 
 
-def _guarded_batch(
-    task_fn: TaskFn, batch: List[Tuple[str, dict]]
-) -> List[Tuple[str, Optional[SimulationResult], Optional[str], float]]:
-    """Run a batch of tasks sequentially in one process.
-
-    One pool dispatch covers every replication in the batch, so process
-    spawn, interpreter/numpy import and warm allocator state are amortised
-    across the batch instead of paid per seed.  Each task is still
-    individually guarded: one bad payload fails alone and is retried alone.
-    """
-    return [_guarded(task_fn, task) for task in batch]
-
-
-def grid_point_key(payload: dict) -> str:
-    """Canonical identity of a payload's sweep grid point (seed excluded).
-
-    Replications of one grid point differ only in ``payload["seed"]``;
-    batching groups by everything else so a batch is "the same scenario, N
-    seeds" — the unit the paper's mean-and-CI aggregation consumes.  Shard
-    packing (:mod:`repro.service.leases`) groups by the same identity so a
-    shard is whole seed batches of whole grid points.
-    """
-    from repro.scenarios.io import scenario_canonical_json
-
-    reduced = {name: value for name, value in payload.items() if name != "seed"}
-    return scenario_canonical_json(reduced)
-
-
-#: Backwards-compatible alias for the former private name.
-_grid_point_key = grid_point_key
-
-
 def estimate_cost(payload: dict) -> float:
     """Relative wall-time estimate used for longest-job-first ordering.
 
@@ -123,6 +88,17 @@ def estimate_cost(payload: dict) -> float:
     pause = min(float(payload.get("pause_time", 0.0)), duration)
     mobility = 2.0 - (pause / duration if duration > 0 else 1.0)
     return duration * (0.01 * nodes * nodes + load) * mobility
+
+
+def plan_dispatch(tasks: Iterable[Tuple[str, dict]]) -> List[Tuple[str, dict]]:
+    """The dispatch plan: ``(key, payload)`` tasks longest-estimated-job
+    first, equal estimates in submission order (the sort is stable).
+
+    The one ordering both executors follow: :meth:`SweepEngine.run` drains
+    it task by task, and the service's shard board
+    (:mod:`repro.service.leases`) cuts it into consecutive shards.
+    """
+    return sorted(tasks, key=lambda task: estimate_cost(task[1]), reverse=True)
 
 
 class SweepExecutionError(RuntimeError):
@@ -216,20 +192,10 @@ class SweepEngine:
         progress: Optional[ProgressFn] = None,
         task_fn: Optional[TaskFn] = None,
         manifest_path: Optional[os.PathLike] = None,
-        seed_batch: int = 1,
     ):
         self.processes = processes
         self.cache = cache
         self.retries = max(0, retries)
-        # Replications-per-dispatch: tasks sharing a grid point (identical
-        # payload apart from the seed) are grouped into units of up to
-        # ``seed_batch`` and executed sequentially inside one worker, so
-        # per-process overhead (spawn, imports) and per-task IPC are paid
-        # once per batch rather than once per seed.  1 keeps the historic
-        # one-task-per-dispatch behaviour.
-        if seed_batch < 1:
-            raise ValueError("seed_batch must be >= 1")
-        self.seed_batch = seed_batch
         self.progress = progress
         self._task_fn = task_fn or _run_payload
         self._memo: Dict[str, SimulationResult] = {}
@@ -293,19 +259,16 @@ class SweepEngine:
             len(v) - 1 for v in pending.values()
         )
 
-        tasks = sorted(
-            ((key, payloads[indices[0]]) for key, indices in pending.items()),
-            key=lambda task: estimate_cost(task[1]),
-            reverse=True,
+        tasks = plan_dispatch(
+            (key, payloads[indices[0]]) for key, indices in pending.items()
         )
-        batches = self._batch_tasks(tasks)
 
         executed = 0
         retries = 0
         failures: Dict[str, str] = {}
         task_walls: Dict[str, float] = {}
         last_wall: List[Optional[float]] = [None]
-        processes = self._resolve_processes(len(batches))
+        processes = self._resolve_processes(len(tasks))
 
         def note_progress() -> None:
             if self.progress is None:
@@ -342,7 +305,7 @@ class SweepEngine:
             for index in pending[key]:
                 results[index] = result
 
-        completions = self._completions(batches, processes)
+        completions = self._completions(tasks, processes)
         interrupted = False
         try:
             note_progress()
@@ -425,59 +388,22 @@ class SweepEngine:
         processes = self.processes or multiprocessing.cpu_count()
         return max(1, min(processes, n_tasks))
 
-    def _batch_tasks(
-        self, tasks: List[Tuple[str, dict]]
-    ) -> List[List[Tuple[str, dict]]]:
-        """Group the (cost-ordered) task list into dispatch units.
-
-        With ``seed_batch`` == 1 every task is its own unit.  Otherwise tasks
-        sharing a grid point (identical payload apart from the seed) are
-        chunked into runs of up to ``seed_batch``; units are then re-ordered
-        longest-total-first so the pool's load balancing keeps working at
-        batch granularity.  Grouping is deterministic: groups form in task
-        (cost) order and the final sort is stable.
-        """
-        if self.seed_batch <= 1:
-            return [[task] for task in tasks]
-        groups: Dict[str, List[Tuple[str, dict]]] = {}
-        group_order: List[str] = []
-        for task in tasks:
-            point = grid_point_key(task[1])
-            if point not in groups:
-                groups[point] = []
-                group_order.append(point)
-            groups[point].append(task)
-        batches: List[List[Tuple[str, dict]]] = []
-        for point in group_order:
-            group = groups[point]
-            for lo in range(0, len(group), self.seed_batch):
-                batches.append(group[lo : lo + self.seed_batch])
-        batches.sort(
-            key=lambda batch: sum(estimate_cost(payload) for _, payload in batch),
-            reverse=True,
-        )
-        return batches
-
     def _completions(
-        self, batches: List[List[Tuple[str, dict]]], processes: int
+        self, tasks: List[Tuple[str, dict]], processes: int
     ) -> Iterable[Tuple[str, Optional[SimulationResult], Optional[str], float]]:
-        """Drain dispatch units, yielding per-task ``(key, result, error,
-        wall_s)`` tuples as they finish.
+        """Drain the dispatch plan, yielding ``(key, result, error, wall_s)``
+        tuples as tasks finish.
 
-        Both branches consume the same longest-job-first unit list through
-        the same guarded wrapper; pooled mode merely overlaps units.  A
-        pooled unit's results arrive together when the whole unit finishes
-        (progress is batch-granular under ``seed_batch`` > 1).
+        Both branches consume the same longest-job-first task list through
+        the same guarded wrapper; pooled mode merely overlaps tasks.
         """
-        guarded_batch = functools.partial(_guarded_batch, self._task_fn)
-        if processes <= 1 or len(batches) <= 1:
-            for batch in batches:
-                yield from guarded_batch(batch)
+        guarded = functools.partial(_guarded, self._task_fn)
+        if processes <= 1 or len(tasks) <= 1:
+            yield from map(guarded, tasks)
             return
         context = multiprocessing.get_context("spawn")
         with context.Pool(processes=processes) as pool:
-            for settled in pool.imap_unordered(guarded_batch, batches):
-                yield from settled
+            yield from pool.imap_unordered(guarded, tasks)
 
     # -- figure-shaped conveniences ---------------------------------------
 
@@ -552,22 +478,15 @@ def run_many(
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressFn] = None,
     retries: int = 1,
-    seed_batch: int = 1,
 ) -> List[SimulationResult]:
     """Run every configuration, in order, across worker processes.
 
     ``processes=1`` (or a single config) degrades to in-process execution
     through the *same* indexed pipeline — caching, dedup and result order
-    are identical in both modes.  ``seed_batch`` > 1 groups replications of
-    one grid point into a single dispatch (see :class:`SweepEngine`);
-    results are identical for any batch size.
+    are identical in both modes.
     """
     engine = SweepEngine(
-        processes=processes,
-        cache=cache,
-        progress=progress,
-        retries=retries,
-        seed_batch=seed_batch,
+        processes=processes, cache=cache, progress=progress, retries=retries
     )
     return engine.run_results(configs)
 

@@ -122,18 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--seed-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "group up to N replications of the same scenario into one worker "
-            "dispatch for multi-seed runs: process spawn and import cost are "
-            "paid once per batch instead of once per seed (results are "
-            "identical for any batch size; default: 1)"
-        ),
-    )
-    parser.add_argument(
         "--neighbor-index",
         choices=("auto", "allpairs", "grid"),
         default="auto",
@@ -472,11 +460,7 @@ def _build_engine(args):
     from repro.analysis.runner import SweepEngine
 
     cache_dir = None if getattr(args, "no_cache", False) else args.cache_dir
-    return SweepEngine.create(
-        processes=args.processes,
-        cache_dir=cache_dir,
-        seed_batch=getattr(args, "seed_batch", 1),
-    )
+    return SweepEngine.create(processes=args.processes, cache_dir=cache_dir)
 
 
 def _maybe_prune(args, prune_bounds) -> None:

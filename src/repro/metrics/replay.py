@@ -8,23 +8,9 @@ metrics later.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Iterator, Union
-
 from repro.metrics.collector import MetricsCollector, SimulationResult
 from repro.sim.trace import Tracer
-
-PathLike = Union[str, Path]
-
-
-def iter_trace(path: PathLike) -> Iterator[dict]:
-    """Yield the records of a JSONL trace file as dicts."""
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+from repro.sim.tracefile import PathLike, iter_records as iter_trace
 
 
 def replay_metrics(

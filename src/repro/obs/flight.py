@@ -16,17 +16,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Deque, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.tracefile import record_dict, render_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.collector import SimulationResult
 
 PathLike = Union[str, Path]
-
-
-def _render(record: TraceRecord) -> str:
-    """One text line per record, matching TraceFileWriter's text format."""
-    fields = " ".join(f"{k}={v}" for k, v in sorted(record.fields.items()))
-    return f"{record.time:.6f} {record.kind} {fields}".rstrip()
 
 
 class FlightRecorder:
@@ -99,7 +94,7 @@ class FlightRecorder:
             f"{self.records_seen} record(s) (capacity {self.capacity}, "
             f"{dropped} older evicted)"
         )
-        return "\n".join([header, *(_render(record) for record in self._ring)])
+        return "\n".join([header, *(render_text(record_dict(record)) for record in self._ring)])
 
     def dump(self, path: PathLike) -> Path:
         """Write :meth:`format` to ``path`` and return it."""

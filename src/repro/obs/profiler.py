@@ -1,7 +1,7 @@
 """Engine wall-clock profiler: where does a run's host time go?
 
 The measurement itself lives in the engine (:meth:`Simulator.
-enable_profiling` — a duplicated run loop, so the off path is untouched);
+enable_profiling` — one ``is None`` test per event when off);
 this module is the reporting layer: grouping per-callback attribution by
 component class and rendering the table ``repro-run --profile`` prints.
 

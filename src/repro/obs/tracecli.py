@@ -32,7 +32,7 @@ import json
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.traceio import iter_records, render_jsonl, render_text, sniff_format
+from repro.sim.tracefile import iter_records, render_jsonl, render_text, sniff_format
 
 #: Field names that identify "the node" of a record, in match priority order.
 _NODE_FIELDS = ("node", "src", "dst", "sender", "next_hop")

@@ -66,15 +66,21 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "that start the server with --port 0)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2, help="worker threads (default: 2)"
+        "--workers",
+        type=int,
+        default=2,
+        help="worker threads (default: 2); they overlap jobs and cache/HTTP "
+        "waits, but simulations are pure Python and share one GIL, so "
+        "threads add no CPU parallelism",
     )
     parser.add_argument(
         "--processes",
         type=int,
         default=1,
         metavar="N",
-        help="engine processes per worker thread (default: 1; parallelism "
-        "normally comes from --workers)",
+        help="engine processes per worker thread (default: 1); CPU "
+        "parallelism comes from this or from a repro-worker fleet, not "
+        "from --workers",
     )
     parser.add_argument(
         "--cache-dir",
@@ -139,13 +145,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         default=4,
         metavar="N",
         help="max scenarios per shard, the unit a worker claims (default: 4)",
-    )
-    parser.add_argument(
-        "--seed-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="seed-batch grouping workers apply within a shard (default: 1)",
     )
     parser.add_argument(
         "--no-trace",
@@ -214,7 +213,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         distributed=args.distributed,
         lease_ttl_s=args.lease_ttl,
         shard_size=args.shard_size,
-        seed_batch=args.seed_batch,
         tracer=FleetTracer(proc="coordinator", enabled=not args.no_trace),
     )
     recovered = [job for job in service.jobs() if job.recovered]

@@ -151,7 +151,6 @@ class SimulationService:
         distributed: bool = False,
         lease_ttl_s: float = 10.0,
         shard_size: int = 4,
-        seed_batch: int = 1,
         tracer: Optional[FleetTracer] = None,
     ) -> None:
         self.workers = max(1, workers)
@@ -218,7 +217,6 @@ class SimulationService:
             cache=self.cache,
             journal=self._journal,
             shard_size=shard_size,
-            seed_batch=seed_batch,
             lease_ttl_s=lease_ttl_s,
         )
         self._board.on_trace = self._on_shard_event
@@ -766,7 +764,7 @@ class SimulationService:
         lease = board.claim(worker, time.time())
         if lease is None:
             return None
-        doc = lease.claim_doc(board.seed_batch)
+        doc = lease.claim_doc()
         tracer = self._span_tracer()
         if tracer is not None:
             with self._lock:

@@ -42,7 +42,7 @@ import os
 import time
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.cache import result_from_payload, result_to_payload
 from repro.devtools.lockdep import OrderedLock, blocking
@@ -372,19 +372,16 @@ class ShardRecovery:
         return keys
 
 
-def replay_shards(path: PathLike) -> Dict[str, ShardRecovery]:
-    """Fold a journal's lease records into per-job shard histories.
+def _records(path: PathLike) -> Iterator[Dict[str, Any]]:
+    """The decodable records of a journal file, in append order.
 
-    Purely an audit/startup-reporting view: recovery correctness rests on
-    the result cache (every ``shard_done`` was preceded by cache writes),
-    not on this fold.  Unreadable lines are skipped like in :func:`replay`.
+    A missing file is an empty journal.  Blank lines and lines that do not
+    decode — the torn tail of a crash mid-append — are skipped: every
+    record is self-contained, so what follows a bad line still applies.
     """
     path = Path(path)
     if not path.exists():
-        return {}
-    history: Dict[str, ShardRecovery] = {}
-    shard_to_job: Dict[str, str] = {}
-    lease_to_job: Dict[str, str] = {}
+        return
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
@@ -393,6 +390,20 @@ def replay_shards(path: PathLike) -> Dict[str, ShardRecovery]:
             record = json.loads(line)
         except ValueError:
             continue
+        yield record
+
+
+def replay_shards(path: PathLike) -> Dict[str, ShardRecovery]:
+    """Fold a journal's lease records into per-job shard histories.
+
+    Purely an audit/startup-reporting view: recovery correctness rests on
+    the result cache (every ``shard_done`` was preceded by cache writes),
+    not on this fold.  Unreadable lines are skipped like in :func:`replay`.
+    """
+    history: Dict[str, ShardRecovery] = {}
+    shard_to_job: Dict[str, str] = {}
+    lease_to_job: Dict[str, str] = {}
+    for record in _records(path):
         event = record.get("event")
         if event == "shards":
             job_id = record.get("id")
@@ -435,19 +446,9 @@ def replay_spans(path: PathLike) -> Dict[str, List[Dict[str, Any]]]:
     compacted prefix plus post-compaction appends fold cleanly).
     ``deleted`` records drop the job's trace along with the job.
     """
-    path = Path(path)
-    if not path.exists():
-        return {}
     traces: Dict[str, List[Dict[str, Any]]] = {}
     seen: Dict[str, Set[str]] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
+    for record in _records(path):
         event = record.get("event")
         if event == "spans":
             job_id = record.get("id")
@@ -478,19 +479,9 @@ def replay(path: PathLike) -> List[Job]:
     results included.  Unreadable lines (a crash mid-append) and records
     for unknown job ids are skipped.
     """
-    path = Path(path)
-    if not path.exists():
-        return []
     jobs: Dict[str, Job] = {}
     order: List[str] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # truncated trailing line from a crash mid-write
+    for record in _records(path):
         event = record.get("event")
         if event == "submit":
             blob = record.get("job") or {}

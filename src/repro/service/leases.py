@@ -3,11 +3,10 @@
 The service splits each job's scenario grid into **shards** — dispatch
 units a worker (a ``repro-worker`` process, or one of a non-distributed
 service's in-process threads) claims, executes, and delivers back.
-Packing reuses the sweep engine's dispatch discipline: tasks group into
-seed batches of one grid point (:func:`~repro.analysis.runner.grid_point_key`),
-units order longest-total-first (:func:`~repro.analysis.runner.estimate_cost`),
-and shards fill greedily up to ``shard_size`` tasks, so the fleet's load
-balancing matches what a local pool would do.
+Packing follows the sweep engine's dispatch plan
+(:func:`~repro.analysis.runner.plan_dispatch`, longest estimated job first)
+and cuts it into consecutive shards of ``shard_size`` tasks, so the fleet
+starts the expensive grid points as early as a local pool would.
 
 Workers hold a shard via a **lease**: claimed with a TTL, renewed by
 heartbeats, and expired by the coordinator's janitor when the worker goes
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.cache import ResultCache, scenario_hash
-from repro.analysis.runner import estimate_cost, grid_point_key
+from repro.analysis.runner import plan_dispatch
 from repro.devtools.lockdep import OrderedLock
 from repro.errors import ReproError
 from repro.metrics.collector import SimulationResult
@@ -99,14 +98,13 @@ class Lease:
     ttl_s: float
     deadline: float  # wall-clock instant the hold lapses unless renewed
 
-    def claim_doc(self, seed_batch: int) -> Dict[str, Any]:
+    def claim_doc(self) -> Dict[str, Any]:
         """The claim response body a worker executes from."""
         return {
             "id": self.id,
             "shard": self.shard.id,
             "job": self.shard.job_id,
             "ttl_s": self.ttl_s,
-            "seed_batch": seed_batch,
             "tasks": [
                 {"key": key, "scenario": self.shard.payloads[key]}
                 for key in self.shard.keys
@@ -142,13 +140,10 @@ class ShardBoard:
         cache: Optional[ResultCache] = None,
         journal: Optional[JobJournal] = None,
         shard_size: int = 4,
-        seed_batch: int = 1,
         lease_ttl_s: float = 10.0,
     ) -> None:
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        if seed_batch < 1:
-            raise ValueError("seed_batch must be >= 1")
         if lease_ttl_s <= 0:
             raise ValueError("lease_ttl_s must be > 0")
         #: Persistence behind the ``_results`` memo; ``None`` keeps delivered
@@ -156,7 +151,6 @@ class ShardBoard:
         self.cache = cache
         self.journal = journal
         self.shard_size = shard_size
-        self.seed_batch = seed_batch
         self.lease_ttl_s = lease_ttl_s
         # Rank 20: below the service lock (complete_shard runs under it via
         # the HTTP layer's service calls), above the journal/cache locks it
@@ -258,41 +252,13 @@ class ShardBoard:
         keys: List[str],
         payload_by_key: Dict[str, Dict[str, Any]],
     ) -> List[Shard]:
-        """Pack unresolved keys into shards, engine-style: seed-batch units
-        of one grid point each, longest-total-first, greedily filled up to
-        ``shard_size`` tasks (a unit never splits across shards)."""
-        tasks = sorted(
-            ((key, payload_by_key[key]) for key in keys),
-            key=lambda task: estimate_cost(task[1]),
-            reverse=True,
-        )
-        groups: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        order: List[str] = []
-        for task in tasks:
-            point = grid_point_key(task[1])
-            if point not in groups:
-                groups[point] = []
-                order.append(point)
-            groups[point].append(task)
-        units: List[List[Tuple[str, Dict[str, Any]]]] = []
-        for point in order:
-            group = groups[point]
-            for lo in range(0, len(group), self.seed_batch):
-                units.append(group[lo : lo + self.seed_batch])
-        units.sort(
-            key=lambda unit: sum(estimate_cost(payload) for _, payload in unit),
-            reverse=True,
-        )
-        shards: List[Shard] = []
-        current: List[Tuple[str, Dict[str, Any]]] = []
-        for unit in units:
-            if current and len(current) + len(unit) > self.shard_size:
-                shards.append(self._make_shard(job_id, current))
-                current = []
-            current.extend(unit)
-        if current:
-            shards.append(self._make_shard(job_id, current))
-        return shards
+        """Cut the engine's dispatch plan for the unresolved keys into
+        consecutive shards of up to ``shard_size`` tasks."""
+        tasks = plan_dispatch((key, payload_by_key[key]) for key in keys)
+        return [
+            self._make_shard(job_id, tasks[lo : lo + self.shard_size])
+            for lo in range(0, len(tasks), self.shard_size)
+        ]
 
     @staticmethod
     def _make_shard(

@@ -7,8 +7,7 @@ A worker is a loop around three verbs against a
 a non-distributed service starts itself:
 
 1. **claim** — ``POST /v1/leases/claim`` pulls the next shard (scenario
-   payloads + keys + the coordinator's ``seed_batch``), or backs off when
-   the queue is idle;
+   payloads + keys), or backs off when the queue is idle;
 2. **heartbeat** — a sidecar thread renews the lease every third of its
    TTL while the shard executes, so a healthy-but-slow worker is never
    mistaken for a dead one;
@@ -328,7 +327,6 @@ class ShardWorker:
                 cache=self.cache,
                 retries=self.retries,
                 task_fn=task_fn,
-                seed_batch=max(1, int(claim.get("seed_batch", 1))),
             )
             configs = [scenario_from_dict(task["scenario"]) for task in tasks]
             try:

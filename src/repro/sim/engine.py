@@ -147,9 +147,8 @@ class Simulator:
         self._cancelled_total = 0
         self._skipped_total = 0
         self._compactions = 0
-        # Opt-in wall-clock profiling: None means off, and the run loop
-        # chooses a branch *once per run() call*, so the off path executes
-        # exactly the pre-profiler instruction sequence (zero cost).
+        # Opt-in wall-clock profiling: None means off (the run loop then
+        # pays one ``is None`` test per event).
         # Keyed by callback __qualname__; value is [calls, wall_seconds].
         self._profile: Optional[Dict[str, List[float]]] = None
 
@@ -331,44 +330,25 @@ class Simulator:
         executed = 0
         heappop = heapq.heappop
         profile = self._profile
-        # The loop is duplicated rather than branched per event: profiling
-        # must be *zero*-cost when off, so the unprofiled path keeps exactly
-        # the original instruction sequence.  Both loops pop, skip and
-        # advance identically; the profiled one only adds observation.
+        # Operator-facing wall-clock attribution, read only while profiling;
+        # never feeds simulation state, which runs purely on sim.now.
+        clock = None if profile is None else time.perf_counter  # repro-lint: disable=DET001
         try:
-            if profile is None:
-                while self._heap and not self._stopped:
-                    entry = self._heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        heappop(self._heap)
-                        self._skipped_total += 1
-                        self._cancelled_in_heap -= 1
-                        continue
-                    if until is not None and entry[0] > until:
-                        break
+            while self._heap and not self._stopped:
+                entry = self._heap[0]
+                event = entry[2]
+                if event.cancelled:
                     heappop(self._heap)
-                    self.now = entry[0]
+                    self._skipped_total += 1
+                    self._cancelled_in_heap -= 1
+                    continue
+                if until is not None and entry[0] > until:
+                    break
+                heappop(self._heap)
+                self.now = entry[0]
+                if clock is None:
                     event.fn(*event.args)
-                    executed += 1
-                    if max_events is not None and executed >= max_events:
-                        break
-            else:
-                # Operator-facing wall-clock attribution; never feeds
-                # simulation state, which runs purely on sim.now.
-                clock = time.perf_counter  # repro-lint: disable=DET001
-                while self._heap and not self._stopped:
-                    entry = self._heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        heappop(self._heap)
-                        self._skipped_total += 1
-                        self._cancelled_in_heap -= 1
-                        continue
-                    if until is not None and entry[0] > until:
-                        break
-                    heappop(self._heap)
-                    self.now = entry[0]
+                else:
                     fn = event.fn
                     start_wall = clock()
                     fn(*event.args)
@@ -380,9 +360,9 @@ class Simulator:
                     else:
                         acc[0] += 1.0
                         acc[1] += elapsed
-                    executed += 1
-                    if max_events is not None and executed >= max_events:
-                        break
+                executed += 1
+                if max_events is not None and executed >= max_events:
+                    break
             if until is not None and not self._stopped and self.now < until:
                 self.now = until
             return executed

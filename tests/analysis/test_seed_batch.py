@@ -1,11 +1,15 @@
-"""Seed-batched dispatch: grouping must change cost, never results."""
+"""One ``run()`` batch of replicated grid points through the single dispatch
+path: planning order and pooling may change cost, never results — pooled ==
+serial, dedupe + cache hold, a failing task fails and retries alone.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.cache import ResultCache, scenario_hash
+from repro.analysis.cache import ResultCache
 from repro.analysis.runner import SweepEngine, SweepExecutionError, run_many
+from repro.scenarios.builder import run_scenario
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import scenario_from_dict
 
@@ -25,79 +29,41 @@ def _config(seed: int = 1, **changes) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
-def _fake_task(payload: dict):
-    """Cheap deterministic stand-in for run_scenario (identity on config)."""
-    return ("ran", scenario_hash(payload))
-
-
-def test_seed_batch_must_be_positive():
-    with pytest.raises(ValueError):
-        SweepEngine(seed_batch=0)
-
-
-def test_batches_group_by_grid_point_and_chunk():
-    engine = SweepEngine(seed_batch=2, task_fn=_fake_task)
-    configs = [
-        _config(seed=1),
-        _config(seed=2),
-        _config(seed=1, pause_time=30.0),
-        _config(seed=3),
-        _config(seed=2, pause_time=30.0),
-    ]
-    from repro.scenarios.io import scenario_to_dict
-
-    tasks = [
-        (scenario_hash(scenario_to_dict(c)), scenario_to_dict(c)) for c in configs
-    ]
-    batches = engine._batch_tasks(tasks)
-    # Every batch holds one grid point only, no batch exceeds the cap, and
-    # every task appears exactly once.
-    seen = []
-    for batch in batches:
-        assert 1 <= len(batch) <= 2
-        points = {
-            frozenset((k, repr(v)) for k, v in p.items() if k != "seed")
-            for _, p in batch
-        }
-        assert len(points) == 1
-        seen.extend(key for key, _ in batch)
-    assert sorted(seen) == sorted(key for key, _ in tasks)
-
-
-def test_batched_results_equal_unbatched(tmp_path):
+def test_batched_results_equal_unbatched():
     configs = [_config(seed=s) for s in (1, 2, 3)] + [
         _config(seed=s, pause_time=5.0) for s in (1, 2)
     ]
-    plain = run_many(configs, processes=1)
-    for seed_batch in (2, 3, 10):
-        batched = run_many(configs, processes=1, seed_batch=seed_batch)
-        assert batched == plain
+    # One batch (planned costliest-first, pause 0 ahead of pause 5) returns
+    # what one run per config returns, in submission order.
+    one_by_one = [run_many([config], processes=1)[0] for config in configs]
+    assert run_many(configs, processes=1) == one_by_one
 
 
 def test_batched_pooled_results_equal_serial():
-    """Spawned-pool execution with batches must match in-process results."""
+    """Spawned-pool execution of a batch must match in-process results."""
     configs = [_config(seed=s, duration=3.0) for s in (1, 2, 3, 4)]
     serial = run_many(configs, processes=1)
-    pooled = run_many(configs, processes=2, seed_batch=2)
+    pooled = run_many(configs, processes=2)
     assert pooled == serial
 
 
 def test_batched_engine_still_dedupes_and_caches(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    engine = SweepEngine(processes=1, cache=cache, seed_batch=4)
+    engine = SweepEngine(processes=1, cache=cache)
     configs = [_config(seed=1), _config(seed=2), _config(seed=1)]
     report = engine.run(configs)
     assert report.executed == 2  # duplicate seed-1 config collapsed
     assert report.deduped == 1
     # A fresh engine over the same cache simulates nothing.
-    warm = SweepEngine(processes=1, cache=cache, seed_batch=4).run(configs)
+    warm = SweepEngine(processes=1, cache=cache).run(configs)
     assert warm.executed == 0
     assert warm.cache_hits == 2
     assert warm.results == report.results
 
 
 def test_failures_in_a_batch_fail_alone_and_retry():
-    """One bad payload inside a batch must not poison its batchmates."""
+    """One bad payload must not poison the rest of its batch, and is the
+    only task the retry pass runs again."""
     calls = {"count": 0}
 
     def flaky(payload: dict):
@@ -107,25 +73,29 @@ def test_failures_in_a_batch_fail_alone_and_retry():
                 raise RuntimeError("transient")
         return scenario_from_dict(payload).seed
 
-    engine = SweepEngine(processes=1, seed_batch=3, task_fn=flaky, retries=1)
-    results = engine.run_results([_config(seed=s) for s in (1, 2, 3)])
-    assert results == [1, 2, 3]
+    engine = SweepEngine(processes=1, task_fn=flaky, retries=1)
+    report = engine.run([_config(seed=s) for s in (1, 2, 3)])
+    assert report.results == [1, 2, 3]
+    assert report.retries == 1 and calls["count"] == 2
 
     def always_bad(payload: dict):
         if payload["seed"] == 2:
             raise RuntimeError("permanent")
         return scenario_from_dict(payload).seed
 
-    engine = SweepEngine(processes=1, seed_batch=3, task_fn=always_bad, retries=1)
-    with pytest.raises(SweepExecutionError):
+    engine = SweepEngine(processes=1, task_fn=always_bad, retries=1)
+    with pytest.raises(SweepExecutionError) as raised:
         engine.run([_config(seed=s) for s in (1, 2, 3)])
+    assert len(raised.value.failures) == 1
 
 
-def test_run_many_seed_batch_accepts_mixed_grid_points():
+def test_run_many_accepts_mixed_grid_points():
+    """Replications of two grid points submitted interleaved (the planner
+    runs the 8-node pair first) come back in submission order."""
     configs = [
         _config(seed=1),
         _config(seed=1, num_nodes=8),
         _config(seed=2, num_nodes=8),
         _config(seed=2),
     ]
-    assert run_many(configs, seed_batch=8) == run_many(configs)
+    assert run_many(configs) == [run_scenario(config) for config in configs]

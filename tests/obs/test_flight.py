@@ -55,7 +55,7 @@ def test_format_header_reports_evictions():
 
 
 def test_dump_writes_parseable_trace(tmp_path):
-    from repro.obs.traceio import iter_records
+    from repro.sim.tracefile import iter_records
 
     tracer = Tracer()
     recorder = FlightRecorder(tracer, capacity=8)

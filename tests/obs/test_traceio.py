@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.traceio import (
+from repro.sim.tracefile import (
     iter_records,
     parse_text_line,
     parse_value,

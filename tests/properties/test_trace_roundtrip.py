@@ -4,14 +4,15 @@ The jsonl trace format is the archival one — ``repro.metrics.replay``
 recomputes full results from it — so whatever a component emits must come
 back byte-for-value identical through TraceFileWriter and the readers
 (:func:`repro.metrics.replay.iter_trace` and
-:func:`repro.obs.traceio.iter_records`).
+:func:`repro.obs.iter_records`, two names for
+``repro.sim.tracefile.iter_records``).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.replay import iter_trace
-from repro.obs.traceio import iter_records
+from repro.obs import iter_records
 from repro.sim.trace import Tracer
 from repro.sim.tracefile import TraceFileWriter
 

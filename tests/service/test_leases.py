@@ -1,10 +1,18 @@
 """Unit tests for the shard board: packing, leases, expiry, assembly."""
 
+import json
+from pathlib import Path
+
+from repro.analysis import runner
 from repro.analysis.cache import ResultCache, scenario_hash
-from repro.analysis.runner import grid_point_key
-from repro.scenarios.io import scenario_to_dict
+from repro.analysis.runner import SweepEngine
+from repro.core.config import DsrConfig
+from repro.scenarios.io import scenario_from_dict, scenario_to_dict
+from repro.scenarios.presets import scaled_scenario
+from repro.service import leases
 from repro.service.jobs import Job, JobState
 from repro.service.leases import LeaseNotFoundError, ShardBoard
+from repro.service.worker import ShardWorker
 
 import pytest
 
@@ -34,7 +42,7 @@ def deliver(board, lease, now=NOW, doc=None):
     a worker that claimed earlier and delivers late.
     """
     if doc is None:
-        doc = lease.claim_doc(board.seed_batch)
+        doc = lease.claim_doc()
     results = {
         task["key"]: fake_result(task["scenario"]) for task in doc["tasks"]
     }
@@ -61,26 +69,88 @@ def test_pack_respects_shard_size_and_covers_every_key(tmp_path):
     assert sorted(claimed_keys) == sorted(scenario_hash(p) for p in scenarios)
 
 
-def test_pack_keeps_seed_batches_of_one_grid_point_together(tmp_path):
-    board = make_board(tmp_path, shard_size=4, seed_batch=2)
-    # Two grid points x two seeds; batches must not mix grid points.
+def test_pack_puts_the_costlier_grid_point_first(tmp_path):
+    board = make_board(tmp_path, shard_size=4)
+    # Two grid points x two seeds, the cheap point submitted first.
     scenarios = payloads(
-        small_config(seed=1, pause=0.0),
-        small_config(seed=2, pause=0.0),
         small_config(seed=1, pause=30.0),
         small_config(seed=2, pause=30.0),
+        small_config(seed=1, pause=0.0),
+        small_config(seed=2, pause=0.0),
     )
-    job = make_job(scenarios)
-    board.add_job(job)
+    board.add_job(make_job(scenarios))
     lease = board.claim("w", NOW)
-    # shard_size=4 lets both 2-seed units share one shard; within it the
-    # pause-0 (costlier: continuous motion) unit must come first.
-    assert len(lease.shard.keys) == 4
-    points = [
-        grid_point_key(lease.shard.payloads[key]) for key in lease.shard.keys
+    # One shard holds all four; the pause-0 replications (costlier:
+    # continuous motion) lead it, each point's seeds in submission order.
+    planned = [lease.shard.payloads[key] for key in lease.shard.keys]
+    assert [(p["pause_time"], p["seed"]) for p in planned] == [
+        (0.0, 1), (0.0, 2), (30.0, 1), (30.0, 2),
     ]
-    assert points[0] == points[1] and points[2] == points[3]
-    assert lease.shard.payloads[lease.shard.keys[0]]["pause_time"] == 0.0
+
+
+def fig2_shaped_grid():
+    """Variants x pauses x seeds, replications adjacent (as ``series.sweep``
+    and the ledger's ``fig2_grid`` submit them)."""
+    return [
+        scaled_scenario(pause_time=pause, dsr=dsr, seed=seed, duration=6.0)
+        for dsr in (DsrConfig.base(), DsrConfig.all_techniques())
+        for pause in (0.0, 3.0, 6.0)
+        for seed in (1, 2)
+    ]
+
+
+PARENT_PLAN = json.loads(
+    (
+        Path(__file__).resolve().parent
+        / "fixtures" / "parent_commit" / "fig2_shard_plan.json"
+    ).read_text()
+)
+
+
+@pytest.mark.parametrize("shard_size", [2, 4, 5])
+def test_fig2_shard_plan_equals_the_parent_commits(shard_size):
+    """The fixture is what the parent commit's ``_pack`` produced for this
+    grid with its (since deleted) batching knob at the default of 1."""
+    scenarios = payloads(*fig2_shaped_grid())
+    keys = [scenario_hash(payload) for payload in scenarios]
+    assert keys == PARENT_PLAN["submitted"]
+    shards = ShardBoard(shard_size=shard_size)._pack(
+        "job", keys, dict(zip(keys, scenarios))
+    )
+    assert [shard.keys for shard in shards] == [
+        [keys[index] for index in shard]
+        for shard in PARENT_PLAN["plan_as_submitted_indices"][str(shard_size)]
+    ]
+
+
+def test_engine_and_board_order_tasks_through_one_planner(monkeypatch):
+    """Both executors call ``runner.plan_dispatch``: swapping it for
+    shortest-first reverses the engine's execution order and the board's
+    shard plan together."""
+    assert leases.plan_dispatch is runner.plan_dispatch
+    scenarios = payloads(*(small_config(seed=1, pause=p) for p in (0.0, 6.0, 12.0)))
+
+    def execution_order():
+        ran = []
+        engine = SweepEngine(
+            processes=1, task_fn=lambda payload: ran.append(payload["pause_time"])
+        )
+        engine.run([scenario_from_dict(payload) for payload in scenarios])
+        return ran
+
+    def shard_order():
+        keys = [scenario_hash(payload) for payload in scenarios]
+        shards = ShardBoard(shard_size=1)._pack("job", keys, dict(zip(keys, scenarios)))
+        return [shard.payloads[shard.keys[0]]["pause_time"] for shard in shards]
+
+    assert execution_order() == shard_order() == [0.0, 6.0, 12.0]
+
+    def shortest_first(tasks):
+        return sorted(tasks, key=lambda task: runner.estimate_cost(task[1]))
+
+    monkeypatch.setattr(runner, "plan_dispatch", shortest_first)
+    monkeypatch.setattr(leases, "plan_dispatch", shortest_first)
+    assert execution_order() == shard_order() == [12.0, 6.0, 0.0]
 
 
 def test_warm_cache_resolves_without_shards(tmp_path):
@@ -179,7 +249,7 @@ def test_late_delivery_from_an_expired_lease_is_accepted_once(tmp_path):
     slow = board.claim("slow-worker", NOW)
     board.expire_leases(NOW + 6.0)  # slow-worker presumed dead; requeued
     retry = board.claim("fast-worker", NOW + 6.0)
-    retry_doc = retry.claim_doc(board.seed_batch)
+    retry_doc = retry.claim_doc()
     # The presumed-dead worker delivers first, late: accepted.
     outcome = deliver(board, slow, now=NOW + 7.0)
     assert outcome.accepted and outcome.late
@@ -264,3 +334,51 @@ def test_delivery_omitting_a_key_counts_as_failure(tmp_path):
     [(failed_job, error)] = outcome.failed
     assert failed_job is job
     assert "omitted" in error
+
+
+# -- mixed versions -----------------------------------------------------------
+
+
+class OldCoordinatorClient:
+    """The lease verbs over a bare board, answered as a coordinator from
+    before the batching knob's removal did: every claim document still
+    carries the knob."""
+
+    def __init__(self, board):
+        self.board = board
+        self.outcomes = []
+
+    def claim(self, worker):
+        lease = self.board.claim(worker, NOW)
+        if lease is None:
+            return None
+        return {**lease.claim_doc(), "seed_batch": 4}
+
+    def lease_heartbeat(self, lease_id):
+        return {"id": lease_id}
+
+    def complete(self, lease_id, results, failures=None, stats=None, spans=None):
+        outcome = self.board.complete(
+            lease_id, results, failures, now=NOW, executed=stats["executed"]
+        )
+        self.outcomes.append(outcome)
+        return {"accepted": outcome.accepted, "late": outcome.late}
+
+    def post_spans(self, spans):
+        return 0
+
+
+def test_worker_executes_a_claim_from_an_older_coordinator(tmp_path):
+    board = make_board(tmp_path, shard_size=8)
+    scenarios = payloads(*(small_config(seed=s) for s in (1, 2, 3)))
+    job = make_job(scenarios)
+    board.add_job(job)
+    client = OldCoordinatorClient(board)
+    worker = ShardWorker(client, worker_id="new", task_fn=fake_result, cache=None)
+    assert worker.run(max_shards=1) == 1
+    [outcome] = client.outcomes
+    assert outcome.accepted and not outcome.late
+    [(finished_job, results)] = outcome.finished
+    assert finished_job is job
+    assert results == [fake_result(payload) for payload in scenarios]
+    assert job.progress.executed == 3
