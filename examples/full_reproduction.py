@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
-"""Reproduce the whole paper with one call and write a markdown report.
+"""Reproduce the whole paper with one command and write a markdown report.
+
+Runs the four artifacts of the paper's evaluation (``repro.paper.reproduce``)
+and the ablation/extension tables (``repro.paper.supplement``) through one
+sweep engine, so shared grid points run once and a re-run with the same
+``--cache-dir`` simulates nothing.  ``EXPERIMENTS.md`` quotes the report of
+
+    python examples/full_reproduction.py --scale scaled --seeds 1,2,3
 
     python examples/full_reproduction.py                 # quick sanity scale
-    python examples/full_reproduction.py --scale scaled  # benchmark scale
     python examples/full_reproduction.py --scale paper   # full scale (hours)
 """
 
@@ -10,7 +16,8 @@ import argparse
 import os
 import sys
 
-from repro.paper import reproduce
+from repro.analysis.runner import SweepEngine
+from repro.paper import reproduce, supplement
 
 
 def main() -> None:
@@ -37,15 +44,15 @@ def main() -> None:
     args = parser.parse_args()
 
     seeds = [int(chunk) for chunk in args.seeds.split(",") if chunk.strip()]
-    report = reproduce(
-        scale=args.scale,
-        seeds=seeds,
-        progress=lambda message: print(f"... {message}", file=sys.stderr),
-        processes=args.processes,
-        cache_dir=None if args.no_cache else args.cache_dir,
+    engine = SweepEngine.create(
+        processes=args.processes, cache_dir=None if args.no_cache else args.cache_dir
     )
-    print(f"... sweep engine: {report.sweep_stats}", file=sys.stderr)
-    markdown = report.to_markdown()
+    progress = lambda message: print(f"... {message}", file=sys.stderr)
+    report = reproduce(scale=args.scale, seeds=seeds, progress=progress, engine=engine)
+    extra = supplement(scale=args.scale, seeds=seeds, progress=progress, engine=engine)
+    stats = ", ".join(f"{name}: {count}" for name, count in engine.session_stats().items())
+    print(f"... sweep engine: {stats}", file=sys.stderr)
+    markdown = report.to_markdown() + "\n\n" + extra.to_markdown()
     with open(args.out, "w") as handle:
         handle.write(markdown + "\n")
     print(markdown)

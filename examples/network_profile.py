@@ -8,7 +8,8 @@ prints:
 2. the paper's routing/cache metrics,
 3. the busiest nodes (per-node airtime/drop breakdown),
 4. a terminal chart of cache staleness over time, and
-5. the radio energy bill.
+5. the radio energy bill, per delivered packet, against the same scenario
+   run with the paper's three techniques.
 
     python examples/network_profile.py
 """
@@ -87,7 +88,18 @@ def main() -> None:
     print("\n== energy (WaveLAN power model) ==")
     print(f"  communication      : {communication:.1f} J")
     print(f"  total (incl. idle) : {total:.1f} J")
-    print(f"  per delivered pkt  : {communication / max(result.data_received, 1) * 1000:.1f} mJ")
+    per_packet = communication / max(result.data_received, 1) * 1000
+    print(f"  per delivered pkt  : {per_packet:.1f} mJ")
+    # Stale-route transmissions bill the sender and every overhearing
+    # neighbour, so cache correctness shows up on the battery.
+    combined = build_simulation(config.but(dsr=DsrConfig.all_techniques()))
+    combined_result = combined.run()
+    combined_per_packet = (
+        combined.energy.communication_joules() / max(combined_result.data_received, 1) * 1000
+    )
+    print(f"  all techniques     : {combined_per_packet:.1f} mJ per delivered pkt "
+          f"({(combined_per_packet / per_packet - 1.0) * 100.0:+.0f} %), delivery "
+          f"{combined_result.packet_delivery_fraction:.3f}")
 
 
 if __name__ == "__main__":

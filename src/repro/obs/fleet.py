@@ -15,8 +15,8 @@ coordinator's trace.
 small and boring: pure in-memory, one ranked lock, an injectable clock
 (wall time is serving metadata here, never simulation state), and a hard
 ``enabled=False`` fast path — a disabled tracer costs one attribute check
-per would-be span, which is what keeps the service's tracing-off overhead
-inside the <2% budget recorded in ``BENCH_obs.json``.
+per would-be span: no call into it, no lock, no :class:`Span`
+(``tests/service/test_tracing.py`` counts all three).
 
 The second half of the module is pure trace *analysis* — span trees,
 interval coverage, critical paths, per-kind/per-process breakdowns — used

@@ -1,16 +1,19 @@
-"""One-call reproduction of the paper's entire evaluation.
+"""The definition of every figure and table this repository reproduces.
 
-``reproduce()`` runs every table and figure from Marina & Das section 4.3
-at a chosen scale and returns a :class:`PaperReport` that renders to
-markdown — the library-level equivalent of running the whole benchmark
-suite, for use from scripts and notebooks:
+``reproduce()`` runs the four artifacts of Marina & Das section 4.3 at a
+chosen scale and returns a :class:`PaperReport`; ``supplement()`` runs the
+ablation and extension tables beside them.  Both render to markdown and
+list the shape they expect of their own numbers (``expectations()``):
 
     from repro.paper import reproduce
     report = reproduce(scale="quick", seeds=[1, 2])
     print(report.to_markdown())
 
-Scales: ``quick`` (12-node sanity pass, ~1 minute), ``scaled`` (the
-benchmark default, tens of minutes for full seeds), ``paper`` (the full
+``python examples/full_reproduction.py`` is the command-line form, and the
+source of every number in ``EXPERIMENTS.md``.
+
+Scales: ``quick`` (12-node sanity pass, under a minute), ``scaled`` (30
+nodes for 120 s; a few minutes for three seeds), ``paper`` (the full
 100-node setup; hours in pure Python).
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.runner import SweepEngine
 from repro.analysis.series import SweepPoint
@@ -31,6 +34,22 @@ from repro.scenarios.config import ScenarioConfig
 _SCALES = ("quick", "scaled", "paper")
 
 ProgressFn = Callable[[str], None]
+
+#: ``(artifact, claim, holds)``: a shape a report expects of its own numbers.
+#: Tolerances are sized for scaled runs of a few seeds; a claim that does
+#: not hold is a deviation to report, not a bound to loosen.
+Expectation = Tuple[str, str, bool]
+
+
+def _fractions(values: Iterable[float]) -> bool:
+    return all(0.0 <= value <= 1.0 for value in values)
+
+
+def _expectation_lines(expectations: Sequence[Expectation]) -> List[str]:
+    return ["## Shape expectations"] + [
+        f"- [{'pass' if holds else 'FAIL'}] {artifact}: {claim}"
+        for artifact, claim, holds in expectations
+    ]
 
 
 def _base_scenario(scale: str, pause: float, rate: float, dsr: DsrConfig, seed: int) -> ScenarioConfig:
@@ -98,12 +117,53 @@ class PaperReport:
                 "```",
                 format_series(
                     points,
-                    metrics=("throughput_kbps", "delay", "overhead"),
+                    metrics=("throughput_kbps", "delay", "overhead", "pdf"),
                     x_title="rate",
                 ),
                 "```",
             ]
-        return "\n".join(sections)
+        return "\n".join(sections + _expectation_lines(self.expectations()))
+
+    def expectations(self) -> List[Expectation]:
+        """The shapes section 4.3 reports, checked against this report."""
+        pdf1 = {point.label: point.metric("pdf") for point in self.fig1}
+        best_static = max(v for label, v in pdf1.items() if label.startswith("static"))
+        kbps = {
+            name: [point.metric("throughput_kbps") for point in points]
+            for name, points in self.fig4.items()
+        }
+        found = [
+            ("Figure 1", "every delivery fraction in [0, 1] and every delay >= 0",
+             _fractions(pdf1.values()) and all(p.metric("delay") >= 0.0 for p in self.fig1)),
+            ("Figure 1", "adaptive delivery >= best static delivery - 0.1",
+             pdf1["adaptive"] >= best_static - 0.1),
+            ("Figure 2", "every delivery fraction in [0, 1]",
+             _fractions(p.metric("pdf") for points in self.fig2.values() for p in points)),
+        ]
+        # The base-vs-combined claims need both curves (callers may subset).
+        if {"DSR", "AllTechniques"} <= self.fig2.keys():
+            base, combined = self.fig2["DSR"][0], self.fig2["AllTechniques"][0]
+            found += [
+                ("Figure 2", "pause 0: AllTechniques delivery >= DSR delivery - 0.05",
+                 combined.metric("pdf") >= base.metric("pdf") - 0.05),
+                ("Figure 2", "pause 0: AllTechniques overhead <= 1.15 x DSR overhead",
+                 combined.metric("overhead") <= base.metric("overhead") * 1.15),
+            ]
+        plain, best = self.table3["DSR"], self.table3["AllTechniques"]
+        found += [
+            ("Table 3", "AllTechniques good replies > DSR good replies",
+             best["good_replies_pct"] > plain["good_replies_pct"]),
+            ("Table 3", "AllTechniques invalid cached routes < DSR invalid cached routes",
+             best["invalid_cache_pct"] < plain["invalid_cache_pct"]),
+            ("Figure 4", "every variant: throughput at the lowest rate < at the highest",
+             all(series[0] < series[-1] for series in kbps.values())),
+        ]
+        if {"DSR", "AllTechniques"} <= kbps.keys():
+            found.append(
+                ("Figure 4", "highest rate: AllTechniques throughput >= 0.9 x DSR throughput",
+                 kbps["AllTechniques"][-1] >= kbps["DSR"][-1] * 0.9)
+            )
+        return found
 
 
 @dataclass
@@ -194,6 +254,153 @@ def loss_sweep(
         levels=levels,
         variants=results,
         sweep_stats=engine.session_stats(),
+    )
+
+
+_BASE, _ALL = PAPER_VARIANTS["DSR"], PAPER_VARIANTS["AllTechniques"]
+_ADAPTIVE = PAPER_VARIANTS["AdaptiveExpiry"]
+_BOTH = (("DSR", _BASE), ("AllTechniques", _ALL))
+_ENVIRONMENTS: Dict[str, Dict[str, Any]] = {
+    "waypoint": {},
+    "gauss-markov": {"mobility_model": "gauss_markov"},
+    "rpgm": {"mobility_model": "rpgm", "rpgm_groups": 4},
+    "grey zone 20%": {"grey_zone_fraction": 0.2},
+}
+
+#: The ablation and extension tables: title -> (metrics shown, {row:
+#: overrides of the Fig. 2 high-mobility scenario (base DSR, pause 0,
+#: 3 pkt/s)}).  A row that equals a paper variant shares that variant's runs.
+SUPPLEMENT_TABLES: Dict[str, Tuple[Tuple[str, ...], Dict[str, Dict[str, Any]]]] = {
+    # Path cache (the paper) against link cache (Hu & Johnson, section 5).
+    "Cache structure x expiry": (
+        ("pdf", "delay", "overhead", "invalid_cache_pct"),
+        {
+            "path cache": {},
+            "path cache + adaptive expiry": {"dsr": _ADAPTIVE},
+            "link cache": {"dsr": DsrConfig(use_link_cache=True)},
+            "link cache + adaptive expiry": {"dsr": _ADAPTIVE.but(use_link_cache=True)},
+        },
+    ),
+    # The paper fixed one cache size; Hu & Johnson varied it.
+    "Cache capacity": (
+        ("pdf", "overhead", "invalid_cache_pct"),
+        {
+            f"{name} / {capacity} paths": {"dsr": dsr.but(cache_capacity=capacity)}
+            for name, dsr in _BOTH
+            for capacity in (8, 32, 64)
+        },
+    ),
+    # Section 6 future work: replies carry a generation timestamp.
+    "Freshness-tagged replies": (
+        ("pdf", "overhead", "good_replies_pct", "invalid_cache_pct"),
+        {
+            "base DSR": {},
+            "freshness tags": {"dsr": DsrConfig.with_freshness_tags()},
+            "all techniques": {"dsr": _ALL},
+            "all + freshness": {"dsr": _ALL.but(freshness_tags=True)},
+        },
+    ),
+    # Section 6 conjectures the techniques suit protocols that cache less.
+    "AODV vs DSR": (
+        ("pdf", "delay", "overhead"),
+        {"DSR (base)": {}, "DSR (all techniques)": {"dsr": _ALL}, "AODV": {"protocol": "aodv"}},
+    ),
+    # The paper evaluates random waypoint over an ideal disk radio only.
+    "Robustness across environments": (
+        ("pdf", "delay", "overhead"),
+        {
+            f"{env} / {name}": {**overrides, "dsr": dsr}
+            for env, overrides in _ENVIRONMENTS.items()
+            for name, dsr in _BOTH
+        },
+    ),
+}
+
+
+@dataclass
+class SupplementReport:
+    """The tables of :data:`SUPPLEMENT_TABLES`, renderable to markdown."""
+
+    scale: str
+    seeds: List[int]
+    tables: Dict[str, Dict[str, Aggregate]]
+    sweep_stats: Dict[str, int] = field(default_factory=dict)
+
+    def to_markdown(self) -> str:
+        sections = [
+            f"# Supplement: ablations and extensions ({self.scale} scale, "
+            f"seeds {self.seeds}, pause 0, 3 pkt/s)",
+            "",
+        ]
+        for title, rows in self.tables.items():
+            table = format_table(rows, metrics=SUPPLEMENT_TABLES[title][0])
+            sections += [f"## {title}", "```", table, "```"]
+        return "\n".join(sections + _expectation_lines(self.expectations()))
+
+    def expectations(self) -> List[Expectation]:
+        pdf = {
+            title: {name: row["pdf"] for name, row in rows.items()}
+            for title, rows in self.tables.items()
+        }
+        stale = {
+            name: row["invalid_cache_pct"]
+            for name, row in self.tables["Cache structure x expiry"].items()
+        }
+        combined = [v for k, v in pdf["Cache capacity"].items() if k.startswith("AllTechniques")]
+        robust = pdf["Robustness across environments"]
+        return [
+            (title, "every delivery fraction in [0, 1]", _fractions(column.values()))
+            for title, column in pdf.items()
+        ] + [
+            ("Cache structure x expiry",
+             "path cache: invalid cached routes with adaptive expiry <= without + 1.0",
+             stale["path cache + adaptive expiry"] <= stale["path cache"] + 1.0),
+            ("Cache capacity", "AllTechniques: delivery spread over capacities < 0.12",
+             max(combined) - min(combined) < 0.12),
+            ("Freshness-tagged replies", "freshness tags delivery >= base DSR delivery - 0.12",
+             pdf["Freshness-tagged replies"]["freshness tags"]
+             >= pdf["Freshness-tagged replies"]["base DSR"] - 0.12),
+            ("AODV vs DSR", "every delivery fraction > 0",
+             all(value > 0.0 for value in pdf["AODV vs DSR"].values())),
+        ] + [
+            ("Robustness across environments",
+             f"{env}: AllTechniques delivery >= DSR delivery - 0.08",
+             robust[f"{env} / AllTechniques"] >= robust[f"{env} / DSR"] - 0.08)
+            for env in _ENVIRONMENTS
+        ]
+
+
+def supplement(
+    scale: str = "quick",
+    seeds: Sequence[int] = (1,),
+    progress: Optional[ProgressFn] = None,
+    processes: Optional[int] = None,
+    cache_dir: Optional[Union[str, os.PathLike]] = None,
+    engine: Optional[SweepEngine] = None,
+) -> SupplementReport:
+    """Run the ablation and extension tables of :data:`SUPPLEMENT_TABLES`.
+
+    Pass the ``engine`` that ran :func:`reproduce` and the rows that are
+    paper variants resolve from its memo instead of running again.
+    """
+    if scale not in _SCALES:
+        raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
+    seeds = list(seeds)
+    say = progress or (lambda message: None)
+    engine = engine or SweepEngine.create(processes=processes, cache_dir=cache_dir)
+    tables: Dict[str, Dict[str, Aggregate]] = {}
+
+    def scenario(seed: int, overrides: Dict[str, Any]) -> ScenarioConfig:
+        return _base_scenario(scale, 0.0, 3.0, _BASE, seed).but(**overrides)
+
+    for title, (_metrics, rows) in SUPPLEMENT_TABLES.items():
+        say(f"supplement: {title}")
+        tables[title] = engine.compare_variants(
+            {name: (lambda seed, o=overrides: scenario(seed, o)) for name, overrides in rows.items()},
+            seeds,
+        )
+    return SupplementReport(
+        scale=scale, seeds=seeds, tables=tables, sweep_stats=engine.session_stats()
     )
 
 

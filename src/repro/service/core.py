@@ -830,7 +830,7 @@ class SimulationService:
             lease_id, results, failures, now=time.time(), executed=executed
         )
         if outcome.accepted and executed:
-            self.metrics.sims_executed.inc(executed)
+            self.metrics.sims_ran(executed)
         if tracer is not None and spans:
             tracer.add_spans(spans)
         for job, job_results in outcome.finished:

@@ -55,8 +55,10 @@ PathLike = Union[str, Path]
 JOURNAL_FORMAT_VERSION = 1
 
 
-def _job_blob(job: Job) -> Dict[str, Any]:
-    """The ``submit`` record's job payload (shared with compaction)."""
+# One builder per record shape, used by the append path and by compaction.
+
+
+def _submit_record(job: Job) -> Dict[str, Any]:
     blob: Dict[str, Any] = {
         "id": job.id,
         "client": job.client,
@@ -66,7 +68,43 @@ def _job_blob(job: Job) -> Dict[str, Any]:
     }
     if job.trace_id is not None:
         blob["trace_id"] = job.trace_id
-    return blob
+    return {"event": "submit", "v": JOURNAL_FORMAT_VERSION, "t": time.time(), "job": blob}
+
+
+def _spans_record(job_id: str, trace_id: str, spans: List[Dict[str, Any]]) -> Dict[str, Any]:
+    return {
+        "event": "spans",
+        "t": time.time(),
+        "id": job_id,
+        "trace_id": trace_id,
+        "spans": spans,
+    }
+
+
+def _done_record(job: Job) -> Dict[str, Any]:
+    return {
+        "event": "done",
+        "t": time.time(),
+        "id": job.id,
+        "progress": job.progress.as_dict(),
+        "wall_s": job.wall_s(),
+        "results": [result_to_payload(r) for r in job.results or []],
+    }
+
+
+def _failed_record(job: Job) -> Dict[str, Any]:
+    return {"event": "failed", "t": time.time(), "id": job.id, "error": job.error}
+
+
+def _cancelled_record(job: Job) -> Dict[str, Any]:
+    return {"event": "cancelled", "t": time.time(), "id": job.id}
+
+
+_TERMINAL_RECORDS = {
+    JobState.DONE: _done_record,
+    JobState.FAILED: _failed_record,
+    JobState.CANCELLED: _cancelled_record,
+}
 
 
 class JobJournal:
@@ -118,14 +156,7 @@ class JobJournal:
             tracer_obj.finish(span)
 
     def record_submit(self, job: Job) -> None:
-        self._append(
-            {
-                "event": "submit",
-                "v": JOURNAL_FORMAT_VERSION,
-                "t": time.time(),
-                "job": _job_blob(job),
-            }
-        )
+        self._append(_submit_record(job))
 
     def record_state(self, job: Job) -> None:
         self._append(
@@ -135,32 +166,15 @@ class JobJournal:
     def record_done(
         self, job: Job, trace: Optional[Tuple[str, Optional[str]]] = None
     ) -> None:
-        self._append(
-            {
-                "event": "done",
-                "t": time.time(),
-                "id": job.id,
-                "progress": job.progress.as_dict(),
-                "wall_s": job.wall_s(),
-                "results": [result_to_payload(r) for r in job.results or []],
-            },
-            sync=True,
-            trace=trace,
-        )
+        self._append(_done_record(job), sync=True, trace=trace)
 
     def record_failed(
         self, job: Job, trace: Optional[Tuple[str, Optional[str]]] = None
     ) -> None:
-        self._append(
-            {"event": "failed", "t": time.time(), "id": job.id, "error": job.error},
-            sync=True,
-            trace=trace,
-        )
+        self._append(_failed_record(job), sync=True, trace=trace)
 
     def record_cancelled(self, job: Job) -> None:
-        self._append(
-            {"event": "cancelled", "t": time.time(), "id": job.id}, sync=True
-        )
+        self._append(_cancelled_record(job), sync=True)
 
     def record_checkpoint(self, job: Job) -> None:
         """A running job handed back to ``pending`` (graceful drain)."""
@@ -176,15 +190,7 @@ class JobJournal:
         """
         if not spans:
             return
-        self._append(
-            {
-                "event": "spans",
-                "t": time.time(),
-                "id": job_id,
-                "trace_id": trace_id,
-                "spans": spans,
-            }
-        )
+        self._append(_spans_record(job_id, trace_id, spans))
 
     def record_deleted(self, job_id: str) -> None:
         self._append({"event": "deleted", "t": time.time(), "id": job_id}, sync=True)
@@ -294,56 +300,15 @@ class JobJournal:
             self._handle.flush()
             with open(tmp, "w", encoding="utf-8") as out:
                 for job in jobs:
-                    out.write(
-                        json.dumps(
-                            {
-                                "event": "submit",
-                                "v": JOURNAL_FORMAT_VERSION,
-                                "t": time.time(),
-                                "job": _job_blob(job),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+                    records = [_submit_record(job)]
                     spans = (traces or {}).get(job.id)
                     if spans and job.trace_id is not None:
-                        out.write(
-                            json.dumps(
-                                {
-                                    "event": "spans",
-                                    "t": time.time(),
-                                    "id": job.id,
-                                    "trace_id": job.trace_id,
-                                    "spans": spans,
-                                },
-                                sort_keys=True,
-                            )
-                            + "\n"
-                        )
-                    terminal: Optional[Dict[str, Any]] = None
-                    if job.state is JobState.DONE:
-                        terminal = {
-                            "event": "done",
-                            "t": time.time(),
-                            "id": job.id,
-                            "progress": job.progress.as_dict(),
-                            "wall_s": job.wall_s(),
-                            "results": [
-                                result_to_payload(r) for r in job.results or []
-                            ],
-                        }
-                    elif job.state is JobState.FAILED:
-                        terminal = {
-                            "event": "failed",
-                            "t": time.time(),
-                            "id": job.id,
-                            "error": job.error,
-                        }
-                    elif job.state is JobState.CANCELLED:
-                        terminal = {"event": "cancelled", "t": time.time(), "id": job.id}
+                        records.append(_spans_record(job.id, job.trace_id, spans))
+                    terminal = _TERMINAL_RECORDS.get(job.state)
                     if terminal is not None:
-                        out.write(json.dumps(terminal, sort_keys=True) + "\n")
+                        records.append(terminal(job))
+                    for record in records:
+                        out.write(json.dumps(record, sort_keys=True) + "\n")
                 out.flush()
                 with blocking("journal.fsync"):
                     os.fsync(out.fileno())

@@ -152,9 +152,11 @@ class ShardBoard:
         self.journal = journal
         self.shard_size = shard_size
         self.lease_ttl_s = lease_ttl_s
-        # Rank 20: below the service lock (complete_shard runs under it via
-        # the HTTP layer's service calls), above the journal/cache locks it
-        # holds while journaling leases and resolving results.
+        # Rank 20: ranked below the service lock (10), which every service
+        # method releases before calling in here (complete_shard included)
+        # and which the on_trace observer takes only after this one is
+        # released; above the journal/cache locks this one holds while
+        # journaling leases and resolving results.
         self._lock = OrderedLock("service.board", rank=20, reentrant=False)
         # Notified whenever the queue gains its first or loses its last
         # claimable shard; see wait_for().

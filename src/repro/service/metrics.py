@@ -88,6 +88,12 @@ class ServiceMetrics:
         self.jobs_pending.set(pending)
         self.jobs_running.set(running)
 
+    def sims_ran(self, count: int) -> None:
+        """Simulations a delivered shard executed (serialised: shard
+        completions race across HTTP handlers and in-process workers)."""
+        with self._lock:
+            self.sims_executed.inc(count)
+
     def remote_hit(self) -> None:
         """A remote-tier cache hit (serialised: HTTP threads race here)."""
         with self._lock:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.devtools.lockdep import OrderedLock
 from repro.errors import ReproError
@@ -99,24 +99,3 @@ class JobQueue:
             if job.state is JobState.PENDING:
                 return job
         return None
-
-    def depth(self) -> int:
-        """Pending jobs currently queued (cancelled corpses excluded)."""
-        with self._lock:
-            return sum(
-                1 for _, _, job in self._heap if job.state is JobState.PENDING
-            )
-
-    def snapshot(self) -> List[Job]:
-        """Pending jobs in pop order (for introspection, not consumption)."""
-        with self._lock:
-            entries = sorted(self._heap)
-        return [job for _, _, job in entries if job.state is JobState.PENDING]
-
-    def client_counts(self) -> Dict[str, int]:
-        with self._lock:
-            counts: Dict[str, int] = {}
-            for _, _, job in self._heap:
-                if job.state is JobState.PENDING:
-                    counts[job.client] = counts.get(job.client, 0) + 1
-            return counts

@@ -4,9 +4,15 @@ Topology: a line of relays with bystander nodes hanging off it, carrying a
 multi-hop flow.  When the far relay walks away, base DSR informs only the
 source chain, while wider error notification reaches every node that
 forwarded over the broken route.
+
+The last test removes the relay gate on a mobile tiny scenario: without it
+a wide error is a flood.
 """
 
+import repro.scenarios.builder as builder_module
+from repro.core.agent import DsrAgent
 from repro.core.config import DsrConfig
+from repro.scenarios.presets import tiny_scenario
 from repro.traffic.cbr import CbrSource
 from repro.traffic.sink import Sink
 
@@ -58,3 +64,29 @@ def test_wider_error_does_not_flood_nonforwarders():
     relays = net.records("dsr.rerr_relay")
     # The bystander never forwarded over the broken link: it must not relay.
     assert all(r.fields["node"] != 4 for r in relays)
+
+
+class _UngatedDsrAgent(DsrAgent):
+    """Wider error with the relay gate removed: every node that hears an
+    error for the first time rebroadcasts it."""
+
+    def _handle_wide_error(self, packet, error):
+        key = (error.detector, error.error_id)
+        if self._seen_errors.seen(key, self._now()):
+            return
+        self._seen_errors.insert(key, self._now())
+        self._absorb_error(error)
+        relayed = packet.clone(src=self.node_id, uid=self.node.next_uid())
+        self._broadcast_with_jitter(relayed)
+
+
+def test_relay_gate_keeps_wide_errors_from_costing_a_flood(monkeypatch):
+    # The paper relays a wide error only at nodes that cached the broken
+    # link and forwarded over it; that gate is what makes the technique
+    # affordable in routing transmissions.
+    config = tiny_scenario(dsr=DsrConfig.with_wider_error(), seed=2, pause_time=0.0)
+    gated = builder_module.run_scenario(config)
+    monkeypatch.setattr(builder_module, "DsrAgent", _UngatedDsrAgent)
+    ungated = builder_module.run_scenario(config)
+    assert gated.link_breaks > 0
+    assert ungated.routing_tx > gated.routing_tx

@@ -5,9 +5,11 @@ only subscribes, samples or reads — the simulation itself must be a pure
 function of its scenario whether observation is on or off.
 """
 
+import inspect
+
 import pytest
 
-from repro.obs import Observability
+from repro.obs import Observability, flight, instruments, interval, profiler, session
 from repro.scenarios.builder import build_simulation
 from repro.scenarios.presets import tiny_scenario
 
@@ -78,3 +80,36 @@ def test_default_observability_attaches_nothing():
     assert obs.flight is None
     assert _subscription_state(handle.tracer) == baseline
     assert not handle.tracer.wants("no.such.kind")  # no wildcard leaked
+
+
+def test_attached_but_idle_observability_adds_nothing_to_a_run(baseline, monkeypatch):
+    """What the "< 2 % when attached but idle" budget means, without a
+    stopwatch: the idle facade leaves the tracer, the engine and the event
+    heap exactly as an unattached build has them, and the run that follows
+    never calls into ``repro.obs``."""
+    traced = build_simulation(_config())
+    kinds = set()
+    traced.tracer.subscribe("*", lambda record: kinds.add(record.kind))
+    traced.run()
+
+    plain = build_simulation(_config())
+    # Guards the probe: it saw kinds the metrics collector does not ask for.
+    assert any(not plain.tracer.wants(kind) for kind in kinds)
+    handle = build_simulation(_config())
+    Observability().attach(handle)
+    assert _subscription_state(handle.tracer) == _subscription_state(plain.tracer)
+    assert {k for k in kinds if handle.tracer.wants(k)} == {
+        k for k in kinds if plain.tracer.wants(k)
+    }
+    assert not handle.sim.profiling_enabled  # no wall clock in the event loop
+    assert handle.sim.pending_events == plain.sim.pending_events
+
+    def entered(*args, **kwargs):
+        raise AssertionError("an idle observability layer was called during the run")
+
+    for module in (flight, instruments, interval, profiler, session):
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                for name, _ in inspect.getmembers(cls, inspect.isfunction):
+                    monkeypatch.setattr(cls, name, entered)
+    assert handle.run() == baseline

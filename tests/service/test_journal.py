@@ -1,10 +1,19 @@
 """Tests for the JSONL job journal and its crash-recovery replay."""
 
+import itertools
 import json
+import time
+from pathlib import Path
 
 from repro.scenarios.io import scenario_to_dict
 from repro.service.jobs import Job, JobState
-from repro.service.journal import JobJournal, replay, replay_shards, replay_spans
+from repro.service.journal import (
+    JOURNAL_FORMAT_VERSION,
+    JobJournal,
+    replay,
+    replay_shards,
+    replay_spans,
+)
 
 from tests.service.helpers import fake_result, small_config
 
@@ -169,3 +178,57 @@ def test_journal_ignores_writes_after_close(tmp_path):
     journal.close()
     journal.record_submit(_job("late"))  # a straggling worker; must not raise
     assert [job.id for job in replay(path)] == ["early"]
+
+
+# -- record shapes are a fixed point -----------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "parent_commit"
+
+
+def write_reference_journal(path, set_clock):
+    """Every job-level record through the append path, then a compaction,
+    on a clock that steps 0.25 s per reading (so a builder that read the
+    clock once more, or once less, shifts every later ``t``).  Returns the
+    file's bytes before and after :meth:`JobJournal.compact`.
+
+    ``fixtures/parent_commit/journal_{appended,compacted}.jsonl`` are what
+    this wrote at commit 23df195, where ``compact`` built its own dicts.
+    """
+    ticks = itertools.count(4000)
+    set_clock(lambda: next(ticks) / 4.0)
+    span = {"trace_id": "t-1", "span_id": "s-1", "kind": "job", "proc": "c", "start": 1.0}
+    jobs = []
+    for index, state in enumerate(
+        (JobState.DONE, JobState.FAILED, JobState.CANCELLED, JobState.PENDING)
+    ):
+        job = _job(f"job-{state.value}", seeds=(index + 1, index + 5), priority=index)
+        job.submitted_at, job.started_at, job.finished_at = 10.0, 11.0, 13.5 + index
+        jobs.append(job)
+    done, failed, cancelled, pending = jobs
+    done.trace_id = "t-1"
+    journal = JobJournal(path)
+    for job in jobs:
+        journal.record_submit(job)
+    journal.record_spans(done.id, done.trace_id, [span])
+    done.results = [fake_result(p) for p in done.scenarios]
+    done.progress.completed = done.progress.executed = 2
+    done.state = JobState.DONE
+    journal.record_done(done)
+    failed.error = "2 tasks failed"
+    failed.state = JobState.FAILED
+    journal.record_failed(failed)
+    cancelled.state = JobState.CANCELLED
+    journal.record_cancelled(cancelled)
+    appended = Path(path).read_bytes()
+    journal.compact(jobs, traces={done.id: [span], pending.id: [span]})
+    journal.close()
+    return appended, Path(path).read_bytes()
+
+
+def test_journal_lines_match_the_parent_commit_byte_for_byte(tmp_path, monkeypatch):
+    appended, compacted = write_reference_journal(
+        tmp_path / "journal.jsonl", lambda clock: monkeypatch.setattr(time, "time", clock)
+    )
+    assert appended == (FIXTURES / "journal_appended.jsonl").read_bytes()
+    assert compacted == (FIXTURES / "journal_compacted.jsonl").read_bytes()
+    assert JOURNAL_FORMAT_VERSION == 1

@@ -48,21 +48,8 @@ def test_cancelled_jobs_are_skipped_lazily():
     queue.push(doomed)
     queue.push(survivor)
     doomed.state = JobState.CANCELLED  # cancel without touching the heap
-    assert queue.depth() == 1
     assert queue.pop(timeout=0) is survivor
     assert queue.pop(timeout=0) is None
-
-
-def test_snapshot_and_client_counts_exclude_cancelled():
-    queue = JobQueue()
-    a = _job(priority=2, client="alice", seed=1)
-    b = _job(priority=1, client="bob", seed=2)
-    c = _job(priority=0, client="alice", seed=3)
-    for job in (a, b, c):
-        queue.push(job)
-    c.state = JobState.CANCELLED
-    assert queue.snapshot() == [a, b]
-    assert queue.client_counts() == {"alice": 1, "bob": 1}
 
 
 # -- admission ----------------------------------------------------------------

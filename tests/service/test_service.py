@@ -8,12 +8,14 @@ production claim/heartbeat/complete path minus the process boundary.
 Each contract test runs both (failures name the arm).
 """
 
+import threading
 import time
 
 import pytest
 
 from repro.analysis.runner import run_many
 from repro.errors import ConfigurationError
+from repro.obs.instruments import Counter
 from repro.scenarios.io import scenario_to_dict
 from repro.service.client import ServiceError
 from repro.service.core import (
@@ -332,6 +334,66 @@ def test_metrics_count_jobs_and_sims(tmp_path):
     assert snapshot["service.sims.executed"] == 2
     assert snapshot["service.sims.cache_hits"] >= 2  # the whole second job
     assert snapshot["service.job.wall_s.count"] == 2
+
+
+def test_sims_executed_counts_every_concurrent_delivery(tmp_path):
+    """``complete_shard`` runs on concurrent HTTP-handler and worker threads
+    and ``Counter.inc`` is a bare read-modify-write: with that window held
+    open, a bump made outside the metrics lock loses updates."""
+
+    class SlowCounter(Counter):
+        def inc(self, amount=1):
+            value = self.value
+            time.sleep(0.001)  # another thread's inc lands here unless serialised
+            self.value = value + amount
+
+    threads, per_thread = 8, 6
+    service = SimulationService(
+        distributed=True, shard_size=1, cache_dir=str(tmp_path / "cache")
+    )
+    service.metrics.sims_executed = SlowCounter("service.sims.executed")
+    with service:
+        job = service.submit(
+            [small_config(seed=s) for s in range(1, threads * per_thread + 1)]
+        )
+        claims = []
+        deadline = time.monotonic() + 10.0
+        while len(claims) < threads * per_thread and time.monotonic() < deadline:
+            claim = service.claim_shard("stress")  # no board-side task_fn: we deliver
+            if claim is None:
+                time.sleep(0.01)
+            else:
+                claims.append(claim)
+        assert len(claims) == threads * per_thread
+        start = threading.Barrier(threads)
+        accepted = []  # executed counts of accepted deliveries (list.append is atomic)
+
+        def deliver(mine):
+            start.wait(timeout=10.0)
+            for executed, claim in mine:
+                results = {
+                    task["key"]: fake_result(task["scenario"]) for task in claim["tasks"]
+                }
+                for _ in range(2):  # the re-delivery is a duplicate: not counted
+                    reply = service.complete_shard(
+                        claim["id"], results, stats={"executed": executed}
+                    )
+                    if reply["accepted"]:
+                        accepted.append(executed)
+
+        numbered = list(enumerate(claims, start=1))
+        pool = [
+            threading.Thread(target=deliver, args=(numbered[i::threads],), daemon=True)
+            for i in range(threads)
+        ]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in pool)
+        service.wait(job.id, timeout=10)
+    assert len(accepted) == threads * per_thread
+    assert service.metrics.sims_executed.value == sum(accepted)
 
 
 def test_wait_times_out_without_terminal_state():

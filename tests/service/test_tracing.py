@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+import repro.obs.fleet as fleet_module
 from repro.obs.fleet import (
     FleetTracer,
     trace_breakdown,
@@ -118,6 +119,61 @@ def test_disabled_tracer_records_no_spans(tmp_path):
         assert svc.job_trace(job.id)["spans"] == []
     finally:
         svc.drain(grace_s=5.0)
+
+
+class _CountingLock:
+    def __init__(self, lock):
+        self.lock, self.acquisitions = lock, 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+def test_disabled_tracer_is_never_entered_locked_or_given_a_span(tmp_path, monkeypatch):
+    """What the "< 2 % with tracing off" budget means, without a stopwatch:
+    a job served through a constructed-but-disabled tracer makes no call
+    into it, takes no ``FleetTracer._lock`` and builds no ``Span`` for any
+    of its shards, and delivers what the tracer-less service delivers."""
+    spans_built = []
+    real_init = fleet_module.Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        spans_built.append(kwargs.get("kind"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fleet_module.Span, "__init__", counting_init)
+
+    def serve(tracer):
+        svc = SimulationService(
+            workers=2, shard_size=1, task_fn=fake_result, tracer=tracer
+        )
+        locks = []
+        for owner in [tracer, *(worker.tracer for worker in svc._local_workers)]:
+            if owner is not None:
+                owner._lock = _CountingLock(owner._lock)
+                locks.append(owner._lock)
+        with svc:
+            job = svc.submit(payloads(*range(1, 13)))
+            assert svc.wait(job.id, timeout=30.0)
+            return svc.job_results(job.id), sum(lock.acquisitions for lock in locks)
+
+    entered = []
+    disabled = FleetTracer(proc="coordinator", enabled=False)
+    for name in ("start", "finish", "add_spans"):
+        monkeypatch.setattr(
+            disabled, name, lambda *a, _name=name, **k: entered.append(_name)
+        )
+    traced_off, lock_acquisitions = serve(disabled)
+    assert (entered, lock_acquisitions, spans_built) == ([], 0, [])
+    untraced, _ = serve(None)
+    assert traced_off == untraced
+    # The counters do count: the same job with tracing on trips all of them.
+    _, lock_acquisitions = serve(FleetTracer(proc="coordinator"))
+    assert lock_acquisitions >= 12 and spans_built.count("shard.lease") == 12
 
 
 def test_trace_endpoint_over_http(http_service):

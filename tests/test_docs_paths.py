@@ -1,0 +1,96 @@
+"""Docs may only name files that exist and quote numbers that are on file.
+
+Two checks, neither of which runs a simulation:
+
+* every ``benchmarks/…``, ``examples/…``, ``tests/…`` or ``src/…`` path
+  written in ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` or
+  ``docs/*.md`` is a file or directory of this tree, and every ``*.json`` /
+  ``*.txt`` / ``*.md`` name that fills a code span of its own is a file at
+  the repository root (a name inside a command line is the reader's file);
+* every numeric cell of a table in ``EXPERIMENTS.md`` occurs in
+  ``experiments_report.md``, the committed output of the command that file
+  names.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = [
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+    ROOT / "EXPERIMENTS.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+REPORT = ROOT / "experiments_report.md"
+
+#: A path under one of the four source roots; ``{a,b}`` alternatives allowed.
+TREE_PATH = re.compile(r"(?<![\w/.-])((?:benchmarks|examples|tests|src)/[\w./{},*-]*[\w/}*])")
+#: A file name, with no directory, that is the whole of a code span.
+ROOT_FILE = re.compile(r"`([A-Za-z][\w.-]*\.(?:json|txt|md))`")
+
+
+def _expand(path):
+    """``a/{b,c}/d`` -> ``a/b/d``, ``a/c/d`` (one level is all the docs use)."""
+    braces = re.search(r"\{([^{}]*)\}", path)
+    if braces is None:
+        return [path]
+    return [
+        path[: braces.start()] + choice + path[braces.end() :]
+        for choice in braces.group(1).split(",")
+    ]
+
+
+def _exists(path):
+    return any(ROOT.glob(path)) if "*" in path else (ROOT / path).exists()
+
+
+def quoted_files():
+    """``(where, path)`` for every file the docs name."""
+    for doc in DOCS:
+        for number, line in enumerate(doc.read_text().splitlines(), start=1):
+            where = f"{doc.relative_to(ROOT)}:{number}"
+            for match in TREE_PATH.finditer(line):
+                for path in _expand(match.group(1)):
+                    yield where, path
+            for match in ROOT_FILE.finditer(line):
+                yield where, match.group(1)
+
+
+def test_the_docs_name_files():
+    """Guards the extraction: finding nothing would make the check vacuous."""
+    found = {path for _, path in quoted_files()}
+    assert {"examples/full_reproduction.py", "benchmarks/ledger/README.md",
+            "experiments_report.md", "BENCHMARK.json"} <= found
+
+
+def test_every_file_the_docs_name_exists():
+    missing = [f"{where}: {path}" for where, path in quoted_files() if not _exists(path)]
+    assert missing == []
+
+
+NUMBER = r"\d[\d,]*(?:\.\d+)?"
+NUMERIC_CELL = re.compile(rf"^({NUMBER})(?: ±({NUMBER}))?$")
+
+
+def numeric_cells():
+    """``(line number, number)`` for every table cell of ``EXPERIMENTS.md``
+    that is a number (bold markers stripped; ``a ±b`` counts as two)."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.startswith("|"):
+            continue
+        for cell in line.strip("|").split("|"):
+            match = NUMERIC_CELL.match(cell.strip().strip("*"))
+            if match:
+                for value in match.groups():
+                    if value is not None:
+                        yield number, value
+
+
+def test_experiments_tables_quote_the_committed_report():
+    on_file = set(re.findall(NUMBER, REPORT.read_text()))
+    cells = list(numeric_cells())
+    assert len(cells) > 150  # guards the extraction
+    strangers = [f"EXPERIMENTS.md:{line}: {value}" for line, value in cells if value not in on_file]
+    assert strangers == []

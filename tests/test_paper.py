@@ -1,8 +1,11 @@
 """Tests for the one-call paper reproduction module."""
 
+import dataclasses
+
 import pytest
 
-from repro.paper import PaperReport, reproduce
+from repro.analysis.runner import SweepEngine
+from repro.paper import SUPPLEMENT_TABLES, PaperReport, reproduce, supplement
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +50,64 @@ def test_markdown_rendering(quick_report):
     assert "AllTechniques" in markdown
 
 
+def test_report_checks_the_shape_of_every_artifact(quick_report):
+    expectations = quick_report.expectations()
+    assert {artifact for artifact, _, _ in expectations} == {
+        "Figure 1",
+        "Figure 2",
+        "Table 3",
+        "Figure 4",
+    }
+    assert len(expectations) == 9
+    markdown = quick_report.to_markdown()
+    for artifact, claim, holds in expectations:
+        assert f"- [{'pass' if holds else 'FAIL'}] {artifact}: {claim}" in markdown
+
+
+def test_a_shape_that_does_not_hold_is_reported_as_a_failure(quick_report):
+    table3 = dict(quick_report.table3, AllTechniques=quick_report.table3["DSR"])
+    doctored = dataclasses.replace(quick_report, table3=table3)
+    failed = [claim for artifact, claim, holds in doctored.expectations() if not holds]
+    assert "AllTechniques good replies > DSR good replies" in failed
+    assert "- [FAIL] Table 3: AllTechniques good replies" in doctored.to_markdown()
+
+
+def test_base_vs_combined_claims_need_both_curves():
+    report = reproduce(scale="quick", seeds=[1], fig2_variants=["DSR"], fig4_variants=("DSR",))
+    claims = [claim for _, claim, _ in report.expectations()]
+    assert not any("AllTechniques" in claim and "pause 0" in claim for claim in claims)
+    assert "## Shape expectations" in report.to_markdown()
+
+
 def test_rejects_unknown_scale():
     with pytest.raises(ValueError):
         reproduce(scale="galactic")
+    with pytest.raises(ValueError):
+        supplement(scale="galactic")
+
+
+def test_supplement_shares_the_paper_variants_runs_with_reproduce():
+    engine = SweepEngine(processes=1)
+    report = reproduce(
+        scale="quick", seeds=[1], fig2_variants=["DSR"], fig4_variants=("DSR",), engine=engine
+    )
+    messages = []
+    extra = supplement(scale="quick", seeds=[1], progress=messages.append, engine=engine)
+    assert list(extra.tables) == list(SUPPLEMENT_TABLES)
+    assert [m.removeprefix("supplement: ") for m in messages] == list(SUPPLEMENT_TABLES)
+    # Rows that are paper variants at pause 0 are the runs Table 3 made.
+    assert extra.tables["AODV vs DSR"]["DSR (base)"] == report.table3["DSR"]
+    assert extra.tables["Cache capacity"]["AllTechniques / 64 paths"] == (
+        report.table3["AllTechniques"]
+    )
+    rows = sum(len(table) for table in extra.tables.values())
+    executed = extra.sweep_stats["executed"] - report.sweep_stats["executed"]
+    assert rows == 25 and executed == 15  # the other 10 rows were already run
+    markdown = extra.to_markdown()
+    for title in SUPPLEMENT_TABLES:
+        assert f"## {title}" in markdown
+    assert len(extra.expectations()) == 13
+    assert "## Shape expectations" in markdown
 
 
 def test_progress_callback_invoked():
