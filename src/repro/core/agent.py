@@ -165,8 +165,9 @@ class DsrAgent:
         age survives re-serving.
         """
         now = self._sim.now
-        if self.negative is not None:
-            route = self.negative.filter_route(route, now)
+        negative = self.negative
+        if negative:  # disabled or empty (the usual case): nothing to filter
+            route = negative.filter_route(route, now)
             if len(route) < 2:
                 return False
         return self.cache.add(route, now if stamp is None else stamp)

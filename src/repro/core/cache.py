@@ -36,7 +36,12 @@ class CachedPath:
 
 
 class PathCache:
-    """A capacity-bounded cache of source routes for one node."""
+    """A capacity-bounded cache of source routes for one node.
+
+    Replacement is least-recently-*sighted*: re-adding a cached path moves it
+    to the young end, so a full cache evicts the path that has gone longest
+    without being learned again, not the one that entered first.
+    """
 
     def __init__(self, owner: int, capacity: int = 64):
         if capacity <= 0:
@@ -65,20 +70,23 @@ class PathCache:
         than raising: snooped packets routinely yield degenerate routes and
         the protocol simply ignores them.
         """
-        if not is_valid_route(route) or route[0] != self.owner:
-            return False
+        paths = self._paths
         key = tuple(route)
-        if key in self._paths:
-            # Keep the original entry time: "lifetime" in the adaptive
-            # timeout is time since the route *entered* the cache, and
-            # refreshing it on every forwarded packet would collapse
-            # lifetimes to inter-packet gaps.  (Usage recency is tracked
-            # separately via note_links_used.)
-            self._paths.move_to_end(key)
+        if key in paths:
+            # A re-sighting, as most adds are, of a key that is valid and
+            # starts at the owner by construction.  It moves to the young end
+            # of the eviction order but keeps its original entry time:
+            # "lifetime" in the adaptive timeout is time since the route
+            # *entered* the cache, and refreshing it on every forwarded
+            # packet would collapse lifetimes to inter-packet gaps.  (Usage
+            # recency is tracked separately via note_links_used.)
+            paths.move_to_end(key)
             return False
-        if len(self._paths) >= self.capacity:
-            self._paths.popitem(last=False)  # evict oldest-inserted
-        self._paths[key] = CachedPath(route=key, added=now)
+        if not is_valid_route(key) or key[0] != self.owner:
+            return False
+        if len(paths) >= self.capacity:
+            paths.popitem(last=False)  # evict the least recently sighted
+        paths[key] = CachedPath(route=key, added=now)
         return True
 
     def find(self, dst: int) -> Optional[List[int]]:
@@ -93,21 +101,24 @@ class PathCache:
     def find_with_age(self, dst: int) -> Optional[Tuple[List[int], float]]:
         """Like :meth:`find` but also returns when the winning path entered
         the cache — the "generation time" freshness tags propagate."""
-        best: Optional[Tuple[int, float, Tuple[int, ...]]] = None
-        for cached in self._paths.values():
-            try:
-                index = cached.route.index(dst)
-            except ValueError:
+        # Shortest wins, then youngest, then first cached.  Most lookups
+        # scan a full cache and most paths do not hold ``dst``.
+        paths = self._paths
+        best: Optional[Tuple[int, ...]] = None
+        best_hops = 0
+        best_added = 0.0
+        for route in paths:
+            if dst not in route:
                 continue
-            if index == 0:
+            hops = route.index(dst)
+            if hops == 0:
                 continue
-            candidate = cached.route[: index + 1]
-            rank = (len(candidate), -cached.added)
-            if best is None or rank < (best[0], best[1]):
-                best = (len(candidate), -cached.added, candidate)
+            added = paths[route].added
+            if best is None or hops < best_hops or (hops == best_hops and added > best_added):
+                best, best_hops, best_added = route, hops, added
         if best is None:
             return None
-        return list(best[2]), -best[1]
+        return list(best[: best_hops + 1]), best_added
 
     def has_route_to(self, dst: int) -> bool:
         return self.find(dst) is not None
@@ -152,10 +163,14 @@ class PathCache:
         lifetimes: List[float] = []
         replacements: List[CachedPath] = []
         doomed: List[Tuple[int, ...]] = []
-        for key, cached in self._paths.items():
+        tail = link[0]
+        for key in self._paths:
+            if tail not in key:  # most paths: skip without a call
+                continue
             position = link_position(key, link)
             if position < 0:
                 continue
+            cached = self._paths[key]
             lifetimes.append(max(0.0, now - cached.added))
             doomed.append(key)
             if position >= 1:

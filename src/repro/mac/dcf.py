@@ -173,7 +173,7 @@ class DcfMac:
         self._backoff_remaining = slots * self._timing.slot
 
     def _medium_free(self) -> bool:
-        return not self._radio.busy and self._sim.now >= self._nav_until
+        return not self._radio.energy and self._sim.now >= self._nav_until
 
     def _begin_defer(self) -> None:
         if (
@@ -193,12 +193,12 @@ class DcfMac:
         )
         self._defer_timer.start(self._defer_ifs + self._backoff_remaining)
 
-    def _pause_defer(self) -> None:
-        if self._defer_started is None:
-            return
-        elapsed = self._sim.now - self._defer_started
-        consumed = max(0.0, elapsed - self._defer_ifs)
-        self._backoff_remaining = max(0.0, self._backoff_remaining - consumed)
+    def _pause_defer(self, started: float) -> None:
+        """Stop the defer timer running since ``started``, banking its consumed backoff."""
+        consumed = self._sim.now - started - self._defer_ifs
+        if consumed > 0.0:
+            remaining = self._backoff_remaining - consumed
+            self._backoff_remaining = remaining if remaining > 0.0 else 0.0
         self._defer_timer.cancel()
         self._defer_started = None
 
@@ -281,8 +281,10 @@ class DcfMac:
             # pause.  This is the common case — every transmission pings
             # every carrier-sense neighbour, and most of them are idle.
             return
-        if self._radio.busy or self._sim.now < self._nav_until:
-            self._pause_defer()
+        if self._radio.energy or self._sim.now < self._nav_until:
+            started = self._defer_started
+            if started is not None:
+                self._pause_defer(started)
         elif self._awaiting is None and self._defer_started is None:
             self._arm_defer()
 
@@ -422,7 +424,9 @@ class DcfMac:
         self._nav_until = until
         # Also when idle: after a broadcast the defer timer can be running
         # with no attempt in hand (see docs/protocol.md), and NAV pauses it.
-        self._pause_defer()
+        started = self._defer_started
+        if started is not None:
+            self._pause_defer(started)
         if self._current is None:
             # The expiry wake-up does nothing unless an attempt begins before
             # it — the common case for an overhearer.  Hold its place in the

@@ -14,7 +14,7 @@ promiscuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, List, Optional
 
@@ -94,7 +94,10 @@ class Packet:
 
     def clone(self, **changes: Any) -> "Packet":
         """Copy for per-hop mutation; list fields are deep-copied."""
-        fresh = replace(self, **changes)
+        if not changes.keys() <= self.__dict__.keys():
+            raise TypeError(f"not Packet fields: {sorted(changes.keys() - self.__dict__.keys())}")
+        fresh = Packet.__new__(Packet)
+        fresh.__dict__.update(self.__dict__, **changes)
         if fresh.source_route is not None and "source_route" not in changes:
             fresh.source_route = list(fresh.source_route)
         return fresh

@@ -12,7 +12,8 @@ received power per listener and the radio lets the stronger frame survive.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -121,27 +122,28 @@ class Channel:
         threshold = 0.0 if capture is None else capture.threshold_db
         # One pass over the listeners, in carrier-sense neighbour order: the
         # medium-change callbacks schedule timers, so their order is part of
-        # the event order.  A reception in progress is ``receptions[tx] =
-        # corrupt``; only decodable frames get one, carrier-sense-only energy
-        # is a bare counter since its corrupt flag could never be read.
+        # the event order.  ``radio.energy`` counts every transmission a radio
+        # hears plus its own; a reception in progress is ``receptions[tx] =
+        # corrupt`` and only decodable frames get one, since the corrupt flag
+        # of carrier-sense-only energy could never be read.
         for radio, receivable, distance, power in plan:
             if lossy and receivable:
                 # One draw per in-range listener, in plan order.
                 receivable = loss_model.delivered(distance, rng)
-            receptions = radio.receptions
+            # Read before the bump: zero means the listener was clear, so its
+            # MAC is told; non-zero is energy from a second source.
+            heard = radio.energy
+            radio.energy = heard + 1
             if capture is None:
-                # Any overlap corrupts.  ``busy`` doubles as the new
-                # reception's corrupt flag: energy from a second source
-                # corrupts, and its absence means the listener was clear.
-                busy = (
-                    bool(receptions)
-                    or radio.cs_energy > 0
-                    or radio.sending is not None
-                )
-                if busy:
+                # Any overlap corrupts, both ways.
+                if heard:
+                    receptions = radio.receptions
                     for other in receptions:
                         receptions[other] = True
-                corrupt = busy
+                    if receivable:
+                        receptions[tx] = True
+                elif receivable:
+                    radio.receptions[tx] = False
             else:
                 # Pairwise strongest-interferer capture: each decodable
                 # frame already on the air survives the new arrival iff its
@@ -149,21 +151,17 @@ class Channel:
                 # arrival starts clean iff the listener is not transmitting
                 # (half duplex always wins) and it beats the *strongest*
                 # energy currently heard by the threshold.
-                heard = radio.heard_power
-                busy = bool(heard) or radio.sending is not None
+                receptions = radio.receptions
+                levels = radio.heard_power
                 for other in receptions:
-                    if heard[other] < power + threshold:
+                    if levels[other] < power + threshold:
                         receptions[other] = True
-                corrupt = receivable and (
-                    radio.sending is not None
-                    or any(power < level + threshold for level in heard.values())
-                )
-                heard[tx] = power
-            if receivable:
-                receptions[tx] = corrupt
-            else:
-                radio.cs_energy += 1
-            if not busy and not radio.mac_idle and radio.mac is not None:
+                if receivable:
+                    receptions[tx] = radio.sending is not None or any(
+                        power < level + threshold for level in levels.values()
+                    )
+                levels[tx] = power
+            if not heard and not radio.mac_idle and radio.mac is not None:
                 radio.mac.on_medium_change()
             if energy is not None:
                 energy.charge_rx(radio.node_id, duration)
@@ -193,26 +191,20 @@ class Channel:
             cs_list = neighbors.cs_neighbors(sender_id, now)
             radios = self._radios
             capture = self.capture
-            distance_of: Dict[int, float] = {}
-            if capture is not None:
-                values = neighbors.distances(sender_id, list(cs_list), now)
-                distance_of = dict(zip(cs_list, values.tolist()))
-            elif self._lossy:
-                # One vectorized sqrt for every in-range listener, instead of
-                # a scalar np.sqrt per receiver (np.sqrt is correctly rounded,
+            distances: Iterable[float] = repeat(0.0)
+            powers: Iterable[float] = repeat(0.0)
+            if capture is not None or self._lossy:
+                # One vectorized sqrt per sender per quantum instead of a scalar
+                # np.sqrt per receiver per frame (np.sqrt is correctly rounded,
                 # so each element is bit-identical to the scalar path).
-                rx_listeners = [nid for nid in cs_list if nid in rx_set]
-                values = neighbors.distances(sender_id, rx_listeners, now)
-                distance_of = dict(zip(rx_listeners, values.tolist()))
-            plan = []
-            for node_id in cs_list:
-                radio = radios.get(node_id)
-                if radio is None:
-                    continue
-                in_rx = node_id in rx_set
-                distance = distance_of.get(node_id, 0.0)
-                power = 0.0 if capture is None else capture.power_db(distance)
-                plan.append((radio, in_rx, distance, power))
+                distances = neighbors.distances(sender_id, cs_list, now).tolist()
+                if capture is not None:
+                    powers = map(capture.power_db, distances)
+            plan = [
+                (radios[node_id], node_id in rx_set, distance, power)
+                for node_id, distance, power in zip(cs_list, distances, powers)
+                if node_id in radios
+            ]
             self._plans[sender_id] = plan
         return plan
 
@@ -224,19 +216,25 @@ class Channel:
         for radio, in_rx, _distance, _power in plan:
             if capture:
                 del radio.heard_power[tx]
+            radio.energy = heard = radio.energy - 1
             corrupt = radio.receptions.pop(tx, None) if in_rx else None
-            if corrupt is not None:
-                radio.frame_end(frame, corrupt)
+            if corrupt is None:
+                # Carrier-sense-only energy (out of range, or lost): no decode
+                # outcome to deliver, just the possible busy -> free transition.
+                if not heard and not radio.mac_idle and radio.mac is not None:
+                    radio.mac.on_medium_change()
                 continue
-            # Carrier-sense-only energy (out of range, or lost): no decode
-            # outcome to deliver, just the possible busy -> free transition.
-            radio.cs_energy -= 1
-            if (
-                radio.cs_energy == 0
-                and not radio.mac_idle
-                and not radio.receptions
-                and radio.sending is None
-                and radio.mac is not None
-            ):
-                radio.mac.on_medium_change()
+            mac = radio.mac
+            if mac is None:
+                continue
+            if corrupt:
+                # A decodable frame was ruined (collision / half duplex): the
+                # MAC may apply EIFS deference.
+                on_corrupt = getattr(mac, "on_corrupt_frame", None)
+                if on_corrupt is not None:
+                    on_corrupt()
+            if not heard and not radio.mac_idle:
+                mac.on_medium_change()
+            if not corrupt:
+                mac.on_frame(frame)
         sender.end_transmit(tx)

@@ -44,10 +44,11 @@ class Radio:
         # update these for every listener of a frame in one loop; the radio
         # itself only touches them for its own half-duplex transmissions.
         self.sending: Optional[Transmission] = None
+        #: In-flight transmissions this radio hears, decodable or not, plus
+        #: its own: physical carrier sense is ``energy > 0``.
+        self.energy: int = 0
         #: In-flight decodable transmissions -> corrupt so far?
         self.receptions: Dict[Transmission, bool] = {}
-        #: In-flight transmissions heard but not decodable.
-        self.cs_energy = 0
         #: Relative power of every transmission heard (capture profiles only).
         self.heard_power: Dict[Transmission, float] = {}
         channel.attach(self)
@@ -57,11 +58,7 @@ class Radio:
     @property
     def busy(self) -> bool:
         """Physical carrier sense: energy on the air or transmitting."""
-        return (
-            self.sending is not None
-            or bool(self.receptions)
-            or self.cs_energy > 0
-        )
+        return self.energy > 0
 
     @property
     def transmitting(self) -> bool:
@@ -79,6 +76,7 @@ class Radio:
 
     def begin_transmit(self, tx: Transmission) -> None:
         self.sending = tx
+        self.energy += 1
         # Half duplex: anything we were receiving is lost.
         receptions = self.receptions
         for other in receptions:
@@ -88,30 +86,8 @@ class Radio:
 
     def end_transmit(self, tx: Transmission) -> None:
         self.sending = None
+        self.energy -= 1
         if self.mac is not None:
             if not self.mac_idle:
                 self.mac.on_medium_change()
             self.mac.on_tx_complete(tx.frame)
-
-    # -- receive path ------------------------------------------------------
-
-    def frame_end(self, frame: "Frame", corrupt: bool) -> None:
-        """A frame this radio could have decoded just left the air."""
-        mac = self.mac
-        if mac is None:
-            return
-        if corrupt:
-            # A decodable frame was ruined (collision / half duplex): the
-            # MAC may apply EIFS deference.
-            on_corrupt = getattr(mac, "on_corrupt_frame", None)
-            if on_corrupt is not None:
-                on_corrupt()
-        if (
-            not self.mac_idle
-            and not self.receptions
-            and self.cs_energy == 0
-            and self.sending is None
-        ):
-            mac.on_medium_change()
-        if not corrupt:
-            mac.on_frame(frame)

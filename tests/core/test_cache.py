@@ -54,6 +54,23 @@ def test_capacity_eviction():
     assert cache.find(3) is not None
 
 
+def test_eviction_is_least_recently_sighted_not_fifo():
+    """A re-added path moves to the young end of the eviction order but
+    keeps its entry time, so a path that keeps being overheard survives."""
+    cache = PathCache(owner=0, capacity=3)
+    a, b, c, d = [0, 1, 9], [0, 2, 9], [0, 3, 9], [0, 4, 9]
+    cache.add(a, now=0.0)
+    cache.add(b, now=1.0)
+    cache.add(c, now=2.0)
+    assert not cache.add(a, now=3.0)  # re-sighted, not re-entered
+    assert cache.add(d, now=4.0)
+    assert [(p.route, p.added) for p in cache.paths()] == [
+        ((0, 3, 9), 2.0),
+        ((0, 1, 9), 0.0),
+        ((0, 4, 9), 4.0),
+    ]  # B, the least recently sighted, is gone; FIFO would have evicted A
+
+
 def test_remove_link_truncates_and_reports_lifetimes():
     cache = PathCache(owner=0)
     cache.add([0, 1, 2, 3], now=10.0)
