@@ -2,9 +2,9 @@
 """A miniature of the paper's Figure 2: performance versus mobility.
 
 Sweeps the random-waypoint pause time (0 = constant motion, run length =
-static network) for base DSR and the combined-techniques variant, averaging
-a couple of seeds per point, and prints the three routing metrics as a
-table per variant.
+every node rests once its first leg ends) for base DSR and the
+combined-techniques variant, averaging a couple of seeds per point, and
+prints the three routing metrics as a table per variant.
 
     python examples/mobility_sweep.py          # quick (2 seeds, 60 s runs)
     python examples/mobility_sweep.py --full   # denser sweep

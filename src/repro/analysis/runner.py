@@ -15,7 +15,8 @@ modes — the only thing that differs is which map drains the task list:
 3. duplicate keys within the batch collapse to one simulation;
 4. remaining tasks are ordered longest-job-first by :func:`plan_dispatch`
    (low-pause / high-load scenarios dominate wall time, so they must start
-   early) and drained via ``imap_unordered`` for pool load balancing;
+   early), submitted in that order and drained as they complete, so a free
+   worker always takes the longest job left;
 5. a task whose worker raises or dies is retried in the parent process, a
    bounded number of times; failures that survive the retries raise
    :class:`SweepExecutionError` — never silently dropped;
@@ -79,7 +80,7 @@ def estimate_cost(payload: dict) -> float:
     Event volume scales with offered traffic (sessions x rate x duration)
     and with topology churn: per-quantum neighbour work is ~quadratic in
     node count, and continuous motion (pause 0) roughly doubles routing
-    traffic versus a static network.  Only the *ordering* matters, so the
+    traffic versus pause = duration.  Only the *ordering* matters, so the
     constants are coarse.
     """
     nodes = float(payload.get("num_nodes", 2))
@@ -344,8 +345,8 @@ class SweepEngine:
         except KeyboardInterrupt:
             interrupted = True
         finally:
-            # Terminates the pool when we stopped mid-drain (generator close
-            # runs the Pool context manager's __exit__); no-op when drained.
+            # Stops the workers if we stopped mid-drain (generator close runs
+            # _completions' finally); no-op when drained, it has run by then.
             completions.close()
         if failures and not interrupted:
             raise SweepExecutionError(failures)
@@ -401,9 +402,34 @@ class SweepEngine:
         if processes <= 1 or len(tasks) <= 1:
             yield from map(guarded, tasks)
             return
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=processes) as pool:
-            yield from pool.imap_unordered(guarded, tasks)
+        # Imported here: the executor brings 2 MiB of multiprocessing machinery
+        # that only a pooled sweep should pay for, not every importer of the planner.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = ProcessPoolExecutor(
+            max_workers=processes, mp_context=multiprocessing.get_context("spawn")
+        )
+        try:
+            keys = {pool.submit(guarded, task): task[0] for task in tasks}
+            for future in as_completed(keys):
+                try:
+                    completion = future.result()
+                except BrokenProcessPool as exc:
+                    # A worker died (killed, os._exit, a crash in native code).
+                    # The executor then fails every task still out; each is a
+                    # failure like any other, retried in the parent.
+                    completion = keys[future], None, f"{type(exc).__name__}: {exc}", 0.0
+                yield completion
+        finally:
+            # Kill the workers, as Pool.__exit__ did: drained, they hold nothing
+            # and need not tear an interpreter down; stopped mid-drain, they
+            # must not finish what they hold.  The executor has no public call
+            # for it before Python 3.14, so this goes through its process table.
+            for process in list((pool._processes or {}).values()):
+                process.terminate()
+            # Joins them: no worker outlives run().
+            pool.shutdown(wait=True, cancel_futures=True)
 
     # -- figure-shaped conveniences ---------------------------------------
 

@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "instead of one run, sweep every cache-strategy variant across "
-            "these link-loss levels on a frozen network (uses the sweep "
+            "these link-loss levels with pause = duration (uses the sweep "
             "engine and its cache) and print a markdown report"
         ),
     )

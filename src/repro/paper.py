@@ -171,9 +171,12 @@ class LossSweepReport:
     """Cache-strategy comparison across link-loss levels, per radio profile.
 
     The figure-style companion to :class:`PaperReport` for the loss-driven
-    regime: the network is frozen (pause = duration) so every link break is
-    caused by the probabilistic channel, and each variant of the paper's
-    caching techniques is swept across ``levels`` of flat link loss.
+    regime: pause = duration, so a node rests once its first leg ends and
+    link breaks come mostly from the probabilistic channel, and each variant
+    of the paper's caching techniques is swept across ``levels`` of flat link
+    loss.  Not a frozen network: the waypoint model starts every node with a
+    leg (at the 30-node scale half of them are still on it a quarter of the
+    way in), so some mobility-driven breaks remain.
     """
 
     scale: str
@@ -188,8 +191,8 @@ class LossSweepReport:
             f"# Loss sweep ({self.scale} scale, profile {self.profile}, "
             f"seeds {self.seeds})",
             "",
-            "Metrics vs link-loss probability, static network "
-            "(loss-driven link breaks only).",
+            "Metrics vs link-loss probability, pause = run length "
+            "(nodes rest after their first leg; mostly loss-driven link breaks).",
         ]
         for name, points in self.variants.items():
             sections += [
@@ -227,8 +230,9 @@ def loss_sweep(
 
     def scenario(level: float, seed: int, dsr: DsrConfig) -> ScenarioConfig:
         base = _base_scenario(scale, 0.0, 3.0, dsr, seed)
-        # Freeze the network: mobility contributes no link breaks, so the
-        # sweep isolates the loss-driven regime the profiles exist to study.
+        # Pause for the whole run: a node rests once its first leg ends, so
+        # the sweep leans on the loss-driven regime the profiles exist to
+        # study.  (It does not freeze the network: every node starts moving.)
         return base.but(
             pause_time=base.duration,
             radio_profile=profile,

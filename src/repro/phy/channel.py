@@ -81,11 +81,17 @@ class Channel:
         self.energy = energy
         # Per-quantum delivery plans:
         # sender -> [(radio, in_rx, distance, power_db)].  Geometry is frozen
-        # within a neighbour-cache quantum, so the radio lookups, range tests
-        # and power proxies for a sender can be done once per quantum instead
-        # of once per frame.
+        # within a neighbour-cache quantum, so a sender's plan is assembled
+        # once per quantum, column by column from the arrays of one
+        # neighbour-cache query, instead of listener by listener per frame.
         self._plans: Dict[int, List[tuple]] = {}
         self._plans_tick = -1
+        # The radio column: radios in the neighbour cache's row order, and which
+        # rows have one (None while all do); rebuilt after attach.  A list, not an
+        # object array: radio -> channel -> column is a cycle, and the collector
+        # cannot see through numpy arrays, so the array would leak every run.
+        self._radio_rows: Optional[List[Optional["Radio"]]] = None
+        self._attached_rows: Optional[np.ndarray] = None
 
     @property
     def neighbors(self) -> NeighborCache:
@@ -95,6 +101,7 @@ class Channel:
         if radio.node_id in self._radios:
             raise SimulationError(f"radio for node {radio.node_id} already attached")
         self._radios[radio.node_id] = radio
+        self._radio_rows = None
 
     def radio(self, node_id: int) -> "Radio":
         return self._radios[node_id]
@@ -187,26 +194,36 @@ class Channel:
             self._plans_tick = tick
         plan = self._plans.get(sender_id)
         if plan is None:
-            rx_set = neighbors.rx_set(sender_id, now)
-            cs_list = neighbors.cs_neighbors(sender_id, now)
-            radios = self._radios
+            rows, in_rx, sq = neighbors.listeners(sender_id, now)
+            radio_rows = self._radio_rows
+            if radio_rows is None:
+                radio_rows = self._index_radios()
+            if self._attached_rows is not None:
+                attached = self._attached_rows[rows]
+                rows, in_rx, sq = rows[attached], in_rx[attached], sq[attached]
             capture = self.capture
             distances: Iterable[float] = repeat(0.0)
             powers: Iterable[float] = repeat(0.0)
             if capture is not None or self._lossy:
-                # One vectorized sqrt per sender per quantum instead of a scalar
-                # np.sqrt per receiver per frame (np.sqrt is correctly rounded,
-                # so each element is bit-identical to the scalar path).
-                distances = neighbors.distances(sender_id, cs_list, now).tolist()
+                # One vectorized sqrt per sender per quantum, of the squared
+                # distances the range tests used (np.sqrt is correctly rounded:
+                # each element is bit-identical to NeighborCache.distances).
+                distances = np.sqrt(sq).tolist()
                 if capture is not None:
                     powers = map(capture.power_db, distances)
-            plan = [
-                (radios[node_id], node_id in rx_set, distance, power)
-                for node_id, distance, power in zip(cs_list, distances, powers)
-                if node_id in radios
-            ]
+            # tolist(): Python bools and floats in the rows, never numpy scalars.
+            radios = map(radio_rows.__getitem__, rows.tolist())
+            plan = list(zip(radios, in_rx.tolist(), distances, powers))
             self._plans[sender_id] = plan
         return plan
+
+    def _index_radios(self) -> List[Optional["Radio"]]:
+        """(Re)build the row-indexed radio column after an attach."""
+        radios = [self._radios.get(node_id) for node_id in self._neighbors.node_ids]
+        attached = np.array([radio is not None for radio in radios])
+        self._radio_rows = radios
+        self._attached_rows = None if attached.all() else attached
+        return radios
 
     def _finish(self, tx: Transmission, sender: "Radio", plan: List[tuple]) -> None:
         # End energy at listeners first so the sender's completion callback

@@ -32,11 +32,13 @@ Hot-path decisions, all determinism-preserving:
   ``sqrt`` only happens when a caller asks for an actual metric distance
   (the probabilistic edge-loss model — see :meth:`distances`, which batches
   it to one vectorized call per sender).
-* **Lazy neighbour lists.**  Python neighbour lists (and the receive *set*
-  the channel consults) are built per node on first use within a quantum.
-  Most nodes are silent in any 50 ms quantum, so eagerly rebuilding 2 x n
-  lists per tick wastes the bulk of the refresh; the index masks/buckets are
-  kept and the lists materialise on demand.
+* **One query per node, lazy Python lists.**  The first question about a
+  node within a quantum makes one backend query, memoised as arrays:
+  carrier-sense rows, an "also in receive range" flag per row, squared
+  distances.  The channel builds its delivery plans from those arrays
+  (:meth:`listeners`); the Python lists and the receive set other callers
+  ask for derive from the same memo on first use.  Most nodes are silent in
+  any 50 ms quantum, so nothing per node is built at refresh time.
 
 At the paper's 20 m/s top speed a node moves 1 m per default 50 ms quantum
 — 0.4 % of the 250 m radio range — so quantisation error is negligible; the
@@ -45,13 +47,13 @@ tests include an exact-versus-cached comparison.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Sequence, Union
 
 import numpy as np
 
 from repro.mobility.base import MobilityModel
 from repro.phy.propagation import DiskPropagation
-from repro.phy.spatial import GRID_AUTO_NODES, AllPairsIndex, UniformGridIndex
+from repro.phy.spatial import GRID_AUTO_NODES, AllPairsIndex, NeighborRows, UniformGridIndex
 
 INDEX_CHOICES = ("auto", "allpairs", "grid")
 
@@ -75,15 +77,16 @@ class NeighborCache:
         self._mobility = mobility
         self._propagation = propagation
         self.quantum = quantum
-        self._node_ids = mobility.node_ids
-        self._ids_array = np.array(self._node_ids, dtype=np.intp)
+        #: Node ids in row order: row ``r`` of :meth:`listeners` is ``node_ids[r]``.
+        self.node_ids: Sequence[int] = mobility.node_ids
+        self._ids_array = np.array(self.node_ids, dtype=np.intp)
         self._index: Dict[int, int] = {
-            node_id: i for i, node_id in enumerate(self._node_ids)
+            node_id: i for i, node_id in enumerate(self.node_ids)
         }
         self._rx_sq = propagation.rx_range**2
         self._cs_sq = propagation.cs_range**2
         self._tick = -1
-        n = len(self._node_ids)
+        n = len(self.node_ids)
         if index == "auto":
             index = "grid" if n >= GRID_AUTO_NODES else "allpairs"
         #: The resolved backend name: ``"allpairs"`` or ``"grid"``.
@@ -100,7 +103,7 @@ class NeighborCache:
         else:
             self._backend = AllPairsIndex(n, self._rx_sq, self._cs_sq)
         # Per-quantum lazy memos, keyed by row index; cleared on refresh.
-        self._rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._rows: Dict[int, NeighborRows] = {}
         self._rx_lists: Dict[int, List[int]] = {}
         self._cs_lists: Dict[int, List[int]] = {}
         self._rx_sets: Dict[int, FrozenSet[int]] = {}
@@ -122,15 +125,6 @@ class NeighborCache:
         self._cs_lists.clear()
         self._rx_sets.clear()
 
-    def _node_rows(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rx_rows, cs_rows)`` for row ``i``, memoised within a quantum
-        (one backend query yields both radii)."""
-        found = self._rows.get(i)
-        if found is None:
-            found = self._backend.neighbor_rows(i)
-            self._rows[i] = found
-        return found
-
     def tick(self, t: float) -> int:
         """Refresh for time ``t`` and return the quantum index.
 
@@ -141,13 +135,28 @@ class NeighborCache:
         self._refresh(t)
         return self._tick
 
+    def listeners(self, node_id: int, t: float) -> NeighborRows:
+        """Everything a delivery plan for ``node_id`` needs, as arrays:
+        ``(cs_rows, in_rx, sq)`` — the rows (see :attr:`node_ids`) that sense
+        a transmission, ascending; whether each can also decode it; and each
+        one's squared distance (its ``np.sqrt`` is bit-identical to
+        :meth:`distances`).  One backend query per node per quantum, memoised
+        and shared with every other neighbour query: do not mutate."""
+        self._refresh(t)
+        i = self._index[node_id]
+        found = self._rows.get(i)
+        if found is None:
+            found = self._rows[i] = self._backend.neighbor_rows(i)
+        return found
+
     def rx_neighbors(self, node_id: int, t: float) -> List[int]:
         """Nodes able to decode a transmission from ``node_id`` at time ``t``."""
         self._refresh(t)
         i = self._index[node_id]
         found = self._rx_lists.get(i)
         if found is None:
-            found = self._ids_array[self._node_rows(i)[0]].tolist()
+            cs_rows, in_rx, _sq = self.listeners(node_id, t)
+            found = self._ids_array[cs_rows[in_rx]].tolist()
             self._rx_lists[i] = found
         return found
 
@@ -157,17 +166,12 @@ class NeighborCache:
         i = self._index[node_id]
         found = self._cs_lists.get(i)
         if found is None:
-            found = self._ids_array[self._node_rows(i)[1]].tolist()
+            found = self._ids_array[self.listeners(node_id, t)[0]].tolist()
             self._cs_lists[i] = found
         return found
 
     def rx_set(self, node_id: int, t: float) -> FrozenSet[int]:
-        """:meth:`rx_neighbors` as a memoised frozenset (membership tests).
-
-        The channel asks this once per transmitted frame; without the memo it
-        would rebuild the same ``set`` for every frame a node sends within a
-        quantum.
-        """
+        """:meth:`rx_neighbors` as a memoised frozenset (membership tests)."""
         self._refresh(t)
         i = self._index[node_id]
         found = self._rx_sets.get(i)

@@ -37,18 +37,26 @@ decisions always use current positions — staleness only ever widens the
 candidate set, never the result.  At the paper's 20 m/s and the default
 1-second rebucket horizon that is a 40 m slack on a 550 m cell, and a full
 rebucket (one argsort) runs once per simulated second instead of once per
-50 ms quantum.
+50 ms quantum.  The sorted rows of a cell's 3x3 block are a function of the
+buckets alone, so they too are gathered once per cell per rebucket (on the
+cell's first query) and shared by every row of the cell; a query masks
+itself out of the result instead of out of the candidates.
 
 Determinism: every structure here is a numpy array ordered by node row or by
-numeric cell key — no dict/set iteration can reach callers (repro-lint
-DET003 guards the scheduling side).
+numeric cell key, or a dict that is only ever looked up by key — no dict/set
+iteration can reach callers (repro-lint DET003 guards the scheduling side).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+#: A backend's ``neighbor_rows(row)`` answer, ``(cs_rows, in_rx, sq)`` — all a
+#: delivery plan needs from one query: carrier-sense rows ascending, a flag per
+#: row ("also in receive range": receive rows are ``cs_rows[in_rx]``), squared distances.
+NeighborRows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: ``index="auto"`` resolves to the grid backend at or above this node count.
 #: Below it the all-pairs matrix is both faster (one einsum beats per-node
@@ -111,7 +119,6 @@ class AllPairsIndex:
         self._rx_sq = rx_sq
         self._cs_sq = cs_sq
         self._sq = np.zeros((n, n))
-        self._rx = np.zeros((n, n), dtype=bool)
         self._cs = np.zeros((n, n), dtype=bool)
         self._labels: Optional[np.ndarray] = None
 
@@ -119,17 +126,15 @@ class AllPairsIndex:
         deltas = positions[:, None, :] - positions[None, :, :]
         sq = np.einsum("ijk,ijk->ij", deltas, deltas)
         self._sq = sq
-        rx = sq <= self._rx_sq
         cs = sq <= self._cs_sq
-        np.fill_diagonal(rx, False)
         np.fill_diagonal(cs, False)
-        self._rx = rx
         self._cs = cs
         self._labels = None
 
-    def neighbor_rows(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rx_rows, cs_rows)`` for one node, ascending row order."""
-        return np.flatnonzero(self._rx[row]), np.flatnonzero(self._cs[row])
+    def neighbor_rows(self, row: int) -> NeighborRows:
+        cs_rows = self._cs[row].nonzero()[0]
+        sq = self._sq[row][cs_rows]
+        return cs_rows, sq <= self._rx_sq, sq
 
     def sq_dists(self, row: int, others: np.ndarray) -> np.ndarray:
         return np.asarray(self._sq[row, others])
@@ -142,7 +147,8 @@ class AllPairsIndex:
 
     def component_labels(self) -> np.ndarray:
         if self._labels is None:
-            self._labels = labels_from_mask(self._rx)
+            # The diagonal stays set: a node's own label changes no minimum.
+            self._labels = labels_from_mask(self._sq <= self._rx_sq)
         return self._labels
 
 
@@ -201,8 +207,10 @@ class UniformGridIndex:
         self._order = np.zeros(0, dtype=np.intp)
         self._occupied = np.zeros(0, dtype=np.int64)  # sorted occupied keys
         self._bounds = np.zeros(1, dtype=np.intp)
-        self._rel = np.zeros((0, 2), dtype=np.int64)  # per-node cell coords
-        self._dims = np.zeros(2, dtype=np.int64)
+        self._keys: List[int] = []  # per-node cell key at bucket time
+        self._dims: Tuple[int, int] = (0, 0)
+        # Sorted rows of the 3x3 block around each queried cell, by cell key.
+        self._blocks: Dict[int, np.ndarray] = {}
         self._labels: Optional[np.ndarray] = None
 
     # -- bucket maintenance ------------------------------------------------
@@ -227,8 +235,9 @@ class UniformGridIndex:
         self._order = order.astype(np.intp)
         self._occupied = occupied
         self._bounds = np.append(starts, order.shape[0]).astype(np.intp)
-        self._rel = rel
-        self._dims = dims
+        self._keys = keys.tolist()
+        self._dims = (int(dims[0]), int(dims[1]))
+        self._blocks.clear()
         self._bucket_time = t
         self._have_buckets = True
 
@@ -240,37 +249,38 @@ class UniformGridIndex:
             return self._order[:0]
         return self._order[self._bounds[slot] : self._bounds[slot + 1]]
 
-    def _block_rows(self, cx: int, cy: int) -> np.ndarray:
-        """All rows bucketed in the 3x3 block centred on cell ``(cx, cy)``,
-        unsorted (concatenation of per-cell buckets)."""
-        dims_x = int(self._dims[0])
-        dims_y = int(self._dims[1])
-        chunks: List[np.ndarray] = []
-        for bx in (cx - 1, cx, cx + 1):
-            if bx < 0 or bx >= dims_x:
-                continue
-            for by in (cy - 1, cy, cy + 1):
-                if by < 0 or by >= dims_y:
-                    continue
-                chunk = self._bucket(bx * dims_y + by)
-                if chunk.shape[0]:
-                    chunks.append(chunk)
-        if not chunks:
-            return self._order[:0]
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+    def _block_rows(self, key: int) -> np.ndarray:
+        """All rows bucketed in the 3x3 block centred on cell ``key``,
+        ascending.  Gathered once per cell per rebucket: the block only
+        changes when the buckets do, and a stale block is the same widened
+        candidate set the drift argument in the module docstring covers."""
+        block = self._blocks.get(key)
+        if block is None:
+            dims_x, dims_y = self._dims
+            cx, cy = divmod(key, dims_y)
+            chunks = [
+                self._bucket(bx * dims_y + by)
+                for bx in (cx - 1, cx, cx + 1)
+                if 0 <= bx < dims_x
+                for by in (cy - 1, cy, cy + 1)
+                if 0 <= by < dims_y
+            ]
+            block = self._blocks[key] = np.sort(np.concatenate(chunks))
+        return block
 
     # -- queries -----------------------------------------------------------
 
-    def neighbor_rows(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rx_rows, cs_rows)`` for one node, ascending row order."""
+    def neighbor_rows(self, row: int) -> NeighborRows:
         positions = self._positions
-        candidates = np.sort(self._block_rows(int(self._rel[row, 0]), int(self._rel[row, 1])))
-        candidates = candidates[candidates != row]
-        deltas = positions[row] - positions[candidates]
+        candidates = self._block_rows(self._keys[row])
+        deltas = positions[row] - positions.take(candidates, axis=0)
         sq = np.einsum("ij,ij->i", deltas, deltas)
-        return candidates[sq <= self._rx_sq], candidates[sq <= self._cs_sq]
+        near = sq <= self._cs_sq
+        # The block is per cell, so it holds the querying row itself: mask it
+        # out of the result rather than filter it out of the candidates.
+        near[np.searchsorted(candidates, row)] = False
+        sq = sq[near]
+        return candidates[near], sq <= self._rx_sq, sq
 
     def sq_dists(self, row: int, others: np.ndarray) -> np.ndarray:
         deltas = self._positions[row] - self._positions[others]
@@ -300,8 +310,7 @@ class UniformGridIndex:
         dst_chunks: List[np.ndarray] = []
         for slot in range(self._occupied.shape[0]):
             members = self._order[self._bounds[slot] : self._bounds[slot + 1]]
-            anchor = members[0]
-            block = self._block_rows(int(self._rel[anchor, 0]), int(self._rel[anchor, 1]))
+            block = self._block_rows(int(self._occupied[slot]))
             deltas = positions[members][:, None, :] - positions[block][None, :, :]
             sq = np.einsum("ijk,ijk->ij", deltas, deltas)
             mask = (sq <= self._rx_sq) & (members[:, None] != block[None, :])

@@ -77,12 +77,13 @@ def lossy_scenario(
     seed: int = 1,
     pause_time: float | None = None,
 ) -> ScenarioConfig:
-    """A scaled scenario where link breaks are loss-driven, not mobility-driven.
+    """A scaled scenario where link breaks are mostly loss-driven.
 
-    The default freezes the network (pause = duration) so *every* MAC retry
-    exhaustion is caused by the probabilistic channel — the regime where
-    negative caches and adaptive timeouts face the opposite input to the
-    paper's mobility sweeps.  Pick a ``radio_profile`` to add that
+    The default is pause = duration: a node rests once its first leg ends
+    (the waypoint model starts with a leg, so this is not a frozen network),
+    and most MAC retry exhaustion is caused by the probabilistic channel —
+    the regime where negative caches and adaptive timeouts face the opposite
+    input to the paper's mobility sweeps.  Pick a ``radio_profile`` to add that
     technology's own grey zone and capture behaviour on top of the flat
     ``link_loss``.
     """

@@ -1,6 +1,7 @@
 """Tests for the sweep execution engine (parallel + cached runner)."""
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.analysis.runner import (
 from repro.analysis.series import sweep
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import scenario_to_dict
+
+from tests.helpers import watchdog
 
 
 def _config(seed=1, pause=0.0, duration=12.0):
@@ -34,6 +37,13 @@ def _raise_in_worker(payload):
     """Fails inside pool workers, succeeds when retried in the parent."""
     if multiprocessing.parent_process() is not None:
         raise RuntimeError("injected worker failure")
+    return _run_payload(payload)
+
+
+def _die_in_worker(payload):
+    """Takes its pool worker down with it, succeeds when retried in the parent."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
     return _run_payload(payload)
 
 
@@ -176,6 +186,20 @@ def test_crashed_worker_is_retried_in_parent():
     report = engine.run(configs)
     assert report.retries == 2  # both tasks failed in workers, retried OK
     assert report.results == run_many(configs, processes=1)
+
+
+def test_dead_worker_is_retried_in_parent():
+    """A worker that exits mid-task takes its task with it (and, the pool
+    being broken, every task still out): all of them are failures like any
+    other.  ``multiprocessing.Pool`` replaced the worker, lost the task and
+    blocked forever — hence the watchdog."""
+    configs = [_config(seed=s) for s in (1, 2)]
+    engine = SweepEngine(processes=2, retries=1, task_fn=_die_in_worker)
+    with watchdog(60):
+        report = engine.run(configs)
+    assert report.retries == 2
+    assert report.results == run_many(configs, processes=1)
+    assert multiprocessing.active_children() == []  # joined before run returned
 
 
 def test_persistent_failure_is_surfaced_not_dropped():

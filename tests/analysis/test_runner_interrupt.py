@@ -1,12 +1,16 @@
 """Tests for graceful sweep interruption (Ctrl-C mid-batch)."""
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.runner import SweepEngine, SweepInterrupted, _run_payload
 from repro.scenarios.config import ScenarioConfig
+
+from tests.helpers import watchdog
 
 
 def _config(seed=1):
@@ -90,6 +94,30 @@ def test_interrupt_during_retry_loop_is_graceful():
     with pytest.raises(SweepInterrupted):
         engine.run([_config(seed=1)])
     assert len(attempts) == 2  # first failed, retry interrupted
+
+
+def _stall_in_worker(payload):
+    """Seed 1 runs; any other seed blocks its pool worker for two minutes."""
+    if multiprocessing.parent_process() is not None and payload["seed"] != 1:
+        time.sleep(120)
+    return _run_payload(payload)
+
+
+def test_interrupt_terminates_the_pool_workers():
+    """Pooled mode: an interrupt kills the workers rather than waiting for
+    the tasks they hold, and none of them outlives ``run``."""
+
+    def interrupt_after_first(update):
+        if update.executed:
+            raise KeyboardInterrupt
+
+    engine = SweepEngine(
+        processes=2, task_fn=_stall_in_worker, progress=interrupt_after_first
+    )
+    with watchdog(60), pytest.raises(SweepInterrupted) as excinfo:
+        engine.run([_config(seed=s) for s in (1, 2, 3)])
+    assert excinfo.value.completed == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_uninterrupted_sweep_unchanged(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,6 +24,23 @@ from repro.phy.neighbors import NeighborCache
 from repro.phy.propagation import DiskPropagation
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
+
+
+@contextlib.contextmanager
+def watchdog(seconds: int):
+    """Fail instead of hanging the suite: after ``seconds`` a SIGALRM raises
+    in the main thread, interrupting whatever it is blocked in."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @dataclass

@@ -4,20 +4,29 @@ Each names a piece of work whose answer the caller already had — a pause
 of a defer timer that is not running, a validation of a path that is
 already a cache key, a negative filter over an empty negative cache, an
 exception per cached path a lookup rejects, a twelve-argument ``__init__``
-per cloned packet — and fails if it comes back: the work is patched to
-raise, or counted, never timed.
+per cloned packet, a per-listener lookup while a delivery plan is built, a
+second gather of a 3x3 grid block that has not changed — and fails if it
+comes back: the work is patched to raise, or counted, never timed.
 """
 
 import dataclasses
 import sys
 
+import pytest
+
 import repro.core.cache as cache_module
 import repro.net.packet as packet_module
+from repro.analysis.cache import result_to_payload
 from repro.core.cache import PathCache
 from repro.core.config import DsrConfig
 from repro.core.negative_cache import NegativeCache
 from repro.mac.dcf import DcfMac
+from repro.mobility.base import MobilityModel
+from repro.mobility.trajectory import Segment, Trajectory
 from repro.net.packet import Packet, PacketKind
+from repro.phy.neighbors import NeighborCache
+from repro.phy.propagation import DiskPropagation
+from repro.phy.spatial import UniformGridIndex
 from repro.scenarios.builder import build_simulation
 from repro.scenarios.presets import tiny_scenario
 
@@ -109,3 +118,79 @@ def test_clone_copies_fields_without_dataclasses_replace(monkeypatch):
     moved = packet.clone(route_index=2, source_route=packet.source_route)
     assert moved.route_index == 2 and moved.source_route is packet.source_route
     assert dataclasses.asdict(moved) == {**dataclasses.asdict(packet), "route_index": 2}
+
+
+# -- delivery plans and the grid's block cache ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "profile_kind",
+    [{}, {"link_loss": 0.2}, {"radio_profile": "urban"}],
+    ids=["plain", "lossy", "lossy+capture"],
+)
+def test_a_plan_is_built_without_the_per_listener_queries(monkeypatch, profile_kind):
+    """The channel assembles plans from ``NeighborCache.listeners`` alone:
+    a grid-indexed run gives the same result with the list, set and distance
+    queries it used to make per sender patched to raise."""
+    config = tiny_scenario(seed=3).but(
+        duration=10.0, neighbor_index="grid", **profile_kind
+    )
+    expected = result_to_payload(build_simulation(config).run())
+    assert expected["data_received"] > 0
+    for query in ("rx_set", "cs_neighbors", "distances"):
+        monkeypatch.setattr(NeighborCache, query, _must_not_run)
+    assert result_to_payload(build_simulation(config).run()) == expected
+
+
+def _count_bucket_calls(monkeypatch):
+    """``(_bucket calls, occupied cells at each rebucket)``, filled as the
+    grid runs."""
+    bucket_calls, rebucket_cells = [], []
+    real_bucket = UniformGridIndex._bucket
+    real_rebucket = UniformGridIndex._rebucket
+
+    def counting_bucket(index, key):
+        bucket_calls.append(key)
+        return real_bucket(index, key)
+
+    def counting_rebucket(index, positions, t):
+        real_rebucket(index, positions, t)
+        rebucket_cells.append(len(index._occupied))
+
+    monkeypatch.setattr(UniformGridIndex, "_bucket", counting_bucket)
+    monkeypatch.setattr(UniformGridIndex, "_rebucket", counting_rebucket)
+    return bucket_calls, rebucket_cells
+
+
+def test_a_second_query_from_a_cell_gathers_nothing(monkeypatch):
+    bucket_calls, rebucket_cells = _count_bucket_calls(monkeypatch)
+    drift = {"vx": 1.0, "vy": 0.0}
+    mobility = MobilityModel(
+        {
+            0: Trajectory([Segment(t0=0.0, x0=10.0, y0=10.0, **drift)]),
+            1: Trajectory([Segment(t0=0.0, x0=40.0, y0=20.0, **drift)]),
+            2: Trajectory([Segment(t0=0.0, x0=900.0, y0=10.0, **drift)]),
+        }
+    )
+    cache = NeighborCache(mobility, DiskPropagation(), quantum=0.05, index="grid")
+    assert cache.cs_neighbors(0, 0.0) == [1]
+    gathered = len(bucket_calls)
+    assert 0 < gathered <= 9
+    # Same cell: another row in the same quantum, the same row a few quanta
+    # on (fresh positions, same buckets: the 1 s rebucket horizon holds).
+    assert cache.cs_neighbors(1, 0.0) == [0]
+    assert cache.cs_neighbors(0, 0.5) == [1]
+    assert len(bucket_calls) == gathered and rebucket_cells == [2]
+    # Past the horizon the buckets, and so the blocks, are rebuilt.
+    cache.cs_neighbors(0, 1.5)
+    assert len(bucket_calls) > gathered and len(rebucket_cells) == 2
+
+
+def test_a_whole_run_gathers_each_block_once_per_rebucket(monkeypatch):
+    bucket_calls, rebucket_cells = _count_bucket_calls(monkeypatch)
+    config = tiny_scenario(seed=2).but(
+        duration=10.0, field_width=1500.0, field_height=900.0, neighbor_index="grid"
+    )
+    result = build_simulation(config).run()
+    assert result.data_sent > 0 and len(rebucket_cells) > 1
+    assert 0 < len(bucket_calls) <= 9 * sum(rebucket_cells)
