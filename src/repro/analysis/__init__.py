@@ -17,7 +17,6 @@ from repro.analysis.runner import (
     run_many,
 )
 from repro.analysis.compare import Comparison, compare, compare_results
-from repro.analysis.netmap import render_topology
 from repro.analysis.topology import (
     average_degree,
     average_path_length,
@@ -51,7 +50,6 @@ __all__ = [
     "compare",
     "compare_results",
     "Comparison",
-    "render_topology",
     "link_lifetimes",
     "average_degree",
     "average_path_length",

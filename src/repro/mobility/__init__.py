@@ -17,7 +17,6 @@ from repro.mobility.gauss_markov import GaussMarkovModel
 from repro.mobility.rpgm import ReferencePointGroupModel
 from repro.mobility.static import StaticModel
 from repro.mobility.grid import chain_positions, grid_positions
-from repro.mobility.ns2 import export_ns2, load_ns2_movements, parse_ns2_movements
 
 __all__ = [
     "MobilityModel",
@@ -30,7 +29,4 @@ __all__ = [
     "StaticModel",
     "chain_positions",
     "grid_positions",
-    "parse_ns2_movements",
-    "load_ns2_movements",
-    "export_ns2",
 ]

@@ -188,14 +188,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.service.http import ServiceHTTPServer
 
     log = StructuredLogger("serve")
-    shards_done_before = 0
-    if args.journal:
-        # Before construction: the service compacts the journal (dropping
-        # lease records), so the shard history must be read first.
-        from repro.service.journal import replay_shards
-
-        history = replay_shards(args.journal)
-        shards_done_before = sum(len(entry.done) for entry in history.values())
     task_fn = None
     if args.flight_dir is not None:
         from repro.obs.flight import FlightRecordingTaskFn
@@ -221,13 +213,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             "journal.recovered",
             count=len(recovered),
             message=f"recovered {len(recovered)} unfinished job(s) from the journal",
-        )
-    if shards_done_before:
-        log.info(
-            "journal.shards_done",
-            count=shards_done_before,
-            message=f"{shards_done_before} shard(s) were delivered before "
-            "the restart; their results resolve from the cache",
         )
     httpd = ServiceHTTPServer((args.host, args.port), service, verbose=args.verbose)
     service.start()

@@ -41,9 +41,10 @@ same scenario list (pinned by ``tests/service/``).
 
 from __future__ import annotations
 
+import re
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.runner import TaskFn
@@ -57,7 +58,7 @@ from repro.scenarios.io import scenario_from_dict, scenario_to_dict
 from repro.service.jobs import Job, JobState, new_job_id
 from repro.service.journal import JobJournal, replay, replay_spans
 from repro.service.client import ServiceError
-from repro.service.leases import Lease, LeaseNotFoundError, ShardBoard
+from repro.service.leases import LeaseNotFoundError, ShardBoard
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import AdmissionError, AdmissionPolicy, JobQueue
 from repro.service.worker import ShardWorker
@@ -74,6 +75,8 @@ __all__ = [
 ]
 
 ScenarioLike = Union[ScenarioConfig, Dict[str, Any]]
+
+_SCENARIO_HASH = re.compile(r"[0-9a-f]{64}")
 
 
 class JobNotFoundError(ReproError):
@@ -154,7 +157,8 @@ class SimulationService:
         tracer: Optional[FleetTracer] = None,
     ) -> None:
         self.workers = max(1, workers)
-        self.metrics = ServiceMetrics(registry)
+        # Jobs by state and the board's counts are sampled when read.
+        self.metrics = ServiceMetrics(registry, lambda: (self.counts(), self.fleet_status()))
         # Fleet tracing is strictly optional: ``tracer=None`` keeps every
         # span site to a single attribute check (the bench's "plain" mode),
         # and a disabled tracer adds only its own fast path.
@@ -174,12 +178,10 @@ class SimulationService:
         self._stopped = False  # guarded-by: _lock
         # Set with _draining: cuts the janitor's between-tick sleep short.
         self._drain_begun = threading.Event()
-        # Tracing state: open span handles keyed "job:<id>"/"queue:<id>"/
-        # "dispatch:<id>"/"shardq:<shard>"/"lease:<lease>", the trace->job
-        # map, and which span ids each job has already journaled.
-        self._open_spans: Dict[str, Span] = {}  # guarded-by: _lock
+        # Tracing state: open spans live on what they time (Job, Shard,
+        # Lease); this maps a trace to its job, for spans that arrive with
+        # nothing but their trace id.
         self._trace_jobs: Dict[str, str] = {}  # guarded-by: _lock
-        self._journaled_spans: Dict[str, Set[str]] = {}  # guarded-by: _lock
         self.distributed = distributed
         self.lease_ttl_s = lease_ttl_s
         # The shared cache instance: the shard board's resolution source,
@@ -215,11 +217,12 @@ class SimulationService:
 
         self._board = ShardBoard(
             cache=self.cache,
-            journal=self._journal,
             shard_size=shard_size,
             lease_ttl_s=lease_ttl_s,
+            # Only a tracer that records: a disabled one costs the per-shard
+            # paths no call, no lock and no span.
+            tracer=tracer if tracer is not None and tracer.enabled else None,
         )
-        self._board.on_trace = self._on_shard_event
         # Who claims from the board: a distributed coordinator waits for
         # the remote fleet; otherwise ``workers`` threads of this process
         # run the same loop over direct calls and the service's own cache.
@@ -237,7 +240,6 @@ class SimulationService:
                 )
                 for index in range(self.workers)
             ]
-        self._refresh_gauges_locked()
 
     def _restore_traces_locked(
         self, replayed: Dict[str, List[Dict[str, Any]]]
@@ -258,11 +260,6 @@ class SimulationService:
                 continue
             tracer.add_spans(spans, record_metrics=False)
             self._trace_jobs[job.trace_id] = job_id
-            self._journaled_spans[job_id] = {
-                blob["span_id"]
-                for blob in spans
-                if isinstance(blob.get("span_id"), str)
-            }
         if not tracer.enabled:
             return
         for job in self._jobs.values():
@@ -271,17 +268,15 @@ class SimulationService:
             if job.trace_id is None:
                 job.trace_id = new_trace_id()
             self._trace_jobs[job.trace_id] = job.id
-            root = tracer.start(
+            job.span = root = tracer.start(
                 "job",
                 job.trace_id,
                 attrs={"job": job.id, "client": job.client, "recovered": True},
             )
-            if root is None:
-                continue
-            self._open_spans["job:" + job.id] = root
-            queued = tracer.start("queue.wait", job.trace_id, parent_id=root.span_id)
-            if queued is not None:
-                self._open_spans["queue:" + job.id] = queued
+            if root is not None:
+                job.stage_span = tracer.start(
+                    "queue.wait", job.trace_id, parent_id=root.span_id
+                )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -368,7 +363,6 @@ class SimulationService:
             if self._journal is not None:
                 self._journal.close()
             self._stopped = True
-            self._refresh_gauges_locked()
         return {
             "finished": finished,
             "checkpointed": checkpointed,
@@ -445,24 +439,21 @@ class SimulationService:
                 )
                 if root is not None:
                     root.start = submit_start  # the root covers validation too
-                    self._open_spans["job:" + job.id] = root
+                    job.span = root
                     admit = tracer.start(
                         "submit", job.trace_id, parent_id=root.span_id
                     )
                     if admit is not None:
                         admit.start = submit_start
                     tracer.finish(admit, scenarios=len(payloads))
-                    queued = tracer.start(
+                    job.stage_span = tracer.start(
                         "queue.wait", job.trace_id, parent_id=root.span_id
                     )
-                    if queued is not None:
-                        self._open_spans["queue:" + job.id] = queued
             self._jobs[job.id] = job
             if self._journal is not None:
                 self._journal.record_submit(job)
             self._queue.push(job)
             self.metrics.jobs_submitted.inc()
-            self._refresh_gauges_locked()
         return job
 
     def get_job(self, job_id: str) -> Job:
@@ -521,7 +512,6 @@ class SimulationService:
                     self._journal.record_cancelled(job)
                 self.metrics.jobs_cancelled.inc()
                 self._finish_trace_locked(job, "cancelled")
-                self._refresh_gauges_locked()
             elif job.state is JobState.RUNNING:
                 raise JobNotCancellableError(
                     f"job {job_id} is already running; it cannot be interrupted"
@@ -534,7 +524,6 @@ class SimulationService:
                 if tracer is not None and job.trace_id is not None:
                     tracer.discard(job.trace_id)
                     self._trace_jobs.pop(job.trace_id, None)
-                self._journaled_spans.pop(job_id, None)
         job.touch()
         return job
 
@@ -572,95 +561,43 @@ class SimulationService:
             and job.state in (JobState.PENDING, JobState.RUNNING)
         )
 
-    def _refresh_gauges_locked(self) -> None:
-        self.metrics.set_job_gauges(
-            queue_depth=self._count_state_locked(JobState.PENDING),
-            pending=self._count_state_locked(JobState.PENDING),
-            running=self._count_state_locked(JobState.RUNNING),
-        )
-
     # -- fleet tracing ---------------------------------------------------------
 
     def _on_span_finish(self, span: Span) -> None:
         """Tracer hook: every finished span feeds a per-stage histogram."""
         self.metrics.observe_stage(span.kind, span.duration())
 
-    def _root_span_id_locked(self, job_id: str) -> Optional[str]:
-        span = self._open_spans.get("job:" + job_id)
-        return span.span_id if span is not None else None
-
     def _trace_job_running_locked(self, job: Job) -> None:
         """Queue wait is over; the dispatch stage begins."""
         tracer = self.tracer
-        if tracer is None or job.trace_id is None:
+        if tracer is None or job.span is None:
             return
-        tracer.finish(self._open_spans.pop("queue:" + job.id, None))
-        span = tracer.start(
+        tracer.finish(job.stage_span)
+        job.stage_span = tracer.start(
             "dispatch",
             job.trace_id,
-            parent_id=self._root_span_id_locked(job.id),
+            parent_id=job.span.span_id,
             attrs={"job": job.id},
         )
-        if span is not None:
-            self._open_spans["dispatch:" + job.id] = span
 
     def _finish_trace_locked(self, job: Job, state: str) -> None:
         """Close the job's open coordinator spans and journal the trace."""
         tracer = self.tracer
         if tracer is None or job.trace_id is None:
             return
-        tracer.finish(self._open_spans.pop("queue:" + job.id, None))
-        tracer.finish(self._open_spans.pop("dispatch:" + job.id, None))
-        tracer.finish(self._open_spans.pop("job:" + job.id, None), state=state)
-        self._journal_trace_locked(job)
+        tracer.finish(job.stage_span)
+        tracer.finish(job.span, state=state)
+        job.stage_span = job.span = None
+        self._journal_trace(job.id, job.trace_id)
 
-    def _journal_trace_locked(self, job: Job) -> None:
-        """Append the trace's not-yet-journaled finished spans."""
-        tracer = self.tracer
-        if tracer is None or job.trace_id is None or self._journal is None:
-            return
-        seen = self._journaled_spans.setdefault(job.id, set())
-        fresh = [
-            blob
-            for blob in tracer.trace_dicts(job.trace_id)
-            if blob.get("end") is not None and blob["span_id"] not in seen
-        ]
-        if not fresh:
-            return
-        self._journal.record_spans(job.id, job.trace_id, fresh)
-        seen.update(blob["span_id"] for blob in fresh)
-
-    def _span_tracer(self) -> Optional[FleetTracer]:
-        """The tracer, if it records: the per-shard paths skip their span
-        bookkeeping (and its lock round trips) for a disabled one."""
-        tracer = self.tracer
-        return tracer if tracer is not None and tracer.enabled else None
-
-    def _on_shard_event(self, event: str, shard_id: str, job_id: str) -> None:
-        """Shard-board observer: per-shard queue.wait spans.
-
-        Called by the board with its lock already released, so taking the
-        service lock here is rank-clean (10 from nothing held).
-        """
-        tracer = self._span_tracer()
-        if tracer is None:
-            return
-        with self._lock:
-            if event == "claimed":
-                tracer.finish(self._open_spans.pop("shardq:" + shard_id, None))
-                return
-            job = self._jobs.get(job_id)
-            if job is None or job.trace_id is None:
-                return
-            span = tracer.start(
-                "queue.wait",
-                job.trace_id,
-                parent_id=self._root_span_id_locked(job_id),
-                attrs={"shard": shard_id, "requeue": event == "requeued"},
+    def _journal_trace(self, job_id: str, trace_id: str) -> None:
+        """Hand the trace's finished spans to the journal, which appends
+        those it does not hold yet."""
+        if self.tracer is not None and self._journal is not None:
+            spans = self.tracer.trace_dicts(trace_id)
+            self._journal.record_spans(
+                job_id, trace_id, [blob for blob in spans if blob.get("end") is not None]
             )
-            if span is not None:
-                tracer.finish(self._open_spans.pop("shardq:" + shard_id, None))
-                self._open_spans["shardq:" + shard_id] = span
 
     def ingest_spans(self, spans: List[Dict[str, Any]]) -> int:
         """Merge worker-produced spans (``POST /v1/spans``) and journal
@@ -669,16 +606,12 @@ class SimulationService:
         if tracer is None:
             return 0
         accepted = tracer.add_spans(spans)
+        trace_ids = {
+            str(blob.get("trace_id")) for blob in spans if isinstance(blob, dict)
+        }
         with self._lock:
-            job_ids = {
-                self._trace_jobs.get(str(blob.get("trace_id")))
-                for blob in spans
-                if isinstance(blob, dict)
-            }
-            for job_id in sorted(jid for jid in job_ids if jid):
-                job = self._jobs.get(job_id)
-                if job is not None:
-                    self._journal_trace_locked(job)
+            for trace_id in sorted(trace_ids & self._trace_jobs.keys()):
+                self._journal_trace(self._trace_jobs[trace_id], trace_id)
         return accepted
 
     def job_trace(self, job_id: str) -> Dict[str, Any]:
@@ -708,46 +641,37 @@ class SimulationService:
             if not self._running():
                 self._queue.push(job)
                 break
-            with self._lock:
-                if job.state is not JobState.PENDING:
-                    continue  # cancelled while queued
-                job.state = JobState.RUNNING
-                job.started_at = time.time()
-                if self._journal is not None:
-                    self._journal.record_state(job)
-                self._trace_job_running_locked(job)
-                self._refresh_gauges_locked()
-            job.touch()
+            # One guarded unit per job: whatever raises — a full disk under
+            # the journal included — fails that job, never the thread.
             try:
+                with self._lock:
+                    if job.state is not JobState.PENDING:
+                        continue  # cancelled while queued
+                    job.state = JobState.RUNNING
+                    job.started_at = time.time()
+                    if self._journal is not None:
+                        self._journal.record_state(job)
+                    self._trace_job_running_locked(job)
+                job.touch()
                 results = board.add_job(job)
-            except Exception as exc:  # job-level failure, never thread death
-                self._finish_failed(job, f"{type(exc).__name__}: {exc}")
-                continue
-            self.metrics.sims_cache_hits.inc(job.progress.cached)
-            self.metrics.sims_deduped.inc(job.progress.deduped)
-            if results is not None:
-                self._finish_done(job, results)
+                self.metrics.sims_cache_hits.inc(job.progress.cached)
+                self.metrics.sims_deduped.inc(job.progress.deduped)
+                if results is not None:
+                    self._finish_done(job, results)
+            except Exception as exc:
+                try:
+                    self._finish_failed(job, f"{type(exc).__name__}: {exc}")
+                except Exception:  # the job is failed in memory; report, go on
+                    import traceback  # not worth its 0.2 MiB to a healthy process
+
+                    traceback.print_exc()
 
     def _janitor_loop(self) -> None:
-        """Expire silent leases (requeueing their shards), refresh gauges."""
+        """Expire silent leases, requeueing their shards."""
         tick = min(1.0, max(0.05, self.lease_ttl_s / 4.0))
         while self._running():
-            expired = self._board.expire_leases(time.time())
-            self._trace_leases_expired(expired)
-            self.fleet_status()
+            self._board.expire_leases(time.time())
             self._drain_begun.wait(tick)
-
-    def _trace_leases_expired(self, expired: List[Lease]) -> None:
-        """Close the shard.lease spans of leases the janitor expired."""
-        tracer = self.tracer
-        if tracer is None or not expired:
-            return
-        with self._lock:
-            for lease in expired:
-                tracer.finish(
-                    self._open_spans.pop("lease:" + lease.id, None),
-                    outcome="expired",
-                )
 
     def _claims_open(self) -> bool:
         """A draining coordinator shows its fleet an idle queue and the
@@ -765,31 +689,11 @@ class SimulationService:
         if lease is None:
             return None
         doc = lease.claim_doc()
-        tracer = self._span_tracer()
-        if tracer is not None:
-            with self._lock:
-                job = self._jobs.get(lease.shard.job_id)
-                trace_id = job.trace_id if job is not None else None
-                span = tracer.start(
-                    "shard.lease",
-                    trace_id,
-                    parent_id=self._root_span_id_locked(lease.shard.job_id),
-                    attrs={
-                        "lease": lease.id,
-                        "shard": lease.shard.id,
-                        "job": lease.shard.job_id,
-                        "worker": worker,
-                        "tasks": len(lease.shard.keys),
-                    },
-                )
-                if span is not None:
-                    self._open_spans["lease:" + lease.id] = span
-                    # The claim doc carries the trace context; the worker's
-                    # shard.execute span parents onto this lease span.
-                    doc["trace"] = {
-                        "trace_id": trace_id,
-                        "parent_id": span.span_id,
-                    }
+        span = lease.span
+        if span is not None:
+            # The claim doc carries the trace context; the worker's
+            # shard.execute span parents onto this lease span.
+            doc["trace"] = {"trace_id": span.trace_id, "parent_id": span.span_id}
         return doc
 
     def lease_heartbeat(self, lease_id: str) -> Dict[str, Any]:
@@ -813,51 +717,39 @@ class SimulationService:
         """
         board = self._board
         executed = int((stats or {}).get("executed", 0))
-        tracer = self._span_tracer()
-        lease_span: Optional[Span] = None
-        deliver_span: Optional[Span] = None
-        if tracer is not None:
-            with self._lock:
-                lease_span = self._open_spans.pop("lease:" + lease_id, None)
-            if lease_span is not None:
-                deliver_span = tracer.start(
-                    "result.deliver",
-                    lease_span.trace_id,
-                    parent_id=lease_span.span_id,
-                    attrs={"lease": lease_id},
-                )
+        tracer = board.tracer
+        arrived = tracer.now() if tracer is not None else 0.0
         outcome = board.complete(
             lease_id, results, failures, now=time.time(), executed=executed
         )
         if outcome.accepted and executed:
             self.metrics.sims_ran(executed)
+        lease_span = outcome.lease_span
         if tracer is not None and spans:
-            tracer.add_spans(spans)
+            if lease_span is not None:
+                tracer.add_spans(spans)  # journaled below, with the lease span
+            else:
+                self.ingest_spans(spans)  # late: by the job their trace names
         for job, job_results in outcome.finished:
             self._finish_done(job, job_results)
         for job, error in outcome.failed:
             self._finish_failed(job, error)
-        if tracer is not None:
+        if tracer is not None and lease_span is not None:
+            deliver_span = tracer.start(
+                "result.deliver",
+                lease_span.trace_id,
+                parent_id=lease_span.span_id,
+                attrs={"lease": lease_id},
+            )
+            if deliver_span is not None:
+                deliver_span.start = arrived  # the delivery began before the board
             tracer.finish(
                 lease_span,
                 outcome="accepted" if outcome.accepted else "duplicate",
                 late=outcome.late,
             )
             tracer.finish(deliver_span, results=len(results))
-            with self._lock:
-                touched: Set[str] = set()
-                if lease_span is not None:
-                    touched.add(str(lease_span.attrs.get("job")))
-                for blob in spans or []:
-                    if isinstance(blob, dict):
-                        job_id = self._trace_jobs.get(str(blob.get("trace_id")))
-                        if job_id is not None:
-                            touched.add(job_id)
-                for job_id in sorted(touched):
-                    job = self._jobs.get(job_id)
-                    if job is not None:
-                        self._journal_trace_locked(job)
-        self.fleet_status()
+            self._journal_trace(str(lease_span.attrs["job"]), lease_span.trace_id)
         return {
             "accepted": outcome.accepted,
             "late": outcome.late,
@@ -870,18 +762,24 @@ class SimulationService:
         return self._board.lease_docs(time.time())
 
     def fleet_status(self) -> Dict[str, int]:
-        """Shard/lease/worker counts; also refreshes the fleet metrics."""
-        counts = self._board.counts(time.time())
-        self.metrics.sync_fleet(counts)
-        return counts
+        """Shard/lease/worker counts, as of now."""
+        return self._board.counts(time.time())
 
     # -- the remote cache tier (served whenever a cache exists) --------------
 
-    def cache_entry_get(self, key: str) -> Optional[Dict[str, Any]]:
-        """A raw cache entry by scenario hash, or ``None`` on miss."""
+    def _cache_for(self, key: str) -> ResultCache:
+        """The cache, for a ``key`` from outside that is what every key is —
+        a sha256 hex digest — and so cannot name a path beyond the root."""
         if self.cache is None:
             raise NotDistributedError("this service has no result cache")
-        entry = self.cache.get_entry(key)
+        if not _SCENARIO_HASH.fullmatch(key):
+            raise ValueError(f"not a scenario hash: {key[:70]!r}")
+        return self.cache
+
+    def cache_entry_get(self, key: str) -> Optional[Dict[str, Any]]:
+        """A raw cache entry by scenario hash, or ``None`` on miss
+        (``ValueError`` for a key that is no hash)."""
+        entry = self._cache_for(key).get_entry(key)
         if entry is None:
             self.metrics.remote_miss()
         else:
@@ -890,9 +788,7 @@ class SimulationService:
 
     def cache_entry_put(self, key: str, entry: Dict[str, Any]) -> None:
         """Store a worker-produced entry (validated; ValueError on junk)."""
-        if self.cache is None:
-            raise NotDistributedError("this service has no result cache")
-        self.cache.put_entry(key, entry)
+        self._cache_for(key).put_entry(key, entry)
         self.metrics.remote_store()
 
     def _finish_done(self, job: Job, results: List[SimulationResult]) -> None:
@@ -908,7 +804,6 @@ class SimulationService:
             if wall is not None:
                 self.metrics.job_wall.observe(wall)
             self._finish_trace_locked(job, "done")
-            self._refresh_gauges_locked()
         job.touch()
 
     def _finish_failed(self, job: Job, error: str) -> None:
@@ -922,12 +817,11 @@ class SimulationService:
                 )
             self.metrics.jobs_failed.inc()
             self._finish_trace_locked(job, "failed")
-            self._refresh_gauges_locked()
         job.touch()
 
     def _journal_ctx_locked(self, job: Job) -> Optional[Tuple[str, Optional[str]]]:
         """Trace context for the journal's fsync span, if tracing."""
         if job.trace_id is None:
             return None
-        return (job.trace_id, self._root_span_id_locked(job.id))
+        return (job.trace_id, job.span.span_id if job.span is not None else None)
 

@@ -34,6 +34,7 @@ remote cache tier::
     GET    /v1/leases                active leases + fleet counts
     GET    /v1/cache/{key}           raw cache entry (404 on miss)
     PUT    /v1/cache/{key}           store a validated entry
+                                     (a key is 64 lowercase hex, else 400)
 
 Status mapping: invalid payloads are 400, unknown jobs 404, cancelling a
 running job 409, admission refusals 429 with a ``Retry-After`` hint, a
@@ -437,6 +438,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             entry = self.service.cache_entry_get(key)
         except NotDistributedError as exc:
             return self._send_error_json(409, str(exc))
+        except ValueError as exc:
+            return self._send_error_json(400, f"bad key: {exc}")
         if entry is None:
             return self._send_error_json(404, f"cache miss: {key[:16]}…")
         self._send_json(200, entry)
@@ -468,7 +471,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _get_metrics(self) -> None:
-        self.service.fleet_status()  # fresh fleet gauges
         body = self.service.metrics.render_prometheus().encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "text/plain; charset=utf-8")

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.devtools.lockdep import OrderedLock
 from repro.metrics.collector import SimulationResult
+from repro.obs.fleet import Span
 
 
 class JobState(str, enum.Enum):
@@ -81,6 +82,10 @@ class Job:
     #: Fleet trace id (see :mod:`repro.obs.fleet`); every span produced on
     #: this job's behalf — coordinator- or worker-side — carries it.
     trace_id: Optional[str] = None
+    #: The trace's open root span and the stage the job is in — queue wait,
+    #: then dispatch; they never overlap — while it is traced and unfinished.
+    span: Optional[Span] = field(default=None, repr=False)
+    stage_span: Optional[Span] = field(default=None, repr=False)
     #: Monotone change counter; bumped by :meth:`touch`.
     version: int = 0  # guarded-by: changed
 

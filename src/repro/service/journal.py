@@ -11,13 +11,13 @@ can reconstruct its world:
 * ``checkpoint``— a running job handed back to pending at drain time;
 * ``deleted``   — the record was explicitly removed (replay drops it).
 
-Distributed mode adds lease records (``shards`` / ``lease`` /
-``heartbeat`` / ``shard_done`` / ``lease_expired``) so the shard-level
-history of a sweep survives a coordinator crash: :func:`replay_shards`
-folds them per job.  Job-level :func:`replay` skips them — a recovered
-distributed job is simply re-sharded, and every shard a dead worker (or
-coordinator) already finished resolves instantly from the result cache,
-so the lease records are an audit trail rather than required state.
+plus ``spans`` — the finished trace spans of a job, each written once, as
+they arrive.  Shards and leases are not journaled: a recovered job is
+simply re-sharded, every shard already delivered resolves from the result
+cache, and who ran what (and which lease expired) is in the ``shard.lease``
+spans.  A journal from an earlier coordinator may also hold ``shards`` /
+``lease`` / ``heartbeat`` / ``shard_done`` / ``lease_expired`` records;
+every fold skips them and compaction drops them.
 
 :func:`replay` folds a journal into the latest state per job.  Jobs whose
 last state is ``pending`` or ``running`` are *recovered*: returned as
@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
@@ -120,6 +119,8 @@ class JobJournal:
         self._lock = OrderedLock("journal.io", rank=60, io_lock=True, reentrant=False)
         self._handle = open(self.path, "a", encoding="utf-8")  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
+        # Span ids this file already holds, per job: a span is written once.
+        self._span_ids: Dict[str, Set[str]] = {}  # guarded-by: _lock
         #: Optional fleet tracer; synced appends then produce
         #: ``journal.fsync`` spans (opened before and closed after the I/O
         #: lock region — journal.io is an I/O leaf, nothing may be
@@ -151,9 +152,8 @@ class JobJournal:
                 if sync:
                     with blocking("journal.fsync"):
                         os.fsync(self._handle.fileno())
-        tracer_obj = self.tracer
-        if span is not None and tracer_obj is not None:
-            tracer_obj.finish(span)
+        if tracer is not None:
+            tracer.finish(span)
 
     def record_submit(self, job: Job) -> None:
         self._append(_submit_record(job))
@@ -183,90 +183,23 @@ class JobJournal:
         )
 
     def record_spans(self, job_id: str, trace_id: str, spans: List[Dict[str, Any]]) -> None:
-        """Persist finished trace spans for ``job_id`` (crash durability).
+        """Persist those of ``job_id``'s finished trace spans the journal
+        does not hold yet (crash durability).
 
         Appended without fsync: spans are diagnostics, and losing the tail
         of a trace in a crash is acceptable where losing results is not.
         """
-        if not spans:
-            return
-        self._append(_spans_record(job_id, trace_id, spans))
+        with self._lock:
+            held = self._span_ids.setdefault(job_id, set())
+            spans = [blob for blob in spans if blob["span_id"] not in held]
+            held.update(blob["span_id"] for blob in spans)
+        if spans:
+            self._append(_spans_record(job_id, trace_id, spans))
 
     def record_deleted(self, job_id: str) -> None:
         self._append({"event": "deleted", "t": time.time(), "id": job_id}, sync=True)
-
-    # -- distributed lease records -------------------------------------------
-    #
-    # These carry a "shard"/"lease" field and (except heartbeats) the job
-    # "id"; job-level replay() ignores them because their event names match
-    # none of its transitions.  Compaction drops them: after a restart the
-    # cache, not the lease history, carries finished shard work.
-
-    def record_shard_plan(self, job_id: str, shards: List[Any]) -> None:
-        """The shard decomposition of a distributed job: (id, keys) pairs."""
-        self._append(
-            {
-                "event": "shards",
-                "t": time.time(),
-                "id": job_id,
-                "shards": [
-                    {"id": shard_id, "keys": list(keys)} for shard_id, keys in shards
-                ],
-            }
-        )
-
-    def record_lease(
-        self, lease_id: str, shard_id: str, job_id: str, worker: str, deadline: float
-    ) -> None:
-        self._append(
-            {
-                "event": "lease",
-                "t": time.time(),
-                "lease": lease_id,
-                "shard": shard_id,
-                "id": job_id,
-                "worker": worker,
-                "deadline": deadline,
-            }
-        )
-
-    def record_heartbeat(self, lease_id: str, deadline: float) -> None:
-        self._append(
-            {
-                "event": "heartbeat",
-                "t": time.time(),
-                "lease": lease_id,
-                "deadline": deadline,
-            }
-        )
-
-    def record_shard_done(self, shard_id: str, job_id: str, keys: List[str]) -> None:
-        """A shard's results were delivered and cached (fsynced: the shard
-        must never be re-executed after a crash that follows this line)."""
-        self._append(
-            {
-                "event": "shard_done",
-                "t": time.time(),
-                "shard": shard_id,
-                "id": job_id,
-                "keys": list(keys),
-            },
-            sync=True,
-        )
-
-    def record_lease_expired(
-        self, lease_id: str, shard_id: str, job_id: str, worker: str
-    ) -> None:
-        self._append(
-            {
-                "event": "lease_expired",
-                "t": time.time(),
-                "lease": lease_id,
-                "shard": shard_id,
-                "id": job_id,
-                "worker": worker,
-            }
-        )
+        with self._lock:
+            self._span_ids.pop(job_id, None)
 
     def close(self) -> None:
         with self._lock:
@@ -298,12 +231,14 @@ class JobJournal:
             if self._closed:
                 return
             self._handle.flush()
+            self._span_ids.clear()
             with open(tmp, "w", encoding="utf-8") as out:
                 for job in jobs:
                     records = [_submit_record(job)]
                     spans = (traces or {}).get(job.id)
                     if spans and job.trace_id is not None:
                         records.append(_spans_record(job.id, job.trace_id, spans))
+                        self._span_ids[job.id] = {blob["span_id"] for blob in spans}
                     terminal = _TERMINAL_RECORDS.get(job.state)
                     if terminal is not None:
                         records.append(terminal(job))
@@ -315,26 +250,6 @@ class JobJournal:
             self._handle.close()
             os.replace(tmp, self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
-
-
-@dataclass
-class ShardRecovery:
-    """What a journal's lease records say about one job's shard history."""
-
-    #: shard id -> scenario keys, from the job's latest ``shards`` plan.
-    planned: Dict[str, List[str]] = dataclass_field(default_factory=dict)
-    #: shard ids whose results were delivered and cached.
-    done: Set[str] = dataclass_field(default_factory=set)
-    leases_granted: int = 0
-    leases_expired: int = 0
-
-    @property
-    def finished_keys(self) -> Set[str]:
-        """Scenario keys that completed shards already resolved."""
-        keys: Set[str] = set()
-        for shard_id in self.done:
-            keys.update(self.planned.get(shard_id, []))
-        return keys
 
 
 def _records(path: PathLike) -> Iterator[Dict[str, Any]]:
@@ -356,51 +271,6 @@ def _records(path: PathLike) -> Iterator[Dict[str, Any]]:
         except ValueError:
             continue
         yield record
-
-
-def replay_shards(path: PathLike) -> Dict[str, ShardRecovery]:
-    """Fold a journal's lease records into per-job shard histories.
-
-    Purely an audit/startup-reporting view: recovery correctness rests on
-    the result cache (every ``shard_done`` was preceded by cache writes),
-    not on this fold.  Unreadable lines are skipped like in :func:`replay`.
-    """
-    history: Dict[str, ShardRecovery] = {}
-    shard_to_job: Dict[str, str] = {}
-    lease_to_job: Dict[str, str] = {}
-    for record in _records(path):
-        event = record.get("event")
-        if event == "shards":
-            job_id = record.get("id")
-            if not job_id:
-                continue
-            recovery = history.setdefault(job_id, ShardRecovery())
-            for blob in record.get("shards", []):
-                shard_id = blob.get("id")
-                if not shard_id:
-                    continue
-                recovery.planned[shard_id] = list(blob.get("keys", []))
-                shard_to_job[shard_id] = job_id
-        elif event == "lease":
-            job_id = record.get("id") or shard_to_job.get(record.get("shard", ""))
-            if not job_id:
-                continue
-            history.setdefault(job_id, ShardRecovery()).leases_granted += 1
-            lease_to_job[record.get("lease", "")] = job_id
-        elif event == "lease_expired":
-            job_id = record.get("id") or lease_to_job.get(record.get("lease", ""))
-            if not job_id:
-                continue
-            history.setdefault(job_id, ShardRecovery()).leases_expired += 1
-        elif event == "shard_done":
-            job_id = record.get("id") or shard_to_job.get(record.get("shard", ""))
-            shard_id = record.get("shard")
-            if not job_id or not shard_id:
-                continue
-            history.setdefault(job_id, ShardRecovery()).done.add(shard_id)
-        elif event == "deleted":
-            history.pop(record.get("id", ""), None)
-    return history
 
 
 def replay_spans(path: PathLike) -> Dict[str, List[Dict[str, Any]]]:

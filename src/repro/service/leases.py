@@ -22,12 +22,13 @@ waiters (counted on their ``progress.deduped``) and are assembled when the
 owning shard lands.
 
 The board is deliberately clock-free (every method takes ``now``) and
-never calls back into the service *under its lock*; callers finish the
-jobs that :meth:`ShardBoard.complete`/:meth:`ShardBoard.add_job` return.
-The one outward signal is the optional ``on_trace`` observer — shard
-lifecycle events (queued/claimed/requeued) buffered inside the lock and
-delivered after it is released, which is how the service keeps per-shard
-``queue.wait`` spans without the board knowing about tracing.
+never calls back into the service; callers finish the jobs that
+:meth:`ShardBoard.complete`/:meth:`ShardBoard.add_job` return.  Given a
+tracer it times what it moves: a shard's wait in the queue is a
+``queue.wait`` span held by the :class:`Shard`, a worker's hold a
+``shard.lease`` span held by the :class:`Lease`, each opened and closed
+under the board lock at the transition it measures, so a trace has the
+order the board had.
 
 Blocking is opt-in and lives in one place, :meth:`ShardBoard.wait_for`:
 in-process workers sleep on it until a shard is claimable, the dispatcher
@@ -41,15 +42,15 @@ import threading
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.cache import ResultCache, scenario_hash
 from repro.analysis.runner import plan_dispatch
 from repro.devtools.lockdep import OrderedLock
 from repro.errors import ReproError
 from repro.metrics.collector import SimulationResult
+from repro.obs.fleet import FleetTracer, Span
 from repro.service.jobs import Job
-from repro.service.journal import JobJournal
 
 __all__ = [
     "Lease",
@@ -86,6 +87,7 @@ class Shard:
     payloads: Dict[str, Dict[str, Any]]  # key -> scenario payload
     state: str = "pending"  # pending | leased | done
     requeues: int = 0
+    queue_span: Optional[Span] = None  # open while pending, if traced
 
 
 @dataclass
@@ -97,6 +99,7 @@ class Lease:
     worker: str
     ttl_s: float
     deadline: float  # wall-clock instant the hold lapses unless renewed
+    span: Optional[Span] = None  # ``shard.lease``, open while held, if traced
 
     def claim_doc(self) -> Dict[str, Any]:
         """The claim response body a worker executes from."""
@@ -130,6 +133,8 @@ class CompleteOutcome:
     late: bool  # the delivering lease had already expired
     finished: List[Tuple[Job, List[SimulationResult]]] = field(default_factory=list)
     failed: List[Tuple[Job, str]] = field(default_factory=list)
+    #: The delivering lease's span, still open: the caller's to close.
+    lease_span: Optional[Span] = None
 
 
 class ShardBoard:
@@ -138,9 +143,9 @@ class ShardBoard:
     def __init__(
         self,
         cache: Optional[ResultCache] = None,
-        journal: Optional[JobJournal] = None,
         shard_size: int = 4,
         lease_ttl_s: float = 10.0,
+        tracer: Optional[FleetTracer] = None,
     ) -> None:
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
@@ -149,14 +154,13 @@ class ShardBoard:
         #: Persistence behind the ``_results`` memo; ``None`` keeps delivered
         #: results in the memo only (a cache-less, non-distributed service).
         self.cache = cache
-        self.journal = journal
         self.shard_size = shard_size
         self.lease_ttl_s = lease_ttl_s
+        self.tracer = tracer  # one that records, or None: no span is built
         # Rank 20: ranked below the service lock (10), which every service
-        # method releases before calling in here (complete_shard included)
-        # and which the on_trace observer takes only after this one is
-        # released; above the journal/cache locks this one holds while
-        # journaling leases and resolving results.
+        # method releases before calling in here (complete_shard included);
+        # above the metrics (40) and tracer (45) locks a span finished under
+        # it takes, and the cache locks it holds while resolving results.
         self._lock = OrderedLock("service.board", rank=20, reentrant=False)
         # Notified whenever the queue gains its first or loses its last
         # claimable shard; see wait_for().
@@ -176,19 +180,34 @@ class ShardBoard:
         self.shards_requeued = 0
         self.shards_completed = 0
         self.heartbeats = 0
-        #: Optional shard-lifecycle observer: ``(event, shard_id, job_id)``
-        #: with event one of ``queued``/``claimed``/``requeued``.  Always
-        #: invoked *after* the board lock is released (events buffer inside
-        #: the lock), so the observer may take service-layer locks freely.
-        self.on_trace: Optional[Callable[[str, str, str], None]] = None
 
-    def _emit_trace(self, events: List[Tuple[str, str, str]]) -> None:
-        """Deliver buffered lifecycle events; never under ``_lock``."""
-        hook = self.on_trace
-        if hook is None:
-            return
-        for event, shard_id, job_id in events:
-            hook(event, shard_id, job_id)
+    def _start_span_locked(self, kind: str, shard: Shard, attrs: Dict[str, Any]) -> Optional[Span]:
+        """Open a span under the root of ``shard``'s job, which stays on
+        the board for as long as one of its shards is unsettled."""
+        tracer = self.tracer
+        if tracer is None:
+            return None
+        job = self._entries[shard.job_id].job
+        root = job.span
+        return tracer.start(
+            kind, job.trace_id, parent_id=root.span_id if root is not None else None, attrs=attrs
+        )
+
+    def _finish_span_locked(self, span: Optional[Span], **attrs: Any) -> None:
+        if span is not None and self.tracer is not None:
+            self.tracer.finish(span, **attrs)
+
+    def _enqueue_locked(self, shard: Shard, requeue: bool = False) -> None:
+        """Make a pending shard claimable — a requeued one first in line —
+        and start timing its wait."""
+        if requeue:
+            self._queue.appendleft(shard.id)
+        else:
+            self._queue.append(shard.id)
+        self._queue_changed.notify_all()
+        shard.queue_span = self._start_span_locked(
+            "queue.wait", shard, {"shard": shard.id, "requeue": requeue}
+        )
 
     # -- job intake ----------------------------------------------------------
 
@@ -231,21 +250,13 @@ class ShardBoard:
             if not entry.remaining:
                 return [self._results[key] for key in keys]
             shards = self._pack(job.id, to_pack, payload_by_key)
+            self._entries[job.id] = entry
             for shard in shards:
                 self._shards[shard.id] = shard
-                self._queue.append(shard.id)
                 for key in shard.keys:
                     self._owner[key] = shard.id
-            if shards:
-                self._queue_changed.notify_all()
-            self._entries[job.id] = entry
-            if self.journal is not None and shards:
-                self.journal.record_shard_plan(
-                    job.id, [(shard.id, shard.keys) for shard in shards]
-                )
-            events = [("queued", shard.id, job.id) for shard in shards]
+                self._enqueue_locked(shard)
         job.touch()
-        self._emit_trace(events)
         return None
 
     def _pack(
@@ -293,14 +304,21 @@ class ShardBoard:
                 self._leases[granted.id] = granted
                 self._lease_shard[granted.id] = shard.id
                 self.leases_granted += 1
-                if self.journal is not None:
-                    self.journal.record_lease(
-                        granted.id, shard.id, shard.job_id, worker, granted.deadline
-                    )
                 if not self._queue:
                     self._queue_changed.notify_all()
-        if granted is not None:
-            self._emit_trace([("claimed", granted.shard.id, granted.shard.job_id)])
+                self._finish_span_locked(shard.queue_span)
+                shard.queue_span = None
+                granted.span = self._start_span_locked(
+                    "shard.lease",
+                    shard,
+                    {
+                        "lease": granted.id,
+                        "shard": shard.id,
+                        "job": shard.job_id,
+                        "worker": worker,
+                        "tasks": len(shard.keys),
+                    },
+                )
         return granted
 
     def wait_for(self, claimable: bool, timeout: float) -> bool:
@@ -323,8 +341,6 @@ class ShardBoard:
             lease.deadline = now + lease.ttl_s
             self._workers_seen[lease.worker] = now
             self.heartbeats += 1
-            if self.journal is not None:
-                self.journal.record_heartbeat(lease_id, lease.deadline)
             return lease
 
     def expire_leases(self, now: float) -> List[Lease]:
@@ -334,7 +350,6 @@ class ShardBoard:
         already waited one full lease through a dead worker.
         """
         expired: List[Lease] = []
-        events: List[Tuple[str, str, str]] = []
         with self._lock:
             overdue = [
                 lease_id
@@ -347,17 +362,12 @@ class ShardBoard:
                 if shard.state == "leased":
                     shard.state = "pending"
                     shard.requeues += 1
-                    self._queue.appendleft(shard.id)
-                    self._queue_changed.notify_all()
+                    self._enqueue_locked(shard, requeue=True)
                     self.shards_requeued += 1
-                    events.append(("requeued", shard.id, shard.job_id))
                 self.leases_expired += 1
-                if self.journal is not None:
-                    self.journal.record_lease_expired(
-                        lease_id, shard.id, shard.job_id, lease.worker
-                    )
+                self._finish_span_locked(lease.span, outcome="expired")
+                lease.span = None
                 expired.append(lease)
-        self._emit_trace(events)
         return expired
 
     def complete(
@@ -385,15 +395,19 @@ class ShardBoard:
             shard = self._shards[shard_id]
             lease = self._leases.pop(lease_id, None)
             late = lease is None
+            lease_span: Optional[Span] = None
             if lease is not None:
                 self._workers_seen[lease.worker] = now
+                lease_span, lease.span = lease.span, None
             if shard.state == "done":
-                return CompleteOutcome(accepted=False, late=late)
+                return CompleteOutcome(accepted=False, late=late, lease_span=lease_span)
             if shard.state == "pending":
                 # Requeued when its lease expired, delivered late after all.
                 self._queue.remove(shard.id)
                 if not self._queue:
                     self._queue_changed.notify_all()
+                self._finish_span_locked(shard.queue_span)  # it waited for nothing
+                shard.queue_span = None
             for key in shard.keys:
                 if key not in results and key not in failures:
                     failures[key] = "shard delivery omitted this key"
@@ -409,8 +423,6 @@ class ShardBoard:
                 self._results[key] = result
                 if self.cache is not None:
                     self.cache.put(key, result)
-            if self.journal is not None:
-                self.journal.record_shard_done(shard.id, shard.job_id, shard.keys)
             owner_entry = self._entries.get(shard.job_id)
             if owner_entry is not None and executed > 0:
                 # Worker-side execution, attributed to the shard's job.
@@ -420,7 +432,7 @@ class ShardBoard:
                 {key: failures[key] for key in shard.keys if key in failures},
             )
         return CompleteOutcome(
-            accepted=True, late=late, finished=finished, failed=failed
+            accepted=True, late=late, finished=finished, failed=failed, lease_span=lease_span
         )
 
     def _settle_keys_locked(

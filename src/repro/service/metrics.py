@@ -11,7 +11,7 @@ exposition: one ``name value`` line per snapshot key, names sanitised to
 from __future__ import annotations
 
 import re
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.devtools.lockdep import OrderedLock
 from repro.obs.fleet import SPAN_KINDS
@@ -27,16 +27,26 @@ STAGE_WALL_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 1.0, 2.0, 5.0, 15.0, 60.0, 3
 
 _NAME_SANITISER = re.compile(r"[^a-zA-Z0-9_]")
 
+#: What a snapshot samples: ``(jobs by state, the shard board's counts)``.
+Sampler = Callable[[], Tuple[Dict[str, int], Dict[str, int]]]
+
 
 def prometheus_name(key: str) -> str:
     return "repro_" + _NAME_SANITISER.sub("_", key)
 
 
 class ServiceMetrics:
-    """The service's instrument set over one :class:`MetricsRegistry`."""
+    """The service's instrument set over one :class:`MetricsRegistry`.
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    Events are pushed as they happen (jobs, simulations, remote-cache
+    traffic, stage latencies); everything that is a *state* — jobs by
+    state, the fleet's shape and the board's lifetime totals — is read
+    from ``sample`` when :meth:`snapshot` is called, and at no other time.
+    """
+
+    def __init__(self, registry: Optional[MetricsRegistry], sample: Sampler) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._sample = sample
         reg = self.registry
         # Gauges: current shape of the serving system.
         self.queue_depth: Gauge = reg.gauge("service.queue.depth")
@@ -54,23 +64,21 @@ class ServiceMetrics:
         self.sims_deduped: Counter = reg.counter("service.sims.deduped")
         # Histogram: how long one job takes wall-clock, end to end.
         self.job_wall: Histogram = reg.histogram("service.job.wall_s", JOB_WALL_BUCKETS)
-        # Fleet health (distributed mode): gauges for the current shape,
-        # counters for lifetime lease/shard traffic.  Counters are synced
-        # from the shard board's authoritative totals via :meth:`sync_fleet`
-        # (delta-based, so the board never needs metric handles).
+        # Fleet health: gauges for the current shape, counters for lifetime
+        # lease/shard traffic — the shard board's own totals, by its names.
         self.fleet_workers: Gauge = reg.gauge("service.fleet.workers")
         self.fleet_leases_active: Gauge = reg.gauge("service.fleet.leases_active")
         self.fleet_shards_pending: Gauge = reg.gauge("service.fleet.shards_pending")
-        self._fleet_counters: Dict[str, Counter] = {
+        self._fleet_totals: Dict[str, Counter] = {
             "leases_granted": reg.counter("service.fleet.leases_granted"),
             "leases_expired": reg.counter("service.fleet.leases_expired"),
             "shards_requeued": reg.counter("service.fleet.shards_requeued"),
             "shards_completed": reg.counter("service.fleet.shards_completed"),
             "heartbeats": reg.counter("service.fleet.heartbeats"),
         }
-        self._fleet_last: Dict[str, int] = {}  # guarded-by: _lock
-        # Rank 40: below the service/board locks (metrics are synced while
-        # they are held), above the cache-stats locks.  Leaf in practice.
+        # Rank 40: below the service/board locks (spans finish, and feed the
+        # stage histograms, while they are held), above the cache-stats
+        # locks.  Leaf in practice.
         self._lock = OrderedLock("service.metrics", rank=40, reentrant=False)
         # The remote cache tier, as served by this coordinator.
         self.cache_remote_hits: Counter = reg.counter("service.cache.remote_hits")
@@ -82,11 +90,6 @@ class ServiceMetrics:
             kind: reg.histogram(f"service.stage.{kind}.wall_s", STAGE_WALL_BUCKETS)
             for kind in sorted(SPAN_KINDS)
         }
-
-    def set_job_gauges(self, queue_depth: int, pending: int, running: int) -> None:
-        self.queue_depth.set(queue_depth)
-        self.jobs_pending.set(pending)
-        self.jobs_running.set(running)
 
     def sims_ran(self, count: int) -> None:
         """Simulations a delivered shard executed (serialised: shard
@@ -115,21 +118,22 @@ class ServiceMetrics:
         with self._lock:
             histogram.observe(wall_s)
 
-    def sync_fleet(self, counts: Dict[str, int]) -> None:
-        """Fold a shard-board :meth:`~…ShardBoard.counts` snapshot in."""
-        with self._lock:
-            self.fleet_workers.set(counts.get("workers_connected", 0))
-            self.fleet_leases_active.set(counts.get("leases_active", 0))
-            self.fleet_shards_pending.set(counts.get("shards_pending", 0))
-            for name, counter in self._fleet_counters.items():
-                total = counts.get(name, 0)
-                delta = total - self._fleet_last.get(name, 0)
-                if delta > 0:
-                    counter.inc(delta)
-                    self._fleet_last[name] = total
-
     def snapshot(self) -> Dict[str, float]:
-        return self.registry.snapshot()
+        """Every instrument, the sampled ones as of this call."""
+        # Sample first, lock second: the sampler takes the service (10) and
+        # board (20) locks, which rank above this one.
+        jobs, fleet = self._sample()
+        with self._lock:
+            self.queue_depth.set(jobs["pending"])
+            self.jobs_pending.set(jobs["pending"])
+            self.jobs_running.set(jobs["running"])
+            self.fleet_workers.set(fleet["workers_connected"])
+            self.fleet_leases_active.set(fleet["leases_active"])
+            self.fleet_shards_pending.set(fleet["shards_pending"])
+            for name, counter in self._fleet_totals.items():
+                # max(): two scrapes may land in either order.
+                counter.inc(max(0.0, fleet[name] - counter.value))
+            return self.registry.snapshot()
 
     def render_prometheus(self) -> str:
         """Text exposition of the full snapshot, deterministically ordered."""

@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro.analysis.cache import HTTPCacheTier, ResultCache, TieredResultCache
-from repro.analysis.runner import SweepEngine, SweepExecutionError, TaskFn
+from repro.analysis.runner import SweepEngine, SweepExecutionError, TaskFn, _run_payload
 from repro.metrics.collector import SimulationResult
 from repro.obs.fleet import FleetTracer, Span
 from repro.obs.slog import StructuredLogger
@@ -249,14 +249,7 @@ class ShardWorker:
 
     def _traced_task(self, payload: dict) -> SimulationResult:
         with self.trace_span("task.run", seed=payload.get("seed")):
-            return self._run_task(payload)
-
-    def _run_task(self, payload: dict) -> SimulationResult:
-        if self._task_fn is not None:
-            return self._task_fn(payload)
-        from repro.scenarios.builder import run_scenario
-
-        return run_scenario(scenario_from_dict(payload))
+            return (self._task_fn or _run_payload)(payload)
 
     def run(self, max_shards: Optional[int] = None) -> int:
         """The worker loop; returns the number of shards delivered."""

@@ -13,7 +13,6 @@ import pytest
 from repro.mobility.base import MobilityModel
 from repro.mobility.gauss_markov import GaussMarkovModel
 from repro.mobility.grid import chain_positions, grid_positions
-from repro.mobility.ns2 import export_ns2, parse_ns2_movements
 from repro.mobility.rpgm import ReferencePointGroupModel
 from repro.mobility.static import StaticModel
 from repro.mobility.trajectory import Segment, Trajectory
@@ -56,7 +55,6 @@ def _models():
             rng=np.random.default_rng(5),
             num_groups=3,
         ),
-        "ns2": parse_ns2_movements(export_ns2(waypoint, DURATION), DURATION),
     }
 
 

@@ -1,16 +1,20 @@
 """Tests for the HTTP API + typed client against a live in-process server."""
 
+import os
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.cache import scenario_hash
 from repro.analysis.runner import run_many
 from repro.scenarios.io import scenario_to_dict
 from repro.service.client import JobFailedError, QueueFullError, ServiceClient, ServiceError
 from repro.service.core import SimulationService
 from repro.service.http import ServiceHTTPServer
 
-from tests.service.helpers import CountingTask, small_config
+from tests.service.helpers import CountingTask, fake_result, small_config
 
 
 class LiveServer:
@@ -199,6 +203,94 @@ def test_healthz_and_metrics_exposition():
     assert lines["repro_service_jobs_done"] == "1"
     assert lines["repro_service_sims_executed"] == "2"
     assert float(lines["repro_service_job_wall_s_count"]) == 1.0
+
+
+def _metrics(text):
+    return dict(line.rsplit(" ", 1) for line in text.strip().splitlines())
+
+
+def test_metrics_names_are_the_parent_commits():
+    """``/metrics`` is the same document whoever refreshes its gauges:
+    ``fixtures/parent_commit/metrics_names.txt`` is what commit 4f005c6
+    rendered (an unstarted service holding one pending job)."""
+    names = (
+        Path(__file__).resolve().parent / "fixtures" / "parent_commit" / "metrics_names.txt"
+    ).read_text(encoding="utf-8").split()
+    with _fake_server() as client:
+        assert sorted(_metrics(client.metrics_text())) == names
+    assert len(names) == 180
+
+
+def test_gauges_are_read_at_the_scrape_not_pushed_before_it(tmp_path):
+    """No dispatcher, no janitor, no delivery: nothing runs between the
+    state changing and the scrape that must show it."""
+    server = LiveServer(
+        distributed=True, cache_dir=str(tmp_path / "cache"), task_fn=fake_result
+    )
+    server.thread.start()  # HTTP only: the service's own threads never start
+    client = ServiceClient(f"http://127.0.0.1:{server.httpd.port}", client_id="pytest")
+    try:
+        idle = _metrics(client.metrics_text())
+        assert idle["repro_service_jobs_pending"] == idle["repro_service_queue_depth"] == "0"
+        job = server.service.get_job(client.submit([small_config(seed=1)]))
+        queued = _metrics(client.metrics_text())
+        assert queued["repro_service_jobs_pending"] == "1"
+        assert queued["repro_service_queue_depth"] == "1"
+        # Stand in for the dispatcher and a worker that dies: the board
+        # alone knows, until somebody asks.
+        board = server.service._board
+        assert board.add_job(job) is None
+        assert board.claim("ghost", time.time()) is not None
+        held = _metrics(client.metrics_text())
+        assert held["repro_service_fleet_leases_granted"] == "1"
+        assert held["repro_service_fleet_leases_active"] == "1"
+        assert held["repro_service_fleet_leases_expired"] == "0"
+        [expired] = board.expire_leases(time.time() + 3600.0)
+        # The snapshot is the read; the HTTP route adds nothing to it.
+        assert server.service.metrics.snapshot()["service.fleet.leases_expired"] == 1
+        lapsed = _metrics(client.metrics_text())
+        assert lapsed["repro_service_fleet_leases_expired"] == "1"
+        assert lapsed["repro_service_fleet_shards_requeued"] == "1"
+        assert lapsed["repro_service_fleet_shards_pending"] == "1"
+        assert lapsed["repro_service_fleet_leases_active"] == "0"
+        assert client.leases()["fleet"]["leases_expired"] == 1  # the plain read agrees
+    finally:
+        server.httpd.shutdown()
+        server.service.drain(grace_s=0)
+
+
+# -- the remote cache tier trusts no key --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad_key",
+    [
+        "..x",  # root / ".." / "..x.json": beside the cache root
+        "A" * 64,  # a digest, but not as scenario_hash writes one
+        "a" * 63,
+        "%00",
+    ],
+)
+def test_cache_endpoints_refuse_a_key_that_is_not_a_scenario_hash(tmp_path, bad_key):
+    root = tmp_path / "outer" / "cache"
+    payload = scenario_to_dict(small_config(seed=1))
+    key = scenario_hash(payload)
+    with _fake_server(cache_dir=str(root)) as client:
+        client.fetch(client.submit(payload), timeout=30)
+        entry = client._request("GET", f"/v1/cache/{key}")
+        assert entry["scenario_hash"] == key
+        before = sorted(os.listdir(root.parent))
+        with pytest.raises(ServiceError) as refused_get:
+            client._request("GET", f"/v1/cache/{bad_key}")
+        # A body that agrees with its key passes entry validation: the key
+        # itself has to be refused.
+        with pytest.raises(ServiceError) as refused_put:
+            client._request(
+                "PUT", f"/v1/cache/{bad_key}", dict(entry, scenario_hash=bad_key)
+            )
+        assert (refused_get.value.status, refused_put.value.status) == (400, 400)
+        assert sorted(os.listdir(root.parent)) == before == ["cache"]
+        assert client._request("GET", f"/v1/cache/{key}") == entry  # a real key still works
 
 
 def test_sse_stream_ends_with_done_event():

@@ -73,7 +73,8 @@ class ServiceIn:
 
     def __exit__(self, *exc_info):
         if self.mode == "threads":
-            return self.service.drain(grace_s=5.0)
+            self.service.drain(grace_s=5.0)  # not returned: a dict would swallow
+            return  # whatever the block raised
         self.fleet.__exit__(*exc_info)
         self.server.__exit__(*exc_info)
 
@@ -304,6 +305,48 @@ def test_restarted_service_requeues_and_completes(tmp_path):
             service.wait(job.id, timeout=30)
             assert service.get_job(job.id).state is JobState.DONE, mode
             assert service.job_results(job.id), mode
+
+
+@pytest.mark.parametrize("failure_recorded", [True, False])
+def test_a_raising_journal_write_fails_that_job_not_the_dispatcher(
+    tmp_path, failure_recorded, capsys
+):
+    """A full disk under the journal (or any bug in the transition) is one
+    job's failure: the dispatcher thread outlives it and serves the next —
+    even when the failure itself cannot be journaled either."""
+    for mode in MODES:
+        harness = ServiceIn(
+            mode, tmp_path / mode, task_fn=fake_result,
+            journal_path=str(tmp_path / mode / "journal.jsonl"),
+        )
+        journal = harness.service._journal
+        raised = []
+
+        def disk_full_once(record, raised=raised):
+            def write(job, *args, **kwargs):
+                if record.__name__ not in raised:
+                    raised.append(record.__name__)
+                    raise OSError(28, "No space left on device")
+                record(job, *args, **kwargs)
+
+            return write
+
+        journal.record_state = disk_full_once(journal.record_state)
+        if not failure_recorded:
+            journal.record_failed = disk_full_once(journal.record_failed)
+        with harness as service:
+            unlucky = service.submit([small_config(seed=1)])
+            service.wait(unlucky.id, timeout=30)
+            assert unlucky.state is JobState.FAILED, mode
+            assert "No space left on device" in unlucky.error, mode
+            following = service.submit([small_config(seed=2)])
+            service.wait(following.id, timeout=30)
+            assert following.state is JobState.DONE, mode
+            assert service.job_results(following.id), mode
+            assert service.counts()["pending"] == 0, mode
+        assert raised == ["record_state", "record_failed"][: 2 - failure_recorded], mode
+    # What could not be journaled is at least said.
+    assert ("No space left on device" in capsys.readouterr().err) is not failure_recorded
 
 
 def test_terminal_jobs_survive_restart(tmp_path):

@@ -2,6 +2,7 @@
 context propagation over HTTP, worker-span merge, and the trace API."""
 
 import threading
+from collections import Counter
 
 import pytest
 
@@ -16,9 +17,10 @@ from repro.scenarios.io import scenario_to_dict
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.core import SimulationService
 from repro.service.http import ServiceHTTPServer
+from repro.service.journal import replay_spans
 from repro.service.worker import ShardWorker
 
-from tests.service.helpers import fake_result, small_config
+from tests.service.helpers import BlockingTask, fake_result, small_config
 
 
 def payloads(*seeds):
@@ -174,6 +176,158 @@ def test_disabled_tracer_is_never_entered_locked_or_given_a_span(tmp_path, monke
     # The counters do count: the same job with tracing on trips all of them.
     _, lock_acquisitions = serve(FleetTracer(proc="coordinator"))
     assert lock_acquisitions >= 12 and spans_built.count("shard.lease") == 12
+
+
+class _PerThreadCountingLock(_CountingLock):
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.by_thread = Counter()
+
+    def __enter__(self):
+        self.by_thread[threading.get_ident()] += 1
+        return super().__enter__()
+
+
+def test_tracing_a_claim_and_a_delivery_adds_no_root_lock_entry(tmp_path):
+    """The other half of the budget, as clock-free: with tracing *on*, the
+    lease verbs enter ``service.jobs`` exactly as often as with it off —
+    a shard's spans live on the board's own objects, and filing them is
+    nobody's reason to take the root lock.  Counted on the calling thread
+    (the dispatcher and janitor poll the same lock on theirs)."""
+
+    def entries(tracer, where):
+        svc = SimulationService(
+            cache_dir=str(tmp_path / where / "cache"),
+            journal_path=str(tmp_path / where / "journal.jsonl"),
+            distributed=True,
+            shard_size=2,
+            tracer=tracer,
+        )
+        svc._lock = lock = _PerThreadCountingLock(svc._lock)
+        me, counted = threading.get_ident(), []
+        with svc:
+            job = svc.submit(payloads(1, 2, 3, 4))
+            # Two shards: the first delivery settles no job, the second does.
+            while svc.fleet_status()["shards_pending"] < 2:
+                job.wait_for_change(job.version, timeout=0.05)
+            for _ in range(2):
+                before = lock.by_thread[me]
+                claim = svc.claim_shard("w1")
+                worker_span = dict(
+                    claim.get("trace", {}), span_id=claim["id"], kind="shard.execute",
+                    proc="w1", start=1.0, end=2.0,
+                )
+                svc.complete_shard(
+                    claim["id"],
+                    {t["key"]: fake_result(t["scenario"]) for t in claim["tasks"]},
+                    stats={"executed": 2},
+                    spans=[worker_span] if tracer is not None else None,
+                )
+                counted.append(lock.by_thread[me] - before)
+            assert svc.wait(job.id, timeout=10.0).state.value == "done"
+        return counted, svc.job_trace(job.id)["spans"]
+
+    untraced, no_spans = entries(None, "off")
+    traced, spans = entries(FleetTracer(proc="coordinator"), "on")
+    assert traced == untraced == [1, 2]  # _claims_open; then + _finish_done
+    assert no_spans == []
+    # ...and the traced run did record, merge and journal all of it.
+    kinds = Counter(span["kind"] for span in spans)
+    assert (kinds["shard.lease"], kinds["result.deliver"], kinds["shard.execute"]) == (2, 2, 2)
+    journaled = replay_spans(tmp_path / "on" / "journal.jsonl")
+    [journaled_spans] = journaled.values()
+    assert {s["span_id"] for s in journaled_spans} == {s["span_id"] for s in spans}
+
+
+def _assert_shard_spans_are_whole(spans, shards, expired=0):
+    """One ``queue.wait`` per shard (re)queue; every ``shard.lease`` ends
+    in exactly one ``result.deliver`` or as ``outcome="expired"``."""
+    assert validate_spans(spans) == []
+    waits = [s for s in spans if s["kind"] == "queue.wait" and "shard" in s.get("attrs", {})]
+    first = Counter(s["attrs"]["shard"] for s in waits if not s["attrs"]["requeue"])
+    assert len(first) == shards and set(first.values()) == {1}
+    assert len(waits) - shards == expired
+    delivered = Counter(s["parent_id"] for s in spans if s["kind"] == "result.deliver")
+    leases = [s for s in spans if s["kind"] == "shard.lease"]
+    assert len(leases) == shards + expired
+    for lease in leases:
+        if lease["attrs"]["outcome"] == "expired":
+            assert delivered[lease["span_id"]] == 0
+        else:
+            assert delivered[lease["span_id"]] == 1
+    assert sum(s["attrs"]["outcome"] == "expired" for s in leases) == expired
+
+
+def _assert_no_span_handle_is_left(svc, jobs, leases):
+    board = svc._board
+    assert [(job.span, job.stage_span) for job in jobs] == [(None, None)] * len(jobs)
+    assert [shard.queue_span for shard in board._shards.values()] == [None] * len(board._shards)
+    assert [lease.span for lease in leases] == [None] * len(leases)
+    assert leases and not board._leases
+
+
+def _recording_claims(svc):
+    """Every :class:`Lease` the board grants, kept (the board forgets a
+    lease once it is delivered or expired)."""
+    leases, claim = [], svc._board.claim
+
+    def recording_claim(worker, now):
+        lease = claim(worker, now)
+        if lease is not None:
+            leases.append(lease)
+        return lease
+
+    svc._board.claim = recording_claim
+    return leases
+
+
+def test_twenty_traced_jobs_keep_every_shard_span():
+    """A worker's claim can answer a shard before anything else hears that
+    it was queued; the span must not depend on who hears first.  (With the
+    queued event delivered by a callback after the board lock was released,
+    roughly four in ten of these jobs lost a ``queue.wait`` span and left
+    its handle open for ever; twenty make that bite.)"""
+    svc = SimulationService(
+        workers=2, shard_size=2, task_fn=fake_result, tracer=FleetTracer(proc="coordinator")
+    )
+    leases = _recording_claims(svc)
+    jobs = []
+    with svc:
+        for first_seed in range(1, 241, 12):  # fresh grid points every time
+            jobs.append(svc.submit(payloads(*range(first_seed, first_seed + 12))))
+            assert svc.wait(jobs[-1].id, timeout=30.0).state.value == "done"
+    for job in jobs:
+        _assert_shard_spans_are_whole(svc.job_trace(job.id)["spans"], shards=6)
+    assert len(leases) == 120
+    _assert_no_span_handle_is_left(svc, jobs, leases)
+
+
+def test_a_ghost_claim_left_to_expire_closes_its_spans_too():
+    task = BlockingTask()
+    svc = SimulationService(
+        workers=1,
+        shard_size=2,
+        lease_ttl_s=0.4,
+        task_fn=task,
+        tracer=FleetTracer(proc="coordinator"),
+    )
+    leases = _recording_claims(svc)
+    with svc:
+        job = svc.submit(payloads(*range(1, 13)))
+        assert task.started.wait(timeout=10.0)  # the one worker is busy:
+        ghost = svc.claim_shard("ghost")  # the next shard goes to a ghost
+        assert ghost is not None and ghost["trace"]["trace_id"] == job.trace_id
+        task.release.set()
+        assert svc.wait(job.id, timeout=30.0).state.value == "done"
+    spans = svc.job_trace(job.id)["spans"]
+    _assert_shard_spans_are_whole(spans, shards=6, expired=1)
+    [lapsed] = [
+        s for s in spans
+        if s["kind"] == "shard.lease" and s["attrs"]["outcome"] == "expired"
+    ]
+    assert (lapsed["attrs"]["worker"], lapsed["attrs"]["lease"]) == ("ghost", ghost["id"])
+    assert lapsed["span_id"] == ghost["trace"]["parent_id"]
+    _assert_no_span_handle_is_left(svc, [job], leases)
 
 
 def test_trace_endpoint_over_http(http_service):
