@@ -1,10 +1,12 @@
-"""``repro-lint``: AST-based determinism & simulation-invariant analyzer.
+"""``repro-lint``: AST-based determinism & lock-discipline analyzer.
 
-The simulator's reproducibility guarantees (seeded streams only, total
-event ordering, guarded hot-path tracing, complete cache keys) live in
-conventions; this package turns them into machine-checked rules.  See
-``docs/architecture.md`` ("Determinism invariants") for the rule
-catalogue and rationale.
+The simulator's reproducibility guarantees (seeded streams only, no wall
+clock, guarded hot-path tracing, complete cache keys) and the service's
+lock discipline live in conventions; this package turns six of them into
+machine-checked rules, each a pass over one parsed file.  See
+``docs/architecture.md`` ("Invariants and what guards them") for the
+table of invariants, the guard each one has and the audit behind the
+rule list.
 
 Programmatic use::
 
@@ -19,7 +21,7 @@ Command line::
 """
 
 from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.registry import Rule, all_rules, known_codes, register
+from repro.devtools.lint.registry import Rule, all_rules, known_codes
 from repro.devtools.lint.runner import LintResult, lint_paths, lint_source
 
 __all__ = [
@@ -30,5 +32,4 @@ __all__ = [
     "known_codes",
     "lint_paths",
     "lint_source",
-    "register",
 ]

@@ -12,8 +12,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.devtools.lint.registry import all_rules, known_codes
-from repro.devtools.lint.report import render_json, render_sarif, render_text
-from repro.devtools.lint.runner import lint_paths, select_rules
+from repro.devtools.lint.report import render_json, render_text
+from repro.devtools.lint.runner import lint_paths
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -44,19 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "run per-file rules on N threads (project-level rules always "
-            "run once; output is identical to --jobs 1)"
-        ),
     )
     parser.add_argument(
         "--select", metavar="CODES", help="comma-separated rule codes to run"
@@ -105,10 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return EXIT_USAGE
 
-    if args.jobs < 1:
-        print("repro-lint: error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-
     missing = [path for path in args.paths if not path.exists()]
     if missing:
         for path in missing:
@@ -120,11 +106,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         select=select,
         ignore=ignore,
         project_root=args.project_root,
-        jobs=args.jobs,
     )
-    if args.format == "sarif":
-        print(render_sarif(result, rules=select_rules(select, ignore)))
-    elif args.format == "json":
+    if args.format == "json":
         print(render_json(result))
     else:
         print(render_text(result))

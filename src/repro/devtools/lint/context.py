@@ -14,7 +14,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - classmodel imports this module
+    from repro.devtools.lint.classmodel import ClassModel
 
 
 def build_import_map(tree: ast.Module) -> Dict[str, str]:
@@ -210,6 +213,9 @@ class FileContext:
     tree: ast.Module
     imports: Dict[str, str] = field(default_factory=dict)
     project: ProjectModel = field(default_factory=ProjectModel)
+    #: Filled on first use by :func:`repro.devtools.lint.classmodel.class_models`
+    #: so the rules that read the class model build it once per file.
+    class_models: Optional[List["ClassModel"]] = None
 
     @classmethod
     def from_source(

@@ -1,21 +1,16 @@
-"""Rule base class and the global rule registry.
+"""Rule base class and lookups over the rule table.
 
-Rules self-register at import time via the :func:`register` decorator;
-:mod:`repro.devtools.lint.rules` imports every rule module so that loading
-the package populates the registry.  The registry is keyed and iterated in
-sorted-code order, keeping reports byte-stable.
+The table itself is the ``RULES`` tuple in :mod:`repro.devtools.lint.rules`,
+written in sorted-code order so reports are byte-stable.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterable, List, Type
+from typing import Iterable, List
 
 from repro.devtools.lint.context import FileContext
 from repro.devtools.lint.findings import Finding
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (project -> context)
-    from repro.devtools.lint.project import ProjectContext
 
 
 class Rule:
@@ -39,60 +34,27 @@ class Rule:
 
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
         """A :class:`Finding` for this rule anchored at an AST node."""
-        return Finding(
-            path=str(ctx.path),
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            code=self.code,
-            message=message,
+        return self.finding_at(
+            ctx, getattr(node, "lineno", 1), getattr(node, "col_offset", 0), message
         )
 
-
-class ProjectRule(Rule):
-    """A rule that analyses the whole linted tree at once.
-
-    Project rules run exactly once per invocation over the
-    :class:`~repro.devtools.lint.project.ProjectContext` built from every
-    parsed file (``--jobs`` parallelism applies only to per-file rules);
-    their findings are still subject to each file's suppression comments.
-    """
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        return ()  # project rules never run per file
-
-    def check_project(self, project: "ProjectContext") -> Iterable[Finding]:
-        raise NotImplementedError
-
-    def project_finding(
-        self, path: str, line: int, col: int, message: str
-    ) -> Finding:
+    def finding_at(self, ctx: FileContext, line: int, col: int, message: str) -> Finding:
+        """A :class:`Finding` at a 1-based line and 0-based column offset."""
         return Finding(
-            path=path, line=line, col=col + 1, code=self.code, message=message
+            path=str(ctx.path), line=line, col=col + 1, code=self.code, message=message
         )
-
-
-_REGISTRY: Dict[str, Rule] = {}
-
-
-def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator: instantiate the rule and add it to the registry."""
-    rule = rule_cls()
-    if not rule.code:
-        raise ValueError(f"rule {rule_cls.__name__} has no code")
-    if rule.code in _REGISTRY:
-        raise ValueError(f"duplicate rule code {rule.code}")
-    _REGISTRY[rule.code] = rule
-    return rule_cls
 
 
 def all_rules() -> List[Rule]:
-    """Every registered rule, in sorted-code order."""
-    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
+    """Every rule, in sorted-code order."""
+    from repro.devtools.lint.rules import RULES  # the rule modules import Rule
+
+    return list(RULES)
 
 
 def get_rule(code: str) -> Rule:
-    return _REGISTRY[code]
+    return {rule.code: rule for rule in all_rules()}[code]
 
 
 def known_codes() -> List[str]:
-    return sorted(_REGISTRY)
+    return [rule.code for rule in all_rules()]

@@ -1,11 +1,9 @@
-"""Text, JSON and SARIF reporters over a :class:`LintResult`."""
+"""Text and JSON reporters over a :class:`LintResult`."""
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
 
-from repro.devtools.lint.registry import Rule, all_rules
 from repro.devtools.lint.runner import LintResult
 
 
@@ -34,83 +32,3 @@ def render_json(result: LintResult) -> str:
         sort_keys=True,
     )
 
-
-def render_sarif(
-    result: LintResult,
-    rules: Optional[Sequence[Rule]] = None,
-    version: Optional[str] = None,
-) -> str:
-    """SARIF 2.1.0 — the interchange format CI annotators consume.
-
-    One run, one ``repro-lint`` driver; every registered (or selected)
-    rule appears in the driver's rule table whether or not it fired, and
-    each finding becomes a ``result`` with a physical location.  Parse
-    errors surface as tool-execution notifications so a SARIF viewer
-    still shows them.  ``version`` is injectable so golden-file tests
-    stay stable across releases.
-    """
-    if version is None:
-        from repro.version import __version__
-
-        version = __version__
-    rule_table = sorted(
-        rules if rules is not None else all_rules(), key=lambda rule: rule.code
-    )
-    rule_index = {rule.code: index for index, rule in enumerate(rule_table)}
-    sarif_results = [
-        {
-            "ruleId": finding.code,
-            "ruleIndex": rule_index.get(finding.code, -1),
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": finding.path},
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in result.findings
-    ]
-    notifications = [
-        {"level": "error", "message": {"text": error}} for error in result.errors
-    ]
-    document = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "version": version,
-                        "informationUri": "https://example.invalid/repro-lint",
-                        "rules": [
-                            {
-                                "id": rule.code,
-                                "name": rule.name,
-                                "shortDescription": {"text": rule.description},
-                            }
-                            for rule in rule_table
-                        ],
-                    }
-                },
-                "results": sarif_results,
-                "invocations": [
-                    {
-                        "executionSuccessful": not result.errors,
-                        "toolExecutionNotifications": notifications,
-                    }
-                ],
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)

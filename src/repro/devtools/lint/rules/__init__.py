@@ -1,9 +1,21 @@
-"""Rule modules; importing this package populates the registry."""
+"""The rule table: every rule ``repro-lint`` runs, in sorted-code order."""
 
-from repro.devtools.lint.rules import (  # noqa: F401  (imported for side effects)
-    cachekeys,
-    concurrency,
-    determinism,
-    simulation,
-    tracing,
+from typing import Tuple
+
+from repro.devtools.lint.registry import Rule
+from repro.devtools.lint.rules.cachekeys import CacheKeyCompleteness
+from repro.devtools.lint.rules.concurrency import (
+    BlockingUnderLockRule,
+    GuardedFieldConsistencyRule,
+)
+from repro.devtools.lint.rules.determinism import NoGlobalRandomness, NoWallClock
+from repro.devtools.lint.rules.tracing import GuardedTracerEmit
+
+RULES: Tuple[Rule, ...] = (
+    CacheKeyCompleteness(),  # CACHE001
+    GuardedFieldConsistencyRule(),  # CONC001
+    BlockingUnderLockRule(),  # CONC003
+    NoWallClock(),  # DET001
+    NoGlobalRandomness(),  # DET002
+    GuardedTracerEmit(),  # TRC001
 )

@@ -27,7 +27,7 @@ from typing import Iterator, Set
 
 from repro.devtools.lint.context import FileContext
 from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.registry import Rule, register
+from repro.devtools.lint.registry import Rule
 
 _CONFIG_NAMES = frozenset({"config", "cfg", "scenario"})
 _PAYLOAD_NAMES = frozenset({"payload"})
@@ -53,7 +53,6 @@ def _annotated_config_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-@register
 class CacheKeyCompleteness(Rule):
     code = "CACHE001"
     name = "cache-key-completeness"

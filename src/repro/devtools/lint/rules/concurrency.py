@@ -1,28 +1,25 @@
-"""CONC001–CONC004: lock-discipline and race rules (project-level).
+"""CONC001 and CONC003: lock-discipline rules over the per-class model.
 
-These rules run over the :class:`~repro.devtools.lint.project.ProjectContext`
-— the whole-tree class/lock/call-graph model — rather than one file at a
-time, in the lockdep/RacerX tradition of checking a declared lock
-hierarchy statically:
+Both read :func:`~repro.devtools.lint.classmodel.class_models` — each
+class of the file as a unit: its lock attributes, what every method
+touches with which locks lexically held, and which methods call which:
 
 * **CONC001 guarded-field consistency** — a field written under
   ``with self.<lock>`` in one method (or annotated ``# guarded-by:
   <lock>`` at its definition) must hold that lock at *every* access
   outside ``__init__``.  Methods named ``*_locked`` are the documented
   "caller holds the lock" convention and are exempt.
-* **CONC002 lock-order cycles** — the static acquisition graph (held A
-  while acquiring B, propagated through ``self.m()`` and typed
-  ``self.attr.m()`` calls, across classes) must be acyclic; any cycle is
-  a potential deadlock.
 * **CONC003 blocking call under lock** — ``fsync``/``fdatasync``,
   ``time.sleep``, ``subprocess.*``, socket/HTTP I/O and blocking
   ``queue.get()`` must not run while a lock is held, unless the held
   lock is a declared ``io_lock`` leaf (serialising exactly that I/O is
   its job).  Propagates one class deep: calling ``self.m()`` under a
   lock is flagged when ``m`` (transitively) blocks.
-* **CONC004 thread-unsafe lazy init** — ``if self.x is None: self.x =
-  ...`` outside any lock in a class that owns locks is a check-then-set
-  race; double-checked init must take the lock.
+
+The order in which different locks nest is not checked here: every lock
+in the tree is a ranked ``OrderedLock`` and the
+:mod:`repro.devtools.lockdep` witness checks the ranks on every real
+acquisition.
 
 False positives are suppressed inline with a justification::
 
@@ -31,15 +28,15 @@ False positives are suppressed inline with a justification::
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
+from repro.devtools.lint.classmodel import ClassModel, class_models
+from repro.devtools.lint.context import FileContext
 from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.project import ClassModel, ProjectContext
-from repro.devtools.lint.registry import ProjectRule, register
+from repro.devtools.lint.registry import Rule
 
 
-@register
-class GuardedFieldConsistencyRule(ProjectRule):
+class GuardedFieldConsistencyRule(Rule):
     code = "CONC001"
     name = "guarded-field-consistency"
     description = (
@@ -47,15 +44,15 @@ class GuardedFieldConsistencyRule(ProjectRule):
         "must hold that lock at every access outside __init__"
     )
 
-    def check_project(self, project: ProjectContext) -> Iterable[Finding]:
+    def check(self, ctx: FileContext) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for model in project.iter_class_models():
+        for model in class_models(ctx):
             if not model.locks:
                 continue
-            findings.extend(self._check_class(model))
+            findings.extend(self._check_class(ctx, model))
         return findings
 
-    def _check_class(self, model: ClassModel) -> Iterable[Finding]:
+    def _check_class(self, ctx: FileContext, model: ClassModel) -> Iterable[Finding]:
         guards, origin = self._field_guards(model)
         findings: List[Finding] = []
         for method_name in sorted(model.methods):
@@ -67,8 +64,8 @@ class GuardedFieldConsistencyRule(ProjectRule):
                 if not guard_set or access.held & guard_set:
                     continue
                 findings.append(
-                    self.project_finding(
-                        model.path,
+                    self.finding_at(
+                        ctx,
                         access.line,
                         access.col,
                         f"{model.name}.{access.attr} is {access.kind} without "
@@ -116,88 +113,7 @@ class GuardedFieldConsistencyRule(ProjectRule):
         return " or ".join(f"self.{name}" for name in names)
 
 
-@register
-class LockOrderCycleRule(ProjectRule):
-    code = "CONC002"
-    name = "lock-order-cycle"
-    description = (
-        "the static lock acquisition graph (including call-graph edges) "
-        "must be acyclic; a cycle is a potential deadlock"
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterable[Finding]:
-        edges = project.acquisition_edges()
-        adjacency: Dict[str, List[str]] = {}
-        for edge in edges:
-            adjacency.setdefault(edge.src, []).append(edge.dst)
-            adjacency.setdefault(edge.dst, [])
-        for succ in adjacency.values():
-            succ.sort()
-        findings: List[Finding] = []
-        for component in self._cycles(adjacency):
-            members = sorted(component)
-            anchor = min(
-                (
-                    edge
-                    for edge in edges
-                    if edge.src in component and edge.dst in component
-                ),
-                key=lambda edge: (edge.path, edge.line, edge.col, edge.dst),
-            )
-            order = " -> ".join(members + [members[0]])
-            findings.append(
-                self.project_finding(
-                    anchor.path,
-                    anchor.line,
-                    anchor.col,
-                    f"lock-order cycle {order} (edge {anchor.src} -> "
-                    f"{anchor.dst} via {anchor.via}); threads taking these "
-                    "locks in different orders can deadlock",
-                )
-            )
-        return findings
-
-    @staticmethod
-    def _cycles(adjacency: Dict[str, List[str]]) -> List[Set[str]]:
-        """Strongly connected components with more than one node (Tarjan,
-        deterministic over sorted node order)."""
-        index_of: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        counter = [0]
-        result: List[Set[str]] = []
-
-        def strongconnect(node: str) -> None:
-            index_of[node] = low[node] = counter[0]
-            counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            for succ in adjacency.get(node, []):
-                if succ not in index_of:
-                    strongconnect(succ)
-                    low[node] = min(low[node], low[succ])
-                elif succ in on_stack:
-                    low[node] = min(low[node], index_of[succ])
-            if low[node] == index_of[node]:
-                component: Set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    result.append(component)
-
-        for node in sorted(adjacency):
-            if node not in index_of:
-                strongconnect(node)
-        return result
-
-
-@register
-class BlockingUnderLockRule(ProjectRule):
+class BlockingUnderLockRule(Rule):
     code = "CONC003"
     name = "blocking-call-under-lock"
     description = (
@@ -206,9 +122,9 @@ class BlockingUnderLockRule(ProjectRule):
         "leaf that exists to serialise that I/O)"
     )
 
-    def check_project(self, project: ProjectContext) -> Iterable[Finding]:
+    def check(self, ctx: FileContext) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for model in project.iter_class_models():
+        for model in class_models(ctx):
             if not model.locks:
                 continue
             blocks = self._transitive_blockers(model)
@@ -222,8 +138,8 @@ class BlockingUnderLockRule(ProjectRule):
                         continue  # only io-leaf lock(s) held: by design
                     if held:
                         findings.append(
-                            self.project_finding(
-                                model.path,
+                            self.finding_at(
+                                ctx,
                                 call.line,
                                 call.col,
                                 f"blocking call {call.what} while holding "
@@ -233,8 +149,8 @@ class BlockingUnderLockRule(ProjectRule):
                         )
                     elif method.is_locked_helper:
                         findings.append(
-                            self.project_finding(
-                                model.path,
+                            self.finding_at(
+                                ctx,
                                 call.line,
                                 call.col,
                                 f"blocking call {call.what} in "
@@ -244,7 +160,7 @@ class BlockingUnderLockRule(ProjectRule):
                             )
                         )
                 for call in method.calls:
-                    if call.target_attr is not None or not call.held:
+                    if not call.held:
                         continue
                     held = self._non_io_held(model, call.held)
                     if not held:
@@ -252,8 +168,8 @@ class BlockingUnderLockRule(ProjectRule):
                     blocked = blocks.get(call.method)
                     if blocked:
                         findings.append(
-                            self.project_finding(
-                                model.path,
+                            self.finding_at(
+                                ctx,
                                 call.line,
                                 call.col,
                                 f"call to self.{call.method}() while holding "
@@ -290,7 +206,7 @@ class BlockingUnderLockRule(ProjectRule):
                 if name in blocks:
                     continue
                 for call in method.calls:
-                    if call.target_attr is not None or call.held:
+                    if call.held:
                         continue
                     inherited = blocks.get(call.method)
                     if inherited:
@@ -298,38 +214,3 @@ class BlockingUnderLockRule(ProjectRule):
                         changed = True
                         break
         return blocks
-
-
-@register
-class LazyInitRule(ProjectRule):
-    code = "CONC004"
-    name = "thread-unsafe-lazy-init"
-    description = (
-        "check-then-set lazy initialisation of a shared attribute outside "
-        "any lock races; take the class lock around the check and the set"
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        for model in project.iter_class_models():
-            if not model.locks:
-                continue
-            for method_name in sorted(model.methods):
-                method = model.methods[method_name]
-                if method.is_init or method.is_locked_helper:
-                    continue
-                for lazy in method.lazy_inits:
-                    if lazy.held:
-                        continue  # double-checked under a lock: fine
-                    findings.append(
-                        self.project_finding(
-                            model.path,
-                            lazy.line,
-                            lazy.col,
-                            f"lazy init of {model.name}.{lazy.attr} "
-                            "(check-then-set) outside any lock in "
-                            f"{method_name}(); two threads can both see None "
-                            "and initialise twice",
-                        )
-                    )
-        return findings

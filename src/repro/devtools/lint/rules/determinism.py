@@ -3,19 +3,18 @@
 The simulator's results are only citable because a run is a pure function
 of its :class:`~repro.scenarios.config.ScenarioConfig` (seed included).
 These rules mechanise the conventions that keep it that way: simulation
-code must not read wall clocks, must draw randomness only from
-``repro.sim.rng`` streams, must not let set-iteration order reach the
-event scheduler, and must not share mutable default arguments.
+code must not read wall clocks and must draw randomness only from
+``repro.sim.rng`` streams.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional
+from typing import Iterable
 
-from repro.devtools.lint.context import FileContext, dotted_name
+from repro.devtools.lint.context import FileContext
 from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.registry import Rule, register
+from repro.devtools.lint.registry import Rule
 
 _WALL_CLOCK_CALLS = frozenset(
     {
@@ -36,7 +35,6 @@ _WALL_CLOCK_CALLS = frozenset(
 )
 
 
-@register
 class NoWallClock(Rule):
     """DET001: simulation code must use ``sim.now``, never the wall clock.
 
@@ -81,7 +79,6 @@ _NP_RANDOM_ALLOWED = frozenset(
 )
 
 
-@register
 class NoGlobalRandomness(Rule):
     """DET002: all randomness must flow through ``repro.sim.rng`` streams.
 
@@ -134,129 +131,4 @@ class NoGlobalRandomness(Rule):
                     node,
                     f"{resolved}() is {detail} — all draws must flow "
                     "through repro.sim.rng.RandomStreams",
-                )
-
-
-def _is_set_like(node: ast.AST) -> Optional[str]:
-    """A description of why ``node`` iterates in hash order, or None."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "a set literal/comprehension"
-    if isinstance(node, ast.Call):
-        spelled = dotted_name(node.func)
-        if spelled in ("set", "frozenset"):
-            return f"a {spelled}()"
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "keys":
-            return "dict.keys()"
-    return None
-
-
-def _is_order_laundered(node: ast.AST) -> bool:
-    """True when the iterable is explicitly ordered: ``sorted(...)``, or a
-    ``list(...)``/``tuple(...)`` copy of something already sorted."""
-    if not isinstance(node, ast.Call):
-        return False
-    spelled = dotted_name(node.func)
-    if spelled == "sorted":
-        return True
-    if spelled in ("list", "tuple") and len(node.args) == 1:
-        return _is_order_laundered(node.args[0])
-    return False
-
-
-# reserve_seq counts: it hands out a place in the event order even though
-# the push (schedule_reserved) may come later or never.
-_SCHEDULING_ATTRS = frozenset(
-    {"schedule", "schedule_at", "reserve_seq", "schedule_reserved"}
-)
-_TIMER_TYPES = frozenset({"Timer", "PeriodicTimer"})
-
-
-def _schedules_events(body: Iterable[ast.stmt]) -> Optional[ast.Call]:
-    """The first scheduling/timer call inside ``body``, or None."""
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Attribute):
-                if node.func.attr in _SCHEDULING_ATTRS:
-                    return node
-                receiver = dotted_name(node.func.value) or ""
-                if node.func.attr == "start" and "timer" in receiver.lower():
-                    return node
-            spelled = dotted_name(node.func) or ""
-            if spelled.split(".")[-1] in _TIMER_TYPES:
-                return node
-    return None
-
-
-@register
-class NoUnorderedScheduling(Rule):
-    """DET003: set-iteration order must never reach the event scheduler.
-
-    Iterating a set (or ``dict.keys()`` of a hash-keyed mapping) and
-    scheduling events / reserving sequence numbers / starting timers per
-    element bakes hash order into the event sequence.  Wrap the iterable in
-    ``sorted(...)``.
-    """
-
-    code = "DET003"
-    name = "no-unordered-scheduling"
-    description = "set iteration feeding Simulator.schedule/timers must be sorted"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            reason = _is_set_like(node.iter)
-            if reason is None or _is_order_laundered(node.iter):
-                continue
-            call = _schedules_events(node.body)
-            if call is None:
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"iteration over {reason} schedules events (line "
-                f"{call.lineno}) — wrap the iterable in sorted(...) so "
-                "event order cannot depend on hash order",
-            )
-
-
-_MUTABLE_CTORS = frozenset({"list", "dict", "set", "bytearray", "collections.defaultdict"})
-
-
-def _mutable_defaults(args: ast.arguments) -> Iterator[ast.expr]:
-    for default in list(args.defaults) + list(args.kw_defaults):
-        if default is None:
-            continue
-        if isinstance(default, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-            yield default
-        elif isinstance(default, ast.Call) and dotted_name(default.func) in _MUTABLE_CTORS:
-            yield default
-
-
-@register
-class NoMutableDefaults(Rule):
-    """DET004: no mutable default arguments.
-
-    A mutable default is shared across every call — cross-run *and*
-    cross-node state that survives between simulations in one process,
-    breaking run-to-run independence.
-    """
-
-    code = "DET004"
-    name = "no-mutable-defaults"
-    description = "mutable default arguments ([], {}, set()) are forbidden"
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            label = getattr(node, "name", "<lambda>")
-            for default in _mutable_defaults(node.args):
-                yield self.finding(
-                    ctx,
-                    default,
-                    f"mutable default argument in {label}() — one object is "
-                    "shared by every call; default to None and allocate inside",
                 )

@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Set
 
 from repro.devtools.lint.context import FileContext, dotted_name
 from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.registry import Rule, register
+from repro.devtools.lint.registry import Rule
 
 
 def _is_tracer_receiver(node: ast.expr) -> bool:
@@ -59,7 +59,6 @@ def _emit_kind(call: ast.Call) -> Optional[str]:
     return None
 
 
-@register
 class GuardedTracerEmit(Rule):
     code = "TRC001"
     name = "guarded-tracer-emit"

@@ -1,30 +1,15 @@
-"""File discovery and rule dispatch.
-
-Two analysis phases share one parse per file:
-
-1. **Per-file rules** run independently over each
-   :class:`~repro.devtools.lint.context.FileContext` — embarrassingly
-   parallel, so ``jobs > 1`` fans them out over a thread pool (the work
-   is CPython AST walking; threads keep ordering deterministic because
-   results are collected per file and merge-sorted at the end).
-2. **Project rules** (:class:`~repro.devtools.lint.registry.ProjectRule`)
-   run once over the :class:`~repro.devtools.lint.project.ProjectContext`
-   built from every successfully parsed file, then each finding is
-   filtered through the suppression comments of the file it lands in.
-"""
+"""File discovery and rule dispatch: every selected rule over every file,
+one parse per file, suppression comments applied per file."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-import repro.devtools.lint.rules  # noqa: F401  (registers all rules)
 from repro.devtools.lint.context import FileContext, ProjectModel, discover_project
 from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.project import ProjectContext
-from repro.devtools.lint.registry import ProjectRule, Rule, all_rules
+from repro.devtools.lint.registry import Rule, all_rules
 from repro.devtools.lint.suppressions import Suppressions
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".ruff_cache", ".mypy_cache"})
@@ -72,40 +57,13 @@ def select_rules(
     return rules
 
 
-def split_rules(rules: Sequence[Rule]) -> Tuple[List[Rule], List[ProjectRule]]:
-    """(per-file rules, project rules) preserving order."""
-    file_rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-    return file_rules, project_rules
-
-
 def _check_file(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
+    """Findings of ``rules`` over one file, minus the ones it suppresses."""
     findings: List[Finding] = []
     for rule in rules:
         if rule.applies(ctx):
             findings.extend(rule.check(ctx))
-    return findings
-
-
-def run_project_rules(
-    contexts: Sequence[FileContext],
-    project_rules: Sequence[ProjectRule],
-    suppressions: Dict[str, Suppressions],
-) -> List[Finding]:
-    """Run project rules over ``contexts``; filter per originating file."""
-    if not project_rules or not contexts:
-        return []
-    project_ctx = ProjectContext(contexts)
-    findings: List[Finding] = []
-    for rule in project_rules:
-        findings.extend(rule.check_project(project_ctx))
-    kept: List[Finding] = []
-    for finding in findings:
-        supp = suppressions.get(finding.path)
-        if supp is not None and supp.is_suppressed(finding.code, finding.line):
-            continue
-        kept.append(finding)
-    return kept
+    return Suppressions(ctx.source).filter(findings)
 
 
 def lint_source(
@@ -114,21 +72,9 @@ def lint_source(
     rules: Optional[Sequence[Rule]] = None,
     project: Optional[ProjectModel] = None,
 ) -> List[Finding]:
-    """Lint one in-memory module; raises ``SyntaxError`` on unparsable input.
-
-    Project rules see a one-file :class:`ProjectContext`, so the CONC
-    rules work here too (minus cross-file call-graph edges).
-    """
+    """Lint one in-memory module; raises ``SyntaxError`` on unparsable input."""
     ctx = FileContext.from_source(path, source, project=project)
-    active = list(rules) if rules is not None else all_rules()
-    file_rules, project_rules = split_rules(active)
-    findings = _check_file(ctx, file_rules)
-    supp = Suppressions(source)
-    findings = supp.filter(findings)
-    findings.extend(
-        run_project_rules([ctx], project_rules, {str(ctx.path): supp})
-    )
-    return sorted(findings)
+    return sorted(_check_file(ctx, rules if rules is not None else all_rules()))
 
 
 def lint_paths(
@@ -136,23 +82,16 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     project_root: Optional[Path] = None,
-    jobs: int = 1,
 ) -> LintResult:
     """Lint every python file under ``paths``.
 
     The scenario-schema project model is discovered once per distinct
     parent directory (cheap) unless ``project_root`` pins it explicitly.
-    ``jobs > 1`` runs the per-file phase on a thread pool; output is
-    identical to the serial run (findings are merge-sorted).
     """
     rules = select_rules(select, ignore)
-    file_rules, project_rules = split_rules(rules)
     result = LintResult()
     pinned = discover_project(project_root) if project_root is not None else None
     models: Dict[Path, ProjectModel] = {}
-
-    contexts: List[FileContext] = []
-    suppressions: Dict[str, Suppressions] = {}
     for file_path in iter_python_files([Path(p) for p in paths]):
         if pinned is not None:
             project = pinned
@@ -173,22 +112,7 @@ def lint_paths(
                 f"{file_path}: syntax error: {exc.msg} (line {exc.lineno})"
             )
             continue
-        contexts.append(ctx)
-        suppressions[str(ctx.path)] = Suppressions(source)
+        result.findings.extend(_check_file(ctx, rules))
         result.files_checked += 1
-
-    if jobs > 1 and len(contexts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_file = list(
-                pool.map(lambda ctx: _check_file(ctx, file_rules), contexts)
-            )
-    else:
-        per_file = [_check_file(ctx, file_rules) for ctx in contexts]
-    for ctx, findings in zip(contexts, per_file):
-        result.findings.extend(suppressions[str(ctx.path)].filter(findings))
-
-    result.findings.extend(
-        run_project_rules(contexts, project_rules, suppressions)
-    )
     result.findings.sort()
     return result

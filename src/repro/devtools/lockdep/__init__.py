@@ -1,4 +1,4 @@
-"""Runtime lock-order sanitizer (the dynamic half of CONC001–CONC004).
+"""Runtime lock-order sanitizer (the dynamic partner of CONC001 and CONC003).
 
 The static rules in :mod:`repro.devtools.lint.rules.concurrency` check the
 *declared* lock discipline; this package checks the *actual* one.  Wrap a

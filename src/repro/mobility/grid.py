@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 Point = Tuple[float, float]
 
 
@@ -32,26 +30,3 @@ def grid_positions(rows: int, cols: int, spacing: float) -> List[Point]:
         (c * spacing, r * spacing) for r in range(rows) for c in range(cols)
     ]
 
-
-def chain_positions_array(num_nodes: int, spacing: float) -> np.ndarray:
-    """Vectorized :func:`chain_positions`: an ``(n, 2)`` float64 array."""
-    if num_nodes <= 0:
-        raise ValueError("num_nodes must be positive")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    out = np.zeros((num_nodes, 2), dtype=np.float64)
-    out[:, 0] = np.arange(num_nodes, dtype=np.float64) * spacing
-    return out
-
-
-def grid_positions_array(rows: int, cols: int, spacing: float) -> np.ndarray:
-    """Vectorized :func:`grid_positions`: an ``(rows*cols, 2)`` float64 array,
-    row-major like the list variant."""
-    if rows <= 0 or cols <= 0:
-        raise ValueError("rows and cols must be positive")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    cc, rr = np.meshgrid(
-        np.arange(cols, dtype=np.float64), np.arange(rows, dtype=np.float64)
-    )
-    return np.stack([cc.ravel() * spacing, rr.ravel() * spacing], axis=1)

@@ -44,7 +44,8 @@ itself out of the result instead of out of the candidates.
 
 Determinism: every structure here is a numpy array ordered by node row or by
 numeric cell key, or a dict that is only ever looked up by key — no dict/set
-iteration can reach callers (repro-lint DET003 guards the scheduling side).
+iteration can reach callers (the hash-seed test in
+``tests/integration/test_determinism.py`` guards the scheduling side).
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""Unit tests for the project-level concurrency rules (CONC001-CONC004)."""
+"""Unit tests for the concurrency rules (CONC001, CONC003) and their class model."""
 
 from pathlib import Path
 
-from repro.devtools.lint.project import ProjectContext
+from repro.devtools.lint.classmodel import class_models
+from repro.devtools.lint.context import FileContext
 from repro.devtools.lint.runner import lint_paths, lint_source, select_rules
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -111,53 +112,6 @@ class C:
         assert _lint(source, "CONC001") == []
 
 
-class TestLockOrderCycles:
-    def test_callgraph_cycle_is_found(self):
-        result = lint_paths(
-            [FIXTURES / "conc002" / "callgraph.py"], select=["CONC002"]
-        )
-        assert len(result.findings) == 1
-        message = result.findings[0].message
-        assert "Pipeline._sink" in message and "Pipeline._stage" in message
-
-    def test_crossclass_cycle_is_found(self):
-        result = lint_paths(
-            [FIXTURES / "conc002" / "crossclass.py"], select=["CONC002"]
-        )
-        assert result.findings
-        message = result.findings[0].message
-        assert "Left._lock" in message and "Right._lock" in message
-
-    def test_consistent_order_across_classes_is_clean(self):
-        source = """
-import threading
-
-class Inner:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def poke(self):
-        with self._lock:
-            pass
-
-class Outer:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.inner = Inner()
-
-    def poke(self):
-        with self._lock:
-            self.inner.poke()
-"""
-        assert _lint(source, "CONC002") == []
-
-    def test_finding_is_deterministic(self):
-        path = FIXTURES / "conc002" / "bad.py"
-        first = lint_paths([path], select=["CONC002"]).findings
-        second = lint_paths([path], select=["CONC002"]).findings
-        assert first == second
-
-
 class TestBlockingUnderLock:
     def test_io_leaf_lock_permits_its_io(self):
         result = lint_paths([FIXTURES / "conc003" / "good.py"], select=["CONC003"])
@@ -208,85 +162,17 @@ class C:
         assert _lint(source, "CONC003") == []
 
 
-class TestLazyInit:
-    def test_not_pattern_is_flagged(self):
-        source = """
-import threading
-
-class C:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._cache = None
-
-    def cache(self):
-        if not self._cache:
-            self._cache = {}
-        return self._cache
-"""
-        findings = _lint(source, "CONC004")
-        assert len(findings) == 1
-        assert "C._cache" in findings[0].message
-
-    def test_lockless_class_is_not_conc004s_business(self):
-        source = """
-class C:
-    def __init__(self):
-        self._cache = None
-
-    def cache(self):
-        if self._cache is None:
-            self._cache = {}
-        return self._cache
-"""
-        assert _lint(source, "CONC004") == []
-
-
-class TestProjectContext:
-    def test_acquisition_edges_cross_files(self, tmp_path):
-        (tmp_path / "a.py").write_text(
-            """
-import threading
-
-class Sink:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def flush(self):
-        with self._lock:
-            pass
-"""
-        )
-        (tmp_path / "b.py").write_text(
-            """
-import threading
-from a import Sink
-
-class Source:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.sink = Sink()
-
-    def push(self):
-        with self._lock:
-            self.sink.flush()
-"""
-        )
-        result = lint_paths([tmp_path], select=["CONC002"])
-        assert result.clean  # consistent order: Source -> Sink, never back
-
-    def test_project_context_models_both_classes(self):
-        sources = [
-            (
-                Path("x.py"),
-                "import threading\n"
-                "class A:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n",
-            ),
-            (Path("y.py"), "class B:\n    pass\n"),
-        ]
-        project = ProjectContext.from_sources(sources)
-        names = sorted(model.name for model in project.iter_class_models())
-        assert names == ["A", "B"]
-        (model_a,) = project.classes_by_name["A"]
-        assert set(model_a.locks) == {"_lock"}
+def test_class_models_are_built_once_per_file_and_shared():
+    ctx = FileContext.from_source(
+        Path("x.py"),
+        "import threading\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "class B:\n"
+        "    pass\n",
+    )
+    models = class_models(ctx)
+    assert [model.name for model in models] == ["A", "B"]
+    assert set(models[0].locks) == {"_lock"}
+    assert class_models(ctx) is models

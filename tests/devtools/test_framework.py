@@ -8,31 +8,19 @@ import pytest
 from repro.devtools.lint import cli
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import all_rules, get_rule, known_codes
-from repro.devtools.lint.report import render_json, render_sarif, render_text
-from repro.devtools.lint.runner import LintResult, lint_paths, lint_source, select_rules
+from repro.devtools.lint.report import render_json, render_text
+from repro.devtools.lint.runner import lint_paths, lint_source, select_rules
 from repro.devtools.lint.suppressions import Suppressions
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-EXPECTED_CODES = {
-    "API001",
-    "CACHE001",
-    "CONC001",
-    "CONC002",
-    "CONC003",
-    "CONC004",
-    "DET001",
-    "DET002",
-    "DET003",
-    "DET004",
-    "SIM001",
-    "TRC001",
-}
+# The six rules with a firing history (docs/architecture.md has the audit).
+EXPECTED_CODES = ["CACHE001", "CONC001", "CONC003", "DET001", "DET002", "TRC001"]
 
 
 class TestRegistry:
     def test_all_expected_rules_registered(self):
-        assert set(known_codes()) == EXPECTED_CODES
+        assert known_codes() == EXPECTED_CODES
 
     def test_rules_are_sorted_by_code(self):
         codes = [rule.code for rule in all_rules()]
@@ -83,7 +71,7 @@ class TestSuppressions:
         supp = Suppressions("x = 1  # repro-lint: disable=DET001,DET002\n")
         assert supp.is_suppressed("DET001", 1)
         assert supp.is_suppressed("DET002", 1)
-        assert not supp.is_suppressed("DET003", 1)
+        assert not supp.is_suppressed("TRC001", 1)
 
     def test_filter_drops_suppressed_findings(self):
         source = "import time\nx = time.time()  # repro-lint: disable=DET001\n"
@@ -131,39 +119,6 @@ class TestReporters:
             assert finding["code"] == "DET001"
             assert finding["line"] >= 1
 
-    def test_sarif_matches_golden_file(self):
-        """Byte-for-byte SARIF stability, pinned by a golden file."""
-        source = (FIXTURES / "conc001" / "bad.py").read_text()
-        rules = select_rules(select=["CONC001"])
-        findings = lint_source(source, Path("pkg/sample.py"), rules=rules)
-        result = LintResult(
-            findings=findings,
-            files_checked=1,
-            errors=["pkg/broken.py: syntax error: demo"],
-        )
-        rendered = render_sarif(result, rules=rules, version="0.0-test")
-        golden = (FIXTURES / "sarif" / "expected.sarif.json").read_text()
-        assert rendered + "\n" == golden
-
-    def test_sarif_structure(self):
-        result = self._result([FIXTURES / "det001" / "bad.py"])
-        document = json.loads(render_sarif(result, version="0.0-test"))
-        assert document["version"] == "2.1.0"
-        (run,) = document["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert rule_ids == sorted(rule_ids)
-        for sarif_result in run["results"]:
-            index = sarif_result["ruleIndex"]
-            assert rule_ids[index] == sarif_result["ruleId"]
-        assert run["invocations"][0]["executionSuccessful"]
-
-    def test_sarif_clean_run(self):
-        result = self._result([FIXTURES / "det001" / "good.py"])
-        document = json.loads(render_sarif(result, version="0.0-test"))
-        assert document["runs"][0]["results"] == []
-
 
 class TestRunner:
     def test_lint_source_raises_on_syntax_error(self):
@@ -184,21 +139,6 @@ class TestRunner:
         result = lint_paths([tmp_path])
         assert result.files_checked == 0
         assert result.clean
-
-    def test_parallel_jobs_match_serial_output(self):
-        """--jobs N is a throughput knob, never a behaviour knob."""
-        paths = [FIXTURES / "det001", FIXTURES / "conc001", FIXTURES / "conc002"]
-        serial = lint_paths(paths, jobs=1)
-        parallel = lint_paths(paths, jobs=4)
-        assert serial.findings == parallel.findings
-        assert serial.files_checked == parallel.files_checked
-        assert serial.errors == parallel.errors
-
-    def test_parallel_jobs_collect_syntax_errors(self, tmp_path):
-        for name in ("a", "b"):
-            (tmp_path / f"{name}.py").write_text("def broken(:\n")
-        result = lint_paths([tmp_path], jobs=4)
-        assert len(result.errors) == 2
 
 
 class TestCli:
@@ -237,20 +177,3 @@ class TestCli:
     def test_ignore_silences_rule(self):
         code = cli.main(["--ignore", "DET001", str(FIXTURES / "det001" / "bad.py")])
         assert code == cli.EXIT_CLEAN
-
-    def test_sarif_format(self, capsys):
-        code = cli.main(["--format", "sarif", str(FIXTURES / "det001" / "bad.py")])
-        assert code == cli.EXIT_FINDINGS
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == "2.1.0"
-        assert document["runs"][0]["results"]
-
-    def test_jobs_flag_accepted(self, capsys):
-        code = cli.main(["--jobs", "4", str(FIXTURES / "det001" / "good.py")])
-        assert code == cli.EXIT_CLEAN
-        assert "no findings" in capsys.readouterr().out
-
-    def test_jobs_zero_is_usage_error(self, capsys):
-        code = cli.main(["--jobs", "0", str(FIXTURES / "det001" / "good.py")])
-        assert code == cli.EXIT_USAGE
-        assert "--jobs must be >= 1" in capsys.readouterr().err

@@ -1,8 +1,18 @@
 """Determinism: a scenario seed fully fixes the simulation outcome."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.analysis.cache import result_to_payload
 from repro.core.config import DsrConfig
 from repro.scenarios.builder import run_scenario
-from repro.scenarios.presets import tiny_scenario
+from repro.scenarios.presets import scaled_scenario, tiny_scenario
 
 
 def test_same_seed_same_result():
@@ -56,3 +66,64 @@ def test_golden_pause0_metrics_regression():
     assert result.ifq_drops == 0
     assert result.salvages == 0
     assert result.duration == 40.0
+
+
+# Line 1: the full result record of one AllTechniques run.  Line 2: the order
+# in which eight events scheduled at one instant *from a set of strings* ran —
+# the defect the first line must be free of, committed on purpose.
+_HASH_SEED_SCRIPT = """
+import json
+from repro.analysis.cache import result_to_payload
+from repro.core.config import DsrConfig
+from repro.scenarios.builder import run_scenario
+from repro.scenarios.presets import scaled_scenario
+from repro.sim.engine import Simulator
+
+config = scaled_scenario(dsr=DsrConfig.all_techniques(), seed=3, duration=20.0)
+print(json.dumps(result_to_payload(run_scenario(config)), sort_keys=True))
+
+sim, order = Simulator(), []
+for name in {"alfa", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}:
+    sim.schedule(1.0, order.append, name)
+sim.run()
+print(json.dumps(order))
+"""
+
+
+def _run_under_hash_seed(hash_seed):
+    """(result payload, toy event order) from a fresh interpreter whose
+    str hashes are salted with ``hash_seed``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hash_seed)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    payload, order = done.stdout.splitlines()
+    return json.loads(payload), json.loads(order)
+
+
+@pytest.fixture(scope="module")
+def under_hash_seed():
+    return {salt: _run_under_hash_seed(salt) for salt in (0, 4242)}
+
+
+def test_result_does_not_depend_on_the_hash_seed(under_hash_seed):
+    """No set or dict iteration order reaches the event scheduler: the same
+    scenario gives the same record under two str-hash salts and in this
+    process (whatever its salt is)."""
+    config = scaled_scenario(dsr=DsrConfig.all_techniques(), seed=3, duration=20.0)
+    here = json.loads(json.dumps(result_to_payload(run_scenario(config))))
+    assert under_hash_seed[0][0] == under_hash_seed[4242][0] == here
+
+
+def test_hash_seed_check_has_teeth(under_hash_seed):
+    """The two salts the test above uses do order a set of strings
+    differently, and scheduling from one does carry that into event order —
+    so a result that is equal under both is evidence, not luck."""
+    first, second = under_hash_seed[0][1], under_hash_seed[4242][1]
+    assert sorted(first) == sorted(second) and len(first) == 8
+    assert first != second

@@ -8,7 +8,7 @@ back byte-for-value identical through TraceFileWriter and the readers
 ``repro.sim.tracefile.iter_records``).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.replay import iter_trace
@@ -20,7 +20,7 @@ field_names = st.text(
     alphabet=st.characters(whitelist_categories=("Ll",), max_codepoint=0x7F),
     min_size=1,
     max_size=8,
-).filter(lambda name: name not in ("t", "kind", "time"))  # emit()'s own params
+).filter(lambda name: name not in ("self", "t", "kind", "time"))  # emit()'s own params
 
 field_values = st.one_of(
     st.none(),
@@ -44,6 +44,9 @@ records = st.lists(
 
 
 @given(records=records)
+# Why "self" is filtered out above: hypothesis draws text from string constants
+# it finds in the source tree, "self" is one, and no emitter can name a field so.
+@example(records=[(0.0, "app.send", {"self": None})]).xfail(raises=TypeError)
 @settings(max_examples=50)
 def test_jsonl_round_trips_through_replay_reader(records, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("trace")

@@ -5,6 +5,10 @@ witness sees every acquisition made by every thread the tests spawn.  A
 violation (rank inversion, order cycle, io-leaf breach, blocking under a
 non-io lock) fails the test that produced it with the full violation list
 — rather than deadlocking some unlucky CI run years later.
+
+``tests/analysis`` and ``tests/obs``, whose code owns the other ranked
+locks, import the same fixture; ``tests/devtools/test_lockdep.py`` provokes
+violations on purpose and nests its own witness, so it stays outside.
 """
 
 from typing import Iterator
