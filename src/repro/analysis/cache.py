@@ -30,11 +30,11 @@ evicts least-recently-used entries past a byte budget and/or an age limit.
 re-checks each candidate's mtime immediately before unlinking, so an entry
 that is being read concurrently is never LRU-evicted mid-fetch.
 
-A cache can also have a *remote tier* (:class:`TieredResultCache` over
-:class:`HTTPCacheTier`): entries are fetched from and written through to a
-coordinator's ``/v1/cache/<key>`` endpoint, so a result computed by any
-worker in a fleet is a hit for every other worker.  Remote failures are
-soft — a flaky coordinator degrades a worker to local-only, never breaks it.
+A cache can also have a *remote tier* (:class:`TieredResultCache` over any
+:class:`CacheTier`): entries are fetched from and written through to it, so
+with a fleet's workers all pointing at their coordinator
+(:class:`repro.service.worker.RemoteCacheTier`) a result computed by any of
+them is a hit for every other.  This module knows nothing of the transport.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Protocol, Tuple, Union
 
-from repro.devtools.lockdep import OrderedLock, blocking
+from repro.devtools.lockdep import OrderedLock
 from repro.metrics.collector import SimulationResult
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import scenario_canonical_json
@@ -415,109 +415,13 @@ class PruneReport:
 # -- remote tier -------------------------------------------------------------
 
 
-@dataclass
-class RemoteCacheStats:
-    """Hit/miss/store/error accounting for one remote cache tier.
+class CacheTier(Protocol):
+    """What :class:`TieredResultCache` asks of its remote tier.  Failures
+    are the tier's to absorb: a miss or ``False``, never an exception."""
 
-    Same discipline as :class:`CacheStats`: cross-thread increments go
-    through ``record_*`` under a dedicated leaf lock.
-    """
+    def get_entry(self, key: str) -> Optional[Dict[str, Any]]: ...
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    errors: int = 0
-
-    def __post_init__(self) -> None:
-        # Rank 52: a leaf, distinct from (and orderable after) cache.stats.
-        self._lock = OrderedLock("cache.remote", rank=52, reentrant=False)
-
-    def record_hit(self) -> None:
-        with self._lock:
-            self.hits += 1
-
-    def record_miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-
-    def record_store(self) -> None:
-        with self._lock:
-            self.stores += 1
-
-    def record_error(self) -> None:
-        with self._lock:
-            self.errors += 1
-
-    def as_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return dataclasses.asdict(self)
-
-
-class HTTPCacheTier:
-    """A remote result-cache tier over a coordinator's ``/v1/cache`` API.
-
-    Transport only: entries travel as the same validated JSON documents
-    the on-disk store keeps.  Every failure mode is soft — an unreachable
-    or misbehaving coordinator turns ``get_entry`` into a miss and
-    ``put_entry`` into a no-op (both counted in ``stats``), so a worker
-    degrades to its local tier instead of breaking.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 10.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.stats = RemoteCacheStats()
-
-    def _url(self, key: str) -> str:
-        return f"{self.base_url}/v1/cache/{key}"
-
-    def get_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """Fetch and validate one entry; ``None`` on miss or any failure."""
-        # urllib pulls in http.client, ssl and email.*: only a process that
-        # talks to a coordinator pays for them, not every sweep pool worker.
-        import urllib.error
-        import urllib.request
-
-        request = urllib.request.Request(self._url(key))
-        try:
-            with blocking("cache.remote.get"):
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    entry = validate_entry(
-                        key, json.loads(response.read().decode("utf-8"))
-                    )
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            if exc.code == 404:
-                self.stats.record_miss()
-            else:
-                self.stats.record_error()
-            return None
-        except Exception:
-            self.stats.record_error()
-            return None
-        self.stats.record_hit()
-        return entry
-
-    def put_entry(self, key: str, entry: Dict[str, Any]) -> bool:
-        """Push one entry; ``False`` (never an exception) on failure."""
-        import urllib.request
-
-        data = json.dumps(entry, sort_keys=True).encode("utf-8")
-        request = urllib.request.Request(
-            self._url(key),
-            data=data,
-            headers={"Content-Type": "application/json"},
-            method="PUT",
-        )
-        try:
-            with blocking("cache.remote.put"):
-                with urllib.request.urlopen(request, timeout=self.timeout):
-                    pass
-        except Exception:
-            self.stats.record_error()
-            return False
-        self.stats.record_store()
-        return True
+    def put_entry(self, key: str, entry: Dict[str, Any]) -> bool: ...
 
 
 class TieredResultCache(ResultCache):
@@ -531,7 +435,7 @@ class TieredResultCache(ResultCache):
     single-process in-flight dedup.
     """
 
-    def __init__(self, root: PathLike, remote: HTTPCacheTier) -> None:
+    def __init__(self, root: PathLike, remote: CacheTier) -> None:
         super().__init__(root)
         self.remote = remote
 

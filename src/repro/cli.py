@@ -10,12 +10,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.config import PAPER_VARIANTS, DsrConfig, ExpiryMode
 from repro.phy.profiles import profile_names
 from repro.scenarios import presets
 from repro.version import __version__
+
+
+def parse_seeds(text: str) -> List[int]:
+    """``--seeds S1,S2,...`` as an argparse ``type=`` (``repro-submit`` shares
+    it): a bad seed is a usage error naming the flag, not a traceback."""
+    try:
+        return [int(chunk) for chunk in text.split(",") if chunk.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--preset",
-        choices=("tiny", "scaled", "paper"),
+        choices=tuple(presets.PRESETS),
         default="scaled",
         help="scenario scale (default: scaled; 'paper' is the full 100-node setup)",
     )
@@ -46,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--seeds",
+        type=parse_seeds,
         default=None,
         metavar="S1,S2,...",
         help="run several seeds and report means with 95%% CIs (overrides --seed)",
@@ -237,26 +249,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.static_timeout is not None:
         dsr = dsr.but(expiry_mode=ExpiryMode.STATIC, static_timeout=args.static_timeout)
 
-    if args.preset == "tiny":
-        config = presets.tiny_scenario(dsr=dsr, seed=args.seed, pause_time=args.pause_time)
-        config = config.but(packet_rate=args.packet_rate)
-    elif args.preset == "scaled":
-        config = presets.scaled_scenario(
-            pause_time=args.pause_time,
-            packet_rate=args.packet_rate,
-            dsr=dsr,
-            seed=args.seed,
-        )
-    else:
-        config = presets.paper_scenario(
-            pause_time=args.pause_time,
-            packet_rate=args.packet_rate,
-            dsr=dsr,
-            seed=args.seed,
-        )
-    if args.duration is not None:
-        config = config.but(duration=args.duration)
-    config = config.but(
+    config = presets.preset_scenario(
+        args.preset, dsr, args.pause_time, args.packet_rate, args.seed, args.duration
+    ).but(
         protocol=args.protocol,
         mobility_model=args.mobility,
         grey_zone_fraction=args.grey_zone,
@@ -287,15 +282,11 @@ def _run_loss_sweep(args) -> int:
         print("error: --loss-sweep needs at least one loss level", file=sys.stderr)
         return 2
     scale = {"tiny": "quick", "scaled": "scaled", "paper": "paper"}[args.preset]
-    if args.seeds:
-        seeds = [int(chunk) for chunk in args.seeds.split(",") if chunk.strip()]
-    else:
-        seeds = [args.seed]
     cache_dir = None if args.no_cache else args.cache_dir
     try:
         report = loss_sweep(
             scale=scale,
-            seeds=seeds,
+            seeds=args.seeds or [args.seed],
             levels=levels,
             profile=args.radio_profile,
             processes=args.processes,
@@ -360,9 +351,8 @@ def _run_and_report(args, config) -> int:
             )
             return 2
         engine = _build_engine(args)
-        seeds = [int(chunk) for chunk in args.seeds.split(",") if chunk.strip()]
         try:
-            code = _run_seed_average(args, config, seeds, engine)
+            code = _run_seed_average(args, config, args.seeds, engine)
         except SweepInterrupted as exc:
             print(f"interrupted: {exc}", file=sys.stderr)
             return 130

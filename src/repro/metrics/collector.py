@@ -54,7 +54,6 @@ class MetricsCollector:
         self.salvages = 0
         self.drop_reasons: Counter = Counter()
 
-        self._payload_bytes: Dict[int, int] = {}
         self._delivered_uids: Set[int] = set()
 
         tracer.subscribe("app.send", self._on_app_send)
@@ -142,9 +141,6 @@ class MetricsCollector:
         self.drop_reasons[record.fields["reason"]] += 1
 
     # -- result ------------------------------------------------------------------
-
-    def note_payload(self, uid: int, payload_bytes: int) -> None:
-        self._payload_bytes[uid] = payload_bytes
 
     def finalize(
         self,

@@ -15,14 +15,13 @@ version of :class:`repro.obs.interval.IntervalMetrics` for runs that only
 kept a trace file.
 
 ``job`` is the fleet side: it reads one job's merged *span* trace
-(:mod:`repro.obs.fleet`) from a JSON file, stdin (``-``), or straight
-from a coordinator's ``GET /v1/jobs/<id>/trace`` URL, and prints the
+(:mod:`repro.obs.fleet`) from a JSON file or stdin (``-``) and prints the
 "where did the time go" explainer — a text Gantt of every span, per-kind
 and per-worker breakdowns with the straggler flagged, and the critical
 path that kept the job's completion waiting::
 
-    repro-trace job http://127.0.0.1:8642/v1/jobs/<id>/trace
     repro-submit trace <id> | repro-trace job -
+    repro-trace job trace.json
 """
 
 from __future__ import annotations
@@ -110,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     job.add_argument(
         "source",
-        help="trace JSON: a file, '-' for stdin, or a coordinator "
-        "http(s)://.../v1/jobs/<id>/trace URL",
+        help="trace JSON (the GET /v1/jobs/<id>/trace document): a file, "
+        "or '-' for stdin",
     )
     job.add_argument(
         "--json",
@@ -281,7 +280,7 @@ def _timeseries(args: argparse.Namespace) -> int:
 
 
 def _load_job_trace(source: str) -> Dict[str, Any]:
-    """Read a job trace document from a file, stdin, or a coordinator URL.
+    """Read a job trace document from a file or stdin.
 
     Accepts the ``GET /v1/jobs/<id>/trace`` document, a bare JSON list of
     span dicts, or span-per-line JSONL; always returns a
@@ -289,15 +288,6 @@ def _load_job_trace(source: str) -> Dict[str, Any]:
     """
     if source == "-":
         text = sys.stdin.read()
-    elif source.startswith(("http://", "https://")):
-        import urllib.error
-        import urllib.request
-
-        try:
-            with urllib.request.urlopen(source, timeout=30.0) as response:
-                text = response.read().decode("utf-8")
-        except urllib.error.URLError as exc:
-            raise ValueError(f"cannot fetch {source}: {exc}") from exc
     else:
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()

@@ -53,13 +53,9 @@ def _expectation_lines(expectations: Sequence[Expectation]) -> List[str]:
 
 
 def _base_scenario(scale: str, pause: float, rate: float, dsr: DsrConfig, seed: int) -> ScenarioConfig:
-    if scale == "paper":
-        return presets.paper_scenario(pause_time=pause, packet_rate=rate, dsr=dsr, seed=seed)
-    if scale == "scaled":
-        return presets.scaled_scenario(pause_time=pause, packet_rate=rate, dsr=dsr, seed=seed)
-    return presets.tiny_scenario(dsr=dsr, seed=seed, pause_time=pause).but(
-        packet_rate=rate, duration=30.0
-    )
+    if scale == "quick":  # the tiny preset, cut to 30 s
+        return presets.preset_scenario("tiny", dsr, pause, rate, seed, duration=30.0)
+    return presets.preset_scenario(scale, dsr, pause, rate, seed)
 
 
 def _timeout_axis(scale: str) -> List[float]:

@@ -10,7 +10,10 @@ minutes.  EXPERIMENTS.md reports how the shapes track the paper.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.config import DsrConfig
+from repro.errors import ConfigurationError
 from repro.scenarios.config import ScenarioConfig
 
 # ---------------------------------------------------------------------------
@@ -112,3 +115,29 @@ def tiny_scenario(
         dsr=dsr or DsrConfig.base(),
         seed=seed,
     )
+
+
+# ---------------------------------------------------------------------------
+# The presets by name: what ``--preset`` and ``repro.paper``'s scales select.
+# ---------------------------------------------------------------------------
+
+PRESETS = {"tiny": tiny_scenario, "scaled": scaled_scenario, "paper": paper_scenario}
+
+
+def preset_scenario(
+    preset: str,
+    dsr: DsrConfig,
+    pause_time: float,
+    packet_rate: float,
+    seed: int,
+    duration: Optional[float] = None,
+) -> ScenarioConfig:
+    """The named preset at one operating point (``duration=None`` keeps the
+    preset's own run length)."""
+    if preset not in PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {preset!r}: expected one of {sorted(PRESETS)}"
+        )
+    config = PRESETS[preset](dsr=dsr, seed=seed, pause_time=pause_time)
+    config = config.but(packet_rate=packet_rate)
+    return config if duration is None else config.but(duration=duration)

@@ -276,6 +276,10 @@ class _DrainSignal:
 
 
 def _build_submit_parser() -> argparse.ArgumentParser:
+    from repro.cli import parse_seeds
+    from repro.core.config import PAPER_VARIANTS
+    from repro.scenarios.presets import PRESETS
+
     parser = argparse.ArgumentParser(
         prog="repro-submit",
         description="Submit and track jobs on a running repro-serve instance.",
@@ -304,16 +308,15 @@ def _build_submit_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="scenario JSON file (repeatable; from repro-run --save-config)",
     )
-    submit.add_argument(
-        "--preset", choices=("tiny", "scaled", "paper"), default=None
-    )
-    submit.add_argument("--variant", default="DSR")
+    submit.add_argument("--preset", choices=tuple(PRESETS), default=None)
+    submit.add_argument("--variant", choices=sorted(PAPER_VARIANTS), default="DSR")
     submit.add_argument("--pause-time", type=float, default=0.0)
     submit.add_argument("--packet-rate", type=float, default=3.0)
     submit.add_argument("--duration", type=float, default=None)
     submit.add_argument("--seed", type=int, default=1)
     submit.add_argument(
         "--seeds",
+        type=parse_seeds,
         default=None,
         metavar="S1,S2,...",
         help="submit one scenario per seed (overrides --seed)",
@@ -363,43 +366,22 @@ def _build_submit_parser() -> argparse.ArgumentParser:
 
 def _scenarios_from_args(args: argparse.Namespace) -> List[Dict[str, Any]]:
     from repro.core.config import PAPER_VARIANTS
-    from repro.scenarios import presets
     from repro.scenarios.io import load_scenario, scenario_to_dict
+    from repro.scenarios.presets import preset_scenario
 
     if args.config:
         return [scenario_to_dict(load_scenario(path)) for path in args.config]
     if args.preset is None:
         raise SystemExit("error: provide --config FILE or --preset")
     dsr = PAPER_VARIANTS[args.variant]
-    seeds = (
-        [int(chunk) for chunk in args.seeds.split(",") if chunk.strip()]
-        if args.seeds
-        else [args.seed]
-    )
-    scenarios = []
-    for seed in seeds:
-        if args.preset == "tiny":
-            config = presets.tiny_scenario(
-                dsr=dsr, seed=seed, pause_time=args.pause_time
-            ).but(packet_rate=args.packet_rate)
-        elif args.preset == "scaled":
-            config = presets.scaled_scenario(
-                pause_time=args.pause_time,
-                packet_rate=args.packet_rate,
-                dsr=dsr,
-                seed=seed,
+    return [
+        scenario_to_dict(
+            preset_scenario(
+                args.preset, dsr, args.pause_time, args.packet_rate, seed, args.duration
             )
-        else:
-            config = presets.paper_scenario(
-                pause_time=args.pause_time,
-                packet_rate=args.packet_rate,
-                dsr=dsr,
-                seed=seed,
-            )
-        if args.duration is not None:
-            config = config.but(duration=args.duration)
-        scenarios.append(scenario_to_dict(config))
-    return scenarios
+        )
+        for seed in args.seeds or [args.seed]
+    ]
 
 
 def _print_results(results: List[Any], json_path: Optional[str]) -> None:
@@ -496,7 +478,6 @@ def submit_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _print_doc(payload: Dict[str, Any]) -> None:
-    payload.pop("_status", None)
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 

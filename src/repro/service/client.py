@@ -36,11 +36,13 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from email.message import Message
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.cache import result_from_payload, result_to_payload
+from repro.devtools.lockdep import blocking
 from repro.errors import ReproError
 from repro.obs.fleet import TRACE_HEADER, format_trace_context
 from repro.metrics.collector import SimulationResult
@@ -78,8 +80,18 @@ class JobFailedError(ServiceError):
         self.state = state
 
 
+def _decode(blob: bytes) -> Dict[str, Any]:
+    """A response body as a document; ``{}`` when it is not JSON."""
+    try:
+        payload = json.loads(blob) if blob else {}
+    except ValueError:
+        payload = {}
+    return payload if isinstance(payload, dict) else {"body": payload}
+
+
 class ServiceClient:
-    """A thin, typed wrapper over the service's JSON API."""
+    """A thin, typed wrapper over the service's JSON API — and the only
+    code in the package that opens a URL (:meth:`_open`)."""
 
     def __init__(
         self,
@@ -111,6 +123,74 @@ class ServiceClient:
 
     # -- HTTP plumbing -------------------------------------------------------
 
+    def _open(
+        self,
+        method: str,
+        path: str,
+        data: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+        attempts: int = 1,
+    ) -> Tuple[int, Message, bytes]:
+        """The one place a URL is opened: ``(status, headers, body)`` of
+        whatever the server answered — an error status is an answer too.
+
+        Connection refused/reset/timed out, or the server vanished
+        mid-response (``RemoteDisconnected``), is tried ``attempts`` times
+        with backoff between, then raised as :class:`TransientServiceError`.
+        """
+        request = urllib.request.Request(
+            self.base_url + path,
+            data=data,
+            headers={"X-Client": self.client_id, **(headers or {})},
+            method=method,
+        )
+        delay = self.backoff_s
+        with blocking(f"http {method} {path}"):
+            while True:
+                try:
+                    try:
+                        response = urllib.request.urlopen(request, timeout=self.timeout)
+                    except urllib.error.HTTPError as exc:
+                        response = exc
+                    with response:
+                        return response.status, response.headers, response.read()
+                except (
+                    urllib.error.URLError,
+                    ConnectionError,
+                    TimeoutError,
+                    http.client.HTTPException,
+                ) as exc:
+                    attempts -= 1
+                    if attempts <= 0:
+                        reason = getattr(exc, "reason", exc)
+                        raise TransientServiceError(
+                            f"cannot reach {self.base_url}: {reason}"
+                        ) from None
+                delay = self._next_backoff(delay)
+                time.sleep(delay)
+
+    @staticmethod
+    def _check(
+        status: int, headers: Message, blob: bytes, ok_statuses: Sequence[int]
+    ) -> None:
+        """The one place an HTTP status becomes an exception."""
+        if status in ok_statuses:
+            return
+        payload = _decode(blob)
+        message = payload.get("error") or f"HTTP {status}"
+        if status in (429, 503):
+            raise QueueFullError(
+                message, status, float(headers.get("Retry-After") or 1.0)
+            )
+        if status == 409 and payload.get("state"):
+            # A job that ended without results: which job, which state, why.
+            state = str(payload["state"])
+            reason = f": {payload['error']}" if payload.get("error") else ""
+            raise JobFailedError(
+                f"job {payload.get('id')} ended {state}{reason}", state=state
+            )
+        raise ServiceError(message, status)
+
     def _request(
         self,
         method: str,
@@ -119,91 +199,25 @@ class ServiceClient:
         ok_statuses: Sequence[int] = (200, 202),
         idempotent: Optional[bool] = None,
         extra_headers: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, Any]:
-        """One API call, with bounded retry on transient connection errors.
+    ) -> Tuple[int, Dict[str, Any]]:
+        """One JSON API call: the status and the document the server sent.
 
-        ``idempotent`` defaults by method (GET/PUT/DELETE yes, POST no);
-        lease verbs pass ``True`` explicitly — see the module docstring.
+        Transient connection errors are retried when ``idempotent``, which
+        defaults by method (GET/PUT/DELETE yes, POST no); lease verbs pass
+        ``True`` explicitly — see the module docstring.
         """
         if idempotent is None:
             idempotent = method in ("GET", "PUT", "DELETE")
-        attempts = (self.retries if idempotent else 0) + 1
-        delay = self.backoff_s
-        for attempt in range(attempts):
-            if attempt:
-                delay = self._next_backoff(delay)
-                time.sleep(delay)
-            try:
-                return self._request_once(
-                    method, path, body, ok_statuses, extra_headers
-                )
-            except TransientServiceError:
-                if attempt + 1 >= attempts:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _request_once(
-        self,
-        method: str,
-        path: str,
-        body: Optional[Dict[str, Any]] = None,
-        ok_statuses: Sequence[int] = (200, 202),
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, Any]:
         data = None
-        headers = {"X-Client": self.client_id}
-        headers.update(extra_headers or {})
+        headers = dict(extra_headers or {})
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
+        status, response_headers, blob = self._open(
+            method, path, data, headers, attempts=(self.retries if idempotent else 0) + 1
         )
-        trace_header: Optional[str] = None
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                payload = self._decode(response)
-                status = response.status
-                trace_header = response.headers.get(TRACE_HEADER)
-        except urllib.error.HTTPError as exc:
-            payload = self._decode(exc)
-            status = exc.code
-            if status in (429, 503):
-                raise QueueFullError(
-                    payload.get("error") or f"HTTP {status}",
-                    status,
-                    float(exc.headers.get("Retry-After") or 1.0),
-                ) from None
-            raise ServiceError(
-                payload.get("error") or f"HTTP {status}", status
-            ) from None
-        except (
-            urllib.error.URLError,
-            ConnectionError,
-            TimeoutError,
-            http.client.HTTPException,
-        ) as exc:
-            # Connection refused/reset/timed out, or the server vanished
-            # mid-response (RemoteDisconnected): retryable when idempotent.
-            reason = getattr(exc, "reason", exc)
-            raise TransientServiceError(
-                f"cannot reach {self.base_url}: {reason}"
-            ) from None
-        if status not in ok_statuses:
-            raise ServiceError(payload.get("error") or f"HTTP {status}", status)
-        payload["_status"] = status
-        if trace_header is not None:
-            payload["_trace"] = trace_header
-        return payload
-
-    @staticmethod
-    def _decode(response: Any) -> Dict[str, Any]:
-        try:
-            blob = response.read()
-            payload = json.loads(blob.decode("utf-8")) if blob else {}
-        except (ValueError, OSError):
-            payload = {}
-        return payload if isinstance(payload, dict) else {"body": payload}
+        self._check(status, response_headers, blob, ok_statuses)
+        return status, _decode(blob)
 
     # -- API -----------------------------------------------------------------
 
@@ -227,7 +241,7 @@ class ServiceClient:
         extra: Optional[Dict[str, str]] = None
         if trace_parent is not None:
             extra = {TRACE_HEADER: format_trace_context(*trace_parent)}
-        response = self._request(
+        _status, response = self._request(
             "POST",
             "/v1/jobs",
             {"scenarios": payloads, "priority": priority, "client": self.client_id},
@@ -238,37 +252,28 @@ class ServiceClient:
 
     def job_trace(self, job_id: str) -> Dict[str, Any]:
         """The job's merged fleet trace: ``{"id", "trace_id", "spans"}``."""
-        response = self._request("GET", f"/v1/jobs/{job_id}/trace")
-        response.pop("_status", None)
-        response.pop("_trace", None)
-        return response
+        return self._request("GET", f"/v1/jobs/{job_id}/trace")[1]
 
     def post_spans(self, spans: List[Dict[str, Any]]) -> int:
         """Ship finished spans to the coordinator; returns the accepted
         count (the fallback path when spans miss their shard delivery)."""
-        response = self._request(
+        _status, response = self._request(
             "POST", "/v1/spans", {"spans": list(spans)}, idempotent=True
         )
         return int(response.get("accepted", 0))
 
     def status(self, job_id: str) -> Dict[str, Any]:
-        return self._request("GET", f"/v1/jobs/{job_id}")
+        return self._request("GET", f"/v1/jobs/{job_id}")[1]
 
     def list_jobs(self) -> List[Dict[str, Any]]:
-        return list(self._request("GET", "/v1/jobs").get("jobs", []))
+        return list(self._request("GET", "/v1/jobs")[1].get("jobs", []))
 
     def results(self, job_id: str) -> List[SimulationResult]:
-        """The job's results; raises :class:`JobFailedError` on a terminal
-        failure and :class:`ServiceError` (status 202) while unfinished."""
-        try:
-            response = self._request(
-                "GET", f"/v1/jobs/{job_id}/result", ok_statuses=(200, 202)
-            )
-        except ServiceError as exc:
-            if exc.status == 409:
-                raise JobFailedError(str(exc), state="failed") from None
-            raise
-        if response["_status"] != 200:
+        """The job's results; raises :class:`JobFailedError` when it ended
+        failed or cancelled and :class:`ServiceError` (status 202) while
+        unfinished."""
+        status, response = self._request("GET", f"/v1/jobs/{job_id}/result")
+        if status != 200:
             raise ServiceError(
                 f"job {job_id} not finished: {response.get('state')}", 202
             )
@@ -301,36 +306,27 @@ class ServiceClient:
     def fetch(
         self, job_id: str, timeout: Optional[float] = None
     ) -> List[SimulationResult]:
-        """Wait for completion, then return the results."""
-        status = self.wait(job_id, timeout=timeout)
-        if status.get("state") != "done":
-            raise JobFailedError(
-                f"job {job_id} ended {status.get('state')}: {status.get('error')}",
-                state=str(status.get("state")),
-            )
+        """Wait for the job to end, then return its results (or raise
+        what :meth:`results` raises for a failed or cancelled one)."""
+        self.wait(job_id, timeout=timeout)
         return self.results(job_id)
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
-        return self._request("DELETE", f"/v1/jobs/{job_id}")
+        return self._request("DELETE", f"/v1/jobs/{job_id}")[1]
 
     def health(self) -> Dict[str, Any]:
-        return self._request("GET", "/healthz")
+        return self._request("GET", "/healthz")[1]
 
     def metrics_text(self) -> str:
-        request = urllib.request.Request(
-            self.base_url + "/metrics", headers={"X-Client": self.client_id}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.URLError as exc:
-            raise ServiceError(f"cannot reach {self.base_url}: {exc}") from None
+        status, headers, blob = self._open("GET", "/metrics", attempts=self.retries + 1)
+        self._check(status, headers, blob, (200,))
+        return blob.decode("utf-8")
 
     # -- the lease protocol (distributed workers) ----------------------------
 
     def claim(self, worker: str) -> Optional[Dict[str, Any]]:
         """Pull the next shard claim; ``None`` when the queue is idle."""
-        response = self._request(
+        _status, response = self._request(
             "POST", "/v1/leases/claim", {"worker": worker}, idempotent=True
         )
         lease = response.get("lease")
@@ -340,7 +336,7 @@ class ServiceClient:
         """Renew a held lease; 404 (``ServiceError``) once it lapsed."""
         return self._request(
             "POST", f"/v1/leases/{lease_id}/heartbeat", {}, idempotent=True
-        )
+        )[1]
 
     def complete(
         self,
@@ -366,34 +362,26 @@ class ServiceClient:
             body["spans"] = list(spans)
         return self._request(
             "POST", f"/v1/leases/{lease_id}/complete", body, idempotent=True
-        )
+        )[1]
 
     def leases(self) -> Dict[str, Any]:
         """Active leases + fleet counts (``{"leases": [...], "fleet": {...}}``)."""
-        response = self._request("GET", "/v1/leases")
-        response.pop("_status", None)
-        return response
+        return self._request("GET", "/v1/leases")[1]
 
-    def events(self, job_id: str) -> Iterator[Dict[str, Any]]:
-        """Iterate the job's SSE stream as ``{"event": ..., "data": {...}}``
-        dicts; ends when the server sends the terminal ``done`` event."""
-        request = urllib.request.Request(
-            self.base_url + f"/v1/jobs/{job_id}/events",
-            headers={"X-Client": self.client_id},
+    # -- the remote cache tier ------------------------------------------------
+    # One attempt each, whatever ``retries`` says: a dead coordinator must
+    # cost a worker one timeout per lookup, not three.
+
+    def cache_get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The coordinator's raw cache entry for ``key``; ``None`` on a miss."""
+        status, headers, blob = self._open("GET", f"/v1/cache/{key}")
+        if status == 404:  # read off the status: a miss has nothing to decode
+            return None
+        self._check(status, headers, blob, (200,))
+        return _decode(blob)
+
+    def cache_put(self, key: str, entry: Dict[str, Any]) -> None:
+        """Store one entry on the coordinator, which validates it (400)."""
+        self._request(
+            "PUT", f"/v1/cache/{key}", entry, ok_statuses=(200,), idempotent=False
         )
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            event: Dict[str, Any] = {}
-            for raw in response:
-                line = raw.decode("utf-8").rstrip("\n")
-                if line.startswith("event: "):
-                    event["event"] = line[len("event: "):]
-                elif line.startswith("data: "):
-                    try:
-                        event["data"] = json.loads(line[len("data: "):])
-                    except ValueError:
-                        event["data"] = line[len("data: "):]
-                elif not line and event:
-                    yield event
-                    if event.get("event") == "done":
-                        return
-                    event = {}

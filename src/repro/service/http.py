@@ -11,7 +11,6 @@ Routes::
     GET    /v1/jobs              job summaries, oldest first
     GET    /v1/jobs/{id}         status + progress
     GET    /v1/jobs/{id}/result  202 while unfinished, 200 {"results": [...]}
-    GET    /v1/jobs/{id}/events  Server-Sent Events progress stream
     GET    /v1/jobs/{id}/trace   the job's merged fleet trace (span list)
     DELETE /v1/jobs/{id}         cancel pending / delete terminal record
     POST   /v1/spans             merge worker-produced spans {"spans": [...]}
@@ -64,9 +63,6 @@ from repro.service.core import (
 )
 from repro.service.jobs import Job, JobState
 from repro.version import __version__
-
-#: How often the SSE stream re-checks a silent job for liveness, seconds.
-SSE_KEEPALIVE_S = 2.0
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -154,8 +150,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 return self._with_job(parts[2], self._get_job_status)
             if len(parts) == 4 and parts[3] == "result":
                 return self._with_job(parts[2], self._get_job_result)
-            if len(parts) == 4 and parts[3] == "events":
-                return self._with_job(parts[2], self._get_job_events)
             if len(parts) == 4 and parts[3] == "trace":
                 return self._get_job_trace(parts[2])
         if parts[:2] == ["v1", "leases"] and len(parts) == 2:
@@ -286,37 +280,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             },
             {"Retry-After": "1"},
         )
-
-    def _get_job_events(self, job: Job) -> None:
-        """Server-Sent Events: one ``progress`` event per visible change,
-        a final ``done`` event at the terminal state, then close."""
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        version = -1
-        try:
-            while True:
-                terminal = job.terminal
-                current = job.version
-                if current != version:
-                    version = current
-                    self._write_sse("progress", job.status_dict())
-                if terminal:
-                    self._write_sse(
-                        "done", {"id": job.id, "state": job.state.value}
-                    )
-                    break
-                job.wait_for_change(version, timeout=SSE_KEEPALIVE_S)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to clean up
-        self.close_connection = True
-
-    def _write_sse(self, event: str, payload: Dict[str, Any]) -> None:
-        blob = json.dumps(payload, sort_keys=True)
-        self.wfile.write(f"event: {event}\ndata: {blob}\n\n".encode("utf-8"))
-        self.wfile.flush()
 
     def _get_job_trace(self, job_id: str) -> None:
         try:

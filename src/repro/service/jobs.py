@@ -5,7 +5,7 @@ A job is an ordered list of scenario payloads (the JSON dicts produced by
 client, priority, state, progress, and eventually results.  Jobs are
 mutated only by the owning :class:`~repro.service.core.SimulationService`
 under its lock; every externally visible change bumps ``version`` and
-notifies ``changed`` so pollers and SSE streams can wait efficiently.
+notifies ``changed`` so a waiter (:meth:`SimulationService.wait`) can sleep on it.
 
 Timestamps here are operator-facing serving metadata (queue latency, job
 wall time); they never feed simulation state, which remains a pure

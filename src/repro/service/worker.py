@@ -46,11 +46,11 @@ import socket
 import sys
 import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
-from repro.analysis.cache import HTTPCacheTier, ResultCache, TieredResultCache
+from repro.analysis.cache import ResultCache, TieredResultCache, validate_entry
 from repro.analysis.runner import SweepEngine, SweepExecutionError, TaskFn, _run_payload
 from repro.metrics.collector import SimulationResult
 from repro.obs.fleet import FleetTracer, Span
@@ -59,7 +59,7 @@ from repro.scenarios.io import scenario_from_dict
 from repro.service.client import ServiceClient, ServiceError
 from repro.version import __version__
 
-__all__ = ["ShardWorker", "main"]
+__all__ = ["RemoteCacheTier", "ShardWorker", "main"]
 
 
 def default_worker_id() -> str:
@@ -87,28 +87,52 @@ class LeaseClient(Protocol):
     def post_spans(self, spans: List[Dict[str, Any]]) -> int: ...
 
 
-class _TracedRemoteTier(HTTPCacheTier):
-    """The coordinator's ``/v1/cache`` tier with ``cache.remote`` spans.
+class RemoteCacheTier:
+    """The coordinator's ``/v1/cache`` as a :class:`TieredResultCache` tier:
+    a view of a :class:`ServiceClient`'s two cache verbs.
 
-    Remote round-trips are where a worker's non-simulation time goes, so
-    every fetch and push of the shard in hand becomes a span (hit/miss
-    recorded as attributes).  Outside a shard the spans are no-ops.
+    Every failure is soft — an unreachable or misbehaving coordinator turns
+    ``get_entry`` into a miss and ``put_entry`` into ``False`` — so a worker
+    degrades to its local tier instead of breaking.  Remote round-trips are
+    where a worker's non-simulation time goes, so given a ``worker`` every
+    fetch and push of its shard in hand is a ``cache.remote`` span (hit /
+    stored as attributes; the coordinator does the counting, on ``/metrics``).
     """
 
-    def __init__(self, worker: "ShardWorker", base_url: str, timeout: float) -> None:
-        super().__init__(base_url, timeout)
+    def __init__(
+        self, client: ServiceClient, worker: Optional["ShardWorker"] = None
+    ) -> None:
+        self._client = client
         self._worker = worker
 
+    def _span(self, op: str, key: str) -> ContextManager[Optional[Span]]:
+        if self._worker is None:
+            return nullcontext()
+        return self._worker.trace_span("cache.remote", op=op, key=key)
+
     def get_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._worker.trace_span("cache.remote", op="get", key=key) as span:
-            entry = super().get_entry(key)
+        """Fetch and validate one entry; ``None`` on miss or any failure."""
+        with self._span("get", key) as span:
+            try:
+                # Validated before the caller writes it through: a remote peer
+                # must not plant an entry the local store would refuse.
+                entry = self._client.cache_get(key)
+                if entry is not None:
+                    validate_entry(key, entry)
+            except (ServiceError, ValueError):
+                entry = None
             if span is not None:
                 span.attrs["hit"] = entry is not None
             return entry
 
     def put_entry(self, key: str, entry: Dict[str, Any]) -> bool:
-        with self._worker.trace_span("cache.remote", op="put", key=key) as span:
-            stored = super().put_entry(key, entry)
+        """Push one entry; ``False`` (never an exception) on failure."""
+        with self._span("put", key) as span:
+            try:
+                self._client.cache_put(key, entry)
+                stored = True
+            except ServiceError:
+                stored = False
             if span is not None:
                 span.attrs["stored"] = stored
             return stored
@@ -178,10 +202,7 @@ class ShardWorker:
             assert isinstance(client, ServiceClient), "the remote tier needs a URL"
             if cache_dir is None:
                 cache_dir = tempfile.mkdtemp(prefix="repro-worker-cache-")
-            cache = TieredResultCache(
-                cache_dir,
-                _TracedRemoteTier(self, client.base_url, timeout=client.timeout),
-            )
+            cache = TieredResultCache(cache_dir, RemoteCacheTier(client, self))
         # Lookups are span-traced against the shard in hand; ``None`` (the
         # caller has no cache) runs the engine uncached.
         self.cache: Optional[ResultCache] = (

@@ -177,7 +177,7 @@ def test_invalidated_entry_is_not_served_through_get_entry_either(tmp_path):
 
 
 def test_sweep_runner_import_leaves_the_http_stack_out():
-    """Only ``HTTPCacheTier``'s methods need urllib; a sweep pool worker or a
+    """Only ``repro.service`` talks HTTP; a sweep pool worker or a
     ``repro-run`` that imports the engine must not pay for http/ssl/email."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     script = (
@@ -194,3 +194,54 @@ def test_sweep_runner_import_leaves_the_http_stack_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# -- the three callers of presets.preset_scenario ----------------------------
+
+_PRESET_FLAGS = {
+    "default": [],
+    "moved": [
+        "--pause-time", "30", "--packet-rate", "1", "--duration", "15",
+        "--variant", "AllTechniques", "--seed", "3",
+    ],
+}
+
+
+def preset_hashes():
+    """``scenario_hash`` of what every preset entry point builds: both CLIs
+    for each ``--preset`` × flag set, and ``repro.paper``'s three scales.
+    (Uses only names commit 7adca43 has too: it recorded the fixture.)"""
+    from unittest import mock
+
+    import repro.cli as run_cli
+    import repro.paper as paper
+    import repro.service.cli as submit_cli
+    from repro.core.config import PAPER_VARIANTS
+
+    seen = {}
+    for preset in ("tiny", "scaled", "paper"):
+        for label, flags in _PRESET_FLAGS.items():
+            built = []
+            with mock.patch.object(
+                run_cli, "_run_and_report", lambda args, config: built.append(config) or 0
+            ):
+                assert run_cli.main(["--preset", preset, *flags]) == 0
+            seen[f"repro-run/{preset}/{label}"] = scenario_hash(built[0])
+            args = submit_cli._build_submit_parser().parse_args(
+                ["submit", "--preset", preset, *flags]
+            )
+            [payload] = submit_cli._scenarios_from_args(args)
+            seen[f"repro-submit/{preset}/{label}"] = scenario_hash(payload)
+    for scale in ("quick", "scaled", "paper"):
+        seen[f"paper/{scale}/default"] = scenario_hash(
+            paper._base_scenario(scale, 0.0, 3.0, PAPER_VARIANTS["DSR"], 1)
+        )
+        seen[f"paper/{scale}/moved"] = scenario_hash(
+            paper._base_scenario(scale, 30.0, 1.0, PAPER_VARIANTS["AllTechniques"], 3)
+        )
+    return seen
+
+
+def test_every_preset_entry_point_builds_the_parent_commits_scenarios():
+    recorded = json.loads((FIXTURES / "preset_hashes.json").read_text(encoding="utf-8"))
+    assert preset_hashes() == recorded

@@ -114,6 +114,14 @@ def test_job_missing_file_is_a_clean_error(capsys):
     assert rc == 2
 
 
+def test_job_url_is_a_path_like_any_other(capsys):
+    """A trace comes from a file or stdin (``repro-submit trace <id> |
+    repro-trace job -``); the tool opens no connection of its own."""
+    url = "http://127.0.0.1:1/v1/jobs/feedface/trace"
+    assert tracecli.main(["job", url]) == 2
+    assert f"{url}: no such trace file" in capsys.readouterr().err
+
+
 def test_job_folds_gantt_past_max_spans(tmp_path, capsys):
     doc = sample_trace()
     rc, out = run_job(capsys, "--max-spans", "2", write_trace(tmp_path, doc))

@@ -14,19 +14,14 @@ which borrows :class:`WorkerFleet` for its ``fleet`` arm.
 
 import threading
 
-from repro.analysis.cache import (
-    HTTPCacheTier,
-    ResultCache,
-    TieredResultCache,
-    scenario_hash,
-)
+from repro.analysis.cache import ResultCache, TieredResultCache, scenario_hash
 from repro.analysis.runner import SweepEngine
 from repro.scenarios.io import scenario_to_dict
 from repro.service.client import ServiceClient
-from repro.service.worker import ShardWorker
+from repro.service.worker import RemoteCacheTier, ShardWorker
 
 from tests.service.helpers import CountingTask, fake_result, small_config
-from tests.service.test_http import LiveServer
+from tests.service.test_http import LiveServer, _metrics
 
 
 def distributed_server(tmp_path, **kwargs):
@@ -97,6 +92,10 @@ def test_dead_worker_lease_expires_and_fleet_recovers(tmp_path):
     assert fleet["shards_requeued"] >= 1
 
 
+def _remote_hits(client):
+    return float(_metrics(client.metrics_text())["repro_service_cache_remote_hits"])
+
+
 def test_remote_cache_tier_spares_a_fresh_worker_every_execution(tmp_path):
     """A sweep on a new machine after another worker populated the cache
     executes zero simulations: every get is a remote-tier hit."""
@@ -109,8 +108,9 @@ def test_remote_cache_tier_spares_a_fresh_worker_every_execution(tmp_path):
         # A brand-new "machine": empty local tier, coordinator remote tier.
         counting = CountingTask()
         fresh_cache = TieredResultCache(
-            tmp_path / "fresh-local", HTTPCacheTier(client.base_url)
+            tmp_path / "fresh-local", RemoteCacheTier(client)
         )
+        served = _remote_hits(client)
         engine = SweepEngine(processes=1, cache=fresh_cache, task_fn=counting)
         report = engine.run(configs)
         assert counting.calls == []
@@ -119,7 +119,8 @@ def test_remote_cache_tier_spares_a_fresh_worker_every_execution(tmp_path):
         assert report.results == [
             fake_result(scenario_to_dict(c)) for c in configs
         ]
-        assert fresh_cache.remote.stats.hits == len(configs)
+        # The coordinator counts what it serves, where an operator can see it.
+        assert _remote_hits(client) - served == len(configs)
         # ...and the remote hits were written through to the local tier.
         local_only = ResultCache(tmp_path / "fresh-local")
         key = scenario_hash(scenario_to_dict(configs[0]))

@@ -149,6 +149,28 @@ def test_failed_job_fetch_raises_job_failed():
         assert "injected" in str(excinfo.value)
 
 
+def test_cancelled_job_results_say_cancelled_and_which_job():
+    server = LiveServer(workers=1, task_fn=CountingTask())
+    server.thread.start()  # no workers: job stays pending until cancelled
+    client = ServiceClient(f"http://127.0.0.1:{server.httpd.port}")
+    try:
+        job_id = client.submit([small_config(seed=1)])
+        client.cancel(job_id)
+        with pytest.raises(JobFailedError) as excinfo:
+            client.results(job_id)
+        assert (excinfo.value.state, excinfo.value.status) == ("cancelled", 409)
+        assert str(excinfo.value) == f"job {job_id} ended cancelled"
+        # A 409 that is not a job's end (here: a lease verb on a service
+        # whose own threads claim) stays a plain ServiceError.
+        with pytest.raises(ServiceError) as not_distributed:
+            client.claim("w0")
+        assert type(not_distributed.value) is ServiceError
+        assert not_distributed.value.status == 409
+    finally:
+        server.httpd.shutdown()
+        server.service.drain(grace_s=1.0)
+
+
 # -- job management ----------------------------------------------------------
 
 
@@ -159,7 +181,7 @@ def test_delete_cancels_pending_then_removes_record():
     try:
         job_id = client.submit([small_config(seed=1)])
         assert client.cancel(job_id)["state"] == "cancelled"
-        assert client.cancel(job_id) == {"id": job_id, "deleted": True, "_status": 200}
+        assert client.cancel(job_id) == {"id": job_id, "deleted": True}
         with pytest.raises(ServiceError) as excinfo:
             client.status(job_id)
         assert excinfo.value.status == 404
@@ -277,31 +299,15 @@ def test_cache_endpoints_refuse_a_key_that_is_not_a_scenario_hash(tmp_path, bad_
     key = scenario_hash(payload)
     with _fake_server(cache_dir=str(root)) as client:
         client.fetch(client.submit(payload), timeout=30)
-        entry = client._request("GET", f"/v1/cache/{key}")
+        entry = client.cache_get(key)
         assert entry["scenario_hash"] == key
         before = sorted(os.listdir(root.parent))
         with pytest.raises(ServiceError) as refused_get:
-            client._request("GET", f"/v1/cache/{bad_key}")
+            client.cache_get(bad_key)
         # A body that agrees with its key passes entry validation: the key
         # itself has to be refused.
         with pytest.raises(ServiceError) as refused_put:
-            client._request(
-                "PUT", f"/v1/cache/{bad_key}", dict(entry, scenario_hash=bad_key)
-            )
+            client.cache_put(bad_key, dict(entry, scenario_hash=bad_key))
         assert (refused_get.value.status, refused_put.value.status) == (400, 400)
         assert sorted(os.listdir(root.parent)) == before == ["cache"]
-        assert client._request("GET", f"/v1/cache/{key}") == entry  # a real key still works
-
-
-def test_sse_stream_ends_with_done_event():
-    with _fake_server() as client:
-        job_id = client.submit([small_config(seed=1)])
-        events = list(client.events(job_id))
-    kinds = [event["event"] for event in events]
-    assert kinds[-1] == "done"
-    assert "progress" in kinds
-    assert events[-1]["data"]["state"] == "done"
-    # Every progress event carries the full status resource.
-    assert all(
-        event["data"]["id"] == job_id for event in events if event["event"] == "progress"
-    )
+        assert client.cache_get(key) == entry  # a real key still works

@@ -286,3 +286,31 @@ def test_cli_profile_config_roundtrip(tmp_path, capsys):
     assert config.link_loss == 0.2
     capsys.readouterr()
     assert main(["--config", str(saved)]) == 0
+
+
+# -- flags repro-run shares with repro-submit: a typo is a usage error --------
+
+
+def test_cli_bad_seeds_is_a_usage_error_not_a_traceback(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*_TINY, "--seeds", "1,x"])
+    assert excinfo.value.code == 2
+    assert "argument --seeds: expected comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, complaint",
+    [
+        ("--variant", "Nope", "argument --variant: invalid choice: 'Nope'"),
+        ("--seeds", "1,x", "argument --seeds: expected comma-separated integers"),
+    ],
+    ids=["variant", "seeds"],
+)
+def test_submit_cli_typo_is_a_usage_error_not_a_traceback(capsys, flag, value, complaint):
+    from repro.service.cli import submit_main
+
+    # Refused while parsing: nothing is built, no server is contacted.
+    with pytest.raises(SystemExit) as excinfo:
+        submit_main(["--url", "http://127.0.0.1:1", "submit", "--preset", "tiny", flag, value])
+    assert excinfo.value.code == 2
+    assert complaint in capsys.readouterr().err
