@@ -4,8 +4,8 @@ A transmission is broadcast energy: every node within carrier-sense range of
 the sender hears it for the frame's duration; nodes within receive range can
 decode it *iff* no other transmission (or their own) overlaps the frame at
 their location.  By default there is no capture effect — any overlap
-corrupts, which matches the conservative ns-2 configuration used by the
-paper.  Radio profiles may opt into capture by passing a
+corrupts, which is *more* conservative than the paper's ns-2 (it captures
+at 10 dB; ROADMAP item 1 owns the fix).  Radio profiles may pass a
 :class:`~repro.phy.profiles.CaptureModel`: the plan then carries a relative
 received power per listener and the radio lets the stronger frame survive.
 """
@@ -13,7 +13,7 @@ received power per listener and the radio lets the stronger frame survive.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +48,12 @@ class Transmission:
         )
 
 
+# A delivery plan: (radios, in_rx, distances, powers_db), one column each.  A
+# tuple per listener would be ~60 collector-tracked containers per plan, and
+# a flood builds thousands: they, not the protocol, tripped the collector.
+Plan = Tuple[List["Radio"], List[bool], Iterable[float], Iterable[float]]
+
+
 class Channel:
     """Connects all radios through the :class:`NeighborCache` geometry."""
 
@@ -79,12 +85,11 @@ class Channel:
             )
         self._rng = rng
         self.energy = energy
-        # Per-quantum delivery plans:
-        # sender -> [(radio, in_rx, distance, power_db)].  Geometry is frozen
-        # within a neighbour-cache quantum, so a sender's plan is assembled
-        # once per quantum, column by column from the arrays of one
-        # neighbour-cache query, instead of listener by listener per frame.
-        self._plans: Dict[int, List[tuple]] = {}
+        # Per-quantum delivery plans, by sender.  Geometry is frozen within a
+        # neighbour-cache quantum, so a sender's plan is assembled once per
+        # quantum, column by column from the arrays of one neighbour-cache
+        # query, instead of listener by listener per frame.
+        self._plans: Dict[int, Plan] = {}
         self._plans_tick = -1
         # The radio column: radios in the neighbour cache's row order, and which
         # rows have one (None while all do); rebuilt after attach.  A list, not an
@@ -127,13 +132,12 @@ class Channel:
         rng = self._rng
         capture = self.capture
         threshold = 0.0 if capture is None else capture.threshold_db
-        # One pass over the listeners, in carrier-sense neighbour order: the
-        # medium-change callbacks schedule timers, so their order is part of
-        # the event order.  ``radio.energy`` counts every transmission a radio
-        # hears plus its own; a reception in progress is ``receptions[tx] =
-        # corrupt`` and only decodable frames get one, since the corrupt flag
-        # of carrier-sense-only energy could never be read.
-        for radio, receivable, distance, power in plan:
+        # One pass over the listeners, in row order (the loss draws are taken
+        # in it).  ``radio.energy`` counts every transmission a radio hears
+        # plus its own; a reception in progress is ``receptions[tx] = corrupt``
+        # and only decodable frames get one, since the corrupt flag of
+        # carrier-sense-only energy could never be read.
+        for radio, receivable, distance, power in zip(*plan):
             if lossy and receivable:
                 # One draw per in-range listener, in plan order.
                 receivable = loss_model.delivered(distance, rng)
@@ -176,16 +180,17 @@ class Channel:
             energy.charge_tx(sender.node_id, duration)
         self._sim.schedule(duration, self._finish, tx, sender, plan)
 
-    def _plan_for(self, sender_id: int, now: float) -> List[tuple]:
-        """The sender's listeners for the current quantum.
+    def _plan_for(self, sender_id: int, now: float) -> Plan:
+        """The sender's listeners for the current quantum, in ascending row order.
 
-        Each entry is ``(radio, in_rx, distance, power_db)``; ``distance``
-        is only computed when a loss or capture model needs it, and
-        ``power_db`` only when capture is enabled (carrier-sense-only
-        listeners then need it too — their energy is what receptions must
-        capture over).  Plan lists are replaced (never mutated) on quantum
-        change, so an in-flight :meth:`_finish` holding a stale plan still
-        sees the listeners its frame actually reached.
+        ``distances`` is a list of floats only when a loss or capture model
+        reads it, and ``powers_db`` only when capture is enabled (carrier-
+        sense-only listeners then need it too — their energy is what
+        receptions must capture over); otherwise each is the endless
+        ``repeat(0.0)``, so walk a plan with ``zip``, which stops with the
+        radios.  Plans are replaced (never mutated) on quantum change, so an
+        in-flight :meth:`_finish` holding a stale plan still sees the
+        listeners its frame actually reached.
         """
         neighbors = self._neighbors
         tick = neighbors.tick(now)
@@ -210,11 +215,10 @@ class Channel:
                 # each element is bit-identical to NeighborCache.distances).
                 distances = np.sqrt(sq).tolist()
                 if capture is not None:
-                    powers = map(capture.power_db, distances)
-            # tolist(): Python bools and floats in the rows, never numpy scalars.
-            radios = map(radio_rows.__getitem__, rows.tolist())
-            plan = list(zip(radios, in_rx.tolist(), distances, powers))
-            self._plans[sender_id] = plan
+                    powers = list(map(capture.power_db, distances))
+            # tolist(): Python bools and floats in the columns, never numpy scalars.
+            radios = list(map(radio_rows.__getitem__, rows.tolist()))
+            plan = self._plans[sender_id] = (radios, in_rx.tolist(), distances, powers)
         return plan
 
     def _index_radios(self) -> List[Optional["Radio"]]:
@@ -225,12 +229,15 @@ class Channel:
         self._attached_rows = None if attached.all() else attached
         return radios
 
-    def _finish(self, tx: Transmission, sender: "Radio", plan: List[tuple]) -> None:
+    def _finish(self, tx: Transmission, sender: "Radio", plan: Plan) -> None:
         # End energy at listeners first so the sender's completion callback
-        # observes a consistent medium.
+        # observes a consistent medium.  One pass, decodable and sensed-only
+        # listeners interleaved in row order: the free-medium callbacks arm
+        # defer timers, so their order breaks ties between stations leaving the
+        # same busy period (decodable-first moves every golden digest).
         capture = self.capture is not None
         frame = tx.frame
-        for radio, in_rx, _distance, _power in plan:
+        for radio, in_rx in zip(plan[0], plan[1]):
             if capture:
                 del radio.heard_power[tx]
             radio.energy = heard = radio.energy - 1

@@ -20,8 +20,8 @@ radio technology:
 * reception — a distance-dependent delivery-probability shape
   (:class:`ProbabilisticReception`) and an optional capture threshold
   (:class:`CaptureModel`): with capture, a frame survives a collision when
-  its received power beats the strongest interferer by the threshold,
-  instead of ns-2's "any overlap corrupts".
+  its received power beats the strongest interferer by the threshold;
+  without one, any overlap corrupts.
 
 Profiles are looked up by name (``ScenarioConfig.radio_profile``); the
 ``wavelan`` profile is the **back-compat contract**: resolving it yields
@@ -78,7 +78,9 @@ class RadioProfile:
     capture_threshold_db:
         Power margin (dB) by which a frame must beat the strongest
         overlapping transmission to survive the collision; ``None``
-        disables capture (ns-2 semantics: any overlap corrupts).
+        disables capture: any overlap corrupts.  ns-2 captures at 10 dB
+        (``CPThresh_``), so this is *more* conservative than the paper's
+        radio; ROADMAP item 1 owns the fix.
     path_loss_exponent:
         Exponent of the log-distance power proxy the capture comparison
         uses (only power *differences* matter, so no reference loss or

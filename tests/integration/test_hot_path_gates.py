@@ -5,11 +5,13 @@ of a defer timer that is not running, a validation of a path that is
 already a cache key, a negative filter over an empty negative cache, an
 exception per cached path a lookup rejects, a twelve-argument ``__init__``
 per cloned packet, a per-listener lookup while a delivery plan is built, a
-second gather of a 3x3 grid block that has not changed — and fails if it
-comes back: the work is patched to raise, or counted, never timed.
+collector-tracked tuple per listener of that plan, a second gather of a 3x3
+grid block that has not changed — and fails if it comes back: the work is
+patched to raise, or counted, never timed.
 """
 
 import dataclasses
+import gc
 import sys
 
 import pytest
@@ -22,6 +24,7 @@ from repro.core.config import DsrConfig
 from repro.core.negative_cache import NegativeCache
 from repro.mac.dcf import DcfMac
 from repro.mobility.base import MobilityModel
+from repro.mobility.static import StaticModel
 from repro.mobility.trajectory import Segment, Trajectory
 from repro.net.packet import Packet, PacketKind
 from repro.phy.neighbors import NeighborCache
@@ -31,6 +34,7 @@ from repro.scenarios.builder import build_simulation
 from repro.scenarios.presets import tiny_scenario
 
 from tests.helpers import make_agent
+from tests.phy.test_plan_oracle import KINDS, _pair
 
 
 def _must_not_run(*args, **kwargs):
@@ -140,6 +144,36 @@ def test_a_plan_is_built_without_the_per_listener_queries(monkeypatch, profile_k
     for query in ("rx_set", "cs_neighbors", "distances"):
         monkeypatch.setattr(NeighborCache, query, _must_not_run)
     assert result_to_payload(build_simulation(config).run()) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_plan_miss_leaves_a_handful_of_tracked_containers(kind):
+    """A plan is four columns, not a tuple per listener: what a miss leaves
+    for the cycle collector to track does not grow with the listener count
+    (it was listeners + 1, and a 1000-node flood spent a sixth of its run in
+    collections that freed nothing).  Counted by the collector's own
+    generation-0 counter, with the geometry memo warm so only the plan is
+    measured."""
+    # 90 nodes 10 m apart: the end node is sensed by 55 others, a middle one by 89.
+    line = [(10.0 * i, 0.0) for i in range(90)]
+    channel, _reference = _pair(lambda: StaticModel(line), "allpairs", kind)
+    neighbors = channel.neighbors
+    channel._plan_for(1, 0.0)  # the radio column is indexed, the quantum is current
+    rises = {}
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for sender in (0, 45):
+            listeners = len(neighbors.listeners(sender, 0.0)[0])
+            before = gc.get_count()[0]
+            channel._plan_for(sender, 0.0)
+            rises[listeners] = gc.get_count()[0] - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert sorted(rises) == [55, 89]
+    assert all(0 < rise <= 8 for rise in rises.values()), rises
 
 
 def _count_bucket_calls(monkeypatch):

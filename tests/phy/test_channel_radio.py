@@ -228,3 +228,47 @@ def test_callback_sequence_of_one_frame_over_a_mixed_plan():
         (0, "tx_complete"),
     ]
     assert not radios[4].busy and radios[5].busy
+
+
+def test_end_of_frame_callbacks_come_in_ascending_node_order():
+    """Decodable (1, 3, 5) and sensed-only (2, 4) listeners alternate by
+    node id around sender 0, every MAC attentive.  At the frame's end each
+    is told in ascending node order, the two kinds interleaved: the
+    free-medium callbacks arm defer timers, so that order is the tie-break
+    between stations leaving the same busy period — visiting decodable
+    listeners first moves every golden digest."""
+    log = []
+
+    class LoggingMac:
+        def __init__(self, node_id):
+            self.node_id = node_id
+
+        def on_medium_change(self):
+            log.append((self.node_id, "medium"))
+
+        def on_frame(self, frame):
+            log.append((self.node_id, "frame"))
+
+        def on_tx_complete(self, frame):
+            log.append((self.node_id, "tx_complete"))
+
+    positions = [(0.0, 0.0), (100.0, 0.0), (300.0, 0.0), (-200.0, 0.0), (-400.0, 0.0), (240.0, 0.0)]
+    sim, channel, radios, macs = build(positions)
+    for node_id, radio in radios.items():
+        radio.mac = LoggingMac(node_id)
+    radios[0].transmit(_frame(0, 1), 0.002)
+    assert [entry[0] for entry in log] == [0, 1, 2, 3, 4, 5]
+    del log[:]
+    sim.run()
+    assert log == [
+        (1, "medium"),
+        (1, "frame"),
+        (2, "medium"),
+        (3, "medium"),
+        (3, "frame"),
+        (4, "medium"),
+        (5, "medium"),
+        (5, "frame"),
+        (0, "medium"),
+        (0, "tx_complete"),
+    ]

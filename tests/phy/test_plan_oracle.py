@@ -2,7 +2,8 @@
 per-listener body it replaced.
 
 ``Channel._plan_for`` builds a sender's plan column by column from one
-``NeighborCache.listeners`` query.  The oracle is the body it had before —
+``NeighborCache.listeners`` query and keeps it as columns (``_rows`` zips
+them back into listener tuples).  The oracle is the body it had before —
 one frozenset membership test, one dict test and one dict lookup per
 listener, over the public ``rx_set`` / ``cs_neighbors`` / ``distances`` —
 kept here verbatim and pointed at a *separate all-pairs cache* of the same
@@ -93,11 +94,20 @@ def _pair(model_factory, index, kind, attach=None):
     return channel, reference
 
 
+def _rows(plan):
+    """A column plan as ``(radio, in_rx, distance, power)`` rows; the endless
+    ``repeat`` columns end with the radios."""
+    return list(zip(*plan))
+
+
 def _assert_plan_matches(channel, reference, sender_id, now):
     plan = channel._plan_for(sender_id, now)
     expected = _oracle_plan(channel, reference, sender_id, now)
-    assert len(plan) == len(expected)
-    for (radio, receivable, distance, power), want in zip(plan, expected):
+    # Every stored column is whole (zip would hide a short one).
+    assert all(len(col) == len(expected) for col in plan if isinstance(col, list))
+    rows = _rows(plan)
+    assert len(rows) == len(expected)
+    for (radio, receivable, distance, power), want in zip(rows, expected):
         assert radio is want[0]
         assert receivable is want[1]  # a Python bool, never numpy.bool_
         assert type(distance) is float and type(power) is float
@@ -167,14 +177,14 @@ def _fast_mover():
 def test_fast_mover_across_rebuckets_and_back_in_time(index, kind):
     channel, reference = _pair(_fast_mover, index, kind)
     held = channel._plan_for(0, 0.0)
-    snapshot = list(held)
+    snapshot = _rows(held)
     for t in np.arange(0.0, 20.0, 0.05):
         _assert_all_senders_match(channel, reference, float(t))
     # Earlier than the last query: buckets and blocks are rebuilt for the past.
     for t in (12.5, 3.0, 0.0):
         _assert_all_senders_match(channel, reference, t)
     # Plans are replaced, never mutated: a frame in flight keeps its listeners.
-    assert held == snapshot and held is not channel._plan_for(0, 0.0)
+    assert _rows(held) == snapshot and held is not channel._plan_for(0, 0.0)
 
 
 @every_channel
@@ -218,21 +228,21 @@ def test_partial_and_late_attachment(index, kind):
     evens = [0, 2, 4, 6, 8]
     channel, reference = _pair(lambda: StaticModel(positions), index, kind, attach=evens)
     first = _assert_plan_matches(channel, reference, 4, 0.0)
-    assert [row[0].node_id for row in first] == [0, 2, 6, 8]
+    assert [row[0].node_id for row in _rows(first)] == [0, 2, 6, 8]
 
     late = Radio(3, channel)
     # A sender with no plan yet this quantum sees the new radio at once ...
     other = _assert_plan_matches(channel, reference, 2, 0.0)
-    assert late in [row[0] for row in other]
+    assert late in [row[0] for row in _rows(other)]
     # ... one that has a plan keeps it until the quantum turns, as before.
     assert channel._plan_for(4, 0.0) is first
     turned = _assert_plan_matches(channel, reference, 4, 0.05)
-    assert [row[0].node_id for row in turned] == [0, 2, 3, 6, 8]
+    assert [row[0].node_id for row in _rows(turned)] == [0, 2, 3, 6, 8]
 
     for node_id in (1, 5, 7):
         Radio(node_id, channel)
     _assert_all_senders_match(channel, reference, 0.1)
-    assert len(channel._plan_for(4, 0.1)) == 8  # everyone senses everyone here
+    assert len(_rows(channel._plan_for(4, 0.1))) == 8  # everyone senses everyone here
 
 
 # -- the radio column must not pin the world -------------------------------------
