@@ -176,14 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         default=None,
-        help="write every trace record to PATH (.jsonl suffix selects jsonl, "
-        "else text; inspect with repro-trace)",
-    )
-    obs.add_argument(
-        "--trace-format",
-        choices=("text", "jsonl"),
-        default=None,
-        help="force the trace format instead of inferring it from the suffix",
+        help="write every trace record to PATH as jsonl (inspect with repro-trace)",
     )
     obs.add_argument(
         "--metrics",
@@ -407,10 +400,7 @@ def _run_observed(args, config):
 
     writer = None
     if args.trace:
-        fmt = args.trace_format or (
-            "jsonl" if str(args.trace).endswith(".jsonl") else "text"
-        )
-        writer = TraceFileWriter(handle.tracer, args.trace, fmt=fmt)
+        writer = TraceFileWriter(handle.tracer, args.trace)
     try:
         result = obs.run(handle, flight_dump_path=args.flight_recorder)
     except BaseException:

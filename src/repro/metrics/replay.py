@@ -1,9 +1,9 @@
 """Offline metric recomputation from trace files.
 
-``TraceFileWriter`` (jsonl format) captures a run; ``replay_metrics`` reads
-such a file back and recomputes the full :class:`SimulationResult` without
-re-simulating — the workflow for archiving raw traces and deriving new
-metrics later.
+``TraceFileWriter`` captures a run; ``replay_metrics`` reads such a file
+(or a flight-recorder dump that still holds the whole run) back and
+recomputes the full :class:`SimulationResult` without re-simulating — the
+workflow for archiving raw traces and deriving new metrics later.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ def replay_metrics(
     payload_bytes: int = 512,
     offered_load_kbps: float | None = None,
 ) -> SimulationResult:
-    """Rebuild a :class:`SimulationResult` from a JSONL trace file.
+    """Rebuild a :class:`SimulationResult` from a trace file.
 
     The file must contain (at least) the event kinds the collector
     subscribes to; extra kinds are ignored.  ``duration`` cannot be

@@ -43,7 +43,7 @@ from repro.obs.interval import IntervalMetrics
 from repro.obs.profiler import ComponentProfile, EngineProfiler, ProfileReport
 from repro.obs.session import Observability
 from repro.obs.slog import StructuredLogger
-from repro.sim.tracefile import iter_records, sniff_format
+from repro.sim.tracefile import iter_records
 
 __all__ = [
     "Counter",
@@ -66,5 +66,4 @@ __all__ = [
     "trace_breakdown",
     "trace_coverage",
     "iter_records",
-    "sniff_format",
 ]

@@ -5,6 +5,10 @@ trace may not have been requested — the flight recorder keeps the last N
 :class:`TraceRecord`s in memory (wildcard subscription, O(1) per record)
 and dumps them on demand or when :meth:`armed` catches a propagating
 exception, ns-2 post-mortem style but without the gigabyte trace file.
+
+A dump is a trace file like any other — one ``#`` header line, then the
+ring as the jsonl lines ``TraceFileWriter`` would have written — so
+``repro-trace`` and ``replay_metrics`` read it as they read a full trace.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Deque, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.sim.trace import TraceRecord, Tracer
-from repro.sim.tracefile import record_dict, render_text
+from repro.sim.tracefile import record_dict, render_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.collector import SimulationResult
@@ -51,12 +55,9 @@ class FlightRecorder:
         self.records_seen = 0
         self._ring: Deque[TraceRecord] = deque(maxlen=capacity)
         self._tracer = tracer
-        self._kinds: Optional[List[str]] = None if kinds is None else list(kinds)
-        if self._kinds is None:
-            tracer.subscribe("*", self._record)
-        else:
-            for kind in self._kinds:
-                tracer.subscribe(kind, self._record)
+        self._kinds: List[str] = ["*"] if kinds is None else list(kinds)
+        for kind in self._kinds:
+            tracer.subscribe(kind, self._record)
         self._attached = True
 
     def _record(self, record: TraceRecord) -> None:
@@ -70,11 +71,8 @@ class FlightRecorder:
         if not self._attached:
             return
         self._attached = False
-        if self._kinds is None:
-            self._tracer.unsubscribe("*", self._record)
-        else:
-            for kind in self._kinds:
-                self._tracer.unsubscribe(kind, self._record)
+        for kind in self._kinds:
+            self._tracer.unsubscribe(kind, self._record)
 
     # -- reading -----------------------------------------------------------
 
@@ -87,14 +85,14 @@ class FlightRecorder:
         return list(self._ring)
 
     def format(self) -> str:
-        """The ring as text-format trace lines with a one-line header."""
+        """The ring as trace-file lines under a one-line ``#`` header."""
         dropped = self.records_seen - len(self._ring)
         header = (
             f"# flight recorder: last {len(self._ring)} of "
             f"{self.records_seen} record(s) (capacity {self.capacity}, "
             f"{dropped} older evicted)"
         )
-        return "\n".join([header, *(render_text(record_dict(record)) for record in self._ring)])
+        return "\n".join([header, *(render_jsonl(record_dict(record)) for record in self._ring)])
 
     def dump(self, path: PathLike) -> Path:
         """Write :meth:`format` to ``path`` and return it."""
@@ -109,7 +107,7 @@ class FlightRecorder:
         """Dump the ring to ``path`` if the body raises, then re-raise.
 
         >>> recorder = FlightRecorder(handle.tracer)        # doctest: +SKIP
-        >>> with recorder.armed("crash-context.txt"):       # doctest: +SKIP
+        >>> with recorder.armed("crash-context.jsonl"):     # doctest: +SKIP
         ...     handle.run()
         """
         try:

@@ -75,12 +75,11 @@ class Observability:
         flight recorder is attached, its ring is dumped to
         ``flight_dump_path`` (when given) before the exception propagates.
         The per-interval timeseries is finalized on success."""
-        try:
+        if self.flight is not None and flight_dump_path is not None:
+            with self.flight.armed(flight_dump_path):
+                result = handle.run()
+        else:
             result = handle.run()
-        except BaseException:
-            if self.flight is not None and flight_dump_path is not None:
-                self.flight.dump(flight_dump_path)
-            raise
         self.finish()
         return result
 

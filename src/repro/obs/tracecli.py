@@ -1,7 +1,8 @@
 """Command-line trace inspection: ``repro-trace``.
 
-Works on both ``TraceFileWriter`` formats (text and jsonl, sniffed
-automatically) and on flight-recorder dumps::
+Reads the one trace-file format (jsonl: ``TraceFileWriter`` output,
+``repro-run --trace``, flight-recorder dumps); anything else is refused
+with ``path:line: not a jsonl trace record``::
 
     repro-trace summarize run.jsonl
     repro-trace filter run.jsonl --kind dsr.link_break --since 20 --until 60
@@ -9,7 +10,8 @@ automatically) and on flight-recorder dumps::
     repro-trace timeseries run.jsonl --interval 5 --kinds app.send,app.recv
 
 ``summarize`` prints per-kind record counts and the time span;
-``filter`` re-emits matching records (text or jsonl) for piping;
+``filter`` re-emits matching records, rendered as greppable
+``time kind key=value ...`` text lines (the default) or as jsonl for piping;
 ``timeseries`` bins record counts per virtual-time interval — the quick
 version of :class:`repro.obs.interval.IntervalMetrics` for runs that only
 kept a trace file.
@@ -29,9 +31,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.sim.tracefile import iter_records, render_jsonl, render_text, sniff_format
+from repro.sim.tracefile import iter_records, render_jsonl
 
 #: Field names that identify "the node" of a record, in match priority order.
 _NODE_FIELDS = ("node", "src", "dst", "sender", "next_hop")
@@ -52,13 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
     summarize = sub.add_parser(
         "summarize", help="record counts per kind, time span, drop reasons"
     )
-    summarize.add_argument("path", help="trace file (text or jsonl)")
+    summarize.add_argument("path", help="trace file (jsonl)")
     summarize.add_argument(
         "--json", action="store_true", help="emit the summary as JSON"
     )
 
     filter_cmd = sub.add_parser("filter", help="re-emit records matching predicates")
-    filter_cmd.add_argument("path", help="trace file (text or jsonl)")
+    filter_cmd.add_argument("path", help="trace file (jsonl)")
     filter_cmd.add_argument(
         "--kind",
         action="append",
@@ -86,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     timeseries = sub.add_parser(
         "timeseries", help="per-interval record counts by kind"
     )
-    timeseries.add_argument("path", help="trace file (text or jsonl)")
+    timeseries.add_argument("path", help="trace file (jsonl)")
     timeseries.add_argument(
         "--interval", type=float, default=5.0, metavar="SECONDS"
     )
@@ -135,17 +137,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _records(path: str) -> Iterator[Dict[str, Any]]:
+    """``iter_records`` that tells the user when it skipped a torn tail."""
+    torn = yield from iter_records(path)
+    if torn:
+        print(f"{torn} torn trailing line skipped", file=sys.stderr)
+
+
 # -- summarize -------------------------------------------------------------
 
 
 def _summarize(path: str, as_json: bool) -> int:
-    fmt = sniff_format(path)
     counts: Dict[str, int] = {}
     drop_reasons: Dict[str, int] = {}
     t_min: Optional[float] = None
     t_max: Optional[float] = None
     total = 0
-    for record in iter_records(path, fmt):
+    for record in _records(path):
         total += 1
         kind = record["kind"]
         counts[kind] = counts.get(kind, 0) + 1
@@ -161,7 +169,6 @@ def _summarize(path: str, as_json: bool) -> int:
             json.dumps(
                 {
                     "path": path,
-                    "format": fmt,
                     "records": total,
                     "t_min": t_min,
                     "t_max": t_max,
@@ -175,7 +182,6 @@ def _summarize(path: str, as_json: bool) -> int:
         )
         return 0
     print(f"trace    : {path}")
-    print(f"format   : {fmt}")
     print(f"records  : {total}")
     if total:
         print(f"span     : {t_min:.6f} .. {t_max:.6f} s")
@@ -214,11 +220,21 @@ def _matches(
     return True
 
 
+def render_text(record: Dict[str, Any]) -> str:
+    """Record dict -> the ``12.081672 mac.tx dst=31 node=17`` line for eyes and grep."""
+    fields = " ".join(
+        f"{key}={value}"
+        for key, value in sorted(record.items())
+        if key not in ("t", "kind")
+    )
+    return f"{record['t']:.6f} {record['kind']} {fields}".rstrip()
+
+
 def _filter(args: argparse.Namespace) -> int:
     render = render_jsonl if args.out_format == "jsonl" else render_text
     kinds = list(args.kind) if args.kind else None
     matched = 0
-    for record in iter_records(args.path):
+    for record in _records(args.path):
         if _matches(record, kinds, args.since, args.until, args.node):
             print(render(record))
             matched += 1
@@ -239,7 +255,7 @@ def _timeseries(args: argparse.Namespace) -> int:
     bins: Dict[int, Dict[str, int]] = {}
     seen_kinds: set = set()
     last_bin = -1
-    for record in iter_records(args.path):
+    for record in _records(args.path):
         kind = record["kind"]
         if wanted is not None and kind not in wanted:
             continue

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.metrics.collector import MetricsCollector
 from repro.sim.trace import Tracer
 
@@ -104,3 +106,20 @@ def test_zero_division_guards():
     assert result.normalized_overhead == 0.0
     assert result.pct_good_replies == 0.0
     assert result.pct_invalid_cache_hits == 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="MetricsCollector subscribes to dsr.rreq_sent / dsr.link_break / "
+    "dsr.drop only, so an AODV run reports 0 requests, 0 breaks and no drop "
+    "reasons while its --metrics rows sum to 10 and 2 (docs/protocol.md "
+    "'The collector is deaf to AODV'); the fix changes SimulationResult under "
+    "an unchanged cache key, so it rides ROADMAP item 1's CACHE_FORMAT_VERSION bump",
+)
+def test_collector_hears_aodv_route_requests():
+    from repro.scenarios.builder import build_simulation
+    from repro.scenarios.presets import tiny_scenario
+
+    config = tiny_scenario(seed=2).but(duration=20.0, protocol="aodv")
+    result = build_simulation(config).run()
+    assert result.rreq_sent > 0

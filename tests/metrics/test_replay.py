@@ -25,7 +25,7 @@ def test_replay_reproduces_live_metrics(tmp_path):
     config = tiny_scenario(seed=8).but(duration=20.0)
     handle = build_simulation(config)
     path = tmp_path / "run.jsonl"
-    with TraceFileWriter(handle.tracer, path, kinds=_METRIC_KINDS, fmt="jsonl"):
+    with TraceFileWriter(handle.tracer, path, kinds=_METRIC_KINDS):
         live = handle.run()
     replayed = replay_metrics(
         path,

@@ -51,7 +51,7 @@ def test_format_header_reports_evictions():
     lines = text.splitlines()
     assert lines[0].startswith("# flight recorder: last 2 of 3 record(s)")
     assert "1 older evicted" in lines[0]
-    assert lines[1] == "1.000000 k n=1"
+    assert lines[1] == '{"kind": "k", "n": 1, "t": 1.0}'
 
 
 def test_dump_writes_parseable_trace(tmp_path):
@@ -74,7 +74,7 @@ def test_armed_dumps_on_exception_and_reraises(tmp_path):
             tracer.emit(1.0, "k", n=1)
             raise RuntimeError("fault")
     assert path.exists()
-    assert "1.000000 k n=1" in path.read_text()
+    assert '{"kind": "k", "n": 1, "t": 1.0}' in path.read_text()
 
 
 def test_armed_does_not_dump_on_success(tmp_path):
@@ -140,7 +140,7 @@ def test_task_fn_dumps_ring_on_crash_and_reraises(tmp_path, monkeypatch):
         task({"seed": 5})
     [dump] = task.dumps
     assert dump.name.startswith("crash-") and "seed5" in dump.name
-    assert "mac.tx node=7" in dump.read_text()
+    assert '"kind": "mac.tx", "node": 7' in dump.read_text()
 
 
 def test_dump_now_snapshots_the_run_in_flight(tmp_path, monkeypatch):
@@ -170,7 +170,7 @@ def test_dump_now_snapshots_the_run_in_flight(tmp_path, monkeypatch):
     assert task({"seed": 9}) == "result"
     assert captured["path"] is not None
     assert captured["path"].name.startswith("sigterm-")
-    assert "mac.fail node=1" in captured["path"].read_text()
+    assert '"kind": "mac.fail", "node": 1' in captured["path"].read_text()
 
 
 def test_task_fn_pickles_without_live_recorder(tmp_path):

@@ -37,7 +37,7 @@ def test_trace_writer_is_bit_identical(baseline, tmp_path):
     from repro.sim.tracefile import TraceFileWriter
 
     handle = build_simulation(_config())
-    with TraceFileWriter(handle.tracer, tmp_path / "run.jsonl", fmt="jsonl"):
+    with TraceFileWriter(handle.tracer, tmp_path / "run.jsonl"):
         result = handle.run()
     assert result == baseline
 

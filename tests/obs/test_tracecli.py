@@ -14,7 +14,7 @@ def trace_jsonl(tmp_path):
     """A small, fully deterministic jsonl trace."""
     tracer = Tracer()
     path = tmp_path / "run.jsonl"
-    with TraceFileWriter(tracer, path, fmt="jsonl"):
+    with TraceFileWriter(tracer, path):
         tracer.emit(0.5, "app.send", uid=1, src=0, dst=3)
         tracer.emit(1.25, "mac.tx", node=0, frame_kind="rts")
         tracer.emit(2.0, "app.recv", uid=1, born=0.5, src=0, dst=3)
@@ -26,7 +26,6 @@ def trace_jsonl(tmp_path):
 
 GOLDEN_SUMMARY = """\
 trace    : {path}
-format   : jsonl
 records  : 6
 span     : 0.500000 .. 8.000000 s
 kinds    :
@@ -135,5 +134,8 @@ def test_works_on_text_format_and_flight_dumps(tmp_path, capsys):
     path = recorder.dump(tmp_path / "flight.txt")
     assert tracecli.main(["summarize", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "format   : text" in out
+    assert "records  : 1" in out
     assert "mac.tx" in out
+    # Text is a rendering of the dump's records, not what the dump holds.
+    assert tracecli.main(["filter", str(path)]) == 0
+    assert capsys.readouterr().out == "1.000000 mac.tx frame_kind=cts node=1\n"

@@ -8,22 +8,29 @@ from repro.sim.trace import Tracer
 from repro.sim.tracefile import TraceFileWriter
 
 
-def test_text_format_lines(tmp_path):
+def test_text_format_lines(tmp_path, capsys):
+    """Text is what ``repro-trace filter`` prints, not what a file holds."""
+    from repro.obs import tracecli
+
     tracer = Tracer()
     path = tmp_path / "trace.txt"
     with TraceFileWriter(tracer, path) as writer:
         tracer.emit(1.5, "mac.tx", node=3, frame_kind="rts")
         tracer.emit(2.0, "dsr.drop", node=4, reason="negative-cache")
-    lines = path.read_text().splitlines()
+        tracer.emit(2.5, "dsr.link_break", node=4, link=(4, 11))
+    assert writer.records_written == 3
+    assert path.read_text().startswith("{")  # jsonl whatever the suffix
+    assert tracecli.main(["filter", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1.500000 mac.tx frame_kind=rts node=3"
     assert "reason=negative-cache" in lines[1]
-    assert writer.records_written == 2
+    assert lines[2] == "2.500000 dsr.link_break link=[4, 11] node=4"
 
 
 def test_jsonl_format(tmp_path):
     tracer = Tracer()
     path = tmp_path / "trace.jsonl"
-    with TraceFileWriter(tracer, path, fmt="jsonl") as writer:
+    with TraceFileWriter(tracer, path):
         tracer.emit(1.5, "app.recv", uid=9, born=1.0)
     payload = json.loads(path.read_text().splitlines()[0])
     assert payload == {"t": 1.5, "kind": "app.recv", "uid": 9, "born": 1.0}
@@ -46,11 +53,6 @@ def test_writes_stop_after_close(tmp_path):
     writer.close()
     tracer.emit(2.0, "k", a=2)  # silently dropped
     assert len(path.read_text().splitlines()) == 1
-
-
-def test_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        TraceFileWriter(Tracer(), tmp_path / "x", fmt="xml")
 
 
 def test_flush_is_a_durability_checkpoint(tmp_path):
@@ -113,6 +115,6 @@ def test_full_simulation_trace(tmp_path):
         handle.sim.run(until=10.0)
     assert writer.records_written > 0
     assert all(
-        line.split()[1] in ("app.send", "app.recv")
+        json.loads(line)["kind"] in ("app.send", "app.recv")
         for line in path.read_text().splitlines()
     )

@@ -155,12 +155,12 @@ def test_cli_observability_output_is_bit_identical(tmp_path, capsys):
 def test_cli_trace_feeds_repro_trace(tmp_path, capsys):
     from repro.obs import tracecli
 
-    trace = tmp_path / "run.jsonl"
+    trace = tmp_path / "run.trace"  # jsonl whatever the suffix
     assert main([*_TINY, "--trace", str(trace)]) == 0
     capsys.readouterr()
     assert tracecli.main(["summarize", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "format   : jsonl" in out
+    assert "records  :" in out
     assert "app.send" in out
 
 
