@@ -29,6 +29,25 @@ def parse_seeds(text: str) -> List[int]:
         ) from None
 
 
+def positive(kind=float):
+    """An argparse ``type=`` for a finite number above zero, parsed by
+    ``kind``: 0, a negative or a non-number is a usage error naming the
+    flag, raised before anything is built."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {kind.__name__}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-run",
@@ -187,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--metrics-interval",
-        type=float,
+        type=positive(float),
         default=5.0,
         metavar="SECONDS",
         help="timeseries interval in simulated seconds (default: 5)",
@@ -206,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--flight-capacity",
-        type=int,
+        type=positive(int),
         default=512,
         metavar="N",
         help="flight recorder ring size (default: 512)",

@@ -1,18 +1,18 @@
 """Observability layer: metrics, profiling, and post-mortem tooling.
 
 Everything here observes the simulation from outside — trace
-subscriptions, snapshot events, and an opt-in engine hook — and never
+subscriptions, a sampling timer, and an opt-in engine hook — and never
 mutates protocol state or draws randomness, so simulation results are
 bit-identical with observability on or off (pinned by
 ``tests/obs/test_identical.py``).
 
 * :class:`MetricsRegistry` / :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` — virtual-time instruments.
-* :class:`IntervalMetrics` — per-interval protocol timeseries
-  (delivery ratio, cache hit/stale rate, MAC failures, send-buffer
-  depth...), exportable to JSONL/CSV.
-* :class:`EngineProfiler` / :class:`ProfileReport` — wall-clock
-  attribution per event callback and component.
+  :class:`Histogram` — the instruments behind the service's ``/metrics``.
+* :class:`IntervalMetrics` — the run's metrics collector sampled every
+  interval: per-interval deltas of every ``SimulationResult`` counter plus
+  send-buffer depth and delivery ratio, exportable to JSONL/CSV.
+* :class:`ProfileReport` — the engine's wall-clock attribution
+  (``Simulator.enable_profiling``) per event callback and component.
 * :class:`FlightRecorder` / :class:`FlightRecordingTaskFn` — bounded ring
   of recent trace records, dumped on demand or on a propagating
   exception; the task-fn form arms one per simulation for
@@ -40,7 +40,7 @@ from repro.obs.fleet import (
 from repro.obs.flight import FlightRecorder, FlightRecordingTaskFn
 from repro.obs.instruments import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.interval import IntervalMetrics
-from repro.obs.profiler import ComponentProfile, EngineProfiler, ProfileReport
+from repro.obs.profiler import ComponentProfile, ProfileReport
 from repro.obs.session import Observability
 from repro.obs.slog import StructuredLogger
 from repro.sim.tracefile import iter_records
@@ -51,7 +51,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "IntervalMetrics",
-    "EngineProfiler",
     "ProfileReport",
     "ComponentProfile",
     "FlightRecorder",

@@ -1,30 +1,19 @@
 """Metrics instruments: Counter, Gauge, Histogram, and their registry.
 
-The instruments live entirely in *virtual* time: they are fed by trace
-subscriptions and sampled by simulator events, never by wall clocks, so a
-metrics-instrumented run stays a pure function of its scenario (seed
-included).  Wall-clock observation belongs to the engine profiler
-(:mod:`repro.obs.profiler`), which is a separate, opt-in mechanism.
+They back the service's ``/metrics`` (:mod:`repro.service.metrics`), fed
+with serving quantities — queue depth, jobs by state, per-job and
+per-stage wall time.  Snapshots are flat ``{name: value}`` dicts.
 
-Snapshots are flat ``{name: value}`` dicts.  Counter and histogram keys are
-*monotonic* (non-decreasing over a run), which is what lets
-:class:`repro.obs.interval.IntervalMetrics` turn consecutive snapshots into
-per-interval deltas; gauge keys are point-in-time samples and are reported
-as-is.
-
-Instruments are deliberately **lock-free**: each instance has exactly one
-writer (the simulation thread that owns the run), and cross-thread readers
-only ever see completed snapshots taken by that writer.  Keeping the hot
-path free of locks (and of the lockdep hierarchy in
-``docs/architecture.md``) is part of the determinism contract — do not add
-synchronisation here; aggregate via snapshots instead, as
-``repro.service.metrics`` does.
+Instruments are deliberately **lock-free**: every writer in the service
+already holds a lock (the service's, or ``ServiceMetrics``' own), and
+readers only ever see completed snapshots.  Do not add synchronisation
+here; aggregate via snapshots instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 Number = Union[int, float]
 
@@ -46,9 +35,6 @@ class Counter:
     def snapshot(self) -> Dict[str, float]:
         return {self.name: self.value}
 
-    def monotonic_keys(self) -> Tuple[str, ...]:
-        return (self.name,)
-
 
 class Gauge:
     """A point-in-time sampled value (queue depth, cache size...)."""
@@ -65,17 +51,13 @@ class Gauge:
     def snapshot(self) -> Dict[str, float]:
         return {self.name: self.value}
 
-    def monotonic_keys(self) -> Tuple[str, ...]:
-        return ()
-
 
 class Histogram:
     """A cumulative-bucket histogram over observed values.
 
     ``buckets`` are inclusive upper bounds; an implicit +inf bucket catches
     the rest.  The snapshot flattens to ``name.count``, ``name.sum`` and one
-    cumulative ``name.le.<bound>`` key per finite bucket — all monotonic, so
-    interval deltas recover the per-interval distribution.
+    cumulative ``name.le.<bound>`` key per finite bucket.
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "sum")
@@ -105,9 +87,6 @@ class Histogram:
             cumulative += n
             out[f"{self.name}.le.{bound:g}"] = float(cumulative)
         return out
-
-    def monotonic_keys(self) -> Tuple[str, ...]:
-        return tuple(self.snapshot())
 
 
 Instrument = Union[Counter, Gauge, Histogram]
@@ -162,10 +141,3 @@ class MetricsRegistry:
         for instrument in self._instruments.values():
             out.update(instrument.snapshot())
         return out
-
-    def monotonic_keys(self) -> Tuple[str, ...]:
-        """Snapshot keys that never decrease (counters + histogram keys)."""
-        keys: List[str] = []
-        for instrument in self._instruments.values():
-            keys.extend(instrument.monotonic_keys())
-        return tuple(keys)

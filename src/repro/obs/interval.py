@@ -1,240 +1,108 @@
 """Per-interval protocol timeseries over a running simulation.
 
-:class:`IntervalMetrics` subscribes standard instruments to the tracer and
-rides a self-rescheduling simulator event that closes one row per
-``interval`` simulated seconds — the equivalent of the per-interval
-throughput/overhead timeseries ns-2 analyses script out of trace files.
+:class:`IntervalMetrics` samples the run's own
+:class:`~repro.metrics.collector.MetricsCollector` every ``interval``
+simulated seconds and closes one row per tick: the per-interval delta of
+every counter :class:`~repro.metrics.collector.SimulationResult` carries,
+under the field's own name — the per-interval timeseries ns-2 analyses
+script out of trace files, kept by the one count the printed result comes
+from, so the rows sum to the result by construction.
 
-The snapshot event only *reads* protocol state (and appends to the
-registry), never mutates it or draws randomness, so simulation metrics are
-bit-identical with the recorder attached or not; the relative order of all
-pre-existing events is preserved by the engine's monotonic sequence
-numbers.
-
-Each row carries per-interval deltas for counters/histograms, the sampled
-value for gauges, and the derived per-interval ``delivery_ratio``
-(delivered/originated data packets in that interval; null when nothing was
-originated).  Rows export to JSONL or CSV.
+A tick only reads the collector and the send buffers: it subscribes to
+nothing, never mutates protocol state or draws randomness, so simulation
+metrics are bit-identical with the sampler attached or not.  Each row also
+carries the sampled ``send_buffer_depth`` and the interval's
+``delivery_ratio`` (null when nothing was originated).  Rows export to
+JSONL or CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
-from repro.obs.instruments import MetricsRegistry
-from repro.sim.engine import Event, Simulator
-from repro.sim.trace import TraceRecord, Tracer
+from repro.metrics.collector import SimulationResult
+from repro.sim.timers import PeriodicTimer
 
 PathLike = Union[str, Path]
+Row = Dict[str, Optional[float]]
 
-#: End-to-end delay buckets (seconds): sub-10ms through 10s.
-DEFAULT_DELAY_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
+_FIELDS = [f.name for f in fields(SimulationResult)]
+#: The result's counters, ``data_sent`` through ``salvages`` (``delay_sum`` included).
+COLUMNS = tuple(_FIELDS[_FIELDS.index("data_sent") : _FIELDS.index("salvages") + 1])
 
 
 class IntervalMetrics:
-    """Trace-fed instruments snapshotted every ``interval`` virtual seconds.
+    """A clock and a diff over a ``SimulationHandle``'s collector."""
 
-    Standard instruments (all fed from public trace kinds):
-
-    ========================  =========================================
-    ``data.sent``             originated data packets (``app.send``)
-    ``data.received``         first-copy deliveries (``app.recv``)
-    ``delay.e2e.*``           end-to-end delay histogram (``app.recv``)
-    ``cache.hits``            route-cache hits (``dsr.cache_use``)
-    ``cache.stale_hits``      hits on already-dead routes
-    ``mac.tx``                MAC frame transmissions (``mac.tx``)
-    ``mac.fail``              retry-exhausted unicasts (``mac.fail``)
-    ``ifq.drop``              interface-queue drops (``ifq.drop``)
-    ``rreq.sent``             route discoveries (``dsr/aodv.rreq_sent``)
-    ``link.breaks``           forwarding-time breaks (``*.link_break``)
-    ``sendbuf.depth``         gauge: packets waiting for routes
-    ========================  =========================================
-
-    Extra instruments may be registered on ``self.registry`` before
-    :meth:`attach`; feed them from your own subscriptions.
-    """
-
-    def __init__(
-        self,
-        interval: float = 5.0,
-        registry: Optional[MetricsRegistry] = None,
-        delay_buckets: Sequence[float] = DEFAULT_DELAY_BUCKETS,
-    ) -> None:
+    def __init__(self, interval: float = 5.0) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.interval = interval
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.rows: List[Dict[str, Optional[float]]] = []
+        self.rows: List[Row] = []
+        self._sim = None
+        self._collector = None
+        self._nodes: dict = {}
+        self._timer: Optional[PeriodicTimer] = None
+        self._last: Dict[str, float] = {}
+        self._t_start = 0.0
 
-        reg = self.registry
-        self._sent = reg.counter("data.sent")
-        self._received = reg.counter("data.received")
-        self._delay = reg.histogram("delay.e2e", buckets=delay_buckets)
-        self._cache_hits = reg.counter("cache.hits")
-        self._cache_stale = reg.counter("cache.stale_hits")
-        self._mac_tx = reg.counter("mac.tx")
-        self._mac_fail = reg.counter("mac.fail")
-        self._ifq_drop = reg.counter("ifq.drop")
-        self._rreq = reg.counter("rreq.sent")
-        self._breaks = reg.counter("link.breaks")
-        self._sendbuf = reg.gauge("sendbuf.depth")
-
-        self._sim: Optional[Simulator] = None
-        self._tracer: Optional[Tracer] = None
-        self._nodes: Optional[dict] = None
-        self._subscriptions: List[Tuple[str, object]] = []
-        self._pending: Optional[Event] = None
-        self._last_snapshot: Dict[str, float] = {}
-        self._last_boundary = 0.0
-        self._delivered_uids: set = set()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def attach(
-        self,
-        sim: Simulator,
-        tracer: Tracer,
-        nodes: Optional[dict] = None,
-    ) -> "IntervalMetrics":
-        """Subscribe the instruments and start the snapshot cadence.
-
-        ``nodes`` (id -> Node, as on a ``SimulationHandle``) enables the
-        send-buffer depth gauge; without it the gauge stays 0.
-        """
+    def attach(self, handle) -> "IntervalMetrics":
+        """Start closing a row of ``handle.metrics`` every interval."""
         if self._sim is not None:
             raise RuntimeError("IntervalMetrics is already attached")
-        self._sim = sim
-        self._tracer = tracer
-        self._nodes = nodes
-        self._last_boundary = sim.now
-        self._last_snapshot = self.registry.snapshot()
-        for kind, handler in (
-            ("app.send", self._on_app_send),
-            ("app.recv", self._on_app_recv),
-            ("dsr.cache_use", self._on_cache_use),
-            ("mac.tx", self._on_mac_tx),
-            ("mac.fail", self._on_mac_fail),
-            ("ifq.drop", self._on_ifq_drop),
-            ("dsr.rreq_sent", self._on_rreq),
-            ("aodv.rreq_sent", self._on_rreq),
-            ("dsr.link_break", self._on_link_break),
-            ("aodv.link_break", self._on_link_break),
-        ):
-            tracer.subscribe(kind, handler)
-            self._subscriptions.append((kind, handler))
-        self._pending = sim.schedule(self.interval, self._tick)
+        self._sim, self._collector, self._nodes = handle.sim, handle.metrics, handle.nodes
+        self._last = self._counts()
+        self._t_start = handle.sim.now
+        self._timer = PeriodicTimer(handle.sim, self.interval, self._close_row)
+        self._timer.start()
         return self
 
     def detach(self) -> None:
-        """Unsubscribe every handler and cancel the pending snapshot event.
+        """Stop the clock (idempotent); the rows closed so far stay."""
+        if self._timer is not None:
+            self._timer.stop()
+            self._timer = None
+        self._sim = self._collector = None
 
-        Idempotent; after detach the tracer carries no leaked callbacks and
-        guarded emits for these kinds are free again (unless someone else
-        subscribes).
-        """
-        if self._tracer is not None:
-            for kind, handler in self._subscriptions:
-                self._tracer.unsubscribe(kind, handler)
-            self._subscriptions = []
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-        self._sim = None
-        self._tracer = None
-        self._nodes = None
-
-    def finish(self) -> List[Dict[str, Optional[float]]]:
+    def finish(self) -> List[Row]:
         """Close the final (possibly partial) interval and return the rows.
 
-        Call after ``sim.run(...)`` returns; safe to call when the run
-        ended exactly on a boundary (no empty row is added).
+        Call after the run returns; a run that ended exactly on a boundary
+        gets no empty row, and a second call adds nothing.
         """
-        if self._sim is not None and self._sim.now > self._last_boundary:
-            self._record_row(self._sim.now)
+        if self._sim is not None and self._sim.now > self._t_start:
+            self._close_row()
         return self.rows
 
-    # -- trace handlers ----------------------------------------------------
+    def _counts(self) -> Dict[str, float]:
+        return {name: getattr(self._collector, name) for name in COLUMNS}
 
-    def _on_app_send(self, record: TraceRecord) -> None:
-        self._sent.inc()
-
-    def _on_app_recv(self, record: TraceRecord) -> None:
-        # Count first copies only, mirroring MetricsCollector's delivery
-        # accounting so interval sums reconcile with the final result.
-        uid = record.fields["uid"]
-        if uid in self._delivered_uids:
-            return
-        self._delivered_uids.add(uid)
-        self._received.inc()
-        self._delay.observe(record.time - record.fields["born"])
-
-    def _on_cache_use(self, record: TraceRecord) -> None:
-        self._cache_hits.inc()
-        if record.fields.get("valid") is False:
-            self._cache_stale.inc()
-
-    def _on_mac_tx(self, record: TraceRecord) -> None:
-        self._mac_tx.inc()
-
-    def _on_mac_fail(self, record: TraceRecord) -> None:
-        self._mac_fail.inc()
-
-    def _on_ifq_drop(self, record: TraceRecord) -> None:
-        self._ifq_drop.inc()
-
-    def _on_rreq(self, record: TraceRecord) -> None:
-        self._rreq.inc()
-
-    def _on_link_break(self, record: TraceRecord) -> None:
-        self._breaks.inc()
-
-    # -- snapshotting ------------------------------------------------------
-
-    def _sample_gauges(self) -> None:
-        if self._nodes is None:
-            return
-        depth = 0
-        for node in self._nodes.values():
-            buffer = getattr(getattr(node, "agent", None), "send_buffer", None)
-            if buffer is not None:
-                depth += len(buffer)
-        self._sendbuf.set(depth)
-
-    def _tick(self) -> None:
-        assert self._sim is not None
-        self._record_row(self._sim.now)
-        self._pending = self._sim.schedule(self.interval, self._tick)
-
-    def _record_row(self, t_end: float) -> None:
-        self._sample_gauges()
-        snapshot = self.registry.snapshot()
-        previous = self._last_snapshot
-        monotonic = set(self.registry.monotonic_keys())
-        row: Dict[str, Optional[float]] = {
-            "interval": float(len(self.rows)),
-            "t_start": self._last_boundary,
-            "t_end": t_end,
-        }
-        for key, value in snapshot.items():
-            row[key] = value - previous.get(key, 0.0) if key in monotonic else value
-        sent = row.get("data.sent") or 0.0
-        received = row.get("data.received") or 0.0
-        row["delivery_ratio"] = (received / sent) if sent > 0 else None
+    def _close_row(self) -> None:
+        now = self._sim.now
+        counts = self._counts()
+        row: Row = {"interval": len(self.rows), "t_start": self._t_start, "t_end": now}
+        for name in COLUMNS:
+            row[name] = counts[name] - self._last[name]
+        row["send_buffer_depth"] = sum(
+            len(getattr(node.agent, "send_buffer", ()))
+            for node in self._nodes.values()
+        )
+        sent = row["data_sent"]
+        row["delivery_ratio"] = row["data_received"] / sent if sent else None
         self.rows.append(row)
-        self._last_snapshot = snapshot
-        self._last_boundary = t_end
-
-    # -- export ------------------------------------------------------------
+        self._last = counts
+        self._t_start = now
 
     def export_jsonl(self, path: PathLike) -> Path:
         """One JSON object per interval row."""
         target = Path(path)
         with target.open("w") as handle:
             for row in self.rows:
-                handle.write(json.dumps(row, sort_keys=False) + "\n")
+                handle.write(json.dumps(row) + "\n")
         return target
 
     def export_csv(self, path: PathLike) -> Path:

@@ -3,7 +3,11 @@
 The measurement itself lives in the engine (:meth:`Simulator.
 enable_profiling` — one ``is None`` test per event when off);
 this module is the reporting layer: grouping per-callback attribution by
-component class and rendering the table ``repro-run --profile`` prints.
+component class and rendering the table ``repro-run --profile`` prints::
+
+    sim.enable_profiling()
+    sim.run(until=duration)
+    print(ProfileReport(entries=sim.profile_entries()).format())
 
 Profiling observes wall time only and never feeds simulation state, so a
 profiled run produces bit-identical metrics.
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.engine import ProfileEntry, Simulator
+from repro.sim.engine import ProfileEntry
 
 
 @dataclass(frozen=True)
@@ -75,35 +79,3 @@ class ProfileReport:
             lines.append(f"... {hidden} more callback(s)")
         return "\n".join(lines)
 
-
-class EngineProfiler:
-    """Opt-in facade over the engine's profiling hooks.
-
-    >>> profiler = EngineProfiler(handle.sim).enable()
-    >>> handle.run()                                        # doctest: +SKIP
-    >>> print(profiler.report().format())                   # doctest: +SKIP
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-
-    def enable(self) -> "EngineProfiler":
-        self.sim.enable_profiling()
-        return self
-
-    def disable(self) -> None:
-        self.sim.disable_profiling()
-
-    @property
-    def enabled(self) -> bool:
-        return self.sim.profiling_enabled
-
-    def report(self) -> ProfileReport:
-        """The attribution accumulated so far (raises if profiling is off)."""
-        entries = self.sim.profile_entries()
-        if entries is None:
-            raise RuntimeError(
-                "profiling is not enabled on this simulator "
-                "(call enable() before running)"
-            )
-        return ProfileReport(entries=entries)

@@ -25,13 +25,14 @@ from typing import Optional, Union
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.interval import IntervalMetrics
-from repro.obs.profiler import EngineProfiler, ProfileReport
+from repro.obs.profiler import ProfileReport
+from repro.sim.engine import Simulator
 
 PathLike = Union[str, Path]
 
 
 class Observability:
-    """Bundle of interval metrics + engine profiler + flight recorder."""
+    """Bundle of interval metrics + engine profiling + flight recorder."""
 
     def __init__(
         self,
@@ -43,7 +44,8 @@ class Observability:
         self._profile = profile
         self._flight_capacity = flight_capacity
         self.interval_metrics: Optional[IntervalMetrics] = None
-        self.profiler: Optional[EngineProfiler] = None
+        #: The simulator whose profiling :meth:`attach` switched on, if any.
+        self.profiler: Optional[Simulator] = None
         self.flight: Optional[FlightRecorder] = None
         self._attached = False
 
@@ -60,12 +62,10 @@ class Observability:
             raise RuntimeError("Observability is already attached")
         self._attached = True
         if self._metrics_interval:
-            self.interval_metrics = IntervalMetrics(interval=self._metrics_interval)
-            self.interval_metrics.attach(
-                handle.sim, handle.tracer, nodes=getattr(handle, "nodes", None)
-            )
+            self.interval_metrics = IntervalMetrics(self._metrics_interval).attach(handle)
         if self._profile:
-            self.profiler = EngineProfiler(handle.sim).enable()
+            self.profiler = handle.sim
+            self.profiler.enable_profiling()
         if self._flight_capacity:
             self.flight = FlightRecorder(handle.tracer, capacity=self._flight_capacity)
         return self
@@ -95,9 +95,12 @@ class Observability:
         if self.flight is not None:
             self.flight.detach()
         if self.profiler is not None:
-            self.profiler.disable()
+            self.profiler.disable_profiling()
+            self.profiler = None
         self._attached = False
 
     def profile_report(self) -> Optional[ProfileReport]:
-        """The engine profile, or None when profiling was not requested."""
-        return self.profiler.report() if self.profiler is not None else None
+        """The engine profile, or None when profiling is not on."""
+        if self.profiler is None:
+            return None
+        return ProfileReport(entries=self.profiler.profile_entries())

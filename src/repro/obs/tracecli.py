@@ -12,9 +12,9 @@ with ``path:line: not a jsonl trace record``::
 ``summarize`` prints per-kind record counts and the time span;
 ``filter`` re-emits matching records, rendered as greppable
 ``time kind key=value ...`` text lines (the default) or as jsonl for piping;
-``timeseries`` bins record counts per virtual-time interval — the quick
-version of :class:`repro.obs.interval.IntervalMetrics` for runs that only
-kept a trace file.
+``timeseries`` counts records of each kind per virtual-time bin — raw
+record counts, not the result's counters that ``repro-run --metrics``
+samples.
 
 ``job`` is the fleet side: it reads one job's merged *span* trace
 (:mod:`repro.obs.fleet`) from a JSON file or stdin (``-``) and prints the
@@ -40,6 +40,7 @@ _NODE_FIELDS = ("node", "src", "dst", "sender", "next_hop")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.cli import positive
     from repro.version import __version__
 
     parser = argparse.ArgumentParser(
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     timeseries.add_argument("path", help="trace file (jsonl)")
     timeseries.add_argument(
-        "--interval", type=float, default=5.0, metavar="SECONDS"
+        "--interval", type=positive(float), default=5.0, metavar="SECONDS"
     )
     timeseries.add_argument(
         "--kinds",
@@ -246,9 +247,6 @@ def _filter(args: argparse.Namespace) -> int:
 
 
 def _timeseries(args: argparse.Namespace) -> int:
-    if args.interval <= 0:
-        print("error: --interval must be positive", file=sys.stderr)
-        return 2
     wanted: Optional[List[str]] = None
     if args.kinds:
         wanted = [k for k in args.kinds.split(",") if k]

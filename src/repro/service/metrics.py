@@ -1,9 +1,8 @@
 """Service metrics: queue/jobs/cache instruments and their /metrics text.
 
-Reuses the :mod:`repro.obs.instruments` primitives — the same Counter/
-Gauge/Histogram/Registry that back the simulator's interval timeseries —
-but fed with *serving* quantities (queue depth, jobs by state, cache
-hits, per-job wall time).  The rendering is Prometheus-style text
+Built on the :mod:`repro.obs.instruments` primitives (Counter/Gauge/
+Histogram/Registry), fed with *serving* quantities (queue depth, jobs by
+state, cache hits, per-job wall time).  The rendering is Prometheus-style text
 exposition: one ``name value`` line per snapshot key, names sanitised to
 ``[a-z0-9_]`` with a ``repro_`` prefix.
 """

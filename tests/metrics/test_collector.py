@@ -112,7 +112,8 @@ def test_zero_division_guards():
     strict=True,
     reason="MetricsCollector subscribes to dsr.rreq_sent / dsr.link_break / "
     "dsr.drop only, so an AODV run reports 0 requests, 0 breaks and no drop "
-    "reasons while its --metrics rows sum to 10 and 2 (docs/protocol.md "
+    "reasons although its trace holds aodv.rreq_sent / aodv.link_break records; "
+    "the --metrics rows sample the same collector and agree (docs/protocol.md "
     "'The collector is deaf to AODV'); the fix changes SimulationResult under "
     "an unchanged cache key, so it rides ROADMAP item 1's CACHE_FORMAT_VERSION bump",
 )

@@ -10,6 +10,7 @@ import inspect
 import pytest
 
 from repro.obs import Observability, flight, instruments, interval, profiler, session
+from repro.obs.interval import COLUMNS
 from repro.scenarios.builder import build_simulation
 from repro.scenarios.presets import tiny_scenario
 
@@ -42,15 +43,31 @@ def test_trace_writer_is_bit_identical(baseline, tmp_path):
     assert result == baseline
 
 
+def _assert_rows_sum_to(rows, result):
+    for name in COLUMNS:
+        expected = getattr(result, name)
+        if isinstance(expected, float):  # delay_sum: a sum of float deltas
+            expected = pytest.approx(expected)
+        assert sum(row[name] for row in rows) == expected, name
+
+
 def test_metrics_rows_reconcile_with_final_result(baseline):
     handle = build_simulation(_config())
     obs = Observability(metrics_interval=5.0).attach(handle)
     result = obs.run(handle)
+    assert result == baseline
+    _assert_rows_sum_to(obs.interval_metrics.rows, result)
+
+
+@pytest.mark.parametrize("protocol", ["dsr", "aodv"])
+def test_every_counter_column_sums_to_the_result(protocol):
+    handle = build_simulation(tiny_scenario(seed=2).but(duration=20.0, protocol=protocol))
+    obs = Observability(metrics_interval=5.0).attach(handle)
+    result = obs.run(handle)
     rows = obs.interval_metrics.rows
-    assert sum(row["data.sent"] for row in rows) == result.data_sent
-    assert sum(row["data.received"] for row in rows) == result.data_received
-    assert sum(row["rreq.sent"] for row in rows) == result.rreq_sent
-    assert sum(row["link.breaks"] for row in rows) == result.link_breaks
+    assert [row["t_end"] for row in rows] == [5.0, 10.0, 15.0, 20.0]
+    assert result.data_sent > 0
+    _assert_rows_sum_to(rows, result)
 
 
 def _subscription_state(tracer):
@@ -58,6 +75,13 @@ def _subscription_state(tracer):
         {kind: len(fns) for kind, fns in tracer._subscribers.items()},
         len(tracer._wildcard),
     )
+
+
+def test_metrics_interval_adds_no_trace_subscription():
+    plain = build_simulation(_config())
+    handle = build_simulation(_config())
+    Observability(metrics_interval=5.0).attach(handle)
+    assert _subscription_state(handle.tracer) == _subscription_state(plain.tracer)
 
 
 def test_observability_detach_leaves_tracer_clean():

@@ -10,7 +10,6 @@ def test_counter_increments_and_snapshots():
     counter.inc()
     counter.inc(4)
     assert counter.snapshot() == {"pkts": 5.0}
-    assert counter.monotonic_keys() == ("pkts",)
 
 
 def test_counter_rejects_decrease():
@@ -24,7 +23,6 @@ def test_gauge_is_point_in_time():
     gauge.set(7)
     gauge.set(3)
     assert gauge.snapshot() == {"depth": 3.0}
-    assert gauge.monotonic_keys() == ()
 
 
 def test_histogram_cumulative_buckets():
@@ -36,8 +34,6 @@ def test_histogram_cumulative_buckets():
     assert snap["delay.sum"] == pytest.approx(3.05)
     assert snap["delay.le.0.1"] == 1.0  # cumulative: <= 0.1
     assert snap["delay.le.1"] == 3.0  # <= 1.0 includes the first bucket
-    # The +inf bucket is implicit: count - le.<last> = 1 overflow.
-    assert set(hist.monotonic_keys()) == set(snap)
 
 
 def test_histogram_bucket_bound_is_inclusive():
@@ -75,4 +71,3 @@ def test_registry_snapshot_merges_in_registration_order():
     snap = registry.snapshot()
     assert list(snap) == ["b", "a"]
     assert snap == {"b": 2.0, "a": 1.0}
-    assert registry.monotonic_keys() == ("b",)

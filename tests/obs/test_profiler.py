@@ -1,8 +1,8 @@
-"""Unit tests for the engine profiler and its reporting layer."""
+"""Unit tests for the engine's profiling hook and its reporting layer."""
 
 import pytest
 
-from repro.obs.profiler import EngineProfiler, ProfileReport
+from repro.obs.profiler import ProfileReport
 from repro.sim.engine import ProfileEntry, Simulator
 
 
@@ -19,35 +19,50 @@ class Ticker:
 
 def test_profiler_attributes_calls_per_callback():
     sim = Simulator()
-    profiler = EngineProfiler(sim).enable()
+    sim.enable_profiling()
     ticker = Ticker(sim)
     sim.schedule(1.0, ticker.tick)
     sim.run(until=10.0)
-    report = profiler.report()
+    report = ProfileReport(entries=sim.profile_entries())
     assert report.total_calls == 3
     entry = next(e for e in report.entries if "Ticker.tick" in e.key)
     assert entry.calls == 3
     assert entry.wall_s >= 0.0
 
 
-def test_report_raises_when_profiling_off():
+def test_no_entries_when_profiling_off():
     sim = Simulator()
-    profiler = EngineProfiler(sim)
-    assert not profiler.enabled
-    with pytest.raises(RuntimeError):
-        profiler.report()
+    assert not sim.profiling_enabled
+    sim.schedule(1.0, lambda: None)
+    sim.run(until=2.0)
+    assert sim.profile_entries() is None
 
 
 def test_disable_stops_attribution():
     sim = Simulator()
-    profiler = EngineProfiler(sim).enable()
-    assert profiler.enabled
-    profiler.disable()
-    assert not profiler.enabled
+    sim.enable_profiling()
+    assert sim.profiling_enabled
+    sim.disable_profiling()
+    assert not sim.profiling_enabled
     sim.schedule(1.0, lambda: None)
     sim.run(until=2.0)
-    with pytest.raises(RuntimeError):
-        profiler.report()
+    assert sim.profile_entries() is None
+
+
+def test_observability_reports_the_engine_profile():
+    from repro.obs import Observability
+    from repro.scenarios.builder import build_simulation
+    from repro.scenarios.presets import tiny_scenario
+
+    handle = build_simulation(tiny_scenario(seed=1).but(duration=2.0))
+    obs = Observability(profile=True).attach(handle)
+    assert handle.sim.profiling_enabled
+    obs.run(handle)
+    report = obs.profile_report()
+    assert report.total_calls == handle.sim.stats().executed
+    obs.detach()
+    assert not handle.sim.profiling_enabled
+    assert obs.profile_report() is None
 
 
 def test_profiled_run_matches_unprofiled_event_order():

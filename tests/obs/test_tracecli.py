@@ -117,7 +117,10 @@ def test_timeseries_respects_kind_selection(trace_jsonl, capsys):
 
 
 def test_timeseries_rejects_bad_interval(trace_jsonl, capsys):
-    assert tracecli.main(["timeseries", str(trace_jsonl), "--interval", "0"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        tracecli.main(["timeseries", str(trace_jsonl), "--interval", "0"])
+    assert excinfo.value.code == 2
+    assert "argument --interval: expected a positive float" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_clean_error(tmp_path, capsys):

@@ -299,6 +299,37 @@ def test_cli_bad_seeds_is_a_usage_error_not_a_traceback(capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, complaint",
+    [
+        (
+            ["--metrics", "m.jsonl", "--metrics-interval", "0"],
+            "argument --metrics-interval: expected a positive float, got '0'",
+        ),
+        (
+            ["--metrics", "m.jsonl", "--metrics-interval", "-1"],
+            "argument --metrics-interval: expected a positive float, got '-1'",
+        ),
+        (
+            ["--flight-recorder", "f.jsonl", "--flight-capacity", "0"],
+            "argument --flight-capacity: expected a positive int, got '0'",
+        ),
+    ],
+    ids=["interval-zero", "interval-negative", "capacity-zero"],
+)
+def test_cli_non_positive_observability_flag_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, flags, complaint
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*_TINY, *flags])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert complaint in err
+    assert "Running" not in err  # refused while parsing: nothing was simulated
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "flag, value, complaint",
     [
         ("--variant", "Nope", "argument --variant: invalid choice: 'Nope'"),
