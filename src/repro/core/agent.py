@@ -740,28 +740,29 @@ class DsrAgent:
             return
         transmitter_index = packet.route_index - 1
         transmitter = route[transmitter_index]
-        self._snoop_route(route, transmitter_index)
+        on_route = self._snoop_route(route, transmitter_index)
         if packet.kind is PacketKind.RREP:
             self._snoop_carried_route(packet.info.route, transmitter)
             if self.config.reply_storm_prevention:
                 self._suppress_longer_replies(
                     packet.dst, packet.info.request_id, len(packet.info.route)
                 )
-        if packet.kind is PacketKind.DATA and self.config.route_shortening:
+        if on_route and packet.kind is PacketKind.DATA and self.config.route_shortening:
             self._maybe_shorten(packet, transmitter_index)
 
-    def _snoop_route(self, route: Sequence[int], transmitter_index: int) -> None:
-        """Learn from an overheard source route.
+    def _snoop_route(self, route: Sequence[int], transmitter_index: int) -> bool:
+        """Learn from an overheard source route; True if we are on it.
 
         If we are on the route we learn our own suffix/prefix; otherwise we
         chain ourselves through the transmitter we just overheard (we are
         demonstrably its neighbour) — the paper's "liberal snooping".
         """
         if self._learn_from_route(route):
-            return
+            return True
         me = self.node_id
-        self._cache_add([me, *route[transmitter_index:]])
-        self._cache_add([me, *route[transmitter_index::-1]])
+        self._cache_add((me, *route[transmitter_index:]))
+        self._cache_add((me, *route[transmitter_index::-1]))
+        return False
 
     def _snoop_carried_route(self, carried: Sequence[int], transmitter: int) -> None:
         """Learn from the route a snooped reply carries, entering it at the
@@ -777,10 +778,7 @@ class DsrAgent:
         route = packet.source_route
         assert route is not None
         me = self.node_id
-        try:
-            my_index = route.index(me)
-        except ValueError:
-            return
+        my_index = route.index(me)
         if my_index <= transmitter_index + 1:
             return  # no hop would be skipped
         shortened = list(route[: transmitter_index + 1]) + list(route[my_index:])

@@ -103,7 +103,7 @@ class DcfMac:
         self._response_timer = Timer(sim, self._response_timeout)
         self._nav_until = 0.0
         # Engine sequence number held for the wake-up at ``_nav_until`` when
-        # the NAV was set with no attempt in hand (see _set_nav).
+        # the NAV was set with no attempt in hand (see on_frame).
         self._nav_wake_seq: Optional[int] = None
         self._seq = 0
         self._last_seq: Dict[int, int] = {}
@@ -160,7 +160,7 @@ class DcfMac:
             self._nav_wake_seq = None
             if self._sim.now < self._nav_until:
                 # The NAV armed while we were idle now matters: put its
-                # expiry wake-up where _set_nav would have scheduled it.
+                # expiry wake-up where on_frame would have scheduled it.
                 self._sim.schedule_reserved(
                     self._nav_until, wake_seq, self.on_medium_change
                 )
@@ -258,12 +258,13 @@ class DcfMac:
 
     def _transmit(self, frame: Frame, airtime: float) -> None:
         if self._tracer.wants("mac.tx"):
-            pkt_kind = frame.packet.kind.value if frame.packet is not None else None
+            # ``_value_`` is what ``.value`` returns, minus the descriptor.
+            pkt_kind = frame.packet.kind._value_ if frame.packet is not None else None
             self._tracer.emit(
                 self._sim.now,
                 "mac.tx",
                 node=self.node_id,
-                frame_kind=frame.kind.value,
+                frame_kind=frame.kind._value_,
                 dst=frame.dst,
                 pkt_kind=pkt_kind,
             )
@@ -322,7 +323,23 @@ class DcfMac:
             return
         # Overheard unicast traffic: honour the NAV, then snoop.
         if frame.duration > 0:
-            self._set_nav(self._sim.now + frame.duration)
+            until = self._sim.now + frame.duration
+            if until > self._nav_until:
+                self._nav_until = until
+                # Also when idle: after a broadcast the defer timer can run
+                # with no attempt in hand (see docs/protocol.md); NAV pauses it.
+                started = self._defer_started
+                if started is not None:
+                    self._pause_defer(started)
+                if self._current is None:
+                    # The expiry wake-up does nothing unless an attempt begins
+                    # before it — the common case for an overhearer.  Hold its
+                    # place in the event order; _try_start schedules it if it
+                    # comes to matter.  An earlier reservation is dropped: it
+                    # would find the NAV extended and the defer timer stopped.
+                    self._nav_wake_seq = self._sim.reserve_seq()
+                else:
+                    self._sim.schedule_at(until, self.on_medium_change)
         if frame.kind is FrameKind.DATA and frame.packet is not None:
             self.promiscuous(frame.packet)
 
@@ -413,26 +430,3 @@ class DcfMac:
                     )
                 self.on_unicast_failure(attempt.packet, attempt.next_hop)
         self._try_start()
-
-    # ------------------------------------------------------------------
-    # NAV
-    # ------------------------------------------------------------------
-
-    def _set_nav(self, until: float) -> None:
-        if until <= self._nav_until:
-            return
-        self._nav_until = until
-        # Also when idle: after a broadcast the defer timer can be running
-        # with no attempt in hand (see docs/protocol.md), and NAV pauses it.
-        started = self._defer_started
-        if started is not None:
-            self._pause_defer(started)
-        if self._current is None:
-            # The expiry wake-up does nothing unless an attempt begins before
-            # it — the common case for an overhearer.  Hold its place in the
-            # event order; _try_start schedules it if it comes to matter.  An
-            # earlier reservation is dropped: its wake-up would find the NAV
-            # extended and the defer timer stopped.
-            self._nav_wake_seq = self._sim.reserve_seq()
-        else:
-            self._sim.schedule_at(until, self.on_medium_change)

@@ -25,7 +25,6 @@ from repro.phy.propagation import (
     log_distance_range,
     two_ray_ground_range,
 )
-from repro.phy.fading import LossModel, NoLoss
 from repro.phy.energy import EnergyLedger, EnergyModel
 from repro.phy.neighbors import NeighborCache
 from repro.phy.channel import Channel, Transmission
@@ -42,8 +41,6 @@ __all__ = [
     "DiskPropagation",
     "two_ray_ground_range",
     "log_distance_range",
-    "LossModel",
-    "NoLoss",
     "EnergyModel",
     "EnergyLedger",
     "NeighborCache",

@@ -13,12 +13,11 @@ received power per listener and the radio lets the stronger frame survive.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.phy.fading import LossModel, NoLoss
 from repro.phy.neighbors import NeighborCache
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
@@ -26,7 +25,7 @@ from repro.sim.trace import Tracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.frames import Frame
     from repro.phy.energy import EnergyLedger
-    from repro.phy.profiles import CaptureModel
+    from repro.phy.profiles import CaptureModel, ProbabilisticReception
     from repro.phy.radio import Radio
 
 
@@ -48,10 +47,12 @@ class Transmission:
         )
 
 
-# A delivery plan: (radios, in_rx, distances, powers_db), one column each.  A
-# tuple per listener would be ~60 collector-tracked containers per plan, and
-# a flood builds thousands: they, not the protocol, tripped the collector.
-Plan = Tuple[List["Radio"], List[bool], Iterable[float], Iterable[float]]
+# A delivery plan: (radios, in_rx, powers_db, draws, probabilities), see
+# Channel._plan_for.  A tuple per listener would be ~60 collector-tracked
+# containers per plan, and a flood builds thousands: they, not the protocol,
+# tripped the collector.
+Plan = Tuple[List["Radio"], List[bool], Iterable[float], Sequence[int], Optional[np.ndarray]]
+_ZEROS = repeat(0.0)  # the unread powers column, shared: zip stops with the radios
 
 
 class Channel:
@@ -62,7 +63,7 @@ class Channel:
         sim: Simulator,
         neighbors: NeighborCache,
         tracer: Optional[Tracer] = None,
-        loss_model: Optional[LossModel] = None,
+        loss_model: Optional["ProbabilisticReception"] = None,
         rng: Optional[np.random.Generator] = None,
         energy: Optional["EnergyLedger"] = None,
         capture: Optional["CaptureModel"] = None,
@@ -71,10 +72,9 @@ class Channel:
         self._neighbors = neighbors
         self._tracer = tracer or Tracer()
         self._radios: Dict[int, "Radio"] = {}
-        self._loss_model = loss_model or NoLoss()
-        self._lossy = not isinstance(self._loss_model, NoLoss)
+        self._loss = loss_model
         self.capture = capture
-        if self._lossy and rng is None:
+        if loss_model is not None and rng is None:
             # A silent fallback generator here would give every scenario the
             # same fading draws regardless of its seed (found by repro-lint
             # DET002): probabilistic loss needs an explicitly seeded stream,
@@ -126,21 +126,23 @@ class Channel:
             )
         sender.begin_transmit(tx)
         plan = self._plan_for(sender.node_id, now)
+        radios, decodable, powers, draws, probabilities = plan
+        if draws:
+            # The frame's k uniforms in one call: the same values, in plan
+            # order, that one scalar draw per uncertain listener would take.
+            decodable = decodable.copy()
+            delivered = (self._rng.random(len(draws)) < probabilities).tolist()
+            for row, kept in zip(draws, delivered):
+                decodable[row] = kept
         energy = self.energy
-        lossy = self._lossy
-        loss_model = self._loss_model
-        rng = self._rng
         capture = self.capture
         threshold = 0.0 if capture is None else capture.threshold_db
-        # One pass over the listeners, in row order (the loss draws are taken
-        # in it).  ``radio.energy`` counts every transmission a radio hears
-        # plus its own; a reception in progress is ``receptions[tx] = corrupt``
-        # and only decodable frames get one, since the corrupt flag of
-        # carrier-sense-only energy could never be read.
-        for radio, receivable, distance, power in zip(*plan):
-            if lossy and receivable:
-                # One draw per in-range listener, in plan order.
-                receivable = loss_model.delivered(distance, rng)
+        # One pass over the listeners, in row order.  ``radio.energy`` counts
+        # every transmission a radio hears plus its own; a reception in
+        # progress is ``receptions[tx] = corrupt`` and only decodable frames
+        # get one, since the corrupt flag of carrier-sense-only energy could
+        # never be read.
+        for radio, receivable, power in zip(radios, decodable, powers):
             # Read before the bump: zero means the listener was clear, so its
             # MAC is told; non-zero is energy from a second source.
             heard = radio.energy
@@ -183,14 +185,15 @@ class Channel:
     def _plan_for(self, sender_id: int, now: float) -> Plan:
         """The sender's listeners for the current quantum, in ascending row order.
 
-        ``distances`` is a list of floats only when a loss or capture model
-        reads it, and ``powers_db`` only when capture is enabled (carrier-
-        sense-only listeners then need it too — their energy is what
-        receptions must capture over); otherwise each is the endless
-        ``repeat(0.0)``, so walk a plan with ``zip``, which stops with the
-        radios.  Plans are replaced (never mutated) on quantum change, so an
-        in-flight :meth:`_finish` holding a stale plan still sees the
-        listeners its frame actually reached.
+        ``powers_db`` is a list of floats only when capture is enabled
+        (carrier-sense-only listeners then need it too — their energy is what
+        receptions must capture over), otherwise the endless ``repeat(0.0)``,
+        so walk a plan with ``zip``, which stops with the radios.  Under a
+        loss model ``draws`` lists the in-range positions whose delivery
+        probability is below 1 and ``probabilities`` (an array, untracked by
+        the collector) those probabilities.  Plans are replaced (never
+        mutated) on quantum change, so an in-flight :meth:`_finish` holding a
+        stale plan still sees the listeners its frame actually reached.
         """
         neighbors = self._neighbors
         tick = neighbors.tick(now)
@@ -207,18 +210,26 @@ class Channel:
                 attached = self._attached_rows[rows]
                 rows, in_rx, sq = rows[attached], in_rx[attached], sq[attached]
             capture = self.capture
-            distances: Iterable[float] = repeat(0.0)
-            powers: Iterable[float] = repeat(0.0)
-            if capture is not None or self._lossy:
+            loss = self._loss
+            powers: Iterable[float] = _ZEROS
+            draws: Sequence[int] = ()
+            probabilities = None
+            if capture is not None or loss is not None:
                 # One vectorized sqrt per sender per quantum, of the squared
                 # distances the range tests used (np.sqrt is correctly rounded:
                 # each element is bit-identical to NeighborCache.distances).
-                distances = np.sqrt(sq).tolist()
+                distances = np.sqrt(sq)
                 if capture is not None:
-                    powers = list(map(capture.power_db, distances))
+                    powers = list(map(capture.power_db, distances.tolist()))
+                if loss is not None:
+                    p = loss.delivery_probabilities(distances)
+                    # Only in-range rows draw, and certain delivery costs none.
+                    uncertain = in_rx & (p < 1.0)
+                    draws = uncertain.nonzero()[0].tolist()
+                    probabilities = p[uncertain]
             # tolist(): Python bools and floats in the columns, never numpy scalars.
             radios = list(map(radio_rows.__getitem__, rows.tolist()))
-            plan = self._plans[sender_id] = (radios, in_rx.tolist(), distances, powers)
+            plan = self._plans[sender_id] = (radios, in_rx.tolist(), powers, draws, probabilities)
         return plan
 
     def _index_radios(self) -> List[Optional["Radio"]]:

@@ -41,12 +41,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.phy.fading import LossModel
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.scenarios.config import ScenarioConfig
 
 
@@ -213,7 +212,7 @@ def resolve_profile(config: "ScenarioConfig") -> RadioProfile:
 
 
 @dataclass(frozen=True)
-class ProbabilisticReception(LossModel):
+class ProbabilisticReception:
     """Distance-dependent delivery probability with a flat loss floor.
 
     The distance shape is a grey-zone ramp — certain delivery inside
@@ -258,11 +257,20 @@ class ProbabilisticReception(LossModel):
         ramp = 1.0 - fraction * (1.0 - self.edge_delivery_probability)
         return self.base_delivery * ramp
 
-    def delivered(self, distance: float, rng: "np.random.Generator") -> bool:
-        probability = self.delivery_probability(distance)
-        if probability >= 1.0:
-            return True
-        return bool(rng.random() < probability)
+    def delivery_probabilities(self, distances: np.ndarray) -> np.ndarray:
+        """:meth:`delivery_probability` of every element, bit for bit (same
+        operations, same order; the reliable clamp last, as the scalar tests
+        it first)."""
+        base, reliable = self.base_delivery, self.reliable_fraction * self.rx_range
+        span = self.rx_range - reliable
+        if span > 0.0:
+            fraction = (distances - reliable) / span
+            probabilities = base * (1.0 - fraction * (1.0 - self.edge_delivery_probability))
+        else:  # no ramp: the clamps below set every element
+            probabilities = np.empty_like(distances)
+        probabilities[distances >= self.rx_range] = base * self.edge_delivery_probability
+        probabilities[distances <= reliable] = base
+        return probabilities
 
 
 @dataclass(frozen=True)
@@ -292,7 +300,7 @@ class CaptureModel:
 
 def build_loss_model(
     profile: RadioProfile, config: "ScenarioConfig"
-) -> Optional[LossModel]:
+) -> Optional[ProbabilisticReception]:
     """The channel's loss model for ``profile`` under ``config``.
 
     Composition rules:
@@ -300,7 +308,7 @@ def build_loss_model(
     * the scenario's ``grey_zone_fraction`` (legacy knob) overrides the
       profile's own grey zone when set;
     * ``link_loss`` scales everything by ``1 - link_loss``;
-    * ``None`` means no loss at all — the channel's fast NoLoss path.
+    * ``None`` means no loss at all: the channel's plans carry no draws.
     """
     if config.grey_zone_fraction > 0.0:
         reliable = 1.0 - config.grey_zone_fraction

@@ -11,17 +11,18 @@ the event type has no subscribers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One traced occurrence inside the simulation."""
+    """One traced occurrence inside the simulation (one per emit: slotted)."""
 
-    time: float
-    kind: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "kind", "fields")
+
+    def __init__(self, time: float, kind: str, fields: Dict[str, Any]):
+        self.time = time
+        self.kind = kind
+        self.fields = fields
 
     def __getattr__(self, name: str) -> Any:
         try:
@@ -79,7 +80,7 @@ class Tracer:
         listeners = self._subscribers.get(kind)
         if not listeners and not self._wildcard:
             return
-        record = TraceRecord(time=time, kind=kind, fields=fields)
+        record = TraceRecord(time, kind, fields)
         if listeners:
             for fn in listeners:
                 fn(record)

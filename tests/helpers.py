@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.core.agent import DsrAgent
 from repro.core.config import DsrConfig
+from repro.mac.frames import Frame, FrameKind
 from repro.mac.timing import MacTiming
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.groundtruth import make_validity_oracle
@@ -22,6 +23,7 @@ from repro.net.packet import Packet
 from repro.phy.channel import Channel
 from repro.phy.neighbors import NeighborCache
 from repro.phy.propagation import DiskPropagation
+from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
@@ -144,6 +146,47 @@ def moving_away_mobility(
         else:
             trajectories[node_id] = Trajectory.stationary(x, y)
     return MobilityModel(trajectories)
+
+
+class CountingMac:
+    """A radio's MAC that only counts the frames it decodes."""
+
+    def __init__(self):
+        self.frames = 0
+
+    def on_frame(self, frame) -> None:
+        self.frames += 1
+
+    def on_tx_complete(self, frame) -> None:
+        pass
+
+    def on_medium_change(self) -> None:
+        pass
+
+
+def lone_sender_deliveries(
+    distances: Sequence[float],
+    loss_model=None,
+    rng: Optional[np.random.Generator] = None,
+    frames: int = 200,
+    rx_range: float = 250.0,
+    cs_range: float = 550.0,
+) -> List[int]:
+    """Frames decoded by listeners ``distances`` metres from a lone sender
+    at the origin, which sends ``frames`` frames that never overlap: the
+    loss model through a real channel run, one count per listener."""
+    sim = Simulator()
+    mobility = StaticModel([(0.0, 0.0)] + [(float(d), 0.0) for d in distances])
+    neighbors = NeighborCache(mobility, DiskPropagation(rx_range=rx_range, cs_range=cs_range))
+    channel = Channel(sim, neighbors, loss_model=loss_model, rng=rng)
+    radios = [Radio(node_id, channel) for node_id in mobility.node_ids]
+    for radio in radios:
+        radio.mac = CountingMac()
+    sender = radios[0]
+    for i in range(frames):
+        sim.schedule(i * 0.01, sender.transmit, Frame(FrameKind.DATA, 0, 1), 0.001)
+    sim.run()
+    return [radio.mac.frames for radio in radios[1:]]
 
 
 class FakeMac:

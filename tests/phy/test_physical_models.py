@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.phy.fading import NoLoss
 from repro.phy.profiles import ProbabilisticReception
 from repro.phy.propagation import (
     friis_cross_over_distance,
     log_distance_range,
     two_ray_ground_range,
 )
+
+from tests.helpers import lone_sender_deliveries
+
+
+def _deliveries(distance, frames, loss_model, seed=9):
+    rng = None if loss_model is None else np.random.default_rng(seed)
+    return lone_sender_deliveries([distance], loss_model, rng, frames=frames)[0]
 
 
 def test_two_ray_defaults_give_wavelan_250m():
@@ -49,9 +55,10 @@ def test_log_distance_validation():
 
 
 def test_no_loss_always_delivers():
-    model = NoLoss()
-    rng = np.random.default_rng(0)
-    assert all(model.delivered(d, rng) for d in (0.0, 100.0, 250.0))
+    """``loss_model=None`` is the lossless channel: every frame in range
+    arrives, right up to the edge of the cell."""
+    for distance in (0.0, 100.0, 249.0):
+        assert _deliveries(distance, frames=50, loss_model=None) == 50
 
 
 def test_edge_loss_probability_shape():
@@ -65,8 +72,7 @@ def test_edge_loss_probability_shape():
 
 def test_edge_loss_sampling_matches_probability():
     model = ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8)
-    rng = np.random.default_rng(1)
-    delivered = sum(model.delivered(225.0, rng) for _ in range(4000))
+    delivered = _deliveries(225.0, frames=4000, loss_model=model, seed=1)
     assert 0.45 < delivered / 4000 < 0.55
 
 
@@ -90,46 +96,7 @@ def test_edge_loss_validation():
 def test_lossy_channel_drops_grey_zone_frames():
     """End to end: a link in the grey zone loses frames; a link in the
     reliable zone does not."""
-    from repro.mac.frames import Frame, FrameKind
-    from repro.mobility.static import StaticModel
-    from repro.phy.channel import Channel
-    from repro.phy.neighbors import NeighborCache
-    from repro.phy.propagation import DiskPropagation
-    from repro.phy.radio import Radio
-    from repro.sim.engine import Simulator
-
-    class CountingMac:
-        def __init__(self):
-            self.frames = 0
-
-        def on_frame(self, frame):
-            self.frames += 1
-
-        def on_tx_complete(self, frame):
-            pass
-
-        def on_medium_change(self):
-            pass
-
-    received = {}
-    for distance in (100.0, 240.0):
-        sim = Simulator()
-        mobility = StaticModel([(0.0, 0.0), (distance, 0.0)])
-        neighbors = NeighborCache(mobility, DiskPropagation())
-        channel = Channel(
-            sim,
-            neighbors,
-            loss_model=ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8),
-            rng=np.random.default_rng(9),
-        )
-        sender = Radio(0, channel)
-        receiver = Radio(1, channel)
-        sender.mac = CountingMac()
-        mac = CountingMac()
-        receiver.mac = mac
-        for i in range(200):
-            sim.schedule(i * 0.01, sender.transmit, Frame(FrameKind.DATA, 0, 1), 0.001)
-        sim.run()
-        received[distance] = mac.frames
+    model = ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8)
+    received = {d: _deliveries(d, frames=200, loss_model=model) for d in (100.0, 240.0)}
     assert received[100.0] == 200  # reliable zone: no loss
     assert 0 < received[240.0] < 200  # grey zone: partial loss

@@ -3,14 +3,16 @@ per-listener body it replaced.
 
 ``Channel._plan_for`` builds a sender's plan column by column from one
 ``NeighborCache.listeners`` query and keeps it as columns (``_rows`` zips
-them back into listener tuples).  The oracle is the body it had before —
-one frozenset membership test, one dict test and one dict lookup per
-listener, over the public ``rx_set`` / ``cs_neighbors`` / ``distances`` —
-kept here verbatim and pointed at a *separate all-pairs cache* of the same
-layout, so nothing the grid's block cache or the single query gets wrong
-can reach both sides.  The contract is exact: the same ``Radio`` objects in
-the same order, Python bools (``is``-comparable), bit-equal distances and
-powers, for both backends and the plain, lossy and capture channels.
+the per-listener ones back into listener tuples).  The oracle is the body
+it had before — one frozenset membership test, one dict test and one dict
+lookup per listener, over the public ``rx_set`` / ``cs_neighbors`` /
+``distances`` — kept here verbatim and pointed at a *separate all-pairs
+cache* of the same layout, so nothing the grid's block cache or the single
+query gets wrong can reach both sides.  The contract is exact: the same
+``Radio`` objects in the same order, Python bools (``is``-comparable),
+bit-equal powers, and — under a loss model — the draw rows the per-listener
+rule drew for (in range, probability below 1) with its probabilities bit for
+bit, for both backends and the plain, lossy and capture channels.
 
 It bites: leaving ``_blocks`` uncleared in ``_rebucket``, not masking the
 querying row out of the grid's result, and taking ``sqrt`` of the unmasked
@@ -58,7 +60,7 @@ def _oracle_plan(channel, reference, sender_id, now):
     capture = channel.capture
     distances = repeat(0.0)
     powers = repeat(0.0)
-    if capture is not None or channel._lossy:
+    if capture is not None or channel._loss is not None:
         distances = neighbors.distances(sender_id, cs_list, now).tolist()
         if capture is not None:
             powers = map(capture.power_db, distances)
@@ -95,24 +97,36 @@ def _pair(model_factory, index, kind, attach=None):
 
 
 def _rows(plan):
-    """A column plan as ``(radio, in_rx, distance, power)`` rows; the endless
-    ``repeat`` columns end with the radios."""
-    return list(zip(*plan))
+    """A column plan as ``(radio, in_rx, power)`` rows; the endless
+    ``repeat`` column ends with the radios."""
+    return list(zip(plan[0], plan[1], plan[2]))
 
 
 def _assert_plan_matches(channel, reference, sender_id, now):
     plan = channel._plan_for(sender_id, now)
     expected = _oracle_plan(channel, reference, sender_id, now)
-    # Every stored column is whole (zip would hide a short one).
-    assert all(len(col) == len(expected) for col in plan if isinstance(col, list))
+    # Every per-listener column is whole (zip would hide a short one).
+    assert all(len(col) == len(expected) for col in plan[:3] if isinstance(col, list))
     rows = _rows(plan)
     assert len(rows) == len(expected)
-    for (radio, receivable, distance, power), want in zip(rows, expected):
+    for (radio, receivable, power), want in zip(rows, expected):
         assert radio is want[0]
         assert receivable is want[1]  # a Python bool, never numpy.bool_
-        assert type(distance) is float and type(power) is float
-        assert distance.hex() == want[2].hex()
+        assert type(power) is float
         assert power.hex() == want[3].hex()
+    draws, probabilities = plan[3], plan[4]
+    loss = channel._loss
+    if loss is None:
+        assert not draws and probabilities is None
+        return plan
+    wanted = [
+        (row, loss.delivery_probability(want[2]))
+        for row, want in enumerate(expected)
+        if want[1] and loss.delivery_probability(want[2]) < 1.0
+    ]
+    assert draws == [row for row, _p in wanted]
+    assert all(type(row) is int for row in draws)
+    assert [p.hex() for p in probabilities.tolist()] == [p.hex() for _r, p in wanted]
     return plan
 
 

@@ -27,6 +27,8 @@ from repro.phy.profiles import (
 )
 from repro.scenarios.config import ScenarioConfig
 
+from tests.helpers import lone_sender_deliveries
+
 
 # -- registry ----------------------------------------------------------------
 
@@ -150,13 +152,14 @@ def test_delivery_probability_ramp_shape():
 
 def test_certain_delivery_skips_the_rng_draw():
     # Draw-sequence identity: p >= 1 must not consume a draw, so a pure
-    # grey zone draws only inside the ramp (the pre-profile discipline).
-    class Exploding:
-        def random(self):  # pragma: no cover - must never run
-            raise AssertionError("drew from rng despite p >= 1")
-
-    model = ProbabilisticReception(rx_range=100.0)
-    assert model.delivered(50.0, Exploding())
+    # grey zone draws only inside the ramp (the pre-profile discipline): a
+    # listener of the reliable zone leaves the generator untouched.
+    model = ProbabilisticReception(rx_range=250.0, reliable_fraction=0.8)
+    assert model.delivery_probability(50.0) == 1.0
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    assert lone_sender_deliveries([50.0], model, rng, frames=20) == [20]
+    assert rng.bit_generator.state == before
 
 
 def test_probabilistic_reception_validation():
@@ -221,12 +224,11 @@ def test_longhaul_airtime_dwarfs_wavelan():
 def test_lossy_profile_delivery_is_seed_stable():
     config = ScenarioConfig(radio_profile="urban", link_loss=0.1)
     model = build_loss_model(resolve_profile(config), config)
-    draws_a = [
-        model.delivered(d, np.random.default_rng(42))
-        for d in (10.0, 60.0, 90.0, 110.0, 119.0)
-    ]
-    draws_b = [
-        model.delivered(d, np.random.default_rng(42))
-        for d in (10.0, 60.0, 90.0, 110.0, 119.0)
-    ]
-    assert draws_a == draws_b
+    distances = (10.0, 60.0, 90.0, 110.0, 119.0)
+
+    def run():
+        return lone_sender_deliveries(distances, model, np.random.default_rng(42))
+
+    first = run()
+    assert first == run()
+    assert all(0 < count < 200 for count in first)  # every one of them lossy
