@@ -3,8 +3,8 @@
 A figure is dozens of independent simulations; :class:`SweepEngine` fans
 them out over worker processes and skips the ones it has already run.
 Configurations travel as JSON dicts (see :mod:`repro.scenarios.io`) so
-workers rebuild everything from scratch — no shared state, perfectly
-reproducible — and every run is identified by its content hash
+workers, forked or spawned, rebuild every run from its payload — no shared
+state, perfectly reproducible — and every run is identified by its content hash
 (:func:`repro.analysis.cache.scenario_hash`).
 
 Execution pipeline, identical for in-process (``processes=1``) and pooled
@@ -30,6 +30,9 @@ import functools
 import json
 import multiprocessing
 import os
+import signal
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,6 +75,26 @@ def _guarded(
     except Exception as exc:  # surfaced to the parent, retried there
         wall = time.perf_counter() - start  # repro-lint: disable=DET001
         return key, None, f"{type(exc).__name__}: {exc}", wall
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """The start method for a pool built now: ``fork`` on Linux when this
+    process runs no other Python thread, so workers start as copies of a
+    caller that has already imported the simulator; ``spawn`` otherwise,
+    because forking while another thread may hold a lock can leave the
+    child deadlocked on it (a service shard thread, a ``repro-worker``
+    heartbeat, every non-Linux platform)."""
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context("spawn")
+
+
+def _default_signals() -> None:
+    """Pool initializer: the SIGTERM / SIGINT handlers a spawned worker
+    starts with, in place of any a forked one inherited — a caller's no-op
+    SIGTERM handler would otherwise outlive ``terminate()``."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
 def estimate_cost(payload: dict) -> float:
@@ -408,7 +431,9 @@ class SweepEngine:
         from concurrent.futures.process import BrokenProcessPool
 
         pool = ProcessPoolExecutor(
-            max_workers=processes, mp_context=multiprocessing.get_context("spawn")
+            max_workers=processes,
+            mp_context=_pool_context(),
+            initializer=_default_signals,
         )
         try:
             keys = {pool.submit(guarded, task): task[0] for task in tasks}

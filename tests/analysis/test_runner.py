@@ -1,7 +1,10 @@
 """Tests for the sweep execution engine (parallel + cached runner)."""
 
+import contextlib
 import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
@@ -150,10 +153,50 @@ def test_cached_and_fresh_results_interleave_identically(tmp_path):
     assert in_process == run_many(configs, processes=1)
 
 
+@contextlib.contextmanager
+def _parked_thread():
+    """A second Python thread, alive for the block and joined after it."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join()
+
+
+def _pooled_run(configs):
+    """``SweepEngine(processes=2).run`` and the start method of its workers."""
+    methods = set()
+
+    def note(update):
+        methods.update(p._start_method for p in multiprocessing.active_children())
+
+    report = SweepEngine(processes=2, progress=note).run(configs)
+    return report.results, methods
+
+
 def test_parallel_cached_sweep_equals_serial_sweep(tmp_path):
     make = lambda pause, seed: _config(seed=seed, pause=pause)  # noqa: E731
     xs, seeds = [0.0, 12.0], [1, 2]
+    # In-process first: whatever module state a simulation leaves behind is
+    # there for a forked pool to inherit, and must not reach its results.
     serial = sweep(make, xs, seeds)
+    configs = [make(x, seed) for x in xs for seed in seeds]
+    expected = run_many(configs, processes=1)
+
+    # The start-method rule: fork on Linux from a caller with one Python
+    # thread, spawn while another thread is alive.
+    assert threading.active_count() == 1, "a thread leaked from an earlier test"
+    forked, methods = _pooled_run(configs)
+    assert methods == {"fork" if sys.platform == "linux" else "spawn"}
+    assert forked == expected
+    with _parked_thread():
+        spawned, methods = _pooled_run(configs)
+    assert methods == {"spawn"}
+    assert spawned == expected
+
     engine = SweepEngine(processes=2, cache=ResultCache(tmp_path))
     assert engine.sweep(make, xs, seeds) == serial
     # And again warm: zero fresh simulations, identical points.
@@ -361,7 +404,7 @@ def test_batched_results_equal_unbatched():
 
 
 def test_batched_pooled_results_equal_serial():
-    """Spawned-pool execution of a batch must match in-process results."""
+    """Pooled execution of a batch must match in-process results."""
     configs = [_batch_config(seed=s, duration=3.0) for s in (1, 2, 3, 4)]
     serial = run_many(configs, processes=1)
     pooled = run_many(configs, processes=2)

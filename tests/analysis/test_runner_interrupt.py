@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import signal
 import time
 
 import pytest
@@ -103,21 +104,33 @@ def _stall_in_worker(payload):
     return _run_payload(payload)
 
 
+def _ignore_signal(signum, frame):
+    pass
+
+
 def test_interrupt_terminates_the_pool_workers():
     """Pooled mode: an interrupt kills the workers rather than waiting for
-    the tasks they hold, and none of them outlives ``run``."""
+    the tasks they hold, and none of them outlives ``run`` — also when the
+    caller has a no-op SIGTERM handler, which a forked worker inherits
+    unless the pool resets it."""
 
     def interrupt_after_first(update):
         if update.executed:
             raise KeyboardInterrupt
 
-    engine = SweepEngine(
-        processes=2, task_fn=_stall_in_worker, progress=interrupt_after_first
-    )
-    with watchdog(60), pytest.raises(SweepInterrupted) as excinfo:
-        engine.run([_config(seed=s) for s in (1, 2, 3)])
-    assert excinfo.value.completed == 1
-    assert multiprocessing.active_children() == []
+    previous = signal.getsignal(signal.SIGTERM)
+    for sigterm in (previous, _ignore_signal):
+        engine = SweepEngine(
+            processes=2, task_fn=_stall_in_worker, progress=interrupt_after_first
+        )
+        signal.signal(signal.SIGTERM, sigterm)
+        try:
+            with watchdog(60), pytest.raises(SweepInterrupted) as excinfo:
+                engine.run([_config(seed=s) for s in (1, 2, 3)])
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert excinfo.value.completed == 1, sigterm
+        assert multiprocessing.active_children() == [], sigterm
 
 
 def test_uninterrupted_sweep_unchanged(tmp_path):
