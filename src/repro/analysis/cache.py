@@ -193,6 +193,10 @@ class CacheStats:
             return dataclasses.asdict(self)
 
 
+#: One ``os.read`` asks for this much; an entry is ~700 bytes, so a hit
+#: reads it in one call and sees EOF on the next.
+_READ_CHUNK = 1 << 16
+
 #: Distinguishes concurrent writers within one process; combined with the
 #: PID it makes every in-flight temp file unique across the whole host.
 _tmp_seq = itertools.count()
@@ -205,11 +209,13 @@ class ResultCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
+        self._prefix = os.path.join(self.root, "")  # ends in a separator
 
     def _entry_path(self, key: str) -> str:
         # A string, not a Path: the hot read and write paths only hand it
-        # to os calls, and building a Path per key costs more than the join.
-        return os.path.join(self.root, key[:2], f"{key}.json")
+        # to os calls, and building a Path (or joining) per key costs more
+        # than the concatenation.
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
     def _path(self, key: str) -> Path:
         return Path(self._entry_path(key))
@@ -233,35 +239,50 @@ class ResultCache:
         return None if loaded is None else loaded[0]
 
     def _load(self, key: str) -> Optional[Tuple[Dict[str, Any], SimulationResult]]:
-        """One read, one parse, one validation that is also the rebuild:
+        """One open, one parse, one validation that is also the rebuild:
         the stored document for ``key`` and the result it carries.
 
-        The mtime is refreshed *before* the read so a concurrent
-        :meth:`prune` — which re-checks mtimes right before unlinking —
-        never evicts an entry that is mid-fetch.
+        The mtime is refreshed through the open descriptor *before* the
+        read, so a concurrent :meth:`prune` — which re-checks mtimes right
+        before unlinking — never evicts an entry that is mid-fetch, and an
+        entry unlinked after the open still reads whole.  A store that
+        refuses the refresh (read-only) still serves the hit.
         """
         path = self._entry_path(key)
         try:
-            os.utime(path)
-        except OSError:
-            pass  # absent, or pruned/replaced concurrently
-        try:
-            with open(path, "rb") as handle:
-                entry = json.loads(handle.read())
-            result = _entry_result(key, entry)
+            fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             self.stats.record_miss()
             return None
-        except Exception:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-            self.stats.record_invalidated()
-            self.stats.record_miss()
+        except OSError:
+            self._invalidate(path)
             return None
+        try:
+            try:
+                os.utime(fd)
+            except OSError:
+                pass  # a read-only store: the hit stands, unrefreshed
+            chunks: List[bytes] = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+            entry = json.loads(b"".join(chunks))
+            result = _entry_result(key, entry)
+        except Exception:
+            self._invalidate(path)
+            return None
+        finally:
+            os.close(fd)
         self.stats.record_hit()
         return entry, result
+
+    def _invalidate(self, path: str) -> None:
+        """Delete an entry that failed to load; counted as a miss too."""
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        self.stats.record_invalidated()
+        self.stats.record_miss()
 
     def put(self, key: str, result: SimulationResult) -> Path:
         """Persist ``result`` under ``key`` (atomic: temp file + rename)."""
@@ -283,9 +304,18 @@ class ResultCache:
             f"{path.removesuffix('.json')}"
             f".tmp.{os.getpid()}.{threading.get_ident()}.{next(_tmp_seq)}"
         )
-        with open(tmp, "w") as handle:
-            handle.write(json.dumps(entry, sort_keys=True))
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as handle:
+                handle.write(json.dumps(entry, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            # A full disk must not leave the temp file for prune to find
+            # minutes later.
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass  # never created, or already gone
+            raise
         self.stats.record_store()
         return Path(path)
 
@@ -448,9 +478,12 @@ class TieredResultCache(ResultCache):
             return None
         try:
             result = _entry_result(key, entry)
-            self._write_entry(key, entry)  # write through: disk-fast next time
-        except Exception:
+        except ValueError:
             return None  # tier disagreement is a miss, never a crash
+        try:
+            self._write_entry(key, entry)  # write through: disk-fast next time
+        except OSError:
+            pass  # a full local disk costs the next read, not this result
         self.stats.record_hit()
         return result
 

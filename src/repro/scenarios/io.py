@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from pathlib import Path
 from typing import Any, Dict, Tuple, Union
 
@@ -32,32 +33,37 @@ _POST_V1_COMPAT_DEFAULTS: Dict[str, Any] = {
 }
 
 
-# The field plans, resolved once: the encoder reads exactly these names and
-# the decoder accepts exactly these names.  Every field of both records is an
-# immutable scalar (``dsr`` and ``expiry_mode`` are encoded by hand below), so
-# a shallow read is a full copy; tests/analysis/test_field_plans.py fails,
-# naming this module, when a field of another shape is added.
+# The field plans, resolved once and sorted: the encoder reads exactly these
+# names, in this order, and the decoder accepts exactly these names.  Every
+# field of both records is an immutable scalar (``dsr`` and ``expiry_mode`` are
+# encoded by hand below), so a shallow read is a full copy;
+# tests/analysis/test_field_plans.py fails, naming this module, when a field of
+# another shape is added.
 _SCENARIO_FIELDS: Tuple[str, ...] = tuple(
-    field.name for field in dataclasses.fields(ScenarioConfig)
+    sorted(field.name for field in dataclasses.fields(ScenarioConfig))
 )
 _DSR_FIELDS: Tuple[str, ...] = tuple(
-    field.name for field in dataclasses.fields(DsrConfig)
+    sorted(field.name for field in dataclasses.fields(DsrConfig))
 )
+_read_scenario = operator.attrgetter(*_SCENARIO_FIELDS)
+_read_dsr = operator.attrgetter(*_DSR_FIELDS)
 
 # json.dumps with these arguments builds this encoder anew on every call.
+# ``sort_keys`` stays: scenario_to_dict's output is already in key order, so
+# the sort is one linear pass, and a hand-built payload is still canonical.
 _canonical_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def scenario_to_dict(config: ScenarioConfig) -> Dict[str, Any]:
     """A plain-JSON-types dict capturing the full configuration.
 
-    The dict and its nested ``"dsr"`` dict are fresh on every call.
+    The dict and its nested ``"dsr"`` dict are fresh on every call, and
+    both list their keys in sorted order.
     """
-    dsr = config.dsr
-    dsr_payload = {name: getattr(dsr, name) for name in _DSR_FIELDS}
-    dsr_payload["expiry_mode"] = dsr.expiry_mode.value
-    payload = {name: getattr(config, name) for name in _SCENARIO_FIELDS}
-    payload["dsr"] = dsr_payload
+    dsr_payload = dict(zip(_DSR_FIELDS, _read_dsr(config.dsr)))
+    dsr_payload["expiry_mode"] = dsr_payload["expiry_mode"].value
+    payload = dict(zip(_SCENARIO_FIELDS, _read_scenario(config)))
+    payload["dsr"] = dsr_payload  # replaced in place: the key keeps its slot
     for key, compat_default in _POST_V1_COMPAT_DEFAULTS.items():
         if payload[key] == compat_default:
             del payload[key]

@@ -1,6 +1,7 @@
 """Tests for the content-addressed result cache and scenario hashing."""
 
 import dataclasses
+import errno
 import json
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from repro.analysis.cache import (
     CACHE_FORMAT_VERSION,
     ResultCache,
+    TieredResultCache,
+    make_entry,
     result_from_payload,
     result_to_payload,
     scenario_hash,
@@ -251,3 +254,68 @@ def test_clear_empties_the_store(tmp_path):
     assert len(cache) == 3
     assert cache.clear() == 3
     assert len(cache) == 0
+
+
+def test_entry_larger_than_one_read_chunk_round_trips(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = scenario_hash(_config())
+    big = _result(drop_reasons={f"reason-{index:05d}": index for index in range(4000)})
+    path = cache.put(key, big)
+    assert path.stat().st_size > 64 * 1024
+    assert cache.get(key) == big
+    assert cache.stats.invalidated == 0
+
+
+def test_read_only_store_still_hits(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    key = scenario_hash(_config())
+    path = cache.put(key, _result())
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(errno.EROFS, "read-only file system")
+
+    monkeypatch.setattr("repro.analysis.cache.os.utime", refuse)
+    assert cache.get(key) == _result()
+    assert (cache.stats.hits, cache.stats.invalidated) == (1, 0)
+    assert path.exists()
+
+
+def test_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    key = scenario_hash(_config())
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("repro.analysis.cache.os.replace", disk_full)
+    with pytest.raises(OSError):
+        cache.put(key, _result())
+    assert list(tmp_path.glob("*/*.tmp.*")) == []
+    assert key not in cache
+    assert cache.stats.stores == 0
+
+
+class _StaticTier:
+    """A remote tier that serves one fixed document for every key."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def get_entry(self, key):
+        return self.entry
+
+    def put_entry(self, key, entry):
+        return True
+
+
+def test_remote_hit_survives_a_failed_write_through(tmp_path):
+    key = scenario_hash(_config())
+    cache = TieredResultCache(tmp_path, _StaticTier(make_entry(key, _result())))
+
+    def disk_full(key, entry):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    cache._write_entry = disk_full
+    assert cache.get(key) == _result()
+    assert (cache.stats.hits, cache.stats.misses) == (1, 1)  # local miss, remote hit
+    assert key not in cache

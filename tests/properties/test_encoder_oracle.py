@@ -108,6 +108,16 @@ def test_scenario_encoder_equals_the_asdict_oracle(config):
     assert CACHE_FORMAT_VERSION == 1
 
 
+@settings(max_examples=50, deadline=None)
+@given(config=scenario_configs)
+def test_scenario_encoder_lists_keys_in_sorted_order(config):
+    """The canonical encoder keeps ``sort_keys=True``; handing it a payload
+    already in key order is what makes that sort one linear pass."""
+    payload = scenario_to_dict(config)
+    assert list(payload) == sorted(payload)
+    assert list(payload["dsr"]) == sorted(payload["dsr"])
+
+
 @settings(max_examples=100, deadline=None)
 @given(result=simulation_results)
 def test_result_encoder_equals_the_asdict_oracle(result):
