@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Protocol, Tuple, Union
 
 from repro.devtools.lockdep import OrderedLock
-from repro.metrics.collector import SimulationResult
+from repro.metrics.collector import RESULT_FIELDS, SimulationResult
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import scenario_canonical_json
 
@@ -80,35 +80,25 @@ def scenario_hash(config: Union[ScenarioConfig, Dict[str, Any]]) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-# The field plan, resolved once.  Every field of the record is an immutable
-# scalar except the ``drop_reasons`` dict, which both directions copy; a
-# field of another shape fails tests/analysis/test_field_plans.py, naming
-# this module.
-_RESULT_FIELDS: Tuple[str, ...] = tuple(
-    field.name for field in dataclasses.fields(SimulationResult)
-)
-
-
 def result_to_payload(result: SimulationResult) -> Dict[str, Any]:
     """A plain-JSON-types dict capturing the full result record.
 
     The dict and its ``"drop_reasons"`` dict are fresh on every call.
     """
-    record = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    record = {name: getattr(result, name) for name in RESULT_FIELDS}
     record["drop_reasons"] = dict(result.drop_reasons)
     return record
 
 
 def result_from_payload(payload: Dict[str, Any]) -> SimulationResult:
-    """Inverse of :func:`result_to_payload` (unknown keys are rejected by
-    the dataclass constructor, which is exactly what invalidation wants).
+    """Inverse of :func:`result_to_payload`: one step for a payload whose
+    key set is the record's, the dataclass constructor's ``TypeError`` for
+    any other — exactly what invalidation wants
+    (:meth:`SimulationResult.from_payload`).
 
     The result does not alias ``payload``: ``drop_reasons`` is copied.
     """
-    fields = dict(payload)
-    if "drop_reasons" in fields:
-        fields["drop_reasons"] = dict(fields["drop_reasons"])
-    return SimulationResult(**fields)
+    return SimulationResult.from_payload(payload)
 
 
 def make_entry(key: str, result: SimulationResult) -> Dict[str, Any]:

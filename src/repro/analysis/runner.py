@@ -10,9 +10,10 @@ state, perfectly reproducible — and every run is identified by its content has
 Execution pipeline, identical for in-process (``processes=1``) and pooled
 modes — the only thing that differs is which map drains the task list:
 
-1. every config becomes an indexed ``(key, payload)`` task;
+1. every config is keyed by its content hash;
 2. keys already resolved (session memo, then on-disk cache) short-circuit;
-3. duplicate keys within the batch collapse to one simulation;
+3. duplicate keys within the batch collapse to one simulation, and only
+   those keys get a ``(key, payload)`` task;
 4. remaining tasks are ordered longest-job-first by :func:`plan_dispatch`
    (low-pause / high-load scenarios dominate wall time, so they must start
    early), submitted in that order and drained as they complete, so a free
@@ -260,10 +261,9 @@ class SweepEngine:
         # progress callbacks, RunReport.wall_s); it never feeds simulation
         # state, which runs purely on sim.now.
         start = time.perf_counter()  # repro-lint: disable=DET001
-        payloads = [scenario_to_dict(config) for config in configs]
-        keys = [scenario_hash(payload) for payload in payloads]
+        keys = [scenario_hash(config) for config in configs]
 
-        results: List[Optional[SimulationResult]] = [None] * len(payloads)
+        results: List[Optional[SimulationResult]] = [None] * len(configs)
         pending: Dict[str, List[int]] = {}
         cache_hits = 0
         for index, key in enumerate(keys):
@@ -278,14 +278,18 @@ class SweepEngine:
                 pending.setdefault(key, []).append(index)
         # In-batch duplicates beyond cache hits: indices sharing a pending
         # key, plus memo hits from *previous* batches of this engine.
-        resolved = len(payloads) - sum(len(v) for v in pending.values())
+        resolved = len(configs) - sum(len(v) for v in pending.values())
         deduped = (resolved - cache_hits) + sum(
             len(v) - 1 for v in pending.values()
         )
 
+        # Payload dicts only for the keys this batch must execute: a fully
+        # warm batch builds none.
         tasks = plan_dispatch(
-            (key, payloads[indices[0]]) for key, indices in pending.items()
+            (key, scenario_to_dict(configs[indices[0]]))
+            for key, indices in pending.items()
         )
+        task_payloads = dict(tasks)
 
         executed = 0
         retries = 0
@@ -307,7 +311,7 @@ class SweepEngine:
                 eta = per_task * remaining / max(1, min(processes, remaining))
             self.progress(
                 ProgressUpdate(
-                    total=len(payloads),
+                    total=len(configs),
                     completed=completed,
                     executed=executed,
                     cached=resolved,
@@ -350,9 +354,7 @@ class SweepEngine:
             for _attempt in range(self.retries):
                 if not failures:
                     break
-                retry_tasks = [
-                    (key, payloads[pending[key][0]]) for key in failures
-                ]
+                retry_tasks = [(key, task_payloads[key]) for key in failures]
                 failures = {}
                 for task in retry_tasks:
                     retries += 1
@@ -384,7 +386,7 @@ class SweepEngine:
             # All settled, except on the interrupted path where the report
             # only feeds the manifest and is never returned.
             results=list(results),  # type: ignore[arg-type]
-            total=len(payloads),
+            total=len(configs),
             executed=executed,
             cache_hits=cache_hits,
             deduped=deduped,
@@ -399,8 +401,8 @@ class SweepEngine:
             completed = sum(1 for r in results if r is not None)
             raise SweepInterrupted(
                 completed=completed,
-                abandoned=len(payloads) - completed,
-                total=len(payloads),
+                abandoned=len(configs) - completed,
+                total=len(configs),
             )
         return report
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -210,6 +211,26 @@ class SimulationResult:
     data_sent_reachable: Optional[int] = None
     data_received_reachable: Optional[int] = None
 
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "SimulationResult":
+        """The record a ``{field name: value}`` payload describes, rebuilt
+        in one step.
+
+        A key set the constructor accepts (required fields ⊆ keys ⊆ fields)
+        fills the instance dict in one update over the dataclass defaults;
+        any other goes to the constructor, which raises its ``TypeError``.
+        ``drop_reasons`` is copied, so the result does not alias ``payload``.
+        """
+        keys = payload.keys()
+        if not (_REQUIRED_RESULT_FIELDS <= keys <= _RESULT_TEMPLATE.keys()):
+            return cls(**payload)
+        result = cls.__new__(cls)
+        state = result.__dict__
+        state.update(_RESULT_TEMPLATE)  # the constructor's order and defaults
+        state.update(payload)
+        state["drop_reasons"] = dict(state["drop_reasons"])
+        return result
+
     # -- the paper's metrics ---------------------------------------------------
 
     @property
@@ -273,3 +294,30 @@ class SimulationResult:
             "mac_control_tx": float(self.mac_control_tx),
             "link_breaks": float(self.link_breaks),
         }
+
+
+# The field plan :meth:`SimulationResult.from_payload` rebuilds by, resolved
+# once beside the class so the two change together.  Every field is an
+# immutable scalar except ``drop_reasons``, the one ``default_factory`` field,
+# which the rebuild copies; tests/analysis/test_field_plans.py fails, naming
+# the rebuild, when a field of another shape or another factory appears.
+RESULT_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(SimulationResult)
+)
+_REQUIRED_RESULT_FIELDS: FrozenSet[str] = frozenset(
+    f.name
+    for f in dataclasses.fields(SimulationResult)
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+)
+# Declaration order, as the constructor fills it; a required field's ``None``
+# is always overwritten, because the payload holds every required field.
+_RESULT_TEMPLATE: Dict[str, Any] = {
+    f.name: (
+        f.default
+        if f.default is not dataclasses.MISSING
+        else f.default_factory()
+        if f.default_factory is not dataclasses.MISSING
+        else None
+    )
+    for f in dataclasses.fields(SimulationResult)
+}

@@ -11,7 +11,7 @@ import dataclasses
 import json
 import operator
 from pathlib import Path
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.config import DsrConfig, ExpiryMode
 from repro.errors import ConfigurationError
@@ -54,20 +54,53 @@ _read_dsr = operator.attrgetter(*_DSR_FIELDS)
 _canonical_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+# Where a DsrConfig keeps its canonical JSON once encoded: an entry in the
+# frozen instance's own ``__dict__``, never a table keyed by value.  ``1 ==
+# 1.0 == True`` and ``0.0 == -0.0`` compare and hash alike but encode
+# differently, so a value-keyed memo would hand one spelling's key to another;
+# the instance holds exactly the values it encodes.  A pickled or copied
+# config carries the entry along, which is just as sound.
+_DSR_JSON = "_canonical_json"
+
+# The placeholder that holds the ``dsr`` slot while the other fields are
+# encoded.  ``"dsr":`` occurs exactly once in the encoding — a ``"`` inside a
+# JSON string is escaped, and a string value is never followed by ``:`` — so
+# replacing the first ``"dsr":0`` splices the fragment into its sorted slot.
+_DSR_PLACEHOLDER = '"dsr":0'
+
+
+def _dsr_to_dict(dsr: DsrConfig) -> Dict[str, Any]:
+    dsr_payload = dict(zip(_DSR_FIELDS, _read_dsr(dsr)))
+    dsr_payload["expiry_mode"] = dsr_payload["expiry_mode"].value
+    return dsr_payload
+
+
+def _dsr_canonical_json(dsr: DsrConfig) -> str:
+    """``_canonical_encode(_dsr_to_dict(dsr))``, encoded once per instance."""
+    state = vars(dsr)
+    fragment: Optional[str] = state.get(_DSR_JSON)
+    if fragment is None:
+        # Frozen: __setattr__ refuses, the instance dict does not.
+        fragment = state[_DSR_JSON] = _canonical_encode(_dsr_to_dict(dsr))
+    return fragment
+
+
+def _elide_compat_defaults(payload: Dict[str, Any]) -> Dict[str, Any]:
+    for key, compat_default in _POST_V1_COMPAT_DEFAULTS.items():
+        if payload[key] == compat_default:
+            del payload[key]
+    return payload
+
+
 def scenario_to_dict(config: ScenarioConfig) -> Dict[str, Any]:
     """A plain-JSON-types dict capturing the full configuration.
 
     The dict and its nested ``"dsr"`` dict are fresh on every call, and
     both list their keys in sorted order.
     """
-    dsr_payload = dict(zip(_DSR_FIELDS, _read_dsr(config.dsr)))
-    dsr_payload["expiry_mode"] = dsr_payload["expiry_mode"].value
     payload = dict(zip(_SCENARIO_FIELDS, _read_scenario(config)))
-    payload["dsr"] = dsr_payload  # replaced in place: the key keeps its slot
-    for key, compat_default in _POST_V1_COMPAT_DEFAULTS.items():
-        if payload[key] == compat_default:
-            del payload[key]
-    return payload
+    payload["dsr"] = _dsr_to_dict(config.dsr)  # replaced in place: the key keeps its slot
+    return _elide_compat_defaults(payload)
 
 
 def scenario_canonical_json(config: Union[ScenarioConfig, Dict[str, Any]]) -> str:
@@ -77,9 +110,19 @@ def scenario_canonical_json(config: Union[ScenarioConfig, Dict[str, Any]]) -> st
     encodings are byte-equal — dict key order, float formatting via
     ``json``'s repr, and nothing else.  The sweep result cache hashes this
     string, so its stability is what makes cache keys durable.
+
+    A :class:`ScenarioConfig` encodes its own fields and splices in its
+    ``DsrConfig``'s encoding, which every config sharing that instance —
+    a grid row — reuses; the result is byte-equal to encoding
+    :func:`scenario_to_dict`'s payload, which is what a dict gets.
     """
-    payload = config if isinstance(config, dict) else scenario_to_dict(config)
-    return _canonical_encode(payload)
+    if isinstance(config, dict):
+        return _canonical_encode(config)
+    payload = dict(zip(_SCENARIO_FIELDS, _read_scenario(config)))
+    payload["dsr"] = 0  # holds the slot: encodes as _DSR_PLACEHOLDER
+    return _canonical_encode(_elide_compat_defaults(payload)).replace(
+        _DSR_PLACEHOLDER, f'"dsr":{_dsr_canonical_json(config.dsr)}', 1
+    )
 
 
 def scenario_from_dict(payload: Dict[str, Any]) -> ScenarioConfig:

@@ -392,21 +392,9 @@ class SimulationService:
         """
         tracer = self.tracer
         submit_start = tracer.now() if tracer is not None else 0.0
-        payloads = [self._as_payload(s) for s in self._as_sequence(scenarios)]
+        payloads = [self._admit_payload(s) for s in self._as_sequence(scenarios)]
         if not payloads:
             raise ConfigurationError("a job needs at least one scenario")
-        for payload in payloads:
-            # Validate before admission: whatever the rebuild failure mode
-            # (unknown key, wrong type, missing field), the submitter sees
-            # one error class.
-            try:
-                scenario_from_dict(payload)
-            except ConfigurationError:
-                raise
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"invalid scenario payload: {type(exc).__name__}: {exc}"
-                ) from exc
         with self._lock:
             if self._draining or self._stopped:
                 raise ServiceDrainingError("service is draining; resubmit later")
@@ -545,10 +533,28 @@ class SimulationService:
         return list(scenarios)
 
     @staticmethod
-    def _as_payload(scenario: ScenarioLike) -> Dict[str, Any]:
+    def _admit_payload(scenario: ScenarioLike) -> Dict[str, Any]:
+        """The canonical payload of a submitted scenario.
+
+        A dict is validated by rebuilding it, and the rebuild is what is
+        admitted: a payload that spells a compat default out, or leaves a
+        defaulted field out, keys the same cache entry as
+        ``scenario_hash(config)`` and every worker's engine.  Whatever the
+        rebuild failure mode (unknown key, wrong type, missing field), the
+        submitter sees one error class.  ``"duration": 40`` and ``40.0``
+        stay two keys, as they are for a local :class:`ScenarioConfig`.
+        """
         if isinstance(scenario, ScenarioConfig):
             return scenario_to_dict(scenario)
-        return dict(scenario)
+        try:
+            config = scenario_from_dict(scenario)
+        except ConfigurationError:
+            raise
+        except Exception as exc:
+            raise ConfigurationError(
+                f"invalid scenario payload: {type(exc).__name__}: {exc}"
+            ) from exc
+        return scenario_to_dict(config)
 
     def _count_state_locked(self, state: JobState) -> int:
         return sum(1 for job in self._jobs.values() if job.state is state)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import signal
 import socket
 import sys
@@ -186,6 +187,10 @@ class ShardWorker:
     ) -> None:
         self.client = client
         self.worker_id = worker_id or default_worker_id()
+        #: The local tier this worker made itself (no ``cache_dir``), which
+        #: :meth:`run` removes when it returns; a given ``cache_dir`` is
+        #: never touched.
+        self._temp_cache_dir: Optional[str] = None
         self.processes = processes
         self.retries = retries
         self.poll_s = poll_s
@@ -201,7 +206,11 @@ class ShardWorker:
             # immediately.
             assert isinstance(client, ServiceClient), "the remote tier needs a URL"
             if cache_dir is None:
-                cache_dir = tempfile.mkdtemp(prefix="repro-worker-cache-")
+                # No later process could find this tier, so it lives as long
+                # as the loop: run() removes it on the way out.
+                cache_dir = self._temp_cache_dir = tempfile.mkdtemp(
+                    prefix="repro-worker-cache-"
+                )
             cache = TieredResultCache(cache_dir, RemoteCacheTier(client, self))
         # Lookups are span-traced against the shard in hand; ``None`` (the
         # caller has no cache) runs the engine uncached.
@@ -273,21 +282,29 @@ class ShardWorker:
             return (self._task_fn or _run_payload)(payload)
 
     def run(self, max_shards: Optional[int] = None) -> int:
-        """The worker loop; returns the number of shards delivered."""
-        while not self.stopping:
-            if max_shards is not None and self.shards_done >= max_shards:
-                break
-            try:
-                claim = self.client.claim(self.worker_id)
-            except ServiceError as exc:
-                # Unreachable past the client's retries, or the service
-                # is not distributed (409): back off and try again.
-                self.log.info("claim.failed", error=str(exc))
-                claim = None
-            if claim is None:
-                self._stop.wait(self.poll_s)
-                continue
-            self._execute_claim(claim)
+        """The worker loop; returns the number of shards delivered.
+
+        However it ends — stopped, signalled, ``max_shards`` reached or
+        raising — the temp local tier the worker made for itself is removed.
+        """
+        try:
+            while not self.stopping:
+                if max_shards is not None and self.shards_done >= max_shards:
+                    break
+                try:
+                    claim = self.client.claim(self.worker_id)
+                except ServiceError as exc:
+                    # Unreachable past the client's retries, or the service
+                    # is not distributed (409): back off and try again.
+                    self.log.info("claim.failed", error=str(exc))
+                    claim = None
+                if claim is None:
+                    self._stop.wait(self.poll_s)
+                    continue
+                self._execute_claim(claim)
+        finally:
+            if self._temp_cache_dir is not None:
+                shutil.rmtree(self._temp_cache_dir, ignore_errors=True)
         return self.shards_done
 
     # -- one shard ------------------------------------------------------------
@@ -454,7 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="local result-cache tier (default: a fresh temp dir)",
+        help="local result-cache tier, kept after exit (default: a fresh "
+        "temp dir, removed when the worker exits, SIGTERM included)",
     )
     parser.add_argument(
         "--processes",

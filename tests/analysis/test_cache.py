@@ -5,6 +5,8 @@ import errno
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.cache import (
     CACHE_FORMAT_VERSION,
@@ -19,6 +21,8 @@ from repro.core.config import DsrConfig, ExpiryMode
 from repro.metrics.collector import SimulationResult
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import scenario_canonical_json, scenario_to_dict
+
+from tests.properties.test_encoder_oracle import simulation_results
 
 
 def _config(**changes):
@@ -190,6 +194,106 @@ def test_result_payload_rejects_unknown_fields():
     payload["warp_factor"] = 9
     with pytest.raises(TypeError):
         result_from_payload(payload)
+
+
+# -- the one-step rebuild ---------------------------------------------------
+
+
+def _constructed(payload):
+    fields = dict(payload)
+    if "drop_reasons" in fields:
+        fields["drop_reasons"] = dict(fields["drop_reasons"])
+    return SimulationResult(**fields)
+
+
+def _assert_same_record(rebuilt, constructed):
+    assert type(rebuilt) is SimulationResult
+    assert rebuilt == constructed
+    # Same values, same instance-dict order as the constructor leaves.
+    assert list(vars(rebuilt).items()) == list(vars(constructed).items())
+
+
+@pytest.fixture(scope="module")
+def tiny_result():
+    from repro.scenarios.builder import run_scenario
+    from repro.scenarios.presets import tiny_scenario
+
+    return run_scenario(tiny_scenario(seed=2).but(duration=10.0))
+
+
+def test_rebuild_equals_the_constructor_on_a_real_run(tiny_result):
+    payload = json.loads(json.dumps(result_to_payload(tiny_result)))
+    rebuilt = result_from_payload(payload)
+    _assert_same_record(rebuilt, _constructed(payload))
+    assert rebuilt == tiny_result
+
+
+_OPTIONAL = (
+    "drop_reasons",
+    "offered_load_kbps",
+    "throughput_kbps",
+    "data_sent_reachable",
+    "data_received_reachable",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(result=simulation_results, absent=st.sets(st.sampled_from(_OPTIONAL)))
+def test_rebuild_equals_the_constructor_on_any_payload(result, absent):
+    payload = json.loads(json.dumps(result_to_payload(result)))
+    for name in absent:
+        del payload[name]
+    _assert_same_record(result_from_payload(payload), _constructed(payload))
+
+
+def test_rebuilt_result_stays_frozen():
+    rebuilt = result_from_payload(result_to_payload(_result()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rebuilt.data_sent = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rebuilt.data_sent
+
+
+def test_rebuild_copies_drop_reasons_and_defaults_absent_fields():
+    payload = result_to_payload(_result())
+    rebuilt = result_from_payload(payload)
+    assert rebuilt.drop_reasons == payload["drop_reasons"]
+    assert rebuilt.drop_reasons is not payload["drop_reasons"]
+    for name in _OPTIONAL:
+        del payload[name]
+    first, second = result_from_payload(payload), result_from_payload(payload)
+    assert first == _constructed(payload)
+    assert first.drop_reasons == {} and first.offered_load_kbps is None
+    assert first.throughput_kbps == 0.0 and first.data_sent_reachable is None
+    # A fresh {} each time, as default_factory gives.
+    first.drop_reasons["leak"] = 1
+    assert second.drop_reasons == {} and result_from_payload(payload).drop_reasons == {}
+
+
+@pytest.mark.parametrize("change", ["unknown", "missing"])
+def test_rebuild_raises_the_constructors_type_error(change):
+    payload = result_to_payload(_result())
+    if change == "unknown":
+        payload["warp_factor"] = 9
+    else:
+        del payload["data_sent"]
+    with pytest.raises(TypeError) as expected:
+        SimulationResult(**payload)
+    with pytest.raises(TypeError) as raised:
+        result_from_payload(payload)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_entry_missing_a_required_result_field_is_invalidated(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = scenario_hash(_config())
+    path = cache.put(key, _result())
+    entry = json.loads(path.read_text())
+    del entry["result"]["link_breaks"]
+    path.write_text(json.dumps(entry))
+    assert cache.get(key) is None
+    assert cache.stats.invalidated == 1 and cache.stats.misses == 1
+    assert not path.exists()
 
 
 # -- the on-disk store ------------------------------------------------------

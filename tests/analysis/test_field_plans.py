@@ -1,10 +1,11 @@
 """Guards for the field-plan encoders.
 
 ``scenario_to_dict`` and ``result_to_payload`` read each record's fields
-shallowly, where ``dataclasses.asdict`` used to recurse and deep-copy.  That
-is a full copy only while every field is an immutable scalar, so these tests
-pin the shape of the three records and name the encoder to update when a
-field of another shape is added.
+shallowly, where ``dataclasses.asdict`` used to recurse and deep-copy, and
+``SimulationResult.from_payload`` fills a result's instance dict in one
+update.  That is a full copy only while every field is an immutable scalar,
+so these tests pin the shape of the three records and name the encoder or
+rebuild to update when a field of another shape is added.
 """
 
 import dataclasses
@@ -33,7 +34,8 @@ RECORDS = [
     (DsrConfig, "repro.scenarios.io.scenario_to_dict / scenario_from_dict", {}),
     (
         SimulationResult,
-        "repro.analysis.cache.result_to_payload / result_from_payload",
+        "repro.analysis.cache.result_to_payload and the one-step rebuild "
+        "repro.metrics.collector.SimulationResult.from_payload",
         {"drop_reasons": typing.Dict[str, int]},
     ),
 ]
@@ -115,3 +117,34 @@ def test_rebuilt_result_does_not_alias_its_payload():
     rebuilt = result_from_payload(payload)
     payload["drop_reasons"]["injected"] = 99
     assert rebuilt == _result()
+
+
+_REQUIRED = [
+    field.name
+    for field in dataclasses.fields(SimulationResult)
+    if field.default is dataclasses.MISSING
+    and field.default_factory is dataclasses.MISSING
+]
+
+
+def test_the_rebuild_copies_every_default_factory_field():
+    """``SimulationResult.from_payload`` fills absent fields from one template
+    and copies ``drop_reasons`` by name: a field with another factory would
+    share the template's value between every rebuilt result."""
+    factories = {
+        field.name: field.default_factory
+        for field in dataclasses.fields(SimulationResult)
+        if field.default_factory is not dataclasses.MISSING
+    }
+    assert factories == {"drop_reasons": dict}, (
+        f"SimulationResult default_factory fields are now {factories}: update "
+        "the one-step rebuild repro.metrics.collector.SimulationResult."
+        "from_payload, which copies only drop_reasons (a dict)"
+    )
+    empty = {name: 0 for name in _REQUIRED}
+    rebuilt = result_from_payload(empty)
+    assert rebuilt == SimulationResult(**empty), (
+        "the one-step rebuild repro.metrics.collector.SimulationResult."
+        "from_payload no longer fills the dataclass defaults"
+    )
+    assert result_from_payload(empty).drop_reasons is not rebuilt.drop_reasons

@@ -21,14 +21,20 @@ from repro.analysis.cache import (
     result_to_payload,
     scenario_hash,
 )
+from repro.core.config import DsrConfig
 from repro.metrics.collector import SimulationResult
+from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import (
+    _canonical_encode,
     scenario_canonical_json,
     scenario_from_dict,
     scenario_to_dict,
 )
 
-from tests.properties.test_hash_properties import scenario_configs
+from tests.properties.test_hash_properties import (
+    scenario_configs,
+    spelled_scenario_configs,
+)
 
 
 def oracle_scenario_to_dict(config):
@@ -116,6 +122,37 @@ def test_scenario_encoder_lists_keys_in_sorted_order(config):
     payload = scenario_to_dict(config)
     assert list(payload) == sorted(payload)
     assert list(payload["dsr"]) == sorted(payload["dsr"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=spelled_scenario_configs)
+def test_spliced_key_equals_the_dict_path(config):
+    """A ScenarioConfig's key splices its DsrConfig's kept fragment into the
+    encoding of its other fields; a dict payload is encoded whole.  Both
+    must give the oracle's bytes, before and after the fragment is kept."""
+    payload = scenario_to_dict(config)
+    expected = _canonical_encode(payload)
+    assert expected == oracle_canonical_json(config)
+    assert scenario_canonical_json(config) == expected  # encodes the fragment
+    assert scenario_canonical_json(config) == expected  # reuses it
+    assert scenario_hash(config) == scenario_hash(payload)
+    assert scenario_hash(config) == oracle_scenario_hash(config)
+
+
+def test_shared_and_equal_dsr_instances_give_the_oracle_keys():
+    """A grid row shares one DsrConfig; another row may hold an equal but
+    distinct instance.  Every point keys as the oracle does."""
+    for make in (DsrConfig.base, DsrConfig.with_wider_error, DsrConfig.all_techniques):
+        shared = make()
+        for pause in (0, 0.0, 30.0, 600):
+            for seed in range(3):
+                for dsr in (shared, make()):
+                    config = ScenarioConfig(
+                        num_nodes=20, num_sessions=5, duration=40.0,
+                        pause_time=pause, seed=seed, dsr=dsr,
+                    )
+                    assert scenario_hash(config) == oracle_scenario_hash(config)
+                    assert scenario_canonical_json(config) == oracle_canonical_json(config)
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,8 +7,12 @@ cache's correctness contract; `tests/analysis/test_cache.py` additionally
 pins them per-field deterministically.
 """
 
+import dataclasses
 import json
+import math
+import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +60,101 @@ scenario_configs = st.builds(
 )
 
 
+
+def spellings(lo, hi):
+    """Every way a number in ``[lo, hi]`` can be spelled: a float, an int,
+    an int-valued float, a bool, and ``-0.0`` where ``lo`` admits zero.
+    Equal spellings compare and hash alike but encode differently."""
+    options = [
+        st.floats(min_value=lo, max_value=hi, allow_nan=False),
+        st.integers(min_value=math.ceil(lo), max_value=math.floor(hi)),
+        st.integers(min_value=math.ceil(lo), max_value=math.floor(hi)).map(float),
+        st.booleans().filter(lambda b: lo <= b <= hi),
+    ]
+    if lo <= 0.0:
+        options.append(st.just(-0.0))
+    return st.one_of(options)
+
+
+# Fields whose check demands a positive value.
+_POSITIVE_DSR_FIELDS = {
+    "static_timeout",
+    "adaptive_alpha",
+    "adaptive_min_timeout",
+    "expiry_check_period",
+    "negative_cache_size",
+    "negative_cache_timeout",
+    "cache_capacity",
+    "rreq_ttl",
+}
+
+
+def _dsr_override(field_):
+    if field_.name == "expiry_mode":
+        return st.sampled_from(list(ExpiryMode))
+    if isinstance(field_.default, bool):
+        return st.booleans() | st.sampled_from([0, 1])
+    lo = 1 if field_.name in _POSITIVE_DSR_FIELDS else 0
+    if isinstance(field_.default, int):
+        return st.integers(min_value=lo, max_value=300) | st.booleans().filter(
+            lambda b: b >= lo
+        )
+    return spellings(0.001 if lo else 0.0, 60.0)
+
+
+_NAMED_DSR = [
+    DsrConfig.base,
+    DsrConfig.with_wider_error,
+    DsrConfig.with_adaptive_expiry,
+    DsrConfig.with_negative_cache,
+    DsrConfig.with_freshness_tags,
+    DsrConfig.all_techniques,
+]
+named_dsr_configs = st.one_of(
+    st.sampled_from(_NAMED_DSR).map(lambda make: make()),
+    spellings(0.001, 60.0).map(DsrConfig.with_static_expiry),
+)
+spelled_dsr_configs = st.builds(
+    lambda dsr, overrides: dsr.but(**overrides),
+    named_dsr_configs,
+    st.fixed_dictionaries(
+        {},
+        optional={
+            field_.name: _dsr_override(field_)
+            for field_ in dataclasses.fields(DsrConfig)
+        },
+    ),
+)
+
+# Every field in several spellings, each compat field at and off its default.
+spelled_scenario_configs = st.builds(
+    ScenarioConfig,
+    num_nodes=st.integers(min_value=6, max_value=60),
+    field_width=spellings(100.0, 3000.0),
+    field_height=spellings(100.0, 1000.0),
+    max_speed=spellings(0.0, 30.0),
+    min_speed=spellings(0.0, 1.0),
+    pause_time=spellings(0.0, 500.0),
+    duration=spellings(1.0, 500.0),
+    mobility_model=st.sampled_from(["waypoint", "gauss_markov", "rpgm", "random_walk"]),
+    rpgm_groups=st.integers(min_value=1, max_value=8) | st.just(True),
+    walk_epoch=st.sampled_from([10.0, 10]) | spellings(0.5, 60.0),
+    num_sessions=st.integers(min_value=0, max_value=6) | st.booleans(),
+    packet_rate=spellings(0.5, 8.0),
+    start_window=spellings(0.0, 20.0),
+    radio_profile=st.sampled_from(["wavelan", "urban", "longhaul"]),
+    grey_zone_fraction=spellings(0.0, 0.9),
+    link_loss=st.sampled_from([0.0, 0, -0.0, False]) | spellings(0.0, 0.9),
+    neighbor_quantum=spellings(0.01, 1.0),
+    track_energy=st.booleans(),
+    track_reachability=st.booleans(),
+    use_eifs=st.booleans(),
+    protocol=st.sampled_from(["dsr", "aodv", "flooding"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    dsr=spelled_dsr_configs,
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(config=scenario_configs)
 def test_hash_stable_across_serialisation_roundtrip(config):
@@ -91,3 +190,44 @@ def test_distinct_configs_get_distinct_hashes(a, b):
 @given(config=scenario_configs, delta=st.integers(min_value=1, max_value=1000))
 def test_hash_changes_when_seed_changes(config, delta):
     assert scenario_hash(config) != scenario_hash(config.but(seed=config.seed + delta))
+
+
+# Keys the parent commit computed for ScenarioConfig(num_nodes=20,
+# num_sessions=5, duration=40.0, dsr=...): equal DsrConfigs, four spellings.
+_PARENT_KEYS = [
+    ({"static_timeout": 10}, "6843b122bb8abc2ed88fe748695bc94a02266ef2f66fe95f9db45bc1e920de02"),
+    ({"static_timeout": 10.0}, "2d3710a53c2010bc61e837b7bc53779d946050701299b4c68a26f0dd091fbd51"),
+    ({"salvaging": 1}, "084acf2d227a945f5d66b1b026332e04bac0d3c5dd5732bb49688042b68a533f"),
+    ({"broadcast_jitter": 0.0}, "1019312c61b8f40a250a0d84a294c7adf25d3d1d409959d094949a486384cd30"),
+    ({"broadcast_jitter": -0.0}, "f963426e9ce919f25fd5b2ba95a8aae04a585da9fbe9668619e2b9a0f49dc9b4"),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_equal_dsr_configs_keep_their_own_spellings_key(order):
+    """A value-keyed memo of the DsrConfig fragment would hand
+    ``static_timeout=10``'s key to ``static_timeout=10.0`` (they compare and
+    hash alike), whichever was encoded first."""
+    assert DsrConfig(static_timeout=10) == DsrConfig(static_timeout=10.0)
+    assert hash(DsrConfig(static_timeout=10)) == hash(DsrConfig(static_timeout=10.0))
+    for changes, key in _PARENT_KEYS[::order]:
+        config = ScenarioConfig(
+            num_nodes=20, num_sessions=5, duration=40.0, dsr=DsrConfig(**changes)
+        )
+        assert scenario_hash(config) == key, changes
+        assert scenario_hash(config) == key, changes  # the kept fragment
+        assert scenario_hash(scenario_to_dict(config)) == key, changes
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=spelled_scenario_configs, hashed_first=st.booleans())
+def test_pickled_config_hashes_the_same(config, hashed_first):
+    """A pool worker receives its config pickled, after or before the
+    parent took its key."""
+    key = scenario_hash(scenario_to_dict(config))
+    if hashed_first:
+        assert scenario_hash(config) == key
+    shipped = pickle.loads(pickle.dumps(config))
+    assert shipped == config
+    assert scenario_hash(shipped) == key
+    assert scenario_hash(config) == key

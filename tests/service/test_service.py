@@ -484,3 +484,40 @@ def test_lease_endpoints_stay_closed_on_a_non_distributed_service():
 def test_distributed_mode_still_needs_a_cache_dir():
     with pytest.raises(ConfigurationError):
         SimulationService(distributed=True)
+
+
+def test_a_payloads_spelling_keys_the_scenario_it_rebuilds_to(tmp_path):
+    """The board keys what admission rebuilt, not how the client spelled it:
+    a payload that writes a compat default out, or leaves a defaulted field
+    out, resolves from the entry the canonical payload's job left."""
+    config = small_config(seed=7)
+    canonical = scenario_to_dict(config)
+    spelled = dict(canonical, radio_profile="wavelan")
+    sparse = dict(canonical)
+    del sparse["ifq_capacity"]
+    service = SimulationService(
+        distributed=True, shard_size=1, cache_dir=str(tmp_path / "cache")
+    )
+    with service:
+        first = service.submit(canonical)
+        deadline = time.monotonic() + 10.0
+        claim = None
+        while claim is None and time.monotonic() < deadline:
+            claim = service.claim_shard("w1")
+            if claim is None:
+                time.sleep(0.01)
+        assert claim is not None
+        service.complete_shard(
+            claim["id"],
+            {task["key"]: fake_result(task["scenario"]) for task in claim["tasks"]},
+            stats={"executed": 1},
+        )
+        assert service.wait(first.id, timeout=10).state is JobState.DONE
+        granted = service._board.leases_granted
+
+        second = service.submit([spelled, sparse])
+        assert second.scenarios == [canonical, canonical]
+        assert service.wait(second.id, timeout=10).state is JobState.DONE
+        assert service.claim_shard("w2") is None
+        assert service._board.leases_granted == granted
+        assert service.job_results(second.id) == service.job_results(first.id) * 2
