@@ -9,6 +9,5 @@ exercised (the "AODV vs DSR" table of :func:`repro.paper.supplement`).
 
 from repro.baselines.aodv.agent import AodvAgent
 from repro.baselines.aodv.table import RouteEntry, RoutingTable
-from repro.baselines.flooding import FloodingAgent
 
-__all__ = ["AodvAgent", "RoutingTable", "RouteEntry", "FloodingAgent"]
+__all__ = ["AodvAgent", "RoutingTable", "RouteEntry"]

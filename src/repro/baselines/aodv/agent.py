@@ -37,16 +37,9 @@ class _Discovery:
 class AodvAgent:
     """Ad hoc On-demand Distance Vector routing for a single node.
 
-    Optional RFC 3561 features:
-
-    * **Expanding ring search** (``expanding_ring=True``, the RFC default):
-      discovery begins with a small-TTL flood and widens
-      (TTL 1 -> 3 -> 5 -> 7 -> network-wide) so nearby destinations don't
-      cost network floods.
-    * **Hello messages** (``hello_interval`` seconds, None = off): active
-      nodes beacon periodically; missing ``ALLOWED_HELLO_LOSS`` consecutive
-      hellos from a next hop invalidates the routes through it — failure
-      detection without data traffic.
+    Discovery is an expanding ring search (RFC 3561 section 6.4): it begins
+    with a small-TTL flood and widens (TTL 1 -> 3 -> 5 -> 7 -> network-wide)
+    so nearby destinations don't cost network floods.
     """
 
     ACTIVE_ROUTE_TIMEOUT = 10.0
@@ -54,7 +47,6 @@ class AodvAgent:
     DISCOVERY_BACKOFF_MAX = 10.0
     RREQ_TTL = 64
     RING_TTLS = (1, 3, 5, 7)  # then network-wide
-    ALLOWED_HELLO_LOSS = 2
 
     def __init__(
         self,
@@ -63,8 +55,6 @@ class AodvAgent:
         rng: Optional[np.random.Generator] = None,
         tracer: Optional[Tracer] = None,
         validity_oracle: Optional[Callable[[Sequence[int]], bool]] = None,
-        expanding_ring: bool = True,
-        hello_interval: Optional[float] = None,
     ):
         self.node_id = node_id
         self._sim = sim
@@ -73,8 +63,6 @@ class AodvAgent:
         self._rng = rng or np.random.default_rng(node_id)  # repro-lint: disable=DET002
         self._tracer = tracer or Tracer()
         self._oracle = validity_oracle  # unused; kept for builder symmetry
-        self.expanding_ring = expanding_ring
-        self.hello_interval = hello_interval
 
         self.table = RoutingTable(active_route_timeout=self.ACTIVE_ROUTE_TIMEOUT)
         self.send_buffer = SendBuffer()
@@ -84,23 +72,12 @@ class AodvAgent:
         self._request_counter = 0
         self.node = None
         self._buffer_sweep = PeriodicTimer(sim, 1.0, self._sweep_send_buffer)
-        self._last_hello: Dict[int, float] = {}  # neighbour -> last hello time
-        self._hello_timer: Optional[PeriodicTimer] = None
-        if hello_interval is not None:
-            if hello_interval <= 0:
-                raise ValueError("hello_interval must be positive")
-            self._hello_timer = PeriodicTimer(sim, hello_interval, self._hello_tick)
 
     # ------------------------------------------------------------------
 
     def attach(self, node) -> None:
         self.node = node
         self._buffer_sweep.start()
-        if self._hello_timer is not None:
-            # Stagger first hellos so the whole network doesn't beacon at once.
-            self._hello_timer.start(
-                initial_delay=float(self._rng.uniform(0.0, self.hello_interval))
-            )
 
     def _now(self) -> float:
         return self._sim.now
@@ -171,8 +148,6 @@ class AodvAgent:
 
     def _request_ttl(self, attempt: int) -> int:
         """Expanding ring search (RFC 3561 section 6.4)."""
-        if not self.expanding_ring:
-            return self.RREQ_TTL
         if attempt < len(self.RING_TTLS):
             return self.RING_TTLS[attempt]
         return self.RREQ_TTL
@@ -212,10 +187,7 @@ class AodvAgent:
         elif packet.kind is PacketKind.AODV_RREQ:
             self._handle_request(packet)
         elif packet.kind is PacketKind.AODV_RREP:
-            if packet.is_broadcast:
-                self._handle_hello(packet)
-            else:
-                self._handle_reply(packet)
+            self._handle_reply(packet)
         elif packet.kind is PacketKind.AODV_RERR:
             self._handle_error(packet)
 
@@ -395,64 +367,6 @@ class AodvAgent:
                     cascaded.append((dst, broken.seq))
         if cascaded:
             self._broadcast_error(cascaded)
-
-    # ------------------------------------------------------------------
-    # Hello messages (RFC 3561 section 6.9)
-    # ------------------------------------------------------------------
-
-    def _hello_tick(self) -> None:
-        self._check_hello_losses()
-        reply = AodvReply(
-            origin=self.node_id,
-            target=self.node_id,
-            target_seq=self._seq,
-            hop_count=0,
-            lifetime=self.ALLOWED_HELLO_LOSS * float(self.hello_interval),
-        )
-        reply.last_hop = self.node_id
-        hello = Packet(
-            kind=PacketKind.AODV_RREP,
-            src=self.node_id,
-            dst=BROADCAST,
-            uid=self.node.next_uid(),
-            born=self._now(),
-            ttl=1,
-            info=reply,
-        )
-        self.node.mac.enqueue(hello, BROADCAST)
-
-    def _handle_hello(self, packet: Packet) -> None:
-        reply: AodvReply = packet.info
-        neighbor = reply.target
-        self._last_hello[neighbor] = self._now()
-        self.table.update(
-            neighbor,
-            next_hop=neighbor,
-            hop_count=1,
-            seq=reply.target_seq,
-            now=self._now(),
-            lifetime=reply.lifetime,
-        )
-
-    def _check_hello_losses(self) -> None:
-        if self.hello_interval is None:
-            return
-        deadline = self._now() - self.ALLOWED_HELLO_LOSS * self.hello_interval
-        for neighbor, last in list(self._last_hello.items()):
-            if last >= deadline:
-                continue
-            del self._last_hello[neighbor]
-            if self.table.routes_via(neighbor):
-                self._emit("aodv.hello_loss", neighbor=neighbor)
-                unreachable: List[Tuple[int, int]] = []
-                for entry in self.table.routes_via(neighbor):
-                    broken = self.table.invalidate(entry.destination)
-                    # Announce only routes *through* the silent neighbour;
-                    # its own disappearance needs no network-wide notice.
-                    if broken is not None and broken.destination != neighbor:
-                        unreachable.append((broken.destination, broken.seq))
-                if unreachable:
-                    self._broadcast_error(unreachable)
 
     # ------------------------------------------------------------------
     # Promiscuous hook (unused by AODV) and sweeps

@@ -127,16 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--loss-sweep",
-        metavar="L1,L2,...",
-        default=None,
-        help=(
-            "instead of one run, sweep every cache-strategy variant across "
-            "these link-loss levels with pause = duration (uses the sweep "
-            "engine and its cache) and print a markdown report"
-        ),
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
@@ -248,9 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.loss_sweep is not None:
-        return _run_loss_sweep(args)
-
     if args.config is not None:
         from repro.scenarios.io import load_scenario
 
@@ -272,44 +259,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         link_loss=args.link_loss,
     )
     return _run_and_report(args, config)
-
-
-def _run_loss_sweep(args) -> int:
-    """``--loss-sweep``: cache strategies x loss levels via repro.paper."""
-    from repro.analysis.runner import SweepInterrupted
-    from repro.paper import loss_sweep
-
-    try:
-        levels = [
-            float(chunk) for chunk in args.loss_sweep.split(",") if chunk.strip()
-        ]
-    except ValueError:
-        print(
-            f"error: --loss-sweep expects comma-separated floats, "
-            f"got {args.loss_sweep!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if not levels:
-        print("error: --loss-sweep needs at least one loss level", file=sys.stderr)
-        return 2
-    scale = {"tiny": "quick", "scaled": "scaled", "paper": "paper"}[args.preset]
-    cache_dir = None if args.no_cache else args.cache_dir
-    try:
-        report = loss_sweep(
-            scale=scale,
-            seeds=args.seeds or [args.seed],
-            levels=levels,
-            profile=args.radio_profile,
-            processes=args.processes,
-            cache_dir=cache_dir,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-    except SweepInterrupted as exc:
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return 130
-    print(report.to_markdown())
-    return 0
 
 
 def _run_and_report(args, config) -> int:

@@ -4,8 +4,9 @@ Each node starts at a uniformly random point in the rectangular field, picks
 a uniformly random destination and a speed uniform in
 ``[min_speed, max_speed]``, travels there in a straight line, pauses for
 ``pause_time`` seconds, and repeats.  Varying the pause time varies effective
-mobility: pause 0 is constant motion, pause >= simulation length is a static
-network — exactly the knob the paper's Fig. 2 sweeps.
+mobility — exactly the knob the paper's Fig. 2 sweeps: pause 0 is constant
+motion, and pause >= simulation length is *not* a static network, because
+every node starts on its first leg and rests only once it arrives.
 
 Note on ``min_speed``: the classic formulation draws speed from U(0, 20]
 m/s.  Speeds arbitrarily close to zero produce near-infinite travel times

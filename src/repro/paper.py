@@ -162,101 +162,6 @@ class PaperReport:
         return found
 
 
-@dataclass
-class LossSweepReport:
-    """Cache-strategy comparison across link-loss levels, per radio profile.
-
-    The figure-style companion to :class:`PaperReport` for the loss-driven
-    regime: pause = duration, so a node rests once its first leg ends and
-    link breaks come mostly from the probabilistic channel, and each variant
-    of the paper's caching techniques is swept across ``levels`` of flat link
-    loss.  Not a frozen network: the waypoint model starts every node with a
-    leg (at the 30-node scale half of them are still on it a quarter of the
-    way in), so some mobility-driven breaks remain.
-    """
-
-    scale: str
-    profile: str
-    seeds: List[int]
-    levels: List[float]
-    variants: Dict[str, List[SweepPoint]]
-    sweep_stats: Dict[str, int] = field(default_factory=dict)
-
-    def to_markdown(self) -> str:
-        sections = [
-            f"# Loss sweep ({self.scale} scale, profile {self.profile}, "
-            f"seeds {self.seeds})",
-            "",
-            "Metrics vs link-loss probability, pause = run length "
-            "(nodes rest after their first leg; mostly loss-driven link breaks).",
-        ]
-        for name, points in self.variants.items():
-            sections += [
-                f"## {name}",
-                "```",
-                format_series(points, x_title="loss"),
-                "```",
-            ]
-        return "\n".join(sections)
-
-
-def loss_sweep(
-    scale: str = "quick",
-    seeds: Sequence[int] = (1,),
-    levels: Sequence[float] = (0.0, 0.15, 0.3),
-    profile: str = "wavelan",
-    variants: Optional[Sequence[str]] = None,
-    progress: Optional[ProgressFn] = None,
-    processes: Optional[int] = None,
-    cache_dir: Optional[Union[str, os.PathLike]] = None,
-    engine: Optional[SweepEngine] = None,
-) -> LossSweepReport:
-    """Sweep every cache strategy across link-loss levels on one profile.
-
-    Runs through the same :class:`SweepEngine` as :func:`reproduce`, so
-    points are cached content-addressed — the profile and loss level are
-    part of the scenario's canonical JSON and therefore of the cache key.
-    """
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
-    seeds = list(seeds)
-    levels = list(levels)
-    say = progress or (lambda message: None)
-    engine = engine or SweepEngine.create(processes=processes, cache_dir=cache_dir)
-
-    def scenario(level: float, seed: int, dsr: DsrConfig) -> ScenarioConfig:
-        base = _base_scenario(scale, 0.0, 3.0, dsr, seed)
-        # Pause for the whole run: a node rests once its first leg ends, so
-        # the sweep leans on the loss-driven regime the profiles exist to
-        # study.  (It does not freeze the network: every node starts moving.)
-        return base.but(
-            pause_time=base.duration,
-            radio_profile=profile,
-            link_loss=level,
-        )
-
-    results: Dict[str, List[SweepPoint]] = {}
-    for name, dsr in PAPER_VARIANTS.items():
-        if variants is not None and name not in variants:
-            continue
-        say(f"loss sweep: {name}")
-        results[name] = engine.sweep(
-            lambda level, seed, d=dsr: scenario(level, seed, d),
-            levels,
-            seeds,
-            label=lambda level: f"loss {level:g}",
-        )
-
-    return LossSweepReport(
-        scale=scale,
-        profile=profile,
-        seeds=seeds,
-        levels=levels,
-        variants=results,
-        sweep_stats=engine.session_stats(),
-    )
-
-
 _BASE, _ALL = PAPER_VARIANTS["DSR"], PAPER_VARIANTS["AllTechniques"]
 _ADAPTIVE = PAPER_VARIANTS["AdaptiveExpiry"]
 _BOTH = (("DSR", _BASE), ("AllTechniques", _ALL))

@@ -3,9 +3,9 @@
 The paper evaluates route caching on exactly one radio: a WaveLAN-like
 2 Mb/s interface with a 250 m disk range, where every link break is caused
 by *mobility*.  Real deployments run the same protocols over very different
-physical layers — short-range high-loss urban links, long-range low-bitrate
-LoRa-style links — where link breaks are predominantly *loss*-driven, and
-negative caches / adaptive timeouts face a very different input.
+physical layers, such as short-range high-loss urban links, where link
+breaks are predominantly *loss*-driven, and negative caches / adaptive
+timeouts face a very different input.
 
 A :class:`RadioProfile` bundles everything the simulator derives from the
 radio technology:
@@ -158,28 +158,8 @@ URBAN = RadioProfile(
     path_loss_exponent=3.2,
 )
 
-#: Long-range, low-bitrate: a LoRa-style link.  Kilometre reach at a few
-#: hundred kb/s, a long preamble, milliwatt-class power draws, a wide lossy
-#: tail past 70 % of the range, and the classic ~6 dB LoRa capture margin.
-LONGHAUL = RadioProfile(
-    name="longhaul",
-    rx_range=1200.0,
-    cs_range=2640.0,
-    bitrate=250e3,
-    slot=50e-6,
-    sifs=28e-6,
-    plcp=1e-3,
-    tx_power_w=0.4,
-    rx_power_w=0.04,
-    idle_power_w=0.003,
-    reliable_fraction=0.7,
-    edge_delivery_probability=0.1,
-    capture_threshold_db=6.0,
-    path_loss_exponent=2.7,
-)
-
 PROFILES: Dict[str, RadioProfile] = {
-    profile.name: profile for profile in (WAVELAN, URBAN, LONGHAUL)
+    profile.name: profile for profile in (WAVELAN, URBAN)
 }
 
 

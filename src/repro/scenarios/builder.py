@@ -124,23 +124,13 @@ def _make_agent(config: ScenarioConfig, node_id: int, sim, streams, tracer, orac
             tracer=tracer,
             validity_oracle=oracle,
         )
-    # Imported lazily: the baselines are optional machinery.
-    if config.protocol == "aodv":
-        from repro.baselines.aodv.agent import AodvAgent
+    # Imported lazily: the baseline is optional machinery.
+    from repro.baselines.aodv.agent import AodvAgent
 
-        return AodvAgent(
-            node_id,
-            sim,
-            rng=streams.stream("aodv", f"node-{node_id}"),
-            tracer=tracer,
-            validity_oracle=oracle,
-        )
-    from repro.baselines.flooding import FloodingAgent
-
-    return FloodingAgent(
+    return AodvAgent(
         node_id,
         sim,
-        rng=streams.stream("flooding", f"node-{node_id}"),
+        rng=streams.stream("aodv", f"node-{node_id}"),
         tracer=tracer,
         validity_oracle=oracle,
     )

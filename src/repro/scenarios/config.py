@@ -62,7 +62,7 @@ class ScenarioConfig:
     use_eifs: bool = False  # 802.11 extended IFS after corrupted frames
 
     # Protocol
-    protocol: str = "dsr"  # "dsr", "aodv" or "flooding"
+    protocol: str = "dsr"  # "dsr" or "aodv"
     dsr: DsrConfig = field(default_factory=DsrConfig)
 
     # Reproducibility
@@ -79,7 +79,7 @@ class ScenarioConfig:
             raise ConfigurationError("more sessions than nodes")
         if self.packet_rate <= 0:
             raise ConfigurationError("packet_rate must be positive")
-        if self.protocol not in ("dsr", "aodv", "flooding"):
+        if self.protocol not in ("dsr", "aodv"):
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
         if not 0.0 <= self.grey_zone_fraction < 1.0:
             raise ConfigurationError("grey_zone_fraction must be in [0, 1)")

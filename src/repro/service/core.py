@@ -203,8 +203,18 @@ class SimulationService:
                 replayed_traces = replay_spans(journal_path)
             for job in replay(journal_path):
                 self._jobs[job.id] = job
-                if job.state is JobState.PENDING:
-                    self._queue.push(job)
+                if job.state is not JobState.PENDING:
+                    continue
+                # Recovered payloads are admitted as submit admits them; one
+                # journaled under values since retired fails here instead.
+                try:
+                    job.scenarios = [self._admit_payload(s) for s in job.scenarios]
+                except ConfigurationError as exc:
+                    job.error, job.state = str(exc), JobState.FAILED
+                    job.finished_at = time.time()
+                    self.metrics.jobs_failed.inc()
+                    continue
+                self._queue.push(job)
             if tracer is not None:
                 with self._lock:
                     self._restore_traces_locked(replayed_traces)

@@ -1,24 +1,17 @@
-"""Tests for AODV's optional RFC features: expanding ring search, hellos."""
+"""Tests for AODV's expanding ring search."""
 
 import numpy as np
 
 from repro.baselines.aodv.agent import AodvAgent
-from repro.net.addresses import BROADCAST
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator
 
 from tests.helpers import FakeNode
 
 
-def make(node_id, expanding_ring=True, hello_interval=None):
+def make(node_id):
     sim = Simulator()
-    agent = AodvAgent(
-        node_id,
-        sim,
-        rng=np.random.default_rng(node_id + 1),
-        expanding_ring=expanding_ring,
-        hello_interval=hello_interval,
-    )
+    agent = AodvAgent(node_id, sim, rng=np.random.default_rng(node_id + 1))
     node = FakeNode(node_id, sim, agent)
     return agent, node, sim
 
@@ -28,96 +21,9 @@ def _data(src, dst, uid=1):
 
 
 def test_expanding_ring_widens_ttl():
-    agent, node, sim = make(0, expanding_ring=True)
+    agent, node, sim = make(0)
     agent.originate(_data(0, 9))
     sim.run(until=20.0)
     ttls = [p.ttl for p, _ in node.mac.sent if p.kind is PacketKind.AODV_RREQ]
     assert ttls[:4] == [1, 3, 5, 7]
     assert ttls[4] == agent.RREQ_TTL  # escalates to network-wide
-
-
-def test_expanding_ring_disabled_floods_immediately():
-    agent, node, sim = make(0, expanding_ring=False)
-    agent.originate(_data(0, 9))
-    requests = [p for p, _ in node.mac.sent if p.kind is PacketKind.AODV_RREQ]
-    assert requests[0].ttl == agent.RREQ_TTL
-
-
-def test_hello_beacons_are_broadcast_rreps():
-    agent, node, sim = make(0, hello_interval=1.0)
-    sim.run(until=3.5)
-    hellos = [
-        (p, nh)
-        for p, nh in node.mac.sent
-        if p.kind is PacketKind.AODV_RREP and p.dst == BROADCAST
-    ]
-    assert len(hellos) >= 2
-    packet, next_hop = hellos[0]
-    assert next_hop == BROADCAST
-    assert packet.ttl == 1
-    assert packet.info.target == 0
-
-
-def test_received_hello_installs_neighbor_route():
-    agent, node, sim = make(3, hello_interval=1.0)
-    from repro.baselines.aodv.messages import AodvReply
-
-    reply = AodvReply(origin=7, target=7, target_seq=4, hop_count=0, lifetime=2.0)
-    hello = Packet(
-        kind=PacketKind.AODV_RREP, src=7, dst=BROADCAST, uid=70, ttl=1, info=reply
-    )
-    agent.handle_packet(hello)
-    entry = agent.table.lookup(7, sim.now)
-    assert entry is not None
-    assert entry.next_hop == 7 and entry.hop_count == 1
-
-
-def test_missed_hellos_invalidate_routes_and_raise_error():
-    agent, node, sim = make(3, hello_interval=1.0)
-    from repro.baselines.aodv.messages import AodvReply
-
-    reply = AodvReply(origin=7, target=7, target_seq=4, hop_count=0, lifetime=2.0)
-    hello = Packet(
-        kind=PacketKind.AODV_RREP, src=7, dst=BROADCAST, uid=70, ttl=1, info=reply
-    )
-    agent.handle_packet(hello)
-    # A longer route through that neighbour, kept alive by refreshes.
-    agent.table.update(9, next_hop=7, hop_count=3, seq=2, now=sim.now, lifetime=60.0)
-    sim.run(until=6.0)  # >2 hello intervals with silence from 7
-    assert agent.table.lookup(9, sim.now) is None
-    errors = [p for p, _ in node.mac.sent if p.kind is PacketKind.AODV_RERR]
-    assert errors
-
-
-def test_hello_silence_without_dependent_routes_is_quiet():
-    agent, node, sim = make(3, hello_interval=1.0)
-    from repro.baselines.aodv.messages import AodvReply
-
-    reply = AodvReply(origin=7, target=7, target_seq=4, hop_count=0, lifetime=2.0)
-    hello = Packet(
-        kind=PacketKind.AODV_RREP, src=7, dst=BROADCAST, uid=70, ttl=1, info=reply
-    )
-    agent.handle_packet(hello)
-    sim.run(until=6.0)  # the 1-hop hello route itself expires by lifetime
-    errors = [p for p, _ in node.mac.sent if p.kind is PacketKind.AODV_RERR]
-    assert errors == []
-
-
-def test_hellos_work_end_to_end():
-    """Full stack: hellos must not break delivery."""
-    import repro.scenarios.builder as builder_module
-    from repro.scenarios.config import ScenarioConfig
-    from repro.scenarios.builder import run_scenario
-
-    original = builder_module.AodvAgent if hasattr(builder_module, "AodvAgent") else None
-    config = ScenarioConfig(
-        num_nodes=10,
-        field_width=500.0,
-        field_height=300.0,
-        duration=20.0,
-        num_sessions=3,
-        protocol="aodv",
-        seed=5,
-    )
-    result = run_scenario(config)
-    assert result.packet_delivery_fraction > 0.5

@@ -42,7 +42,7 @@ scenarios = st.builds(
     mobility_model=st.sampled_from(["waypoint", "gauss_markov", "rpgm"]),
     rpgm_groups=st.integers(min_value=1, max_value=3),
     grey_zone_fraction=st.sampled_from([0.0, 0.2]),
-    protocol=st.sampled_from(["dsr", "aodv", "flooding"]),
+    protocol=st.sampled_from(["dsr", "aodv"]),
     dsr=dsr_configs,
     seed=st.integers(min_value=0, max_value=2**16),
     start_window=st.just(2.0),

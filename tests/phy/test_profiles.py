@@ -13,7 +13,6 @@ from repro.errors import ConfigurationError
 from repro.mac.timing import MacTiming
 from repro.phy.energy import EnergyModel
 from repro.phy.profiles import (
-    LONGHAUL,
     PROFILES,
     URBAN,
     WAVELAN,
@@ -33,21 +32,22 @@ from tests.helpers import lone_sender_deliveries
 # -- registry ----------------------------------------------------------------
 
 
-def test_registry_contains_the_three_presets():
-    assert profile_names() == ("wavelan", "urban", "longhaul")
+def test_registry_contains_the_two_presets():
+    assert profile_names() == ("wavelan", "urban")
     assert get_profile("wavelan") is WAVELAN
     assert get_profile("urban") is URBAN
-    assert get_profile("longhaul") is LONGHAUL
 
 
 def test_unknown_profile_is_rejected():
-    with pytest.raises(ConfigurationError, match="unknown radio profile"):
-        get_profile("bluetooth")
+    for name in ("bluetooth", "longhaul"):
+        with pytest.raises(ConfigurationError, match="unknown radio profile"):
+            get_profile(name)
 
 
 def test_config_validates_profile_name():
-    with pytest.raises(ConfigurationError, match="unknown radio profile"):
-        ScenarioConfig(radio_profile="bluetooth")
+    for name in ("bluetooth", "longhaul"):
+        with pytest.raises(ConfigurationError, match="unknown radio profile"):
+            ScenarioConfig(radio_profile=name)
 
 
 def test_profile_validation():
@@ -118,13 +118,12 @@ def test_grey_zone_overrides_the_profile_loss_shape():
 
 
 def test_lossy_profiles_build_probabilistic_reception():
-    for name in ("urban", "longhaul"):
-        config = ScenarioConfig(radio_profile=name)
-        profile = resolve_profile(config)
-        model = build_loss_model(profile, config)
-        assert isinstance(model, ProbabilisticReception)
-        assert model.rx_range == profile.rx_range
-        assert model.reliable_fraction == profile.reliable_fraction
+    config = ScenarioConfig(radio_profile="urban")
+    profile = resolve_profile(config)
+    model = build_loss_model(profile, config)
+    assert isinstance(model, ProbabilisticReception)
+    assert model.rx_range == profile.rx_range
+    assert model.reliable_fraction == profile.reliable_fraction
 
 
 def test_link_loss_scales_every_distance():
@@ -213,12 +212,6 @@ def test_profiles_drive_timing_and_energy():
         assert energy.tx_power == profile.tx_power_w
         assert energy.rx_power == profile.rx_power_w
         assert energy.idle_power == profile.idle_power_w
-
-
-def test_longhaul_airtime_dwarfs_wavelan():
-    wavelan = MacTiming.from_profile(WAVELAN)
-    longhaul = MacTiming.from_profile(LONGHAUL)
-    assert longhaul.data_airtime(512) > 5 * wavelan.data_airtime(512)
 
 
 def test_lossy_profile_delivery_is_seed_stable():

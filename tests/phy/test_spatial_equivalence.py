@@ -184,8 +184,8 @@ def test_fast_mover_crossing_cells():
 
 # The grid derives its cell pitch from the propagation's carrier-sense
 # range; nothing in the equivalence contract may assume WaveLAN's 250/550 m.
-# One geometry per radio-profile regime: short-range high-density (urban)
-# and long-range sparse (longhaul), plus an asymmetric rx << cs split.
+# Three regimes: short-range high-density (urban's disk), a kilometre-scale
+# sparse disk, and an asymmetric rx << cs split.
 NON_WAVELAN_PROPAGATIONS = [
     DiskPropagation(rx_range=120.0, cs_range=264.0),
     DiskPropagation(rx_range=1200.0, cs_range=2640.0),

@@ -39,14 +39,14 @@ scenario_configs = st.builds(
     mobility_model=st.sampled_from(["waypoint", "gauss_markov", "rpgm"]),
     # The post-v1 fields, at their defaults (elided from the canonical JSON)
     # about as often as not.
-    radio_profile=st.sampled_from(["wavelan", "wavelan", "urban", "longhaul"]),
+    radio_profile=st.sampled_from(["wavelan", "wavelan", "urban"]),
     link_loss=st.one_of(
         st.just(0.0), st.floats(min_value=0.01, max_value=0.9, allow_nan=False)
     ),
     walk_epoch=st.one_of(
         st.just(10.0), st.floats(min_value=0.5, max_value=60.0, allow_nan=False)
     ),
-    protocol=st.sampled_from(["dsr", "aodv", "flooding"]),
+    protocol=st.sampled_from(["dsr", "aodv"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     dsr=st.builds(
         DsrConfig,
@@ -142,14 +142,14 @@ spelled_scenario_configs = st.builds(
     num_sessions=st.integers(min_value=0, max_value=6) | st.booleans(),
     packet_rate=spellings(0.5, 8.0),
     start_window=spellings(0.0, 20.0),
-    radio_profile=st.sampled_from(["wavelan", "urban", "longhaul"]),
+    radio_profile=st.sampled_from(["wavelan", "urban"]),
     grey_zone_fraction=spellings(0.0, 0.9),
     link_loss=st.sampled_from([0.0, 0, -0.0, False]) | spellings(0.0, 0.9),
     neighbor_quantum=spellings(0.01, 1.0),
     track_energy=st.booleans(),
     track_reachability=st.booleans(),
     use_eifs=st.booleans(),
-    protocol=st.sampled_from(["dsr", "aodv", "flooding"]),
+    protocol=st.sampled_from(["dsr", "aodv"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     dsr=spelled_dsr_configs,
 )

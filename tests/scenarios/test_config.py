@@ -39,6 +39,8 @@ def test_but_creates_modified_copy():
         {"num_sessions": 200},
         {"packet_rate": 0.0},
         {"protocol": "olsr"},
+        {"protocol": "flooding"},
+        {"radio_profile": "longhaul"},
     ],
 )
 def test_validation(kwargs):

@@ -1,5 +1,7 @@
 """Round-trip tests for scenario (de)serialisation."""
 
+import json
+
 import pytest
 
 from repro.core.config import DsrConfig
@@ -55,6 +57,18 @@ def test_unknown_fields_rejected():
     payload["dsr"]["warp_drive"] = True
     with pytest.raises(ConfigurationError):
         scenario_from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("protocol", "flooding"), ("radio_profile", "longhaul")]
+)
+def test_saved_config_with_a_removed_extension_is_rejected(tmp_path, field, value):
+    path = save_scenario(_config(), tmp_path / "scenario.json")
+    saved = json.loads(path.read_text())
+    saved[field] = value
+    path.write_text(json.dumps(saved))
+    with pytest.raises(ConfigurationError):
+        load_scenario(path)
 
 
 def test_loaded_scenario_runs_identically():

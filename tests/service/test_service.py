@@ -25,7 +25,8 @@ from repro.service.core import (
     ServiceDrainingError,
     SimulationService,
 )
-from repro.service.jobs import JobState
+from repro.service.jobs import Job, JobState
+from repro.service.journal import JobJournal, replay
 from repro.service.queue import AdmissionError
 
 from tests.service.helpers import BlockingTask, CountingTask, fake_result, small_config
@@ -347,6 +348,52 @@ def test_a_raising_journal_write_fails_that_job_not_the_dispatcher(
         assert raised == ["record_state", "record_failed"][: 2 - failure_recorded], mode
     # What could not be journaled is at least said.
     assert ("No space left on device" in capsys.readouterr().err) is not failure_recorded
+
+
+def _journal_pending(path, job_id, scenarios):
+    journal = JobJournal(path)
+    journal.record_submit(Job(id=job_id, client="c", priority=0, scenarios=scenarios))
+    journal.close()
+
+
+def test_replay_admits_a_recovered_payloads_canonical_rebuild(tmp_path):
+    """A payload journaled as written (a compat default spelled out, a
+    defaulted field left out) comes back as its rebuild, like a submit."""
+    journal = tmp_path / "journal.jsonl"
+    canonical = scenario_to_dict(small_config(seed=3))
+    spelled = dict(canonical, radio_profile="wavelan")
+    sparse = dict(canonical)
+    del sparse["ifq_capacity"]
+    _journal_pending(journal, "old", [spelled, sparse])
+
+    service = _service(journal_path=str(journal))
+    recovered = service.get_job("old")
+    assert recovered.state is JobState.PENDING and recovered.recovered
+    assert recovered.scenarios == [canonical, canonical]
+    with service:
+        assert service.wait("old", timeout=30).state is JobState.DONE
+    assert replay(journal)[0].scenarios == [canonical, canonical]
+
+
+def test_replay_fails_a_payload_that_no_longer_rebuilds(tmp_path):
+    """A job journaled under a since-retired value ends ``failed`` with the
+    rebuild's error; the coordinator starts and serves the rest."""
+    journal = tmp_path / "journal.jsonl"
+    canonical = scenario_to_dict(small_config(seed=3))
+    _journal_pending(journal, "retired", [canonical, dict(canonical, protocol="flooding")])
+    _journal_pending(journal, "live", [canonical])
+
+    task = CountingTask()
+    with _service(journal_path=str(journal), task_fn=task) as service:
+        retired = service.get_job("retired")
+        assert retired.state is JobState.FAILED
+        assert "unknown protocol 'flooding'" in retired.error
+        assert service.wait("live", timeout=30).state is JobState.DONE
+        assert service.metrics.snapshot()["service.jobs.failed"] == 1
+    assert task.calls == [3]
+    revived = {job.id: job for job in replay(journal)}
+    assert revived["retired"].state is JobState.FAILED
+    assert revived["retired"].error == retired.error
 
 
 def test_terminal_jobs_survive_restart(tmp_path):

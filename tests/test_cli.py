@@ -231,8 +231,10 @@ def test_cli_radio_profile_and_link_loss(capsys):
 
 
 def test_cli_rejects_unknown_radio_profile():
-    with pytest.raises(SystemExit):
-        main(["--radio-profile", "bluetooth"])
+    for name in ("bluetooth", "longhaul"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--radio-profile", name])
+        assert excinfo.value.code == 2
 
 
 def test_cli_random_walk_mobility(capsys):
@@ -241,25 +243,6 @@ def test_cli_random_walk_mobility(capsys):
     )
     assert exit_code == 0
     assert "packet delivery fraction" in capsys.readouterr().out
-
-
-def test_cli_loss_sweep(capsys):
-    exit_code = main(
-        ["--preset", "tiny", "--loss-sweep", "0,0.3", "--seed", "2"]
-    )
-    assert exit_code == 0
-    out = capsys.readouterr().out
-    assert "# Loss sweep" in out
-    assert "loss 0.3" in out
-    assert "AllTechniques" in out
-
-
-def test_cli_loss_sweep_rejects_bad_levels(capsys):
-    assert main(["--loss-sweep", "0.1,banana"]) == 2
-    assert main(["--loss-sweep", ","]) == 2
-    err = capsys.readouterr().err
-    assert "comma-separated floats" in err
-    assert "at least one loss level" in err
 
 
 def test_cli_profile_config_roundtrip(tmp_path, capsys):
@@ -296,6 +279,13 @@ def test_cli_bad_seeds_is_a_usage_error_not_a_traceback(capsys):
         main([*_TINY, "--seeds", "1,x"])
     assert excinfo.value.code == 2
     assert "argument --seeds: expected comma-separated integers" in capsys.readouterr().err
+
+
+def test_cli_loss_sweep_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*_TINY, "--loss-sweep", "0"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --loss-sweep 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -151,65 +151,3 @@ def test_reproduce_warm_cache_executes_nothing(tmp_path):
     assert warm.fig2 == cold.fig2
     assert warm.table3 == cold.table3
     assert warm.fig4 == cold.fig4
-
-
-def test_loss_sweep_runs_all_variants_across_levels():
-    from repro.paper import LossSweepReport, loss_sweep
-
-    report = loss_sweep(
-        scale="quick", seeds=[1], levels=[0.0, 0.2, 0.4], variants=["DSR"]
-    )
-    assert isinstance(report, LossSweepReport)
-    assert report.profile == "wavelan"
-    assert set(report.variants) == {"DSR"}
-    points = report.variants["DSR"]
-    assert len(points) == 3
-    assert [point.label for point in points] == [
-        "loss 0",
-        "loss 0.2",
-        "loss 0.4",
-    ]
-    for point in points:
-        assert 0.0 <= point.metric("pdf") <= 1.0
-    markdown = report.to_markdown()
-    assert "# Loss sweep" in markdown
-    assert "loss 0.4" in markdown
-
-
-def test_loss_sweep_defaults_cover_every_paper_variant():
-    from repro.core.config import PAPER_VARIANTS
-    from repro.paper import loss_sweep
-
-    report = loss_sweep(scale="quick", seeds=[1], levels=[0.0, 0.15, 0.3])
-    assert set(report.variants) == set(PAPER_VARIANTS)
-    for points in report.variants.values():
-        assert len(points) == 3
-    assert report.sweep_stats["executed"] > 0
-
-
-def test_loss_sweep_points_are_cacheable(tmp_path):
-    # The profile and loss level live in the canonical scenario JSON, so a
-    # warm rerun must execute zero simulations.
-    from repro.paper import loss_sweep
-
-    kwargs = dict(
-        scale="quick",
-        seeds=[1],
-        levels=[0.0, 0.25],
-        variants=["DSR"],
-        cache_dir=tmp_path,
-    )
-    cold = loss_sweep(**kwargs)
-    assert cold.sweep_stats["executed"] > 0
-    warm = loss_sweep(**kwargs)
-    assert warm.sweep_stats["executed"] == 0
-    assert [p.metric("pdf") for p in warm.variants["DSR"]] == [
-        p.metric("pdf") for p in cold.variants["DSR"]
-    ]
-
-
-def test_loss_sweep_rejects_unknown_scale():
-    from repro.paper import loss_sweep
-
-    with pytest.raises(ValueError):
-        loss_sweep(scale="galactic")
