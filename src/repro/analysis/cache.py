@@ -29,12 +29,6 @@ evicts least-recently-used entries past a byte budget and/or an age limit.
 ``get()`` refreshes an entry's mtime *before* reading it, and ``prune()``
 re-checks each candidate's mtime immediately before unlinking, so an entry
 that is being read concurrently is never LRU-evicted mid-fetch.
-
-A cache can also have a *remote tier* (:class:`TieredResultCache` over any
-:class:`CacheTier`): entries are fetched from and written through to it, so
-with a fleet's workers all pointing at their coordinator
-(:class:`repro.service.worker.RemoteCacheTier`) a result computed by any of
-them is a hit for every other.  This module knows nothing of the transport.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Protocol, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.devtools.lockdep import OrderedLock
 from repro.metrics.collector import RESULT_FIELDS, SimulationResult
@@ -102,7 +96,7 @@ def result_from_payload(payload: Dict[str, Any]) -> SimulationResult:
 
 
 def make_entry(key: str, result: SimulationResult) -> Dict[str, Any]:
-    """The on-disk/over-the-wire cache document for one result."""
+    """The on-disk cache document for one result."""
     return {
         "format_version": CACHE_FORMAT_VERSION,
         "scenario_hash": key,
@@ -135,12 +129,6 @@ def _entry_result(key: str, entry: Any) -> SimulationResult:
         return result_from_payload(entry.get("result") or {})
     except Exception as exc:
         raise ValueError(f"cache entry result does not rebuild: {exc}") from exc
-
-
-def validate_entry(key: str, entry: Any) -> Dict[str, Any]:
-    """Check a cache document (see :func:`_entry_result`); returns it."""
-    _entry_result(key, entry)
-    return entry
 
 
 @dataclass
@@ -214,23 +202,8 @@ class ResultCache:
         """The cached result for ``key``, or ``None`` (counted as a miss).
 
         Unreadable or foreign-version entries are deleted and counted under
-        ``stats.invalidated`` in addition to the miss.
-        """
-        loaded = self._load(key)
-        return None if loaded is None else loaded[1]
-
-    def get_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The raw stored document for ``key`` (validated), or ``None``.
-
-        This is the remote-tier transport shape: the coordinator's
-        ``GET /v1/cache/<key>`` serves exactly this document.
-        """
-        loaded = self._load(key)
-        return None if loaded is None else loaded[0]
-
-    def _load(self, key: str) -> Optional[Tuple[Dict[str, Any], SimulationResult]]:
-        """One open, one parse, one validation that is also the rebuild:
-        the stored document for ``key`` and the result it carries.
+        ``stats.invalidated`` in addition to the miss.  One open, one parse,
+        one validation that is also the rebuild.
 
         The mtime is refreshed through the open descriptor *before* the
         read, so a concurrent :meth:`prune` — which re-checks mtimes right
@@ -255,15 +228,14 @@ class ResultCache:
             chunks: List[bytes] = []
             while chunk := os.read(fd, _READ_CHUNK):
                 chunks.append(chunk)
-            entry = json.loads(b"".join(chunks))
-            result = _entry_result(key, entry)
+            result = _entry_result(key, json.loads(b"".join(chunks)))
         except Exception:
             self._invalidate(path)
             return None
         finally:
             os.close(fd)
         self.stats.record_hit()
-        return entry, result
+        return result
 
     def _invalidate(self, path: str) -> None:
         """Delete an entry that failed to load; counted as a miss too."""
@@ -276,18 +248,6 @@ class ResultCache:
 
     def put(self, key: str, result: SimulationResult) -> Path:
         """Persist ``result`` under ``key`` (atomic: temp file + rename)."""
-        return self._write_entry(key, make_entry(key, result))
-
-    def put_entry(self, key: str, entry: Dict[str, Any]) -> Path:
-        """Store a raw cache document (the remote-tier write path).
-
-        The document is validated first (:func:`validate_entry`) so a
-        remote peer can never plant an entry this store would refuse to
-        produce itself; raises :class:`ValueError` on a bad document.
-        """
-        return self._write_entry(key, validate_entry(key, entry))
-
-    def _write_entry(self, key: str, entry: Dict[str, Any]) -> Path:
         path = self._entry_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = (
@@ -296,7 +256,7 @@ class ResultCache:
         )
         try:
             with open(tmp, "w") as handle:
-                handle.write(json.dumps(entry, sort_keys=True))
+                handle.write(json.dumps(make_entry(key, result), sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             # A full disk must not leave the temp file for prune to find
@@ -430,57 +390,6 @@ class PruneReport:
             f"{self.removed_by_size} by size), kept {self.kept} "
             f"({self.kept_bytes} B)"
         )
-
-
-# -- remote tier -------------------------------------------------------------
-
-
-class CacheTier(Protocol):
-    """What :class:`TieredResultCache` asks of its remote tier.  Failures
-    are the tier's to absorb: a miss or ``False``, never an exception."""
-
-    def get_entry(self, key: str) -> Optional[Dict[str, Any]]: ...
-
-    def put_entry(self, key: str, entry: Dict[str, Any]) -> bool: ...
-
-
-class TieredResultCache(ResultCache):
-    """A local :class:`ResultCache` backed by a remote tier.
-
-    ``get`` resolves local-first; a remote hit is written through to the
-    local tier so it is disk-fast next time.  ``put`` lands locally and is
-    pushed to the remote tier best-effort.  With every fleet worker's
-    remote tier pointing at one coordinator, a scenario computed (or
-    cached) anywhere is a hit everywhere — the fleet-wide extension of the
-    single-process in-flight dedup.
-    """
-
-    def __init__(self, root: PathLike, remote: CacheTier) -> None:
-        super().__init__(root)
-        self.remote = remote
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        result = super().get(key)
-        if result is not None:
-            return result
-        entry = self.remote.get_entry(key)
-        if entry is None:
-            return None
-        try:
-            result = _entry_result(key, entry)
-        except ValueError:
-            return None  # tier disagreement is a miss, never a crash
-        try:
-            self._write_entry(key, entry)  # write through: disk-fast next time
-        except OSError:
-            pass  # a full local disk costs the next read, not this result
-        self.stats.record_hit()
-        return result
-
-    def put(self, key: str, result: SimulationResult) -> Path:
-        path = super().put(key, result)
-        self.remote.put_entry(key, make_entry(key, result))
-        return path
 
 
 _PRUNE_SIZE_UNITS: Dict[str, int] = {

@@ -33,7 +33,6 @@ from repro.service.core import (
     JobNotCancellableError,
     JobNotFoundError,
     JobNotReadyError,
-    NotDistributedError,
     ServiceDrainingError,
     SimulationService,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "JobNotReadyError",
     "JobState",
     "LeaseNotFoundError",
-    "NotDistributedError",
     "QueueFullError",
     "ServiceClient",
     "ServiceDrainingError",

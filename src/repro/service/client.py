@@ -14,7 +14,7 @@ through the same codec the result cache uses — so a fetched result is
 
 Transient connection failures (refused, reset, timed out — a coordinator
 mid-restart) are retried with bounded exponential backoff for idempotent
-requests.  GET/PUT/DELETE retry by default; the lease verbs opt in
+requests.  GET/DELETE retry by default; the lease verbs opt in
 explicitly because the server makes them safe to repeat (claims hand out
 fresh leases, heartbeats re-extend, completes are first-delivery-wins).
 A non-idempotent POST (job submission) is never retried — the caller
@@ -203,11 +203,11 @@ class ServiceClient:
         """One JSON API call: the status and the document the server sent.
 
         Transient connection errors are retried when ``idempotent``, which
-        defaults by method (GET/PUT/DELETE yes, POST no); lease verbs pass
+        defaults by method (GET/DELETE yes, POST no); lease verbs pass
         ``True`` explicitly — see the module docstring.
         """
         if idempotent is None:
-            idempotent = method in ("GET", "PUT", "DELETE")
+            idempotent = method in ("GET", "DELETE")
         data = None
         headers = dict(extra_headers or {})
         if body is not None:
@@ -367,21 +367,3 @@ class ServiceClient:
     def leases(self) -> Dict[str, Any]:
         """Active leases + fleet counts (``{"leases": [...], "fleet": {...}}``)."""
         return self._request("GET", "/v1/leases")[1]
-
-    # -- the remote cache tier ------------------------------------------------
-    # One attempt each, whatever ``retries`` says: a dead coordinator must
-    # cost a worker one timeout per lookup, not three.
-
-    def cache_get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The coordinator's raw cache entry for ``key``; ``None`` on a miss."""
-        status, headers, blob = self._open("GET", f"/v1/cache/{key}")
-        if status == 404:  # read off the status: a miss has nothing to decode
-            return None
-        self._check(status, headers, blob, (200,))
-        return _decode(blob)
-
-    def cache_put(self, key: str, entry: Dict[str, Any]) -> None:
-        """Store one entry on the coordinator, which validates it (400)."""
-        self._request(
-            "PUT", f"/v1/cache/{key}", entry, ok_statuses=(200,), idempotent=False
-        )

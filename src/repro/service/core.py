@@ -18,8 +18,8 @@ serving system with one execution path:
   (the default) starts ``workers`` in-process threads, each running the
   same :class:`~repro.service.worker.ShardWorker` loop as ``repro-worker``
   over direct calls and the service's own cache.  ``True`` starts none:
-  remote ``repro-worker`` processes claim over HTTP (``/v1/leases*``),
-  with the shared cache as the fleet's remote tier (``/v1/cache/<key>``).
+  remote ``repro-worker`` processes claim over HTTP (``/v1/leases*``)
+  and deliver each shard's results inside ``complete``, their one way home.
 * **In-flight dedup** — concurrent jobs that share a scenario coalesce on
   the board: the first job's shard owns the ``scenario_hash``, later jobs
   wait for it and receive the same result.  Combined with the cache this
@@ -41,7 +41,6 @@ same scenario list (pinned by ``tests/service/``).
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -70,13 +69,10 @@ __all__ = [
     "JobNotReadyError",
     "JobNotCancellableError",
     "LeaseNotFoundError",
-    "NotDistributedError",
     "ServiceDrainingError",
 ]
 
 ScenarioLike = Union[ScenarioConfig, Dict[str, Any]]
-
-_SCENARIO_HASH = re.compile(r"[0-9a-f]{64}")
 
 
 class JobNotFoundError(ReproError):
@@ -101,10 +97,6 @@ class JobNotCancellableError(ReproError):
 
 class ServiceDrainingError(ReproError):
     """The service is draining and admits no new jobs."""
-
-
-class NotDistributedError(ReproError):
-    """A cache endpoint was used against a service that has no cache."""
 
 
 class _InProcessClient:
@@ -184,9 +176,8 @@ class SimulationService:
         self._trace_jobs: Dict[str, str] = {}  # guarded-by: _lock
         self.distributed = distributed
         self.lease_ttl_s = lease_ttl_s
-        # The shared cache instance: the shard board's resolution source,
-        # the in-process workers' engine cache, and what the /v1/cache
-        # endpoints serve (a distributed fleet's remote tier).
+        # The shared cache instance: the shard board's resolution source
+        # and store, and the in-process workers' engine cache.
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache_dir is not None else None
         )
@@ -780,32 +771,6 @@ class SimulationService:
     def fleet_status(self) -> Dict[str, int]:
         """Shard/lease/worker counts, as of now."""
         return self._board.counts(time.time())
-
-    # -- the remote cache tier (served whenever a cache exists) --------------
-
-    def _cache_for(self, key: str) -> ResultCache:
-        """The cache, for a ``key`` from outside that is what every key is —
-        a sha256 hex digest — and so cannot name a path beyond the root."""
-        if self.cache is None:
-            raise NotDistributedError("this service has no result cache")
-        if not _SCENARIO_HASH.fullmatch(key):
-            raise ValueError(f"not a scenario hash: {key[:70]!r}")
-        return self.cache
-
-    def cache_entry_get(self, key: str) -> Optional[Dict[str, Any]]:
-        """A raw cache entry by scenario hash, or ``None`` on miss
-        (``ValueError`` for a key that is no hash)."""
-        entry = self._cache_for(key).get_entry(key)
-        if entry is None:
-            self.metrics.remote_miss()
-        else:
-            self.metrics.remote_hit()
-        return entry
-
-    def cache_entry_put(self, key: str, entry: Dict[str, Any]) -> None:
-        """Store a worker-produced entry (validated; ValueError on junk)."""
-        self._cache_for(key).put_entry(key, entry)
-        self.metrics.remote_store()
 
     def _finish_done(self, job: Job, results: List[SimulationResult]) -> None:
         with self._lock:

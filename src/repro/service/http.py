@@ -23,24 +23,20 @@ submitter's trace), returned on the 202 acknowledgement, and attached to
 claim responses so worker spans parent onto the coordinator's
 ``shard.lease`` span.
 
-A distributed coordinator's fleet speaks the lease protocol and reads the
-remote cache tier::
+A distributed coordinator's fleet speaks the lease protocol; a result
+comes home only inside ``complete``::
 
     POST   /v1/leases/claim          {"worker": id} -> {"lease": {...}|null}
     POST   /v1/leases/{id}/heartbeat renew; 404 once the lease lapsed
     POST   /v1/leases/{id}/complete  {"results": {key: payload}, "failures",
                                       "stats"} -> acceptance + finished jobs
     GET    /v1/leases                active leases + fleet counts
-    GET    /v1/cache/{key}           raw cache entry (404 on miss)
-    PUT    /v1/cache/{key}           store a validated entry
-                                     (a key is 64 lowercase hex, else 400)
 
 Status mapping: invalid payloads are 400, unknown jobs 404, cancelling a
 running job 409, admission refusals 429 with a ``Retry-After`` hint, a
 draining service 503.  Accepted jobs are acknowledged with 202 and a
 ``Location`` header for polling.  Lease endpoints on a non-distributed
-service are 409 (its board is claimed by its own threads); cache endpoints
-work whenever the service has a cache.
+service are 409 (its board is claimed by its own threads).
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from repro.service.core import (
     JobNotCancellableError,
     JobNotFoundError,
     LeaseNotFoundError,
-    NotDistributedError,
     ServiceDrainingError,
     SimulationService,
 )
@@ -154,8 +149,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 return self._get_job_trace(parts[2])
         if parts[:2] == ["v1", "leases"] and len(parts) == 2:
             return self._lease_endpoint(self._get_leases)
-        if parts[:2] == ["v1", "cache"] and len(parts) == 3:
-            return self._get_cache(parts[2])
         self._send_error_json(404, f"no such resource: {self.path}")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
@@ -174,9 +167,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_error_json(404, f"no such resource: {self.path}")
 
     def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        _path, parts = self._route()
-        if parts[:2] == ["v1", "cache"] and len(parts) == 3:
-            return self._put_cache(parts[2])
+        # No resource takes a PUT; an unknown resource is a JSON 404, not
+        # the base class's 501 (older workers still PUT to /v1/cache/<key>).
         self._send_error_json(404, f"no such resource: {self.path}")
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
@@ -393,32 +385,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             200,
             {"leases": self.service.leases(), "fleet": self.service.fleet_status()},
         )
-
-    # -- the remote cache tier ------------------------------------------------
-
-    def _get_cache(self, key: str) -> None:
-        try:
-            entry = self.service.cache_entry_get(key)
-        except NotDistributedError as exc:
-            return self._send_error_json(409, str(exc))
-        except ValueError as exc:
-            return self._send_error_json(400, f"bad key: {exc}")
-        if entry is None:
-            return self._send_error_json(404, f"cache miss: {key[:16]}…")
-        self._send_json(200, entry)
-
-    def _put_cache(self, key: str) -> None:
-        try:
-            entry = self._read_body()
-        except ValueError as exc:
-            return self._send_error_json(400, f"bad request: {exc}")
-        try:
-            self.service.cache_entry_put(key, entry)
-        except NotDistributedError as exc:
-            return self._send_error_json(409, str(exc))
-        except ValueError as exc:
-            return self._send_error_json(400, f"bad entry: {exc}")
-        self._send_json(200, {"stored": key})
 
     def _get_healthz(self) -> None:
         service = self.service

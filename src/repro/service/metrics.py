@@ -37,8 +37,8 @@ def prometheus_name(key: str) -> str:
 class ServiceMetrics:
     """The service's instrument set over one :class:`MetricsRegistry`.
 
-    Events are pushed as they happen (jobs, simulations, remote-cache
-    traffic, stage latencies); everything that is a *state* — jobs by
+    Events are pushed as they happen (jobs, simulations, stage
+    latencies); everything that is a *state* — jobs by
     state, the fleet's shape and the board's lifetime totals — is read
     from ``sample`` when :meth:`snapshot` is called, and at no other time.
     """
@@ -79,10 +79,6 @@ class ServiceMetrics:
         # stage histograms, while they are held), above the cache-stats
         # locks.  Leaf in practice.
         self._lock = OrderedLock("service.metrics", rank=40, reentrant=False)
-        # The remote cache tier, as served by this coordinator.
-        self.cache_remote_hits: Counter = reg.counter("service.cache.remote_hits")
-        self.cache_remote_misses: Counter = reg.counter("service.cache.remote_misses")
-        self.cache_remote_stores: Counter = reg.counter("service.cache.remote_stores")
         # Per-stage latency: one histogram per fleet span kind, fed by the
         # tracer's on-finish hook (serialised: HTTP/worker threads race).
         self._stage_wall: Dict[str, Histogram] = {
@@ -95,19 +91,6 @@ class ServiceMetrics:
         completions race across HTTP handlers and in-process workers)."""
         with self._lock:
             self.sims_executed.inc(count)
-
-    def remote_hit(self) -> None:
-        """A remote-tier cache hit (serialised: HTTP threads race here)."""
-        with self._lock:
-            self.cache_remote_hits.inc()
-
-    def remote_miss(self) -> None:
-        with self._lock:
-            self.cache_remote_misses.inc()
-
-    def remote_store(self) -> None:
-        with self._lock:
-            self.cache_remote_stores.inc()
 
     def observe_stage(self, kind: str, wall_s: float) -> None:
         """Record one finished span's wall time (unknown kinds ignored)."""

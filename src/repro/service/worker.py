@@ -14,12 +14,12 @@ a non-distributed service starts itself:
 3. **complete** — results travel back as cache-entry payloads; delivery
    is first-wins on the coordinator, so a late worker whose lease already
    expired still contributes (and a duplicate is dropped harmlessly).
+   This is the one way a result reaches the coordinator, which stores it
+   in its cache once.
 
 Execution itself is the ordinary :class:`~repro.analysis.runner.SweepEngine`
-over a :class:`~repro.analysis.cache.TieredResultCache`: a local disk tier
-plus the coordinator's ``/v1/cache`` remote tier.  Every result the worker
-computes is therefore pushed fleet-wide as soon as it settles, and a grid
-point any other worker already ran is a remote hit, not a re-simulation.
+over a local :class:`~repro.analysis.cache.ResultCache`, so a shard
+requeued to the same worker after a failed delivery resolves from disk.
 (A worker handed a cache — ``ShardWorker(cache=...)`` — uses that instead.)
 
 The claim/heartbeat loops lean on :class:`ServiceClient`'s bounded
@@ -29,7 +29,7 @@ and exit.
 
 Every claim carries the coordinator's trace context (``claim["trace"]``),
 so the worker's side of the job — ``shard.execute``, per-task
-``task.run``, ``cache.lookup``/``cache.remote`` — is recorded as spans in
+``task.run``, ``cache.lookup`` — is recorded as spans in
 the same trace and shipped back with the completion (see
 :mod:`repro.obs.fleet`).  Lifecycle logging goes through the structured
 JSONL logger (:mod:`repro.obs.slog`), one parseable line per event.
@@ -47,11 +47,11 @@ import socket
 import sys
 import tempfile
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
-from repro.analysis.cache import ResultCache, TieredResultCache, validate_entry
+from repro.analysis.cache import ResultCache
 from repro.analysis.runner import SweepEngine, SweepExecutionError, TaskFn, _run_payload
 from repro.metrics.collector import SimulationResult
 from repro.obs.fleet import FleetTracer, Span
@@ -60,7 +60,7 @@ from repro.scenarios.io import scenario_from_dict
 from repro.service.client import ServiceClient, ServiceError
 from repro.version import __version__
 
-__all__ = ["RemoteCacheTier", "ShardWorker", "main"]
+__all__ = ["ShardWorker", "main"]
 
 
 def default_worker_id() -> str:
@@ -88,63 +88,11 @@ class LeaseClient(Protocol):
     def post_spans(self, spans: List[Dict[str, Any]]) -> int: ...
 
 
-class RemoteCacheTier:
-    """The coordinator's ``/v1/cache`` as a :class:`TieredResultCache` tier:
-    a view of a :class:`ServiceClient`'s two cache verbs.
-
-    Every failure is soft — an unreachable or misbehaving coordinator turns
-    ``get_entry`` into a miss and ``put_entry`` into ``False`` — so a worker
-    degrades to its local tier instead of breaking.  Remote round-trips are
-    where a worker's non-simulation time goes, so given a ``worker`` every
-    fetch and push of its shard in hand is a ``cache.remote`` span (hit /
-    stored as attributes; the coordinator does the counting, on ``/metrics``).
-    """
-
-    def __init__(
-        self, client: ServiceClient, worker: Optional["ShardWorker"] = None
-    ) -> None:
-        self._client = client
-        self._worker = worker
-
-    def _span(self, op: str, key: str) -> ContextManager[Optional[Span]]:
-        if self._worker is None:
-            return nullcontext()
-        return self._worker.trace_span("cache.remote", op=op, key=key)
-
-    def get_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """Fetch and validate one entry; ``None`` on miss or any failure."""
-        with self._span("get", key) as span:
-            try:
-                # Validated before the caller writes it through: a remote peer
-                # must not plant an entry the local store would refuse.
-                entry = self._client.cache_get(key)
-                if entry is not None:
-                    validate_entry(key, entry)
-            except (ServiceError, ValueError):
-                entry = None
-            if span is not None:
-                span.attrs["hit"] = entry is not None
-            return entry
-
-    def put_entry(self, key: str, entry: Dict[str, Any]) -> bool:
-        """Push one entry; ``False`` (never an exception) on failure."""
-        with self._span("put", key) as span:
-            try:
-                self._client.cache_put(key, entry)
-                stored = True
-            except ServiceError:
-                stored = False
-            if span is not None:
-                span.attrs["stored"] = stored
-            return stored
-
-
 class _TracedCache(ResultCache):
-    """A view of another cache whose ``get`` is a ``cache.lookup`` span
-    (a tiered cache's remote leg nests as a ``cache.remote`` child).
+    """A view of another cache whose ``get`` is a ``cache.lookup`` span.
 
-    Reads and writes go through the wrapped instance, so its tiers and its
-    hit/miss statistics stay the one source of truth.
+    Reads and writes go through the wrapped instance, so its hit/miss
+    statistics stay the one source of truth.
     """
 
     def __init__(self, worker: "ShardWorker", inner: ResultCache) -> None:
@@ -164,7 +112,7 @@ class _TracedCache(ResultCache):
         return self._inner.put(key, result)
 
 
-#: ``ShardWorker(cache=...)`` default: build the worker's own tiered cache.
+#: ``ShardWorker(cache=...)`` default: build the worker's own local cache.
 _OWN_CACHE: Any = object()
 
 
@@ -201,17 +149,13 @@ class ShardWorker:
         )
         self.log = base_log.bind(worker=self.worker_id)
         if cache is _OWN_CACHE:
-            # Local tier + the coordinator's /v1/cache remote tier:
-            # everything this worker computes becomes a fleet-wide hit
-            # immediately.
-            assert isinstance(client, ServiceClient), "the remote tier needs a URL"
             if cache_dir is None:
                 # No later process could find this tier, so it lives as long
                 # as the loop: run() removes it on the way out.
                 cache_dir = self._temp_cache_dir = tempfile.mkdtemp(
                     prefix="repro-worker-cache-"
                 )
-            cache = TieredResultCache(cache_dir, RemoteCacheTier(client, self))
+            cache = ResultCache(cache_dir)
         # Lookups are span-traced against the shard in hand; ``None`` (the
         # caller has no cache) runs the engine uncached.
         self.cache: Optional[ResultCache] = (
@@ -254,7 +198,7 @@ class ShardWorker:
         """A worker-side span scoped to the shard in hand.
 
         Yields ``None`` (and records nothing) outside a traced shard, so
-        the traced cache tiers cost one attribute check when idle.  Spans
+        a traced cache lookup costs one attribute check when idle.  Spans
         nest: the innermost open span is the next one's parent, rooted at
         the shard's ``shard.execute`` span.  Main-loop thread only.
         """
@@ -404,7 +348,7 @@ class ShardWorker:
             # Coordinator unreachable past retries, or it restarted and no
             # longer knows the lease.  Nothing is lost: every result lives
             # in this worker's local tier and resolves the re-queued shard
-            # instantly on the next claim.  The spans still merge if the
+            # instantly if this worker claims it again.  The spans still merge if the
             # coordinator is up (a restarted one knows the job's trace).
             self.log.warning("delivery.failed", lease=lease_id, error=str(exc))
             if spans:

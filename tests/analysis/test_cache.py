@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from repro.analysis.cache import (
     CACHE_FORMAT_VERSION,
     ResultCache,
-    TieredResultCache,
-    make_entry,
     result_from_payload,
     result_to_payload,
     scenario_hash,
@@ -397,29 +395,3 @@ def test_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
     assert list(tmp_path.glob("*/*.tmp.*")) == []
     assert key not in cache
     assert cache.stats.stores == 0
-
-
-class _StaticTier:
-    """A remote tier that serves one fixed document for every key."""
-
-    def __init__(self, entry):
-        self.entry = entry
-
-    def get_entry(self, key):
-        return self.entry
-
-    def put_entry(self, key, entry):
-        return True
-
-
-def test_remote_hit_survives_a_failed_write_through(tmp_path):
-    key = scenario_hash(_config())
-    cache = TieredResultCache(tmp_path, _StaticTier(make_entry(key, _result())))
-
-    def disk_full(key, entry):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    cache._write_entry = disk_full
-    assert cache.get(key) == _result()
-    assert (cache.stats.hits, cache.stats.misses) == (1, 1)  # local miss, remote hit
-    assert key not in cache

@@ -12,8 +12,9 @@ through the production process/signal path:
 3. the job's merged fleet trace carries spans from the coordinator AND
    the surviving worker, covers >=95% of the job wall, and renders
    through the ``repro-trace job`` explainer;
-4. every result a worker computes is pushed to the coordinator's remote
-   cache tier (``repro_service_cache_remote_stores`` in ``/metrics``),
+4. a result comes home once, inside ``complete``: ``/v1/cache/<key>`` is
+   no resource (404), ``/metrics`` has no ``repro_service_cache_remote_*``
+   series, and the coordinator's cache holds one entry per distinct key,
    so a warm resubmission completes without a single new execution;
 5. SIGTERM stops workers and drains the coordinator gracefully.
 
@@ -193,16 +194,47 @@ def _metrics(url):
     return values
 
 
-def _reference_payloads():
-    from repro.analysis.cache import result_to_payload
-    from repro.analysis.runner import run_many
+def _configs():
     from repro.scenarios import presets
 
-    configs = [
+    return [
         presets.tiny_scenario(seed=int(seed)).but(packet_rate=3.0, duration=DURATION)
         for seed in SEEDS.split(",")
     ]
-    return [result_to_payload(r) for r in run_many(configs, processes=1)]
+
+
+def _reference_payloads():
+    from repro.analysis.cache import result_to_payload
+    from repro.analysis.runner import run_many
+
+    return [result_to_payload(r) for r in run_many(_configs(), processes=1)]
+
+
+def _check_one_way_home(workdir, url, metrics):
+    """No cache route, no remote-tier counter, one coordinator entry per key."""
+    import urllib.error
+    import urllib.request
+
+    from repro.analysis.cache import scenario_hash
+
+    keys = {scenario_hash(config) for config in _configs()}
+    key = min(keys)
+    try:
+        urllib.request.urlopen(f"{url}/v1/cache/{key}", timeout=5.0).close()
+        status = 200
+    except urllib.error.HTTPError as exc:
+        status = exc.code
+    if status != 404:
+        raise SystemExit(f"FAIL: GET /v1/cache/{key[:12]}… answered {status}, not 404")
+    remote = sorted(name for name in metrics if name.startswith("repro_service_cache_remote_"))
+    if remote:
+        raise SystemExit(f"FAIL: /metrics still renders {remote}")
+    stored = sorted(path.stem for path in (workdir / "coordinator-cache").glob("*/*.json"))
+    if stored != sorted(keys):
+        raise SystemExit(
+            f"FAIL: coordinator cache holds {len(stored)} entries for {len(keys)} keys"
+        )
+    print(f"== one way home: /v1/cache is 404, {len(stored)} entries for {len(keys)} keys")
 
 
 def main():
@@ -243,14 +275,12 @@ def main():
             )
         if metrics.get("repro_service_fleet_shards_requeued", 0) < 1:
             raise SystemExit("FAIL: the dead worker's shard was never requeued")
-        if metrics.get("repro_service_cache_remote_stores", 0) < 1:
-            raise SystemExit("FAIL: workers never pushed results to the remote tier")
+        _check_one_way_home(workdir, url, metrics)
         executed_cold = metrics.get("repro_service_sims_executed", 0)
         print(
             "== fleet metrics: "
             f"leases_expired={metrics['repro_service_fleet_leases_expired']:g} "
-            f"shards_requeued={metrics['repro_service_fleet_shards_requeued']:g} "
-            f"remote_stores={metrics['repro_service_cache_remote_stores']:g}"
+            f"shards_requeued={metrics['repro_service_fleet_shards_requeued']:g}"
         )
 
         print("== warm resubmission (must be pure cache hits)")

@@ -1,13 +1,12 @@
 """Tests for the HTTP API + typed client against a live in-process server."""
 
-import os
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache import scenario_hash
+from repro.analysis.cache import make_entry, scenario_hash
 from repro.analysis.runner import run_many
 from repro.scenarios.io import scenario_to_dict
 from repro.service.client import JobFailedError, QueueFullError, ServiceClient, ServiceError
@@ -231,16 +230,27 @@ def _metrics(text):
     return dict(line.rsplit(" ", 1) for line in text.strip().splitlines())
 
 
+#: What the coordinator counted of the ``/v1/cache`` routes, which are gone.
+REMOTE_TIER_NAMES = {
+    "repro_service_cache_remote_hits",
+    "repro_service_cache_remote_misses",
+    "repro_service_cache_remote_stores",
+}
+
+
 def test_metrics_names_are_the_parent_commits():
     """``/metrics`` is the same document whoever refreshes its gauges:
     ``fixtures/parent_commit/metrics_names.txt`` is what commit 4f005c6
-    rendered (an unstarted service holding one pending job)."""
+    rendered (an unstarted service holding one pending job), less the
+    three remote-tier counters."""
     names = (
         Path(__file__).resolve().parent / "fixtures" / "parent_commit" / "metrics_names.txt"
     ).read_text(encoding="utf-8").split()
+    assert len(names) == 180 and REMOTE_TIER_NAMES <= set(names)
     with _fake_server() as client:
-        assert sorted(_metrics(client.metrics_text())) == names
-    assert len(names) == 180
+        rendered = sorted(_metrics(client.metrics_text()))
+    assert rendered == [name for name in names if name not in REMOTE_TIER_NAMES]
+    assert len(rendered) == 177
 
 
 def test_gauges_are_read_at_the_scrape_not_pushed_before_it(tmp_path):
@@ -281,7 +291,7 @@ def test_gauges_are_read_at_the_scrape_not_pushed_before_it(tmp_path):
         server.service.drain(grace_s=0)
 
 
-# -- the remote cache tier trusts no key --------------------------------------
+# -- no route takes a cache key from outside ---------------------------------
 
 
 @pytest.mark.parametrize(
@@ -294,20 +304,20 @@ def test_gauges_are_read_at_the_scrape_not_pushed_before_it(tmp_path):
     ],
 )
 def test_cache_endpoints_refuse_a_key_that_is_not_a_scenario_hash(tmp_path, bad_key):
+    """``/v1/cache/<key>`` is no resource: an older worker's GET and PUT
+    read 404 (a miss, a failed push) for a stored key and a bad one alike,
+    and neither touches a file in or beside the cache."""
     root = tmp_path / "outer" / "cache"
     payload = scenario_to_dict(small_config(seed=1))
     key = scenario_hash(payload)
     with _fake_server(cache_dir=str(root)) as client:
         client.fetch(client.submit(payload), timeout=30)
-        entry = client.cache_get(key)
-        assert entry["scenario_hash"] == key
-        before = sorted(os.listdir(root.parent))
-        with pytest.raises(ServiceError) as refused_get:
-            client.cache_get(bad_key)
-        # A body that agrees with its key passes entry validation: the key
-        # itself has to be refused.
-        with pytest.raises(ServiceError) as refused_put:
-            client.cache_put(bad_key, dict(entry, scenario_hash=bad_key))
-        assert (refused_get.value.status, refused_put.value.status) == (400, 400)
-        assert sorted(os.listdir(root.parent)) == before == ["cache"]
-        assert client.cache_get(key) == entry  # a real key still works
+        before = sorted(str(path) for path in root.parent.rglob("*"))
+        assert str(root / key[:2] / f"{key}.json") in before
+        for asked in (key, bad_key):
+            entry = make_entry(asked, fake_result(payload))
+            for method, body in (("GET", None), ("PUT", entry)):
+                with pytest.raises(ServiceError) as refused:
+                    client._request(method, f"/v1/cache/{asked}", body, ok_statuses=(200,))
+                assert refused.value.status == 404
+        assert sorted(str(path) for path in root.parent.rglob("*")) == before

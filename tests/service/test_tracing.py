@@ -410,7 +410,8 @@ def test_distributed_trace_merges_worker_spans(tmp_path):
         assert coverage["coverage"] > 0.8
         kinds = {span["kind"] for span in spans}
         assert {"job", "shard.lease", "shard.execute", "task.run",
-                "cache.lookup", "cache.remote", "result.deliver"} <= kinds
+                "cache.lookup", "result.deliver"} <= kinds
+        assert "cache.remote" not in kinds  # results come home in complete only
         # worker execute spans hang off the coordinator's lease spans
         lease_ids = {s["span_id"] for s in spans if s["kind"] == "shard.lease"}
         executes = [s for s in spans if s["kind"] == "shard.execute"]
