@@ -9,8 +9,9 @@ the three routing metrics side by side.
     python examples/aodv_comparison.py
 """
 
-from repro.analysis.tables import format_table
+from repro.analysis.runner import SweepEngine
 from repro.analysis.series import compare_variants
+from repro.analysis.tables import format_table
 from repro.core.config import DsrConfig
 from repro.scenarios.presets import scaled_scenario
 
@@ -37,6 +38,7 @@ def main() -> None:
             "AODV": aodv,
         },
         seeds,
+        runner=SweepEngine().run_results,
     )
     print(format_table(rows, metrics=("pdf", "delay", "overhead"), row_title="protocol"))
     print(

@@ -5,15 +5,14 @@ figure series."""
 from repro.analysis.stats import Aggregate, aggregate, mean_confidence_interval
 from repro.analysis.series import SweepPoint, compare_variants, sweep
 from repro.analysis.tables import format_table, format_series
-from repro.analysis.plot import render_chart, render_sweep
-from repro.analysis.export import result_to_json, sweep_to_csv, table_to_csv
+from repro.analysis.plot import render_chart
+from repro.analysis.export import result_to_json
 from repro.analysis.cache import CacheStats, ResultCache, scenario_hash
 from repro.analysis.runner import (
     ProgressUpdate,
     RunReport,
     SweepEngine,
     SweepExecutionError,
-    parallel_sweep,
     run_many,
 )
 from repro.analysis.compare import Comparison, compare, compare_results
@@ -21,7 +20,6 @@ from repro.analysis.topology import (
     average_degree,
     average_path_length,
     link_lifetimes,
-    partition_fraction,
 )
 
 __all__ = [
@@ -34,12 +32,8 @@ __all__ = [
     "format_table",
     "format_series",
     "render_chart",
-    "render_sweep",
     "result_to_json",
-    "sweep_to_csv",
-    "table_to_csv",
     "run_many",
-    "parallel_sweep",
     "CacheStats",
     "ResultCache",
     "scenario_hash",
@@ -53,5 +47,4 @@ __all__ = [
     "link_lifetimes",
     "average_degree",
     "average_path_length",
-    "partition_fraction",
 ]

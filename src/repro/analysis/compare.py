@@ -30,12 +30,6 @@ class MetricComparison:
     def delta(self) -> float:
         return self.mean_b - self.mean_a
 
-    @property
-    def relative_delta(self) -> float:
-        if self.mean_a == 0:
-            return float("inf") if self.mean_b else 0.0
-        return self.delta / abs(self.mean_a)
-
 
 @dataclass(frozen=True)
 class Comparison:

@@ -1,18 +1,12 @@
-"""Persist experiment results as CSV/JSON.
-
-Benchmarks print tables for humans; these helpers write the same data to
-files so figures can be re-plotted elsewhere without re-simulating.
-"""
+"""Persist a run's results as JSON, so they can be read elsewhere without
+re-simulating."""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Dict, Sequence, Union
+from typing import Union
 
-from repro.analysis.series import SweepPoint
-from repro.analysis.stats import Aggregate
 from repro.metrics.collector import SimulationResult
 
 PathLike = Union[str, Path]
@@ -46,52 +40,3 @@ def result_to_json(result: SimulationResult, path: PathLike) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
 
-
-def sweep_to_csv(
-    points: Sequence[SweepPoint],
-    path: PathLike,
-    metrics: Sequence[str] = ("pdf", "delay", "overhead"),
-    x_title: str = "x",
-) -> Path:
-    """One row per x value; mean and 95 % CI half-width per metric."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = [x_title]
-        for metric in metrics:
-            header += [metric, f"{metric}_ci95"]
-        writer.writerow(header)
-        for point in points:
-            row = [point.label]
-            for metric in metrics:
-                row += [
-                    f"{point.aggregate.means[metric]:.6g}",
-                    f"{point.aggregate.half_widths[metric]:.6g}",
-                ]
-            writer.writerow(row)
-    return path
-
-
-def table_to_csv(
-    aggregates: Dict[str, Aggregate],
-    path: PathLike,
-    metrics: Sequence[str] = ("pdf", "delay", "overhead"),
-    row_title: str = "variant",
-) -> Path:
-    """One row per variant (e.g. the paper's Table 3)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = [row_title]
-        for metric in metrics:
-            header += [metric, f"{metric}_ci95"]
-        writer.writerow(header)
-        for name, aggregate in aggregates.items():
-            row = [name]
-            for metric in metrics:
-                row += [
-                    f"{aggregate.means[metric]:.6g}",
-                    f"{aggregate.half_widths[metric]:.6g}",
-                ]
-            writer.writerow(row)
-    return path

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.analysis.series import SweepPoint
-
 
 def render_chart(
     series: Dict[str, Sequence[float]],
@@ -86,18 +84,3 @@ def render_chart(
     lines.append(f"{' ' * label_width}  [{legend}]")
     return "\n".join(lines)
 
-
-def render_sweep(
-    points_by_variant: Dict[str, Sequence[SweepPoint]],
-    metric: str,
-    height: int = 12,
-    width: int = 60,
-) -> str:
-    """Chart one metric of a multi-variant sweep (e.g. Fig. 2's PDF panel)."""
-    first = next(iter(points_by_variant.values()))
-    x_labels = [point.label for point in first]
-    series = {
-        name: [point.metric(metric) for point in points]
-        for name, points in points_by_variant.items()
-    }
-    return render_chart(series, x_labels, height=height, width=width, y_label=metric)

@@ -21,8 +21,8 @@ modes — the only thing that differs is which map drains the task list:
 5. a task whose worker raises or dies is retried in the parent process, a
    bounded number of times; failures that survive the retries raise
    :class:`SweepExecutionError` — never silently dropped;
-6. results are written back by original index, so aggregation order is
-   byte-identical to the serial :func:`repro.analysis.series.sweep` path.
+6. results are written back by original index, so aggregation sees them
+   in the grid order :func:`repro.analysis.series.sweep` built.
 """
 
 from __future__ import annotations
@@ -468,7 +468,7 @@ class SweepEngine:
         label: Callable[[float], str] = lambda x: f"{x:g}",
     ) -> List[SweepPoint]:
         """Engine-backed :func:`repro.analysis.series.sweep`."""
-        return sweep(make_config, xs, seeds, label=label, runner=self.run_results)
+        return sweep(make_config, xs, seeds, self.run_results, label=label)
 
     def compare_variants(
         self,
@@ -522,7 +522,7 @@ class SweepEngine:
         }
 
 
-# -- module-level conveniences (historic API, now engine-backed) -----------
+# -- module-level convenience ----------------------------------------------
 
 
 def run_many(
@@ -543,17 +543,3 @@ def run_many(
     )
     return engine.run_results(configs)
 
-
-def parallel_sweep(
-    make_config: Callable[[float, int], ScenarioConfig],
-    xs: Sequence[float],
-    seeds: Sequence[int],
-    processes: Optional[int] = None,
-    label: Callable[[float], str] = lambda x: f"{x:g}",
-    cache: Optional[ResultCache] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[SweepPoint]:
-    """Parallel (and optionally cached) equivalent of
-    :func:`repro.analysis.series.sweep`."""
-    engine = SweepEngine(processes=processes, cache=cache, progress=progress)
-    return engine.sweep(make_config, xs, seeds, label=label)

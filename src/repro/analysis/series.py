@@ -2,21 +2,18 @@
 point, and collect aggregated metrics — the shape of every figure in the
 paper's evaluation.
 
-The grid construction and per-point aggregation live in
-:func:`sweep_grid` / :func:`points_from_results` so that the serial path
-here and the parallel/cached path in :mod:`repro.analysis.runner` are the
-*same* code operating on the same flat ``(x, seed)`` order — the two modes
-cannot drift apart in aggregation order.
+This module builds the flat ``(x, seed)`` grid and folds results back into
+per-point aggregates; a runner — in practice
+:meth:`repro.analysis.runner.SweepEngine.run_results` — executes the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.stats import Aggregate, aggregate
 from repro.metrics.collector import SimulationResult
-from repro.scenarios.builder import run_scenario
 from repro.scenarios.config import ScenarioConfig
 
 #: Runs every configuration, in order, and returns one result each.
@@ -57,16 +54,12 @@ def points_from_results(
     ]
 
 
-def _serial_runner(configs: Sequence[ScenarioConfig]) -> List[SimulationResult]:
-    return [run_scenario(config) for config in configs]
-
-
 def sweep(
     make_config: Callable[[float, int], ScenarioConfig],
     xs: Sequence[float],
     seeds: Sequence[int],
+    runner: RunnerFn,
     label: Callable[[float], str] = lambda x: f"{x:g}",
-    runner: Optional[RunnerFn] = None,
 ) -> List[SweepPoint]:
     """Run ``make_config(x, seed)`` for every (x, seed) pair.
 
@@ -74,26 +67,25 @@ def sweep(
     to the seed stream, mirroring the paper's "identical traffic models,
     different randomly generated mobility scenarios".
 
-    ``runner`` swaps the execution strategy (e.g.
-    :meth:`repro.analysis.runner.SweepEngine.run_results` for parallel +
-    cached execution) without touching grid order or aggregation.
+    ``runner`` executes the grid (e.g.
+    :meth:`repro.analysis.runner.SweepEngine.run_results`); grid order and
+    aggregation do not depend on it.
     """
     grid = sweep_grid(xs, seeds)
     configs = [make_config(x, seed) for x, seed in grid]
-    results = (runner or _serial_runner)(configs)
+    results = runner(configs)
     return points_from_results(xs, grid, results, label)
 
 
 def compare_variants(
     variants: Dict[str, Callable[[int], ScenarioConfig]],
     seeds: Sequence[int],
-    runner: Optional[RunnerFn] = None,
+    runner: RunnerFn,
 ) -> Dict[str, Aggregate]:
     """Run several protocol variants over the same seeds (one table row
     each), e.g. the paper's Table 3."""
-    run = runner or _serial_runner
     output: Dict[str, Aggregate] = {}
     for name, make_config in variants.items():
-        results = run([make_config(seed) for seed in seeds])
+        results = runner([make_config(seed) for seed in seeds])
         output[name] = aggregate(results)
     return output

@@ -55,14 +55,6 @@ def welch_t_statistic(
     return t, dof
 
 
-def significantly_different(
-    a: Sequence[float], b: Sequence[float], t_threshold: float = 2.776
-) -> bool:
-    """Rough significance check (default threshold ~ t(0.975, df=4))."""
-    t, dof = welch_t_statistic(a, b)
-    return dof > 0 and abs(t) > t_threshold
-
-
 @dataclass(frozen=True)
 class Aggregate:
     """Per-metric mean and confidence half-width over a set of runs."""

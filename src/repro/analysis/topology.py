@@ -6,8 +6,7 @@ protocol:
 
 * :func:`link_lifetimes` — durations of link up-periods (the physical
   quantity the route-expiry timeout must track);
-* :func:`average_degree` / :func:`partition_fraction` — density and
-  reachability of the scenario;
+* :func:`average_degree` — density of the scenario;
 * :func:`average_path_length` — hop distance between connected pairs.
 
 EXPERIMENTS.md uses these to justify how the scaled scenario's optimal
@@ -70,40 +69,6 @@ def average_degree(mobility: MobilityModel, rx_range: float, t: float) -> float:
     if not ids:
         return 0.0
     return float(adjacency.sum()) / len(ids)
-
-
-def partition_fraction(
-    mobility: MobilityModel, rx_range: float, t: float
-) -> float:
-    """Fraction of node pairs with *no* multi-hop path at time ``t``.
-
-    0.0 means fully connected; the paper's scenarios are usually close to
-    connected, and high values flag a scenario where delivery failures are
-    topological rather than protocol-caused.
-    """
-    ids, adjacency = _adjacency(mobility, rx_range, t)
-    n = len(ids)
-    if n < 2:
-        return 0.0
-    seen = [False] * n
-    component_sizes: List[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        size = 0
-        frontier = deque([start])
-        seen[start] = True
-        while frontier:
-            node = frontier.popleft()
-            size += 1
-            for neighbor in np.flatnonzero(adjacency[node]):
-                if not seen[neighbor]:
-                    seen[neighbor] = True
-                    frontier.append(int(neighbor))
-        component_sizes.append(size)
-    connected_pairs = sum(size * (size - 1) // 2 for size in component_sizes)
-    total_pairs = n * (n - 1) // 2
-    return 1.0 - connected_pairs / total_pairs
 
 
 def average_path_length(

@@ -13,20 +13,26 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.core.config import PAPER_VARIANTS, DsrConfig, ExpiryMode
+from repro.errors import ConfigurationError
 from repro.phy.profiles import profile_names
 from repro.scenarios import presets
+from repro.scenarios.config import ScenarioConfig
 from repro.version import __version__
 
 
 def parse_seeds(text: str) -> List[int]:
     """``--seeds S1,S2,...`` as an argparse ``type=`` (``repro-submit`` shares
-    it): a bad seed is a usage error naming the flag, not a traceback."""
+    it): a bad seed, or none, is a usage error naming the flag, not a
+    traceback."""
     try:
-        return [int(chunk) for chunk in text.split(",") if chunk.strip()]
+        seeds = [int(chunk) for chunk in text.split(",") if chunk.strip()]
     except ValueError:
+        seeds = []
+    if not seeds:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
-        ) from None
+        )
+    return seeds
 
 
 def positive(kind=float):
@@ -134,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--processes",
-        type=int,
+        type=positive(int),
         default=None,
         metavar="N",
         help=(
@@ -236,19 +242,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _scenario(args)
+    except ConfigurationError as exc:
+        # A value the scenario refuses is a usage error, like a bad flag.
+        parser.error(str(exc))
+    return _run_and_report(args, config)
 
+
+def _scenario(args) -> ScenarioConfig:
+    """The scenario ``--config`` or the scenario flags describe."""
     if args.config is not None:
         from repro.scenarios.io import load_scenario
 
-        config = load_scenario(args.config)
-        return _run_and_report(args, config)
+        return load_scenario(args.config)
 
     dsr: DsrConfig = PAPER_VARIANTS[args.variant]
     if args.static_timeout is not None:
         dsr = dsr.but(expiry_mode=ExpiryMode.STATIC, static_timeout=args.static_timeout)
 
-    config = presets.preset_scenario(
+    return presets.preset_scenario(
         args.preset, dsr, args.pause_time, args.packet_rate, args.seed, args.duration
     ).but(
         protocol=args.protocol,
@@ -258,7 +273,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         radio_profile=args.radio_profile,
         link_loss=args.link_loss,
     )
-    return _run_and_report(args, config)
 
 
 def _run_and_report(args, config) -> int:

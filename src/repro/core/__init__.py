@@ -17,12 +17,7 @@ Everything is toggled through :class:`DsrConfig`.
 """
 
 from repro.core.config import DsrConfig
-from repro.core.routes import (
-    concatenate_routes,
-    route_links,
-    truncate_at_link,
-    validate_route,
-)
+from repro.core.routes import concatenate_routes, route_links
 from repro.core.messages import RouteError, RouteReply, RouteRequest
 from repro.core.cache import CachedPath, PathCache
 from repro.core.link_cache import LinkCache
@@ -56,7 +51,5 @@ __all__ = [
     "RouteReply",
     "RouteError",
     "route_links",
-    "truncate_at_link",
     "concatenate_routes",
-    "validate_route",
 ]

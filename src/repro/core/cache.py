@@ -182,13 +182,6 @@ class PathCache:
                 self._paths[replacement.route] = replacement
         return lifetimes
 
-    def remove_routes_to(self, dst: int) -> int:
-        """Drop every cached path that ends at ``dst`` (used by tests)."""
-        doomed = [key for key in self._paths if key[-1] == dst]
-        for key in doomed:
-            del self._paths[key]
-        return len(doomed)
-
     def prune_stale(self, now: float, timeout: float) -> int:
         """Apply timer-based expiry: truncate each path at its first link
         not seen within ``timeout`` seconds (entry time counts as a
@@ -212,6 +205,3 @@ class PathCache:
                     new_paths[prefix] = CachedPath(prefix, cached.added)
         self._paths = new_paths
         return changed
-
-    def clear(self) -> None:
-        self._paths.clear()

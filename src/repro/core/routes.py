@@ -1,9 +1,7 @@
 """Source-route utilities.
 
 A *route* is a list of node ids, first element the route's owner/origin and
-last the destination; every consecutive pair is a (directed) link.  All DSR
-logic funnels route surgery through these helpers so the no-loop invariant
-is enforced in exactly one place.
+last the destination; every consecutive pair is a (directed) link.
 """
 
 from __future__ import annotations
@@ -15,20 +13,9 @@ from repro.errors import RoutingError
 Link = Tuple[int, int]
 
 
-def validate_route(route: Sequence[int]) -> None:
-    """Raise :class:`RoutingError` unless ``route`` is usable.
-
-    Usable means at least two hops and no repeated node (source routes with
-    loops are never valid in DSR).
-    """
-    if len(route) < 2:
-        raise RoutingError(f"route too short: {list(route)}")
-    if len(set(route)) != len(route):
-        raise RoutingError(f"route contains a loop: {list(route)}")
-
-
 def is_valid_route(route: Sequence[int]) -> bool:
-    """Non-raising form of :func:`validate_route`."""
+    """At least two nodes and none repeated (source routes with loops are
+    never valid in DSR)."""
     return len(route) >= 2 and len(set(route)) == len(route)
 
 
@@ -47,23 +34,6 @@ def link_position(route: Sequence[int], link: Link) -> int:
         if route[i] == a and route[i + 1] == b:
             return i
     return -1
-
-
-def contains_link(route: Sequence[int], link: Link) -> bool:
-    return link_position(route, link) >= 0
-
-
-def truncate_at_link(route: Sequence[int], link: Link) -> Optional[List[int]]:
-    """Cut ``route`` just before ``link``.
-
-    Returns the surviving prefix if it is still a usable route (>= 2 hops),
-    or None if the link was the first hop / the prefix degenerates.  Returns
-    the route unchanged (as a list) if the link does not appear.
-    """
-    position = link_position(route, link)
-    if position < 0:
-        return list(route)
-    return list(route[: position + 1]) if position >= 1 else None
 
 
 def concatenate_routes(

@@ -21,16 +21,6 @@ class StaticModel(MobilityModel):
         super().__init__(trajectories)
         self._static_positions: Optional[np.ndarray] = None
 
-    @classmethod
-    def from_mapping(cls, mapping: Dict[int, Tuple[float, float]]) -> "StaticModel":
-        model = cls.__new__(cls)
-        MobilityModel.__init__(
-            model,
-            {nid: Trajectory.stationary(x, y) for nid, (x, y) in mapping.items()},
-        )
-        model._static_positions = None
-        return model
-
     def positions(self, t: float) -> np.ndarray:
         """Time-independent fast path: the layout never changes, so the
         batched query is a cached-array copy instead of segment evaluation."""

@@ -54,10 +54,6 @@ class Trajectory:
         """A trajectory that never moves."""
         return cls([Segment(t0=t0, x0=x, y0=y, vx=0.0, vy=0.0)])
 
-    @property
-    def segments(self) -> List[Segment]:
-        return list(self._segments)
-
     def position(self, t: float) -> Point:
         """Position at time ``t``.
 

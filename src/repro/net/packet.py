@@ -108,21 +108,6 @@ class Packet:
     def is_broadcast(self) -> bool:
         return self.dst == BROADCAST
 
-    def next_hop(self) -> int:
-        """The node this packet should be handed to next."""
-        if self.source_route is None:
-            raise ValueError(f"packet {self.uid} has no source route")
-        if self.route_index + 1 >= len(self.source_route):
-            raise ValueError(
-                f"packet {self.uid} is already at the end of its source route"
-            )
-        return self.source_route[self.route_index + 1]
-
-    def current_hop(self) -> int:
-        if self.source_route is None:
-            raise ValueError(f"packet {self.uid} has no source route")
-        return self.source_route[self.route_index]
-
     def remaining_route(self) -> List[int]:
         """Hops from the current holder to the destination, inclusive."""
         if self.source_route is None:

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.devtools.lockdep import OrderedLock
 
@@ -255,26 +254,6 @@ class FleetTracer:
         if on_finish is not None:
             on_finish(span)
         return span
-
-    @contextmanager
-    def span(
-        self,
-        kind: str,
-        trace_id: Optional[str],
-        parent_id: Optional[str] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> Iterator[Optional[Span]]:
-        """``with tracer.span(...) as sp:`` — finishes on exit, recording
-        a propagating exception as the span's ``error`` attribute."""
-        span = self.start(kind, trace_id, parent_id, attrs)
-        try:
-            yield span
-        except BaseException as exc:
-            if span is not None:
-                span.attrs["error"] = f"{type(exc).__name__}: {exc}"
-            self.finish(span)
-            raise
-        self.finish(span)
 
     # -- ingesting finished spans (workers, journal replay) ------------------
 

@@ -217,7 +217,7 @@ class Channel:
             if capture is not None or loss is not None:
                 # One vectorized sqrt per sender per quantum, of the squared
                 # distances the range tests used (np.sqrt is correctly rounded:
-                # each element is bit-identical to NeighborCache.distances).
+                # each element is bit-identical to NeighborCache.distance).
                 distances = np.sqrt(sq)
                 if capture is not None:
                     powers = list(map(capture.power_db, distances.tolist()))

@@ -29,15 +29,13 @@ Hot-path decisions, all determinism-preserving:
   :meth:`repro.mobility.base.MobilityModel.positions` — one vectorized call
   instead of a per-node Python loop.
 * **Squared distances.**  Range checks compare ``d^2 <= range^2``; the
-  ``sqrt`` only happens when a caller asks for an actual metric distance
-  (the probabilistic edge-loss model — see :meth:`distances`, which batches
-  it to one vectorized call per sender).
+  ``sqrt`` only happens when a caller asks for an actual metric distance.
 * **One query per node, lazy Python lists.**  The first question about a
   node within a quantum makes one backend query, memoised as arrays:
   carrier-sense rows, an "also in receive range" flag per row, squared
   distances.  The channel builds its delivery plans from those arrays
-  (:meth:`listeners`); the Python lists and the receive set other callers
-  ask for derive from the same memo on first use.  Most nodes are silent in
+  (:meth:`listeners`); the Python lists other callers ask for derive from
+  the same memo on first use.  Most nodes are silent in
   any 50 ms quantum, so nothing per node is built at refresh time.
 
 At the paper's 20 m/s top speed a node moves 1 m per default 50 ms quantum
@@ -47,7 +45,7 @@ tests include an exact-versus-cached comparison.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -106,7 +104,6 @@ class NeighborCache:
         self._rows: Dict[int, NeighborRows] = {}
         self._rx_lists: Dict[int, List[int]] = {}
         self._cs_lists: Dict[int, List[int]] = {}
-        self._rx_sets: Dict[int, FrozenSet[int]] = {}
 
     @property
     def propagation(self) -> DiskPropagation:
@@ -123,7 +120,6 @@ class NeighborCache:
         self._rows.clear()
         self._rx_lists.clear()
         self._cs_lists.clear()
-        self._rx_sets.clear()
 
     def tick(self, t: float) -> int:
         """Refresh for time ``t`` and return the quantum index.
@@ -140,7 +136,7 @@ class NeighborCache:
         ``(cs_rows, in_rx, sq)`` — the rows (see :attr:`node_ids`) that sense
         a transmission, ascending; whether each can also decode it; and each
         one's squared distance (its ``np.sqrt`` is bit-identical to
-        :meth:`distances`).  One backend query per node per quantum, memoised
+        :meth:`distance`).  One backend query per node per quantum, memoised
         and shared with every other neighbour query: do not mutate."""
         self._refresh(t)
         i = self._index[node_id]
@@ -170,16 +166,6 @@ class NeighborCache:
             self._cs_lists[i] = found
         return found
 
-    def rx_set(self, node_id: int, t: float) -> FrozenSet[int]:
-        """:meth:`rx_neighbors` as a memoised frozenset (membership tests)."""
-        self._refresh(t)
-        i = self._index[node_id]
-        found = self._rx_sets.get(i)
-        if found is None:
-            found = frozenset(self.rx_neighbors(node_id, t))
-            self._rx_sets[i] = found
-        return found
-
     def connected(self, a: int, b: int, t: float) -> bool:
         """True if ``a`` and ``b`` are within receive range at time ``t``."""
         if a == b:
@@ -194,22 +180,6 @@ class NeighborCache:
         return float(
             np.sqrt(self._backend.sq_dist(self._index[a], self._index[b]))
         )
-
-    def distances(self, a: int, others: Sequence[int], t: float) -> np.ndarray:
-        """Metric distances from ``a`` to each node in ``others`` at ``t``.
-
-        One vectorized ``sqrt`` for the whole batch — the lossy channel asks
-        this once per sender per quantum instead of once per receiver per
-        frame.  Element order follows ``others``; ``np.sqrt`` is correctly
-        rounded, so each element is bit-identical to the scalar
-        :meth:`distance` result.
-        """
-        self._refresh(t)
-        if not len(others):
-            return np.zeros(0)
-        i = self._index[a]
-        rows = np.array([self._index[o] for o in others], dtype=np.intp)
-        return np.sqrt(self._backend.sq_dists(i, rows))
 
     def reachable(self, a: int, b: int, t: float) -> bool:
         """Ground truth: does *any* multi-hop path exist between a and b?

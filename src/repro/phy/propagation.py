@@ -114,11 +114,3 @@ class DiskPropagation:
             raise ConfigurationError("rx_range must be positive")
         if self.cs_range < self.rx_range:
             raise ConfigurationError("cs_range must be >= rx_range")
-
-    def can_receive(self, distance: float) -> bool:
-        """True if a receiver at ``distance`` metres can decode the frame."""
-        return distance <= self.rx_range
-
-    def can_sense(self, distance: float) -> bool:
-        """True if a node at ``distance`` metres detects channel energy."""
-        return distance <= self.cs_range

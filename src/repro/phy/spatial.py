@@ -137,9 +137,6 @@ class AllPairsIndex:
         sq = self._sq[row][cs_rows]
         return cs_rows, sq <= self._rx_sq, sq
 
-    def sq_dists(self, row: int, others: np.ndarray) -> np.ndarray:
-        return np.asarray(self._sq[row, others])
-
     def sq_dist(self, row_a: int, row_b: int) -> float:
         return float(self._sq[row_a, row_b])
 
@@ -282,10 +279,6 @@ class UniformGridIndex:
         near[np.searchsorted(candidates, row)] = False
         sq = sq[near]
         return candidates[near], sq <= self._rx_sq, sq
-
-    def sq_dists(self, row: int, others: np.ndarray) -> np.ndarray:
-        deltas = self._positions[row] - self._positions[others]
-        return np.asarray(np.einsum("ij,ij->i", deltas, deltas))
 
     def sq_dist(self, row_a: int, row_b: int) -> float:
         dx = self._positions[row_a, 0] - self._positions[row_b, 0]

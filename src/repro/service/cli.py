@@ -46,6 +46,8 @@ from repro.version import __version__
 
 
 def _build_serve_parser() -> argparse.ArgumentParser:
+    from repro.cli import positive
+
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description=(
@@ -67,7 +69,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive(int),
         default=2,
         help="worker threads (default: 2); they overlap jobs and cache/HTTP "
         "waits, but simulations are pure Python and share one GIL, so "
@@ -75,7 +77,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--processes",
-        type=int,
+        type=positive(int),
         default=1,
         metavar="N",
         help="engine processes per worker thread (default: 1); CPU "
@@ -133,7 +135,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--lease-ttl",
-        type=float,
+        type=positive(float),
         default=10.0,
         metavar="SECONDS",
         help="how long a silent worker holds a shard before it is "
@@ -141,7 +143,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shard-size",
-        type=int,
+        type=positive(int),
         default=4,
         metavar="N",
         help="max scenarios per shard, the unit a worker claims (default: 4)",
@@ -276,7 +278,7 @@ class _DrainSignal:
 
 
 def _build_submit_parser() -> argparse.ArgumentParser:
-    from repro.cli import parse_seeds
+    from repro.cli import parse_seeds, positive
     from repro.core.config import PAPER_VARIANTS
     from repro.scenarios.presets import PRESETS
 
@@ -296,7 +298,7 @@ def _build_submit_parser() -> argparse.ArgumentParser:
         help="client id for per-client admission limits",
     )
     parser.add_argument(
-        "--timeout", type=float, default=30.0, help="per-request timeout (s)"
+        "--timeout", type=positive(float), default=30.0, help="per-request timeout (s)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

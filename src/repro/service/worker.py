@@ -390,6 +390,8 @@ class ShardWorker:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.cli import positive
+
     parser = argparse.ArgumentParser(
         prog="repro-worker",
         description=(
@@ -420,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--processes",
-        type=int,
+        type=positive(int),
         default=1,
         metavar="N",
         help="engine processes per shard (default: 1)",
@@ -434,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--poll",
-        type=float,
+        type=positive(float),
         default=0.5,
         metavar="SECONDS",
         help="idle back-off between claims (default: 0.5)",
@@ -447,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit after delivering N shards (default: run until signalled)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=30.0, help="per-request timeout (s)"
+        "--timeout", type=positive(float), default=30.0, help="per-request timeout (s)"
     )
     parser.add_argument(
         "--no-trace",

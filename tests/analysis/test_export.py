@@ -1,11 +1,8 @@
 """Unit tests for CSV/JSON export."""
 
-import csv
 import json
 
-from repro.analysis.export import result_to_json, sweep_to_csv, table_to_csv
-from repro.analysis.series import SweepPoint
-from repro.analysis.stats import Aggregate
+from repro.analysis.export import result_to_json
 from repro.metrics.collector import SimulationResult
 
 
@@ -35,11 +32,6 @@ def _result():
     )
 
 
-def _aggregate():
-    means = {"pdf": 0.9, "delay": 0.1, "overhead": 4.7}
-    return Aggregate(means=means, half_widths={k: 0.02 for k in means}, runs=3)
-
-
 def test_result_to_json_roundtrip(tmp_path):
     path = result_to_json(_result(), tmp_path / "run.json")
     payload = json.loads(path.read_text())
@@ -47,28 +39,3 @@ def test_result_to_json_roundtrip(tmp_path):
     assert payload["counters"]["link_breaks"] == 12
     assert payload["counters"]["drop_reasons"] == {"no-route-to-salvage": 4}
 
-
-def test_sweep_to_csv(tmp_path):
-    points = [
-        SweepPoint(x=0.0, label="0", aggregate=_aggregate()),
-        SweepPoint(x=100.0, label="100", aggregate=_aggregate()),
-    ]
-    path = sweep_to_csv(points, tmp_path / "sweep.csv", x_title="pause")
-    with path.open() as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["pause", "pdf", "pdf_ci95", "delay", "delay_ci95", "overhead", "overhead_ci95"]
-    assert rows[1][0] == "0"
-    assert float(rows[1][1]) == 0.9
-    assert len(rows) == 3
-
-
-def test_table_to_csv(tmp_path):
-    path = table_to_csv(
-        {"DSR": _aggregate(), "All": _aggregate()},
-        tmp_path / "table.csv",
-        metrics=("pdf",),
-    )
-    with path.open() as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["variant", "pdf", "pdf_ci95"]
-    assert [row[0] for row in rows[1:]] == ["DSR", "All"]

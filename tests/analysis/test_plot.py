@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.analysis.plot import render_chart, render_sweep
-from repro.analysis.series import SweepPoint
-from repro.analysis.stats import Aggregate
+from repro.analysis.plot import render_chart
 
 
 def test_chart_contains_markers_and_legend():
@@ -47,18 +45,3 @@ def test_chart_validation():
     with pytest.raises(ValueError):
         render_chart({"s": [1.0]}, x_labels=["a"], height=1)
 
-
-def test_render_sweep():
-    def point(x, pdf):
-        agg = Aggregate(
-            means={"pdf": pdf}, half_widths={"pdf": 0.01}, runs=1
-        )
-        return SweepPoint(x=x, label=str(x), aggregate=agg)
-
-    chart = render_sweep(
-        {"DSR": [point(0, 0.8), point(100, 0.9)],
-         "All": [point(0, 0.95), point(100, 0.96)]},
-        metric="pdf",
-    )
-    assert "pdf" in chart
-    assert "DSR" in chart

@@ -14,7 +14,6 @@ from repro.analysis.runner import (
     SweepExecutionError,
     _run_payload,
     estimate_cost,
-    parallel_sweep,
     run_many,
 )
 from repro.analysis.series import sweep
@@ -79,11 +78,10 @@ def test_run_many_parallel_matches_serial():
 
 
 def test_parallel_sweep_shapes():
-    points = parallel_sweep(
+    points = SweepEngine(processes=1).sweep(
         lambda pause, seed: _config(seed=seed, pause=pause),
         xs=[0.0, 12.0],
         seeds=[1, 2],
-        processes=1,
     )
     assert [point.x for point in points] == [0.0, 12.0]
     assert all(point.aggregate.runs == 2 for point in points)
@@ -182,7 +180,7 @@ def test_parallel_cached_sweep_equals_serial_sweep(tmp_path):
     xs, seeds = [0.0, 12.0], [1, 2]
     # In-process first: whatever module state a simulation leaves behind is
     # there for a forked pool to inherit, and must not reach its results.
-    serial = sweep(make, xs, seeds)
+    serial = sweep(make, xs, seeds, lambda configs: [run_scenario(c) for c in configs])
     configs = [make(x, seed) for x in xs for seed in seeds]
     expected = run_many(configs, processes=1)
 

@@ -7,7 +7,6 @@ from repro.analysis.topology import (
     average_degree,
     average_path_length,
     link_lifetimes,
-    partition_fraction,
 )
 from repro.mobility.base import MobilityModel
 from repro.mobility.static import StaticModel
@@ -19,14 +18,6 @@ def test_average_degree_chain():
     model = StaticModel([(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)])
     # Degrees: 1, 2, 1 -> mean 4/3.
     assert average_degree(model, 250.0, 0.0) == pytest.approx(4.0 / 3.0)
-
-
-def test_partition_fraction_connected_and_split():
-    connected = StaticModel([(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)])
-    assert partition_fraction(connected, 250.0, 0.0) == 0.0
-    split = StaticModel([(0.0, 0.0), (200.0, 0.0), (5000.0, 0.0)])
-    # Pairs: (0,1) connected; (0,2) and (1,2) not -> 2/3 unreachable.
-    assert partition_fraction(split, 250.0, 0.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_average_path_length_chain():

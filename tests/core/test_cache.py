@@ -128,19 +128,3 @@ def test_prune_drops_whole_path_when_first_link_stale():
     cache.add([0, 1, 2], now=0.0)
     assert cache.prune_stale(now=100.0, timeout=5.0) == 1
     assert len(cache) == 0
-
-
-def test_remove_routes_to():
-    cache = PathCache(owner=0)
-    cache.add([0, 1, 2], now=0.0)
-    cache.add([0, 3], now=0.0)
-    assert cache.remove_routes_to(2) == 1
-    assert cache.find(2) is None
-    assert cache.find(3) == [0, 3]
-
-
-def test_clear():
-    cache = PathCache(owner=0)
-    cache.add([0, 1], now=0.0)
-    cache.clear()
-    assert len(cache) == 0

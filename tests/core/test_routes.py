@@ -4,11 +4,9 @@ import pytest
 
 from repro.core.routes import (
     concatenate_routes,
-    contains_link,
     is_valid_route,
+    link_position,
     route_links,
-    truncate_at_link,
-    validate_route,
 )
 from repro.errors import RoutingError
 
@@ -19,33 +17,16 @@ def test_route_links_in_order():
 
 
 def test_contains_link_is_directional():
-    assert contains_link([1, 2, 3], (2, 3))
-    assert not contains_link([1, 2, 3], (3, 2))
-    assert not contains_link([1, 2, 3], (1, 3))
+    assert link_position([1, 2, 3], (2, 3)) == 1
+    assert link_position([1, 2, 3], (3, 2)) == -1
+    assert link_position([1, 2, 3], (1, 3)) == -1
 
 
 def test_validate_route_rejects_loops_and_short_routes():
-    validate_route([1, 2])
-    with pytest.raises(RoutingError):
-        validate_route([1])
-    with pytest.raises(RoutingError):
-        validate_route([1, 2, 1])
+    assert is_valid_route([1, 2])
     assert is_valid_route([3, 4, 5])
     assert not is_valid_route([3, 4, 3])
     assert not is_valid_route([3])
-
-
-def test_truncate_at_link_keeps_prefix():
-    assert truncate_at_link([1, 2, 3, 4], (2, 3)) == [1, 2]
-    assert truncate_at_link([1, 2, 3, 4], (3, 4)) == [1, 2, 3]
-
-
-def test_truncate_at_first_link_degenerates():
-    assert truncate_at_link([1, 2, 3], (1, 2)) is None
-
-
-def test_truncate_missing_link_returns_route_unchanged():
-    assert truncate_at_link([1, 2, 3], (5, 6)) == [1, 2, 3]
 
 
 def test_concatenate_routes_happy_path():

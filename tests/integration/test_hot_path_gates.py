@@ -134,14 +134,14 @@ def test_clone_copies_fields_without_dataclasses_replace(monkeypatch):
 )
 def test_a_plan_is_built_without_the_per_listener_queries(monkeypatch, profile_kind):
     """The channel assembles plans from ``NeighborCache.listeners`` alone:
-    a grid-indexed run gives the same result with the list, set and distance
-    queries it used to make per sender patched to raise."""
+    a grid-indexed run gives the same result with the per-listener list and
+    distance queries patched to raise."""
     config = tiny_scenario(seed=3).but(
         duration=10.0, neighbor_index="grid", **profile_kind
     )
     expected = result_to_payload(build_simulation(config).run())
     assert expected["data_received"] > 0
-    for query in ("rx_set", "cs_neighbors", "distances"):
+    for query in ("rx_neighbors", "cs_neighbors", "distance"):
         monkeypatch.setattr(NeighborCache, query, _must_not_run)
     assert result_to_payload(build_simulation(config).run()) == expected
 

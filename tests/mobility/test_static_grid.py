@@ -13,12 +13,6 @@ def test_static_model_positions():
     assert model.node_ids == [0, 1]
 
 
-def test_static_model_from_mapping():
-    model = StaticModel.from_mapping({5: (1.0, 2.0), 9: (3.0, 4.0)})
-    assert model.node_ids == [5, 9]
-    assert model.position(9, 10.0) == (3.0, 4.0)
-
-
 def test_chain_positions():
     positions = chain_positions(4, 200.0)
     assert positions == [(0.0, 0.0), (200.0, 0.0), (400.0, 0.0), (600.0, 0.0)]

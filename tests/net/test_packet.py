@@ -23,12 +23,6 @@ def _routed_packet():
     )
 
 
-def test_next_hop_and_current_hop():
-    packet = _routed_packet()
-    assert packet.current_hop() == 1
-    assert packet.next_hop() == 2
-
-
 def test_remaining_route():
     packet = _routed_packet()
     assert packet.remaining_route() == [1, 2, 3]
@@ -52,18 +46,8 @@ def test_clone_deep_copies_route():
 def test_route_helpers_require_route():
     packet = Packet(kind=PacketKind.DATA, src=0, dst=1, uid=1)
     with pytest.raises(ValueError):
-        packet.next_hop()
-    with pytest.raises(ValueError):
-        packet.current_hop()
-    with pytest.raises(ValueError):
         packet.remaining_route()
     assert not packet.at_destination()
-
-
-def test_next_hop_at_end_of_route_raises():
-    packet = _routed_packet().clone(route_index=3)
-    with pytest.raises(ValueError):
-        packet.next_hop()
 
 
 def test_header_bytes_grow_with_route_length():

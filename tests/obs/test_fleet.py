@@ -147,17 +147,6 @@ def test_no_trace_id_means_no_span():
     assert tracer.start("submit", None) is None
 
 
-def test_span_contextmanager_records_errors():
-    tracer, _ = make_tracer()
-    with pytest.raises(RuntimeError):
-        with tracer.span("task.run", "t-1") as span:
-            raise RuntimeError("boom")
-    [stored] = tracer.trace("t-1")
-    assert "RuntimeError: boom" in stored.attrs["error"]
-    assert stored.end is not None
-    assert span is stored
-
-
 def test_add_spans_validates_and_skips_junk():
     tracer, _ = make_tracer()
     good = span_dict(trace="t-9")

@@ -114,13 +114,12 @@ def test_lazy_lists_match_exact_recomputation_across_quanta():
                     exact_cs.append(b)
             assert cache.rx_neighbors(a, t) == exact_rx
             assert cache.cs_neighbors(a, t) == exact_cs
-            assert cache.rx_set(a, t) == frozenset(exact_rx)
 
 
 def test_lazy_lists_are_memoised_within_a_quantum():
     cache = _static_cache()
     assert cache.rx_neighbors(1, 0.0) is cache.rx_neighbors(1, 0.01)
-    assert cache.rx_set(1, 0.0) is cache.rx_set(1, 0.02)
+    assert cache.cs_neighbors(1, 0.0) is cache.cs_neighbors(1, 0.02)
     # A quantum boundary invalidates the memo (fresh objects, same content).
     first = cache.rx_neighbors(1, 0.0)
     again = cache.rx_neighbors(1, 1.0)

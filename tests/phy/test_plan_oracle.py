@@ -5,8 +5,8 @@ per-listener body it replaced.
 ``NeighborCache.listeners`` query and keeps it as columns (``_rows`` zips
 the per-listener ones back into listener tuples).  The oracle is the body
 it had before — one frozenset membership test, one dict test and one dict
-lookup per listener, over the public ``rx_set`` / ``cs_neighbors`` /
-``distances`` — kept here verbatim and pointed at a *separate all-pairs
+lookup per listener, over the public ``rx_neighbors`` / ``cs_neighbors`` /
+``distance`` queries — kept here and pointed at a *separate all-pairs
 cache* of the same layout, so nothing the grid's block cache or the single
 query gets wrong can reach both sides.  The contract is exact: the same
 ``Radio`` objects in the same order, Python bools (``is``-comparable),
@@ -51,17 +51,17 @@ every_backend = pytest.mark.parametrize("index", BACKENDS)
 
 
 def _oracle_plan(channel, reference, sender_id, now):
-    """The miss path of ``Channel._plan_for`` as of the parent commit,
-    verbatim but for where the geometry comes from (``reference``)."""
+    """The per-listener miss path ``Channel._plan_for`` replaced, over the
+    geometry of ``reference``."""
     neighbors = reference
-    rx_set = neighbors.rx_set(sender_id, now)
+    rx_set = frozenset(neighbors.rx_neighbors(sender_id, now))
     cs_list = neighbors.cs_neighbors(sender_id, now)
     radios = channel._radios
     capture = channel.capture
     distances = repeat(0.0)
     powers = repeat(0.0)
     if capture is not None or channel._loss is not None:
-        distances = neighbors.distances(sender_id, cs_list, now).tolist()
+        distances = [neighbors.distance(sender_id, n, now) for n in cs_list]
         if capture is not None:
             powers = map(capture.power_db, distances)
     return [

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.mobility.static import StaticModel
+from repro.phy.neighbors import NeighborCache
 from repro.phy.propagation import DiskPropagation
 
 
@@ -12,19 +14,24 @@ def test_defaults_match_wavelan():
     assert propagation.cs_range == 550.0
 
 
+def _neighbors_of_origin(*positions):
+    """Node 0 at the origin, the rest at ``positions``, as the channel's
+    neighbour cache sees them."""
+    model = StaticModel([(0.0, 0.0), *positions])
+    cache = NeighborCache(model, DiskPropagation(rx_range=250.0, cs_range=550.0))
+    return cache.rx_neighbors(0, 0.0), cache.cs_neighbors(0, 0.0)
+
+
 def test_reception_boundary():
-    propagation = DiskPropagation(rx_range=250.0, cs_range=550.0)
-    assert propagation.can_receive(249.9)
-    assert propagation.can_receive(250.0)
-    assert not propagation.can_receive(250.1)
+    rx, _cs = _neighbors_of_origin((249.9, 0.0), (0.0, 250.0), (-250.1, 0.0))
+    assert rx == [1, 2]
 
 
 def test_sense_boundary():
-    propagation = DiskPropagation(rx_range=250.0, cs_range=550.0)
-    assert propagation.can_sense(550.0)
-    assert not propagation.can_sense(550.1)
+    rx, cs = _neighbors_of_origin((550.0, 0.0), (0.0, -550.1), (100.0, 0.0))
+    assert cs == [1, 3]
     # Everything receivable is also sensed.
-    assert propagation.can_sense(100.0)
+    assert rx == [3]
 
 
 def test_invalid_configuration():

@@ -37,7 +37,6 @@ def _assert_equivalent_at(allpairs, grid, node_ids, t, rng):
     for node_id in node_ids:
         assert allpairs.rx_neighbors(node_id, t) == grid.rx_neighbors(node_id, t)
         assert allpairs.cs_neighbors(node_id, t) == grid.cs_neighbors(node_id, t)
-        assert allpairs.rx_set(node_id, t) == grid.rx_set(node_id, t)
     for _ in range(len(node_ids)):
         a = int(rng.choice(node_ids))
         b = int(rng.choice(node_ids))
@@ -46,9 +45,9 @@ def _assert_equivalent_at(allpairs, grid, node_ids, t, rng):
         assert allpairs.distance(a, b, t) == grid.distance(a, b, t)
     others = [int(x) for x in rng.choice(node_ids, size=min(8, len(node_ids)))]
     probe = int(rng.choice(node_ids))
-    assert np.array_equal(
-        allpairs.distances(probe, others, t), grid.distances(probe, others, t)
-    )
+    assert [allpairs.distance(probe, o, t) for o in others] == [
+        grid.distance(probe, o, t) for o in others
+    ]
     route = [int(x) for x in rng.permutation(node_ids)[: min(6, len(node_ids))]]
     assert allpairs.route_valid(route, t) == grid.route_valid(route, t)
 
@@ -297,13 +296,14 @@ def test_distances_batch_matches_scalar():
         duration=10.0,
         rng=np.random.default_rng(41),
     )
+    # The channel takes one vectorized sqrt of a sender's squared listener
+    # distances; each element must equal the scalar distance.
     for index in ("allpairs", "grid"):
         cache = NeighborCache(model, PROPAGATION, index=index)
-        batch = cache.distances(0, [3, 7, 1, 7], 4.0)
-        assert batch.shape == (4,)
-        for value, other in zip(batch, [3, 7, 1, 7]):
-            assert float(value) == cache.distance(0, other, 4.0)
-        assert cache.distances(0, [], 4.0).shape == (0,)
+        cs_rows, _in_rx, sq = cache.listeners(0, 4.0)
+        assert len(cs_rows) > 1
+        for value, row in zip(np.sqrt(sq), cs_rows):
+            assert float(value) == cache.distance(0, cache.node_ids[row], 4.0)
 
 
 def test_speed_bound_matches_trajectories():

@@ -3,14 +3,9 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.cache import PathCache
 from repro.core.negative_cache import NegativeCache
-from repro.core.routes import (
-    concatenate_routes,
-    contains_link,
-    is_valid_route,
-    route_links,
-    truncate_at_link,
-)
+from repro.core.routes import concatenate_routes, is_valid_route, route_links
 
 unique_route = st.lists(
     st.integers(min_value=0, max_value=30), min_size=2, max_size=10, unique=True
@@ -29,11 +24,15 @@ def test_route_links_reconstruct_route(route):
 def test_truncate_removes_link_and_preserves_prefix(route, data):
     links = list(route_links(route))
     link = data.draw(st.sampled_from(links))
-    result = truncate_at_link(route, link)
-    if result is None:
-        assert link == links[0]
+    cache = PathCache(owner=route[0])
+    cache.add(route, now=0.0)
+    cache.remove_link(link, now=1.0)
+    survivors = [list(cached.route) for cached in cache.paths()]
+    if link == links[0]:
+        assert survivors == []
     else:
-        assert not contains_link(result, link)
+        [result] = survivors
+        assert link not in route_links(result)
         assert result == route[: len(result)]
         assert is_valid_route(result)
 

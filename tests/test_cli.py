@@ -281,6 +281,17 @@ def test_cli_bad_seeds_is_a_usage_error_not_a_traceback(capsys):
     assert "argument --seeds: expected comma-separated integers" in capsys.readouterr().err
 
 
+def test_cli_config_with_an_unknown_field_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bogus": 1}')
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--config", str(bad)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: unknown ScenarioConfig fields: ['bogus']" in err
+    assert "Running" not in err
+
+
 def test_cli_loss_sweep_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([*_TINY, "--loss-sweep", "0"])
@@ -303,8 +314,38 @@ def test_cli_loss_sweep_flag_is_gone(capsys):
             ["--flight-recorder", "f.jsonl", "--flight-capacity", "0"],
             "argument --flight-capacity: expected a positive int, got '0'",
         ),
+        (
+            ["--seeds", "1,2", "--processes", "0"],
+            "argument --processes: expected a positive int, got '0'",
+        ),
+        (
+            ["--seeds", "1,2", "--processes", "-1"],
+            "argument --processes: expected a positive int, got '-1'",
+        ),
+        (
+            ["--seeds", ","],
+            "argument --seeds: expected comma-separated integers, got ','",
+        ),
+        # Values the scenario itself refuses, refused before anything runs.
+        (["--duration", "0"], "error: duration must be positive"),
+        (["--link-loss", "1.5"], "error: link_loss must be in [0, 1)"),
+        (["--grey-zone", "1.0"], "error: grey_zone_fraction must be in [0, 1)"),
+        (["--static-timeout", "-3"], "error: static_timeout must be positive"),
+        (["--packet-rate", "0"], "error: packet_rate must be positive"),
     ],
-    ids=["interval-zero", "interval-negative", "capacity-zero"],
+    ids=[
+        "interval-zero",
+        "interval-negative",
+        "capacity-zero",
+        "processes-zero",
+        "processes-negative",
+        "seeds-empty",
+        "duration-zero",
+        "link-loss-above-one",
+        "grey-zone-one",
+        "static-timeout-negative",
+        "packet-rate-zero",
+    ],
 )
 def test_cli_non_positive_observability_flag_is_a_usage_error(
     tmp_path, monkeypatch, capsys, flags, complaint
@@ -324,8 +365,9 @@ def test_cli_non_positive_observability_flag_is_a_usage_error(
     [
         ("--variant", "Nope", "argument --variant: invalid choice: 'Nope'"),
         ("--seeds", "1,x", "argument --seeds: expected comma-separated integers"),
+        ("--seeds", ",", "argument --seeds: expected comma-separated integers, got ','"),
     ],
-    ids=["variant", "seeds"],
+    ids=["variant", "seeds", "seeds-empty"],
 )
 def test_submit_cli_typo_is_a_usage_error_not_a_traceback(capsys, flag, value, complaint):
     from repro.service.cli import submit_main
@@ -333,5 +375,45 @@ def test_submit_cli_typo_is_a_usage_error_not_a_traceback(capsys, flag, value, c
     # Refused while parsing: nothing is built, no server is contacted.
     with pytest.raises(SystemExit) as excinfo:
         submit_main(["--url", "http://127.0.0.1:1", "submit", "--preset", "tiny", flag, value])
+    assert excinfo.value.code == 2
+    assert complaint in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, argv, complaint",
+    [
+        ("repro-serve", ["--workers", "0"], "argument --workers: expected a positive int, got '0'"),
+        ("repro-serve", ["--processes", "-1"], "argument --processes: expected a positive int, got '-1'"),
+        ("repro-serve", ["--shard-size", "0"], "argument --shard-size: expected a positive int, got '0'"),
+        ("repro-serve", ["--lease-ttl", "0"], "argument --lease-ttl: expected a positive float, got '0'"),
+        ("repro-worker", ["--processes", "0"], "argument --processes: expected a positive int, got '0'"),
+        # An idle worker waits --poll seconds between claims; <= 0 would spin.
+        ("repro-worker", ["--poll", "0"], "argument --poll: expected a positive float, got '0'"),
+        ("repro-worker", ["--poll", "-0.5"], "argument --poll: expected a positive float, got '-0.5'"),
+        ("repro-worker", ["--timeout", "0"], "argument --timeout: expected a positive float, got '0'"),
+        ("repro-submit", ["--timeout", "0", "health"], "argument --timeout: expected a positive float, got '0'"),
+    ],
+    ids=[
+        "serve-workers",
+        "serve-processes",
+        "serve-shard-size",
+        "serve-lease-ttl",
+        "worker-processes",
+        "worker-poll-zero",
+        "worker-poll-negative",
+        "worker-timeout",
+        "submit-timeout",
+    ],
+)
+def test_service_cli_non_positive_flag_is_a_usage_error(capsys, command, argv, complaint):
+    from repro.service import cli, worker
+
+    parsers = {
+        "repro-serve": cli._build_serve_parser,
+        "repro-worker": worker._build_parser,
+        "repro-submit": cli._build_submit_parser,
+    }
+    with pytest.raises(SystemExit) as excinfo:
+        parsers[command]().parse_args(argv)
     assert excinfo.value.code == 2
     assert complaint in capsys.readouterr().err

@@ -1,6 +1,7 @@
-"""Docs may only name files that exist and quote numbers that are on file.
+"""Docs may only name files that exist, quote numbers that are on file and
+index names that import.
 
-Two checks, neither of which runs a simulation:
+Three checks, none of which runs a simulation:
 
 * every ``benchmarks/…``, ``examples/…``, ``tests/…`` or ``src/…`` path
   written in ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` or
@@ -9,10 +10,16 @@ Two checks, neither of which runs a simulation:
   the repository root (a name inside a command line is the reader's file);
 * every numeric cell of a table in ``EXPERIMENTS.md`` occurs in
   ``experiments_report.md``, the committed output of the command that file
-  names.
+  names;
+* every name ``docs/api.md`` lists in an Item column resolves as an
+  attribute of the module its section heading names.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,3 +101,63 @@ def test_experiments_tables_quote_the_committed_report():
     assert len(cells) > 150  # guards the extraction
     strangers = [f"EXPERIMENTS.md:{line}: {value}" for line, value in cells if value not in on_file]
     assert strangers == []
+
+
+API_INDEX = ROOT / "docs" / "api.md"
+API_HEADING = re.compile(r"^## `([\w.]+)`")
+
+#: Run in a fresh interpreter, so a submodule another test imported cannot
+#: make its package's attribute resolve.  A name qualified from ``repro.``
+#: imports its module part; any other name is an attribute chain off the
+#: heading's module, which is all ``import <heading>`` gives a reader.
+RESOLVE = """
+import importlib, json, sys
+unresolved = []
+for module, name in json.load(sys.stdin):
+    parts = name.split(".")
+    if parts[0] == "repro":
+        cut = len(parts)
+        while True:  # down to "repro" itself
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ImportError:
+                cut -= 1
+        parts = parts[cut:]
+    else:
+        obj = importlib.import_module(module)
+    try:
+        for part in parts:
+            obj = getattr(obj, part)
+    except AttributeError:
+        unresolved.append(module + ": " + name)
+print(json.dumps(unresolved))
+"""
+
+
+def api_names():
+    """``(module, name)`` for every code span in an Item cell of
+    ``docs/api.md``, a call signature (``f(a, b) -> T``) stripped."""
+    module = None
+    for line in API_INDEX.read_text().splitlines():
+        heading = API_HEADING.match(line)
+        if heading:
+            module = heading.group(1)
+        elif module and line.startswith("| `"):
+            for span in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                yield module, re.match(r"[\w.]+", span).group(0)
+
+
+def test_every_name_the_api_index_lists_imports():
+    names = list(api_names())
+    assert len(names) > 100  # guards the extraction
+    done = subprocess.run(
+        [sys.executable, "-c", RESOLVE],
+        input=json.dumps(names),
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
