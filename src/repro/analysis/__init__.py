@@ -8,13 +8,7 @@ from repro.analysis.tables import format_table, format_series
 from repro.analysis.plot import render_chart
 from repro.analysis.export import result_to_json
 from repro.analysis.cache import CacheStats, ResultCache, scenario_hash
-from repro.analysis.runner import (
-    ProgressUpdate,
-    RunReport,
-    SweepEngine,
-    SweepExecutionError,
-    run_many,
-)
+from repro.analysis.runner import RunReport, SweepEngine, SweepExecutionError, run_many
 from repro.analysis.compare import Comparison, compare, compare_results
 from repro.analysis.topology import (
     average_degree,
@@ -40,7 +34,6 @@ __all__ = [
     "SweepEngine",
     "SweepExecutionError",
     "RunReport",
-    "ProgressUpdate",
     "compare",
     "compare_results",
     "Comparison",

@@ -7,8 +7,7 @@ workers, forked or spawned, rebuild every run from its payload — no shared
 state, perfectly reproducible — and every run is identified by its content hash
 (:func:`repro.analysis.cache.scenario_hash`).
 
-Execution pipeline, identical for in-process (``processes=1``) and pooled
-modes — the only thing that differs is which map drains the task list:
+Execution pipeline of :meth:`SweepEngine.run`:
 
 1. every config is keyed by its content hash;
 2. keys already resolved (session memo, then on-disk cache) short-circuit;
@@ -16,17 +15,21 @@ modes — the only thing that differs is which map drains the task list:
    those keys get a ``(key, payload)`` task;
 4. remaining tasks are ordered longest-job-first by :func:`plan_dispatch`
    (low-pause / high-load scenarios dominate wall time, so they must start
-   early), submitted in that order and drained as they complete, so a free
-   worker always takes the longest job left;
-5. a task whose worker raises or dies is retried in the parent process, a
-   bounded number of times; failures that survive the retries raise
-   :class:`SweepExecutionError` — never silently dropped;
+   early) and handed to :func:`execute_tasks`;
+5. failures that survive its retries raise :class:`SweepExecutionError` —
+   never silently dropped;
 6. results are written back by original index, so aggregation sees them
    in the grid order :func:`repro.analysis.series.sweep` built.
+
+:func:`execute_tasks` is the one executor: it runs ``(key, payload)``
+tasks in the order given, pooled or in-process, retries failures in the
+calling process, and yields each task's outcome.  The engine and the
+service's shard worker (:mod:`repro.service.worker`) both iterate it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import multiprocessing
@@ -37,7 +40,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.analysis.cache import CacheStats, ResultCache, scenario_hash
 from repro.analysis.series import (
@@ -51,6 +56,8 @@ from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import scenario_from_dict, scenario_to_dict
 
 TaskFn = Callable[[dict], SimulationResult]
+#: One attempt at one task: ``(key, result, error, wall_s)``.
+Attempt = Tuple[str, Optional[SimulationResult], Optional[str], float]
 
 
 def _run_payload(payload: dict) -> SimulationResult:
@@ -60,9 +67,7 @@ def _run_payload(payload: dict) -> SimulationResult:
     return run_scenario(scenario_from_dict(payload))
 
 
-def _guarded(
-    task_fn: TaskFn, task: Tuple[str, dict]
-) -> Tuple[str, Optional[SimulationResult], Optional[str], float]:
+def _guarded(task_fn: TaskFn, task: Tuple[str, dict]) -> Attempt:
     """Run one task, returning errors as data so a bad payload cannot break
     the pool's result iterator.  The returned wall time is measured in the
     executing process (the worker, for pooled mode) so the parent's sweep
@@ -119,11 +124,105 @@ def plan_dispatch(tasks: Iterable[Tuple[str, dict]]) -> List[Tuple[str, dict]]:
     """The dispatch plan: ``(key, payload)`` tasks longest-estimated-job
     first, equal estimates in submission order (the sort is stable).
 
-    The one ordering both executors follow: :meth:`SweepEngine.run` drains
-    it task by task, and the service's shard board
-    (:mod:`repro.service.leases`) cuts it into consecutive shards.
+    The one ordering every execution follows: :meth:`SweepEngine.run` hands
+    it to :func:`execute_tasks` whole, and the service's shard board
+    (:mod:`repro.service.leases`) cuts it into consecutive shards, each
+    executed in that order by a shard worker.
     """
     return sorted(tasks, key=lambda task: estimate_cost(task[1]), reverse=True)
+
+
+class Completion(NamedTuple):
+    """One task's outcome: its result, or the error of its last attempt."""
+
+    key: str
+    result: Optional[SimulationResult]
+    error: Optional[str]
+    wall_s: float  # worker-measured wall of the last attempt
+    attempts: int  # 1, plus the in-parent retries it took
+
+
+def execute_tasks(
+    tasks: Sequence[Tuple[str, dict]],
+    task_fn: TaskFn = _run_payload,
+    processes: Optional[int] = None,
+    retries: int = 1,
+) -> Iterator[Completion]:
+    """Run ``(key, payload)`` tasks and yield one :class:`Completion` each.
+
+    Tasks start in the order given — :func:`plan_dispatch` order, so a free
+    worker always takes the longest job left — over ``processes`` workers
+    (default: every core; ``1`` runs them in this process), and successes
+    are yielded as they finish.  Every task that failed, whatever the cause
+    (worker exception or crash), is then retried in this process up to
+    ``retries`` times — deterministic and unaffected by pool state — and
+    what still fails is yielded last, with its error.  Closing the
+    generator early terminates the pool.
+    """
+    guarded = functools.partial(_guarded, task_fn)
+    processes = max(1, min(processes or multiprocessing.cpu_count(), len(tasks)))
+    failed: Dict[str, Completion] = {}
+    with contextlib.closing(_drain(guarded, tasks, processes)) as drained:
+        for completion in drained:
+            done = Completion(*completion, attempts=1)
+            if done.error is None:
+                yield done
+            else:
+                failed[done.key] = done
+    payloads = dict(tasks)
+    for attempt in range(2, retries + 2):
+        if not failed:
+            break
+        retry, failed = failed, {}
+        for key in retry:
+            done = Completion(*guarded((key, payloads[key])), attempts=attempt)
+            if done.error is None:
+                yield done
+            else:
+                failed[key] = done
+    yield from failed.values()
+
+
+def _drain(
+    guarded: Callable[[Tuple[str, dict]], Attempt],
+    tasks: Sequence[Tuple[str, dict]],
+    processes: int,
+) -> Iterator[Attempt]:
+    """One pass over the tasks, yielding ``(key, result, error, wall_s)``
+    as they finish: in this process, or overlapped in a process pool."""
+    if processes == 1:
+        yield from map(guarded, tasks)
+        return
+    # Imported here: the executor brings 2 MiB of multiprocessing machinery
+    # that only a pooled sweep should pay for, not every importer of the planner.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        max_workers=processes,
+        mp_context=_pool_context(),
+        initializer=_default_signals,
+    )
+    try:
+        keys = {pool.submit(guarded, task): task[0] for task in tasks}
+        for future in as_completed(keys):
+            try:
+                completion = future.result()
+            except BrokenProcessPool as exc:
+                # A worker died (killed, os._exit, a crash in native code).
+                # The executor then fails every task still out; each is a
+                # failure like any other, retried in the parent.
+                completion = keys[future], None, f"{type(exc).__name__}: {exc}", 0.0
+            yield completion
+    finally:
+        # Kill the workers, as Pool.__exit__ did: drained, they hold nothing
+        # and need not tear an interpreter down; stopped mid-drain, they
+        # must not finish what they hold.  The executor has no public call
+        # for it before Python 3.14, so this goes through its process table.
+        for process in list((pool._processes or {}).values()):
+            process.terminate()
+        # Joins them: no worker outlives the drain.
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class SweepExecutionError(RuntimeError):
@@ -160,28 +259,6 @@ class SweepInterrupted(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class ProgressUpdate:
-    """Snapshot passed to the progress callback after every completion."""
-
-    total: int  # configs in this batch
-    completed: int  # configs resolved so far (cached + simulated)
-    executed: int  # simulations actually run so far
-    cached: int  # configs served from memo/disk cache
-    deduped: int  # configs sharing another config's simulation
-    running: int  # upper bound on simulations in flight
-    retries: int  # retry attempts performed so far
-    elapsed_s: float
-    eta_s: Optional[float]  # None until one simulation has finished
-    # -- sweep telemetry (worker-measured, see _guarded) -------------------
-    last_task_wall_s: Optional[float] = None  # wall of the newest simulation
-    task_wall_total_s: float = 0.0  # summed simulation wall so far
-    disk_cache_hits: int = 0  # resolved from the on-disk cache
-
-
-ProgressFn = Callable[[ProgressUpdate], None]
-
-
 @dataclass
 class RunReport:
     """Results plus the accounting for one :meth:`SweepEngine.run` batch."""
@@ -194,7 +271,6 @@ class RunReport:
     retries: int
     wall_s: float
     cache_stats: Optional[CacheStats] = None
-    failures: Dict[str, str] = field(default_factory=dict)
     #: Worker-measured simulation wall per scenario hash (executed tasks only).
     task_walls: Dict[str, float] = field(default_factory=dict)
 
@@ -214,14 +290,12 @@ class SweepEngine:
         processes: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         retries: int = 1,
-        progress: Optional[ProgressFn] = None,
         task_fn: Optional[TaskFn] = None,
         manifest_path: Optional[os.PathLike] = None,
     ):
         self.processes = processes
         self.cache = cache
         self.retries = max(0, retries)
-        self.progress = progress
         self._task_fn = task_fn or _run_payload
         self._memo: Dict[str, SimulationResult] = {}
         # Run manifest: one JSON line of telemetry per run() batch.  Lives
@@ -257,9 +331,8 @@ class SweepEngine:
     def run(self, configs: Sequence[ScenarioConfig]) -> RunReport:
         """Run every configuration, in order; see the module docstring for
         the pipeline."""
-        # Wall-clock here is operator-facing accounting (elapsed/ETA in
-        # progress callbacks, RunReport.wall_s); it never feeds simulation
-        # state, which runs purely on sim.now.
+        # Wall-clock here is operator-facing accounting (RunReport.wall_s);
+        # it never feeds simulation state, which runs purely on sim.now.
         start = time.perf_counter()  # repro-lint: disable=DET001
         keys = [scenario_hash(config) for config in configs]
 
@@ -289,89 +362,30 @@ class SweepEngine:
             (key, scenario_to_dict(configs[indices[0]]))
             for key, indices in pending.items()
         )
-        task_payloads = dict(tasks)
 
         executed = 0
         retries = 0
         failures: Dict[str, str] = {}
         task_walls: Dict[str, float] = {}
-        last_wall: List[Optional[float]] = [None]
-        processes = self._resolve_processes(len(tasks))
-
-        def note_progress() -> None:
-            if self.progress is None:
-                return
-            completed = sum(1 for r in results if r is not None)
-            # Operator-facing progress clock, not simulation state.
-            elapsed = time.perf_counter() - start  # repro-lint: disable=DET001
-            remaining = len(tasks) - executed - len(failures)
-            eta = None
-            if executed:
-                per_task = elapsed / executed
-                eta = per_task * remaining / max(1, min(processes, remaining))
-            self.progress(
-                ProgressUpdate(
-                    total=len(configs),
-                    completed=completed,
-                    executed=executed,
-                    cached=resolved,
-                    deduped=deduped,
-                    running=min(processes, max(0, remaining)),
-                    retries=retries,
-                    elapsed_s=elapsed,
-                    eta_s=eta,
-                    last_task_wall_s=last_wall[0],
-                    task_wall_total_s=sum(task_walls.values()),
-                    disk_cache_hits=cache_hits,
-                )
-            )
-
-        def settle(key: str, result: SimulationResult) -> None:
-            self._memo[key] = result
-            if self.cache is not None:
-                self.cache.put(key, result)
-            for index in pending[key]:
-                results[index] = result
-
-        completions = self._completions(tasks, processes)
+        completions = execute_tasks(tasks, self._task_fn, self.processes, self.retries)
         interrupted = False
         try:
-            note_progress()
-            for key, result, error, wall in completions:
-                last_wall[0] = wall
-                if error is not None:
-                    failures[key] = error
-                else:
-                    executed += 1
-                    task_walls[key] = wall
-                    settle(key, result)
-                note_progress()
-
-            # Bounded in-parent retry of everything that failed, whatever the
-            # cause (worker exception or crash) — deterministic and unaffected
-            # by pool state.
-            guarded = functools.partial(_guarded, self._task_fn)
-            for _attempt in range(self.retries):
-                if not failures:
-                    break
-                retry_tasks = [(key, task_payloads[key]) for key in failures]
-                failures = {}
-                for task in retry_tasks:
-                    retries += 1
-                    key, result, error, wall = guarded(task)
-                    last_wall[0] = wall
-                    if error is not None:
-                        failures[key] = error
-                    else:
-                        executed += 1
-                        task_walls[key] = wall
-                        settle(key, result)
-                    note_progress()
+            for done in completions:
+                retries += done.attempts - 1
+                if done.error is not None:
+                    failures[done.key] = done.error
+                    continue
+                executed += 1
+                task_walls[done.key] = done.wall_s
+                self._memo[done.key] = done.result
+                if self.cache is not None:
+                    self.cache.put(done.key, done.result)
+                for index in pending[done.key]:
+                    results[index] = done.result
         except KeyboardInterrupt:
             interrupted = True
         finally:
-            # Stops the workers if we stopped mid-drain (generator close runs
-            # _completions' finally); no-op when drained, it has run by then.
+            # Stops the workers if we stopped mid-drain; no-op when drained.
             completions.close()
         if failures and not interrupted:
             raise SweepExecutionError(failures)
@@ -409,54 +423,6 @@ class SweepEngine:
     def run_results(self, configs: Sequence[ScenarioConfig]) -> List[SimulationResult]:
         """Just the results, in config order (the :data:`RunnerFn` shape)."""
         return self.run(configs).results
-
-    def _resolve_processes(self, n_tasks: int) -> int:
-        processes = self.processes or multiprocessing.cpu_count()
-        return max(1, min(processes, n_tasks))
-
-    def _completions(
-        self, tasks: List[Tuple[str, dict]], processes: int
-    ) -> Iterable[Tuple[str, Optional[SimulationResult], Optional[str], float]]:
-        """Drain the dispatch plan, yielding ``(key, result, error, wall_s)``
-        tuples as tasks finish.
-
-        Both branches consume the same longest-job-first task list through
-        the same guarded wrapper; pooled mode merely overlaps tasks.
-        """
-        guarded = functools.partial(_guarded, self._task_fn)
-        if processes <= 1 or len(tasks) <= 1:
-            yield from map(guarded, tasks)
-            return
-        # Imported here: the executor brings 2 MiB of multiprocessing machinery
-        # that only a pooled sweep should pay for, not every importer of the planner.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        pool = ProcessPoolExecutor(
-            max_workers=processes,
-            mp_context=_pool_context(),
-            initializer=_default_signals,
-        )
-        try:
-            keys = {pool.submit(guarded, task): task[0] for task in tasks}
-            for future in as_completed(keys):
-                try:
-                    completion = future.result()
-                except BrokenProcessPool as exc:
-                    # A worker died (killed, os._exit, a crash in native code).
-                    # The executor then fails every task still out; each is a
-                    # failure like any other, retried in the parent.
-                    completion = keys[future], None, f"{type(exc).__name__}: {exc}", 0.0
-                yield completion
-        finally:
-            # Kill the workers, as Pool.__exit__ did: drained, they hold nothing
-            # and need not tear an interpreter down; stopped mid-drain, they
-            # must not finish what they hold.  The executor has no public call
-            # for it before Python 3.14, so this goes through its process table.
-            for process in list((pool._processes or {}).values()):
-                process.terminate()
-            # Joins them: no worker outlives run().
-            pool.shutdown(wait=True, cancel_futures=True)
 
     # -- figure-shaped conveniences ---------------------------------------
 
@@ -529,7 +495,6 @@ def run_many(
     configs: Sequence[ScenarioConfig],
     processes: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    progress: Optional[ProgressFn] = None,
     retries: int = 1,
 ) -> List[SimulationResult]:
     """Run every configuration, in order, across worker processes.
@@ -538,8 +503,6 @@ def run_many(
     through the *same* indexed pipeline — caching, dedup and result order
     are identical in both modes.
     """
-    engine = SweepEngine(
-        processes=processes, cache=cache, progress=progress, retries=retries
-    )
+    engine = SweepEngine(processes=processes, cache=cache, retries=retries)
     return engine.run_results(configs)
 

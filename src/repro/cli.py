@@ -35,19 +35,22 @@ def parse_seeds(text: str) -> List[int]:
     return seeds
 
 
-def positive(kind=float):
-    """An argparse ``type=`` for a finite number above zero, parsed by
-    ``kind``: 0, a negative or a non-number is a usage error naming the
-    flag, raised before anything is built."""
+def positive(kind=float, zero=False):
+    """An argparse ``type=`` for a finite number above zero (or at least
+    zero, with ``zero=True``), parsed by ``kind``: anything lower or a
+    non-number is a usage error naming the flag, raised before anything is
+    built."""
+    sign = "non-negative" if zero else "positive"
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not 0 < value < float("inf"):
+        finite = value is not None and value < float("inf")
+        if not finite or not (0 <= value if zero else 0 < value):
             raise argparse.ArgumentTypeError(
-                f"expected a positive {kind.__name__}, got {text!r}"
+                f"expected a {sign} {kind.__name__}, got {text!r}"
             )
         return value
 

@@ -19,9 +19,8 @@ nodes for 120 s; a few minutes for three seeds), ``paper`` (the full
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.runner import SweepEngine
 from repro.analysis.series import SweepPoint
@@ -279,8 +278,6 @@ def supplement(
     scale: str = "quick",
     seeds: Sequence[int] = (1,),
     progress: Optional[ProgressFn] = None,
-    processes: Optional[int] = None,
-    cache_dir: Optional[Union[str, os.PathLike]] = None,
     engine: Optional[SweepEngine] = None,
 ) -> SupplementReport:
     """Run the ablation and extension tables of :data:`SUPPLEMENT_TABLES`.
@@ -292,7 +289,7 @@ def supplement(
         raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
     seeds = list(seeds)
     say = progress or (lambda message: None)
-    engine = engine or SweepEngine.create(processes=processes, cache_dir=cache_dir)
+    engine = engine or SweepEngine()
     tables: Dict[str, Dict[str, Aggregate]] = {}
 
     def scenario(seed: int, overrides: Dict[str, Any]) -> ScenarioConfig:
@@ -315,25 +312,22 @@ def reproduce(
     progress: Optional[ProgressFn] = None,
     fig2_variants: Optional[Sequence[str]] = None,
     fig4_variants: Sequence[str] = ("DSR", "AllTechniques"),
-    processes: Optional[int] = None,
-    cache_dir: Optional[Union[str, os.PathLike]] = None,
     engine: Optional[SweepEngine] = None,
 ) -> PaperReport:
     """Run the paper's four artifacts and return a report.
 
-    All figures execute through one :class:`SweepEngine`:
-    ``processes`` fans the sweep points out over worker processes
-    (default: every core; ``1`` forces in-process execution) and
-    ``cache_dir`` enables the on-disk result cache so a re-run only
-    simulates changed points.  Results are identical to serial execution —
-    the engine preserves per-seed determinism and aggregation order.
-    Pass a prebuilt ``engine`` to share its cache/memo across calls.
+    All figures execute through one :class:`SweepEngine`, by default one
+    over every core with no on-disk cache.  Pass a prebuilt ``engine``
+    (``SweepEngine.create(processes=..., cache_dir=...)``) to choose its
+    processes and cache, or to share its memo across calls.  Results are
+    identical to serial execution — the engine preserves per-seed
+    determinism and aggregation order.
     """
     if scale not in _SCALES:
         raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
     seeds = list(seeds)
     say = progress or (lambda message: None)
-    engine = engine or SweepEngine.create(processes=processes, cache_dir=cache_dir)
+    engine = engine or SweepEngine()
     sweep = engine.sweep
     compare_variants = engine.compare_variants
 

@@ -112,6 +112,39 @@ class ScenarioConfig:
             raise ConfigurationError("walk_epoch must be positive")
         if self.traffic_type not in ("cbr", "tcp"):
             raise ConfigurationError(f"unknown traffic type {self.traffic_type!r}")
+        # What the layers this config names would refuse mid-run is refused
+        # here.  A speed, pause or range field that the named mobility model
+        # or radio profile ignores is not checked.
+        if self.field_width <= 0 or self.field_height <= 0:
+            raise ConfigurationError("field dimensions must be positive")
+        model = self.mobility_model
+        if model in ("waypoint", "random_walk", "rpgm"):
+            # rpgm's group centres move by random waypoint at its default
+            # 0.1 m/s minimum speed.
+            low = 0.1 if model == "rpgm" else self.min_speed
+            if not 0 < low <= self.max_speed:
+                raise ConfigurationError(
+                    f"need 0 < min_speed <= max_speed, got {low}, {self.max_speed}"
+                )
+        elif self.max_speed <= 0:  # gauss_markov: mean speed max_speed / 2
+            raise ConfigurationError("max_speed must be positive")
+        if model in ("waypoint", "rpgm") and self.pause_time < 0:
+            raise ConfigurationError("pause_time cannot be negative")
+        if model == "rpgm" and self.rpgm_groups > self.num_nodes:
+            raise ConfigurationError("more rpgm groups than nodes")
+        if self.radio_profile == "wavelan":  # other profiles fix their ranges
+            if self.rx_range <= 0:
+                raise ConfigurationError("rx_range must be positive")
+            if self.cs_range < self.rx_range:
+                raise ConfigurationError("cs_range must be >= rx_range")
+        if self.neighbor_quantum <= 0:
+            raise ConfigurationError("neighbor_quantum must be positive")
+        if self.ifq_capacity <= 0:
+            raise ConfigurationError("ifq_capacity must be positive")
+        if self.payload_bytes <= 0:
+            raise ConfigurationError("payload_bytes must be positive")
+        if self.start_window < 0:
+            raise ConfigurationError("start_window cannot be negative")
 
     @property
     def offered_load_kbps(self) -> float:

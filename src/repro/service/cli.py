@@ -100,17 +100,18 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--queue-depth",
-        type=int,
+        type=positive(int, zero=True),
         default=64,
         metavar="N",
-        help="max pending jobs before submissions get 429 (default: 64)",
+        help="max pending jobs before submissions get 429 (default: 64; "
+        "0 = no bound)",
     )
     parser.add_argument(
         "--max-inflight",
-        type=int,
+        type=positive(int, zero=True),
         default=8,
         metavar="N",
-        help="max pending+running jobs per client (default: 8)",
+        help="max pending+running jobs per client (default: 8; 0 = no bound)",
     )
     parser.add_argument(
         "--retries",

@@ -17,10 +17,13 @@ a non-distributed service starts itself:
    This is the one way a result reaches the coordinator, which stores it
    in its cache once.
 
-Execution itself is the ordinary :class:`~repro.analysis.runner.SweepEngine`
-over a local :class:`~repro.analysis.cache.ResultCache`, so a shard
-requeued to the same worker after a failed delivery resolves from disk.
-(A worker handed a cache — ``ShardWorker(cache=...)`` — uses that instead.)
+Execution is the sweep engine's own executor,
+:func:`~repro.analysis.runner.execute_tasks`, over the claim's keys and
+payloads.  Each key is first looked up in a local
+:class:`~repro.analysis.cache.ResultCache` tier and each executed one is
+stored there, so a shard requeued to the same worker after a failed
+delivery resolves from disk.  (A worker handed a cache —
+``ShardWorker(cache=...)`` — uses that instead.)
 
 The claim/heartbeat loops lean on :class:`ServiceClient`'s bounded
 transient-error retry, so a coordinator restart stalls the fleet instead
@@ -52,11 +55,10 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.runner import SweepEngine, SweepExecutionError, TaskFn, _run_payload
+from repro.analysis.runner import TaskFn, _run_payload, execute_tasks
 from repro.metrics.collector import SimulationResult
 from repro.obs.fleet import FleetTracer, Span
 from repro.obs.slog import StructuredLogger
-from repro.scenarios.io import scenario_from_dict
 from repro.service.client import ServiceClient, ServiceError
 from repro.version import __version__
 
@@ -86,30 +88,6 @@ class LeaseClient(Protocol):
     ) -> Dict[str, Any]: ...
 
     def post_spans(self, spans: List[Dict[str, Any]]) -> int: ...
-
-
-class _TracedCache(ResultCache):
-    """A view of another cache whose ``get`` is a ``cache.lookup`` span.
-
-    Reads and writes go through the wrapped instance, so its hit/miss
-    statistics stay the one source of truth.
-    """
-
-    def __init__(self, worker: "ShardWorker", inner: ResultCache) -> None:
-        super().__init__(inner.root)
-        self.stats = inner.stats
-        self._worker = worker
-        self._inner = inner
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        with self._worker.trace_span("cache.lookup", key=key) as span:
-            hit = self._inner.get(key)
-            if span is not None:
-                span.attrs["hit"] = hit is not None
-            return hit
-
-    def put(self, key: str, result: SimulationResult) -> Path:
-        return self._inner.put(key, result)
 
 
 #: ``ShardWorker(cache=...)`` default: build the worker's own local cache.
@@ -142,7 +120,7 @@ class ShardWorker:
         self.processes = processes
         self.retries = retries
         self.poll_s = poll_s
-        self._task_fn = task_fn
+        self._task_fn = task_fn or _run_payload
         self.tracer = tracer if tracer is not None else FleetTracer(proc=self.worker_id)
         base_log = log if log is not None else StructuredLogger(
             "worker", level="info" if verbose else "warning"
@@ -156,11 +134,8 @@ class ShardWorker:
                     prefix="repro-worker-cache-"
                 )
             cache = ResultCache(cache_dir)
-        # Lookups are span-traced against the shard in hand; ``None`` (the
-        # caller has no cache) runs the engine uncached.
-        self.cache: Optional[ResultCache] = (
-            _TracedCache(self, cache) if cache is not None else None
-        )
+        # The local tier; ``None`` (the caller has no cache) runs uncached.
+        self.cache: Optional[ResultCache] = cache
         self._stop = threading.Event()
         # The signal-handler side of stop(): a plain attribute, because the
         # handler interrupts the very thread that waits on ``_stop``, and
@@ -221,9 +196,19 @@ class ShardWorker:
             self._span_stack.pop()
             self.tracer.finish(span)
 
+    def _lookup(self, key: str) -> Optional[SimulationResult]:
+        """The local tier's entry for ``key``, read in a ``cache.lookup`` span."""
+        if self.cache is None:
+            return None
+        with self.trace_span("cache.lookup", key=key) as span:
+            hit = self.cache.get(key)
+            if span is not None:
+                span.attrs["hit"] = hit is not None
+            return hit
+
     def _traced_task(self, payload: dict) -> SimulationResult:
         with self.trace_span("task.run", seed=payload.get("seed")):
-            return (self._task_fn or _run_payload)(payload)
+            return self._task_fn(payload)
 
     def run(self, max_shards: Optional[int] = None) -> int:
         """The worker loop; returns the number of shards delivered.
@@ -288,42 +273,38 @@ class ShardWorker:
             daemon=True,
         )
         beater.start()
-        results: Dict[str, Any] = {}
+        results: Dict[str, SimulationResult] = {}
         failures: Dict[str, str] = {}
         stats = {"executed": 0, "cache_hits": 0}
         try:
             # task.run spans only exist in-process: with a process pool the
-            # engine ships the task to children, whose tracers we never see.
+            # executor ships the task to children, whose tracers we never see.
             task_fn = self._task_fn
             if self._trace_ctx is not None and self.processes == 1:
                 task_fn = self._traced_task
-            engine = SweepEngine(
-                processes=self.processes,
-                cache=self.cache,
-                retries=self.retries,
-                task_fn=task_fn,
-            )
-            configs = [scenario_from_dict(task["scenario"]) for task in tasks]
-            try:
-                report = engine.run(configs)
-            except SweepExecutionError as exc:
-                # Deliver what settled (it is already in the cache) and
-                # name what did not; the coordinator fails those keys.
-                failures = dict(exc.failures)
-                for key in keys:
-                    if key in failures:
-                        continue
-                    hit = self.cache.get(key) if self.cache is not None else None
-                    if hit is not None:
-                        results[key] = hit
-                    else:
-                        failures[key] = "not executed (shard aborted)"
-            else:
-                results = dict(zip(keys, report.results))
-                stats = {
-                    "executed": report.executed,
-                    "cache_hits": report.cache_hits,
-                }
+            settled: Dict[str, SimulationResult] = {}
+            todo: List[Tuple[str, dict]] = []
+            for key, task in zip(keys, tasks):
+                hit = self._lookup(key)
+                if hit is None:
+                    todo.append((key, task["scenario"]))
+                else:
+                    settled[key] = hit
+            stats["cache_hits"] = len(settled)
+            # The board already cut the claim in dispatch order.
+            for done in execute_tasks(todo, task_fn, self.processes, self.retries):
+                if done.error is not None:
+                    # Named as failed; the coordinator fails those keys and
+                    # still takes what settled.
+                    failures[done.key] = done.error
+                    continue
+                result = done.result
+                assert result is not None  # no error: the task returned it
+                if self.cache is not None:
+                    self.cache.put(done.key, result)
+                settled[done.key] = result
+                stats["executed"] += 1
+            results = {key: settled[key] for key in keys if key in settled}
         except Exception as exc:  # defensive: a broken claim fails cleanly
             failures = {key: f"{type(exc).__name__}: {exc}" for key in keys}
         finally:
@@ -332,8 +313,8 @@ class ShardWorker:
             self._trace_ctx = None
             self.tracer.finish(
                 exec_span,
-                executed=int(stats.get("executed", 0)),
-                cache_hits=int(stats.get("cache_hits", 0)),
+                executed=stats["executed"],
+                cache_hits=stats["cache_hits"],
                 failed=len(failures),
             )
         spans: List[Dict[str, Any]] = []
@@ -358,15 +339,15 @@ class ShardWorker:
                     self.log.info("spans.dropped", lease=lease_id, count=len(spans))
             return
         self.shards_done += 1
-        self.executed += int(stats.get("executed", 0))
+        self.executed += stats["executed"]
         self.log.info(
             "shard.delivered",
             lease=lease_id,
             accepted=ack.get("accepted"),
             late=ack.get("late"),
             finished_jobs=ack.get("finished_jobs"),
-            executed=stats.get("executed"),
-            cache_hits=stats.get("cache_hits"),
+            executed=stats["executed"],
+            cache_hits=stats["cache_hits"],
         )
 
     def _heartbeat_loop(
@@ -397,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Pull-based sweep worker: claims scenario shards from a "
             "distributed repro-serve coordinator, executes them through "
-            "the sweep engine, and delivers the results back."
+            "the sweep executor, and delivers the results back."
         ),
     )
     parser.add_argument(
@@ -425,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=positive(int),
         default=1,
         metavar="N",
-        help="engine processes per shard (default: 1)",
+        help="pool processes per shard (default: 1)",
     )
     parser.add_argument(
         "--retries",

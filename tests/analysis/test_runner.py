@@ -4,6 +4,7 @@ import contextlib
 import multiprocessing
 import os
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -164,15 +165,25 @@ def _parked_thread():
         thread.join()
 
 
+class _StartMethodCache(ResultCache):
+    """A cache that notes the start method of every live pool worker each
+    time the parent stores a result, which it does mid-drain."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.methods = set()
+
+    def put(self, key, result):
+        self.methods.update(p._start_method for p in multiprocessing.active_children())
+        return super().put(key, result)
+
+
 def _pooled_run(configs):
     """``SweepEngine(processes=2).run`` and the start method of its workers."""
-    methods = set()
-
-    def note(update):
-        methods.update(p._start_method for p in multiprocessing.active_children())
-
-    report = SweepEngine(processes=2, progress=note).run(configs)
-    return report.results, methods
+    with tempfile.TemporaryDirectory() as root:
+        cache = _StartMethodCache(root)
+        report = SweepEngine(processes=2, cache=cache).run(configs)
+    return report.results, cache.methods
 
 
 def test_parallel_cached_sweep_equals_serial_sweep(tmp_path):
@@ -258,7 +269,7 @@ def test_zero_retries_fails_fast():
         engine.run([_config(seed=7)])
 
 
-# -- scheduling and progress -------------------------------------------------
+# -- scheduling --------------------------------------------------------------
 
 
 def test_cost_estimate_orders_hard_points_first():
@@ -279,23 +290,6 @@ def test_cost_estimate_orders_hard_points_first():
     assert estimate_cost(constant_motion) > estimate_cost(quick)
     assert estimate_cost(long_run) > estimate_cost(constant_motion)
     assert estimate_cost(loaded) > estimate_cost(constant_motion)
-
-
-def test_progress_carries_sweep_telemetry(tmp_path):
-    cache = ResultCache(tmp_path)
-    [first] = run_many([_config(seed=1)], processes=1)
-    cache.put(scenario_hash(_config(seed=1)), first)
-
-    updates = []
-    engine = SweepEngine(processes=1, cache=cache, progress=updates.append)
-    engine.run([_config(seed=1), _config(seed=2)])
-    initial, final = updates[0], updates[-1]
-    assert initial.last_task_wall_s is None
-    assert initial.task_wall_total_s == 0.0
-    assert initial.disk_cache_hits == 1
-    assert final.last_task_wall_s > 0.0
-    assert final.task_wall_total_s > 0.0
-    assert final.disk_cache_hits == 1
 
 
 # -- run manifest ------------------------------------------------------------
@@ -349,24 +343,6 @@ def test_no_manifest_without_cache_or_path(tmp_path):
     engine = SweepEngine(processes=1)
     assert engine.manifest_path is None
     engine.run([_config(seed=1)])  # must not write anywhere
-
-
-def test_progress_reports_completed_cached_and_eta(tmp_path):
-    cache = ResultCache(tmp_path)
-    [first] = run_many([_config(seed=1)], processes=1)
-    cache.put(scenario_hash(_config(seed=1)), first)
-
-    updates = []
-    engine = SweepEngine(processes=1, cache=cache, progress=updates.append)
-    engine.run([_config(seed=1), _config(seed=2)])
-    assert updates, "progress callback never invoked"
-    initial, final = updates[0], updates[-1]
-    assert initial.total == 2
-    assert initial.cached == 1  # the prewarmed point resolved immediately
-    assert final.completed == 2
-    assert final.executed == 1
-    assert final.eta_s == 0.0
-    assert final.elapsed_s > 0.0
 
 
 # -- one batch of replicated grid points ---------------------------------------

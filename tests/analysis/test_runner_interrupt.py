@@ -97,10 +97,15 @@ def test_interrupt_during_retry_loop_is_graceful():
     assert len(attempts) == 2  # first failed, retry interrupted
 
 
-def _stall_in_worker(payload):
-    """Seed 1 runs; any other seed blocks its pool worker for two minutes."""
-    if multiprocessing.parent_process() is not None and payload["seed"] != 1:
-        time.sleep(120)
+def _stall_or_interrupt_in_worker(payload):
+    """Seed 1 runs; seed 2 blocks its pool worker for two minutes; seed 3,
+    taken by seed 1's worker once it is free, raises ``KeyboardInterrupt``,
+    which the parent re-raises from the task's future."""
+    if multiprocessing.parent_process() is not None:
+        if payload["seed"] == 2:
+            time.sleep(120)
+        if payload["seed"] == 3:
+            raise KeyboardInterrupt
     return _run_payload(payload)
 
 
@@ -114,15 +119,9 @@ def test_interrupt_terminates_the_pool_workers():
     caller has a no-op SIGTERM handler, which a forked worker inherits
     unless the pool resets it."""
 
-    def interrupt_after_first(update):
-        if update.executed:
-            raise KeyboardInterrupt
-
     previous = signal.getsignal(signal.SIGTERM)
     for sigterm in (previous, _ignore_signal):
-        engine = SweepEngine(
-            processes=2, task_fn=_stall_in_worker, progress=interrupt_after_first
-        )
+        engine = SweepEngine(processes=2, task_fn=_stall_or_interrupt_in_worker)
         signal.signal(signal.SIGTERM, sigterm)
         try:
             with watchdog(60), pytest.raises(SweepInterrupted) as excinfo:

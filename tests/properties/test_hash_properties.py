@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.cache import scenario_hash
 from repro.core.config import DsrConfig, ExpiryMode
+from repro.errors import ConfigurationError
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import (
     scenario_canonical_json,
@@ -126,9 +127,18 @@ spelled_dsr_configs = st.builds(
     ),
 )
 
+def _constructible(**fields):
+    """The config, or ``None`` where the config refuses the combination
+    (a speed range or group count its mobility model could not run)."""
+    try:
+        return ScenarioConfig(**fields)
+    except ConfigurationError:
+        return None
+
+
 # Every field in several spellings, each compat field at and off its default.
 spelled_scenario_configs = st.builds(
-    ScenarioConfig,
+    _constructible,
     num_nodes=st.integers(min_value=6, max_value=60),
     field_width=spellings(100.0, 3000.0),
     field_height=spellings(100.0, 1000.0),
@@ -152,7 +162,7 @@ spelled_scenario_configs = st.builds(
     protocol=st.sampled_from(["dsr", "aodv"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     dsr=spelled_dsr_configs,
-)
+).filter(lambda config: config is not None)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,13 @@
 """Unit tests for scenario configuration."""
 
+import copy
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.scenarios.builder import run_scenario
 from repro.scenarios.config import ScenarioConfig
+from repro.scenarios.presets import tiny_scenario
 
 
 def test_defaults_match_paper_section_4_1():
@@ -56,3 +60,43 @@ def test_neighbor_index_accepts_known_backends():
 def test_neighbor_index_rejects_unknown_backend():
     with pytest.raises(ConfigurationError):
         ScenarioConfig(neighbor_index="kd-tree")
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"pause_time": -5},
+        {"max_speed": -1},
+        {"min_speed": 30, "max_speed": 20},
+        {"field_width": 0},
+        {"neighbor_quantum": 0},
+        {"ifq_capacity": 0},
+        {"payload_bytes": 0},
+        {"start_window": -1},
+        {"rx_range": 0},
+        {"cs_range": 100},
+    ],
+    ids=lambda changes: ",".join(changes),
+)
+def test_a_value_the_run_refuses_is_refused_at_construction(changes):
+    base = tiny_scenario().but(duration=2)
+    unchecked = copy.copy(base)
+    for name, value in changes.items():  # past the check, as it once let it
+        object.__setattr__(unchecked, name, value)
+    with pytest.raises((ConfigurationError, ValueError)):
+        run_scenario(unchecked)
+    with pytest.raises(ConfigurationError):
+        base.but(**changes)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"mobility_model": "gauss_markov", "pause_time": -5, "min_speed": 0},
+        {"mobility_model": "rpgm", "min_speed": 30, "max_speed": 20},
+        {"radio_profile": "urban", "rx_range": 0, "cs_range": 0},
+    ],
+    ids=["gauss_markov", "rpgm", "urban"],
+)
+def test_a_field_the_named_model_ignores_is_not_checked(changes):
+    assert run_scenario(tiny_scenario().but(duration=2, **changes)).duration == 2

@@ -336,28 +336,27 @@ def test_delivery_omitting_a_key_counts_as_failure(tmp_path):
     assert "omitted" in error
 
 
-# -- mixed versions -----------------------------------------------------------
+# -- the worker over a bare board ---------------------------------------------
 
 
-class OldCoordinatorClient:
-    """The lease verbs over a bare board, answered as a coordinator from
-    before the batching knob's removal did: every claim document still
-    carries the knob."""
+class BoardClient:
+    """The lease verbs answered by a bare board; keeps every delivery's
+    ``(results, failures, stats)`` and the board's outcome for it."""
 
     def __init__(self, board):
         self.board = board
+        self.deliveries = []
         self.outcomes = []
 
     def claim(self, worker):
         lease = self.board.claim(worker, NOW)
-        if lease is None:
-            return None
-        return {**lease.claim_doc(), "seed_batch": 4}
+        return None if lease is None else lease.claim_doc()
 
     def lease_heartbeat(self, lease_id):
         return {"id": lease_id}
 
     def complete(self, lease_id, results, failures=None, stats=None, spans=None):
+        self.deliveries.append((dict(results), dict(failures or {}), stats))
         outcome = self.board.complete(
             lease_id, results, failures, now=NOW, executed=stats["executed"]
         )
@@ -366,6 +365,56 @@ class OldCoordinatorClient:
 
     def post_spans(self, spans):
         return 0
+
+
+def test_a_partly_failed_shard_delivers_what_settled(tmp_path):
+    """One task of a two-task shard fails after its retry: the other
+    task's result is still delivered, the shard's job fails naming the one
+    failure, and a second job waiting on the good key resolves."""
+    board = make_board(tmp_path, shard_size=2)
+    good, bad = payloads(small_config(seed=1), small_config(seed=2))
+    job = make_job([good, bad])
+    waiting = make_job([good], job_id="job-waiting")
+    assert board.add_job(job) is None
+    assert board.add_job(waiting) is None  # waits on job-1's shard
+    attempts = []
+
+    def fails_seed_2(payload):
+        attempts.append(payload["seed"])
+        if payload["seed"] == 2:
+            raise ValueError("boom")
+        return fake_result(payload)
+
+    client = BoardClient(board)
+    worker = ShardWorker(
+        client, worker_id="w", cache_dir=str(tmp_path / "tier"),
+        task_fn=fails_seed_2, retries=1,
+    )
+    assert worker.run(max_shards=1) == 1
+    assert sorted(attempts) == [1, 2, 2]  # the bad task alone was retried
+    [(results, failures, stats)] = client.deliveries
+    assert results == {scenario_hash(good): fake_result(good)}
+    assert list(failures) == [scenario_hash(bad)]
+    assert "ValueError: boom" in failures[scenario_hash(bad)]
+    assert stats == {"executed": 1, "cache_hits": 0}
+    [outcome] = client.outcomes
+    [(failed_job, error)] = outcome.failed
+    assert failed_job is job
+    assert "1 shard task(s) failed" in error and "ValueError: boom" in error
+    assert outcome.finished == [(waiting, [fake_result(good)])]
+
+
+# -- mixed versions -----------------------------------------------------------
+
+
+class OldCoordinatorClient(BoardClient):
+    """:class:`BoardClient` answering as a coordinator from before the
+    batching knob's removal did: every claim document still carries the
+    knob."""
+
+    def claim(self, worker):
+        doc = super().claim(worker)
+        return None if doc is None else {**doc, "seed_batch": 4}
 
 
 def test_worker_executes_a_claim_from_an_older_coordinator(tmp_path):

@@ -254,6 +254,20 @@ def test_cancel_running_job_is_refused():
         service.wait(job.id, timeout=30)
 
 
+def test_a_local_job_writes_no_sweep_manifest(tmp_path):
+    """In-process workers run shards on the sweep executor, not a sweep
+    engine per shard: a job leaves no line in the cache dir's manifest."""
+    cache_dir = tmp_path / "cache"
+    service = _service(workers=1, cache_dir=str(cache_dir), shard_size=2).start()
+    try:
+        job = service.submit([small_config(seed=s) for s in range(1, 6)])
+        service.wait(job.id, timeout=30)
+        assert job.state is JobState.DONE
+    finally:
+        service.drain(grace_s=5.0)
+    assert not (cache_dir / "manifest.jsonl").exists()
+
+
 def test_failed_job_reports_error_not_results(tmp_path):
     def broken(payload):
         raise ValueError("injected simulation failure")

@@ -417,3 +417,16 @@ def test_service_cli_non_positive_flag_is_a_usage_error(capsys, command, argv, c
         parsers[command]().parse_args(argv)
     assert excinfo.value.code == 2
     assert complaint in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--queue-depth", "--max-inflight"])
+def test_serve_negative_admission_bound_is_a_usage_error(capsys, flag):
+    from repro.service import cli
+
+    parser = cli._build_serve_parser()
+    dest = flag[2:].replace("-", "_")
+    assert getattr(parser.parse_args([flag, "0"]), dest) == 0  # 0: no bound
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args([flag, "-1"])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: expected a non-negative int, got '-1'" in capsys.readouterr().err

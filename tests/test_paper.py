@@ -138,11 +138,10 @@ def test_reproduce_warm_cache_executes_nothing(tmp_path):
         seeds=[1],
         fig2_variants=["DSR"],
         fig4_variants=("DSR",),
-        processes=1,
-        cache_dir=tmp_path / "cache",
     )
-    cold = reproduce(**kwargs)
-    warm = reproduce(**kwargs)
+    fresh_engine = lambda: SweepEngine.create(processes=1, cache_dir=tmp_path / "cache")
+    cold = reproduce(engine=fresh_engine(), **kwargs)
+    warm = reproduce(engine=fresh_engine(), **kwargs)
     assert cold.sweep_stats["executed"] > 0
     assert warm.sweep_stats["executed"] == 0
     assert warm.sweep_stats["cache_hits"] > 0
