@@ -300,7 +300,7 @@ class ResultCache:
         from crashed writers are removed on every call.
         """
         if now is None:
-            now = time.time()  # repro-lint: disable=DET001
+            now = time.time()
         for tmp in self.root.glob("*/*.tmp.*"):
             # Sweep only *stale* temp files: a concurrent put() is holding
             # its temp file right now, and unlinking it between write and

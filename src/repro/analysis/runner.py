@@ -74,12 +74,12 @@ def _guarded(task_fn: TaskFn, task: Tuple[str, dict]) -> Attempt:
     telemetry attributes simulation cost, not pool latency."""
     key, payload = task
     # Operator-facing per-task accounting; never feeds simulation state.
-    start = time.perf_counter()  # repro-lint: disable=DET001
+    start = time.perf_counter()
     try:
         result = task_fn(payload)
-        return key, result, None, time.perf_counter() - start  # repro-lint: disable=DET001
+        return key, result, None, time.perf_counter() - start
     except Exception as exc:  # surfaced to the parent, retried there
-        wall = time.perf_counter() - start  # repro-lint: disable=DET001
+        wall = time.perf_counter() - start
         return key, None, f"{type(exc).__name__}: {exc}", wall
 
 
@@ -110,12 +110,13 @@ def estimate_cost(payload: dict) -> float:
     and with topology churn: per-quantum neighbour work is ~quadratic in
     node count, and continuous motion (pause 0) roughly doubles routing
     traffic versus pause = duration.  Only the *ordering* matters, so the
-    constants are coarse.
+    constants are coarse.  ``payload`` is a ``scenario_to_dict`` payload,
+    which carries every field read here: a stale key raises ``KeyError``.
     """
-    nodes = float(payload.get("num_nodes", 2))
-    duration = float(payload.get("duration", 0.0))
-    load = float(payload.get("num_sessions", 0)) * float(payload.get("packet_rate", 1.0))
-    pause = min(float(payload.get("pause_time", 0.0)), duration)
+    nodes = float(payload["num_nodes"])
+    duration = float(payload["duration"])
+    load = float(payload["num_sessions"]) * float(payload["packet_rate"])
+    pause = min(float(payload["pause_time"]), duration)
     mobility = 2.0 - (pause / duration if duration > 0 else 1.0)
     return duration * (0.01 * nodes * nodes + load) * mobility
 
@@ -333,7 +334,7 @@ class SweepEngine:
         the pipeline."""
         # Wall-clock here is operator-facing accounting (RunReport.wall_s);
         # it never feeds simulation state, which runs purely on sim.now.
-        start = time.perf_counter()  # repro-lint: disable=DET001
+        start = time.perf_counter()
         keys = [scenario_hash(config) for config in configs]
 
         results: List[Optional[SimulationResult]] = [None] * len(configs)
@@ -406,7 +407,7 @@ class SweepEngine:
             deduped=deduped,
             retries=retries,
             # Operator-facing batch accounting, not simulation state.
-            wall_s=time.perf_counter() - start,  # repro-lint: disable=DET001
+            wall_s=time.perf_counter() - start,
             cache_stats=self.cache.stats if self.cache is not None else None,
             task_walls=task_walls,
         )

@@ -60,7 +60,7 @@ class AodvAgent:
         self._sim = sim
         # Test-convenience fallback only: the scenario builder always injects
         # a RandomStreams stream derived from the scenario seed.
-        self._rng = rng or np.random.default_rng(node_id)  # repro-lint: disable=DET002
+        self._rng = rng or np.random.default_rng(node_id)
         self._tracer = tracer or Tracer()
         self._oracle = validity_oracle  # unused; kept for builder symmetry
 

@@ -87,7 +87,7 @@ class DsrAgent:
         self.config = config or DsrConfig()
         # Test-convenience fallback only: the scenario builder always injects
         # a RandomStreams stream derived from the scenario seed.
-        self._rng = rng or np.random.default_rng(node_id)  # repro-lint: disable=DET002
+        self._rng = rng or np.random.default_rng(node_id)
         self._tracer = tracer or Tracer()
         self._oracle = validity_oracle
 

@@ -1,12 +1,13 @@
-"""``repro-lint``: AST-based determinism & lock-discipline analyzer.
+"""``repro-lint``: AST-based lock-discipline analyzer.
 
-The simulator's reproducibility guarantees (seeded streams only, no wall
-clock, guarded hot-path tracing, complete cache keys) and the service's
-lock discipline live in conventions; this package turns six of them into
-machine-checked rules, each a pass over one parsed file.  See
-``docs/architecture.md`` ("Invariants and what guards them") for the
-table of invariants, the guard each one has and the audit behind the
-rule list.
+The service's lock discipline lives in conventions; this package turns two
+of them into machine-checked rules, each a pass over one parsed file:
+CONC001 (a guarded field is accessed under its lock) and CONC003 (nothing
+blocks under a non-io lock).  The simulator's determinism, its guarded
+hot-path tracing and its complete cache keys are checked on behaviour by
+tests instead.  See ``docs/architecture.md`` ("Invariants and what guards
+them") for the table of invariants, the guard each one has and the
+mutation-recall table behind the rule list.
 
 Programmatic use::
 

@@ -31,10 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description=(
-            "AST-based determinism and simulation-invariant analyzer for "
-            "the repro codebase."
-        ),
+        description="AST-based lock-discipline analyzer for the repro codebase.",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -53,15 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ignore", metavar="CODES", help="comma-separated rule codes to skip"
-    )
-    parser.add_argument(
-        "--project-root",
-        type=Path,
-        default=None,
-        help=(
-            "package root holding scenarios/config.py + scenarios/io.py "
-            "(default: auto-discovered per linted file)"
-        ),
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list rules and exit"
@@ -101,12 +89,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"repro-lint: error: no such path: {path}", file=sys.stderr)
         return EXIT_USAGE
 
-    result = lint_paths(
-        args.paths,
-        select=select,
-        ignore=ignore,
-        project_root=args.project_root,
-    )
+    result = lint_paths(args.paths, select=select, ignore=ignore)
     if args.format == "json":
         print(render_json(result))
     else:

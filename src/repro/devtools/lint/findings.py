@@ -11,8 +11,7 @@ class Finding:
     """One rule violation, anchored to a file position.
 
     Ordering is ``(path, line, col, code)`` so reports are stable across
-    runs and dict/set intermediates — the linter must hold itself to the
-    determinism bar it enforces.
+    runs and dict/set intermediates.
     """
 
     path: str

@@ -18,16 +18,12 @@ class Rule:
 
     Subclasses set ``code`` (stable identifier used in reports and
     suppression comments), ``name`` and ``description``, and implement
-    :meth:`check`.  :meth:`applies` narrows a rule to a path scope (e.g.
-    TRC001 only inspects ``mac/``, ``phy/`` and ``sim/`` modules).
+    :meth:`check`.
     """
 
     code: str = ""
     name: str = ""
     description: str = ""
-
-    def applies(self, ctx: FileContext) -> bool:
-        return True
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         raise NotImplementedError

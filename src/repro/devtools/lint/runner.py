@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from repro.devtools.lint.context import FileContext, ProjectModel, discover_project
+from repro.devtools.lint.context import FileContext
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import Rule, all_rules
 from repro.devtools.lint.suppressions import Suppressions
@@ -61,8 +61,7 @@ def _check_file(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
     """Findings of ``rules`` over one file, minus the ones it suppresses."""
     findings: List[Finding] = []
     for rule in rules:
-        if rule.applies(ctx):
-            findings.extend(rule.check(ctx))
+        findings.extend(rule.check(ctx))
     return Suppressions(ctx.source).filter(findings)
 
 
@@ -70,10 +69,9 @@ def lint_source(
     source: str,
     path: Path,
     rules: Optional[Sequence[Rule]] = None,
-    project: Optional[ProjectModel] = None,
 ) -> List[Finding]:
     """Lint one in-memory module; raises ``SyntaxError`` on unparsable input."""
-    ctx = FileContext.from_source(path, source, project=project)
+    ctx = FileContext.from_source(path, source)
     return sorted(_check_file(ctx, rules if rules is not None else all_rules()))
 
 
@@ -81,32 +79,18 @@ def lint_paths(
     paths: Sequence[Path],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    project_root: Optional[Path] = None,
 ) -> LintResult:
-    """Lint every python file under ``paths``.
-
-    The scenario-schema project model is discovered once per distinct
-    parent directory (cheap) unless ``project_root`` pins it explicitly.
-    """
+    """Lint every python file under ``paths``."""
     rules = select_rules(select, ignore)
     result = LintResult()
-    pinned = discover_project(project_root) if project_root is not None else None
-    models: Dict[Path, ProjectModel] = {}
     for file_path in iter_python_files([Path(p) for p in paths]):
-        if pinned is not None:
-            project = pinned
-        else:
-            parent = file_path.resolve().parent
-            if parent not in models:
-                models[parent] = discover_project(parent)
-            project = models[parent]
         try:
             source = file_path.read_text()
         except OSError as exc:
             result.errors.append(f"{file_path}: unreadable: {exc}")
             continue
         try:
-            ctx = FileContext.from_source(file_path, source, project=project)
+            ctx = FileContext.from_source(file_path, source)
         except SyntaxError as exc:
             result.errors.append(
                 f"{file_path}: syntax error: {exc.msg} (line {exc.lineno})"

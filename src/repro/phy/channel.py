@@ -76,9 +76,9 @@ class Channel:
         self.capture = capture
         if loss_model is not None and rng is None:
             # A silent fallback generator here would give every scenario the
-            # same fading draws regardless of its seed (found by repro-lint
-            # DET002): probabilistic loss needs an explicitly seeded stream,
-            # e.g. RandomStreams(seed).stream("fading") as the builder wires.
+            # same fading draws regardless of its seed: probabilistic loss
+            # needs an explicitly seeded stream, e.g.
+            # RandomStreams(seed).stream("fading") as the builder wires.
             raise SimulationError(
                 "a probabilistic loss model requires an explicit rng "
                 "(pass a seeded stream such as RandomStreams(seed).stream('fading'))"

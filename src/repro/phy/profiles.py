@@ -31,7 +31,7 @@ to the canonical-JSON default elision in :mod:`repro.scenarios.io` — stays
 valid bit for bit.
 
 Determinism: probabilistic reception draws exclusively from the explicitly
-seeded ``fading`` stream the builder wires into the channel (DET002); the
+seeded ``fading`` stream the builder wires into the channel; the
 capture decision is a pure function of geometry and needs no randomness.
 """
 

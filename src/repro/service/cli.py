@@ -26,9 +26,6 @@
 All three are also reachable without installation:
 ``python -m repro.service.cli {serve|submit|worker} ...``.
 """
-# repro-lint: disable-file=DET001 -- CLI-level timing (drain grace,
-# wait timeouts) is operator-facing; no simulation state here.
-
 from __future__ import annotations
 
 import argparse

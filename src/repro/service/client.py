@@ -26,9 +26,6 @@ back, a fleet of workers that all failed at the same instant spreads its
 retries instead of thundering-herding the first healthy second.  The
 jitter generator is seedable (``jitter_seed``) for deterministic tests.
 """
-# repro-lint: disable-file=DET001 -- poll deadlines and retry backoff are
-# wall-clock by nature; the client never touches simulation state.
-
 from __future__ import annotations
 
 import http.client

@@ -35,10 +35,6 @@ Execution stays deterministic: the service adds scheduling, not
 semantics — a job's results are bit-identical to ``run_many`` over the
 same scenario list (pinned by ``tests/service/``).
 """
-# repro-lint: disable-file=DET001 -- the serving layer times jobs and
-# deadlines with the host clock (queue wait, job wall, drain grace);
-# simulation state never reads it.
-
 from __future__ import annotations
 
 import threading

@@ -11,10 +11,6 @@ Timestamps here are operator-facing serving metadata (queue latency, job
 wall time); they never feed simulation state, which remains a pure
 function of each scenario payload.
 """
-# repro-lint: disable-file=DET001 -- serving-layer timestamps (submit/start/
-# finish instants, journal records) are wall-clock by definition and never
-# reach simulation state.
-
 from __future__ import annotations
 
 import enum

@@ -31,10 +31,6 @@ On startup the service :meth:`~JobJournal.compact`\\ s: the journal is
 rewritten as one ``submit`` (+ terminal record) per surviving job, so it
 grows with jobs served since the last restart, not with server lifetime.
 """
-# repro-lint: disable-file=DET001 -- journal records carry wall-clock
-# timestamps (when a job was submitted/finished); serving metadata only,
-# never simulation state.
-
 from __future__ import annotations
 
 import json

@@ -37,9 +37,6 @@ the same trace and shipped back with the completion (see
 :mod:`repro.obs.fleet`).  Lifecycle logging goes through the structured
 JSONL logger (:mod:`repro.obs.slog`), one parseable line per event.
 """
-# repro-lint: disable-file=DET001 -- poll/heartbeat cadence is wall-clock
-# serving machinery; simulation state never reads it.
-
 from __future__ import annotations
 
 import argparse

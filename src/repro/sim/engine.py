@@ -332,7 +332,7 @@ class Simulator:
         profile = self._profile
         # Operator-facing wall-clock attribution, read only while profiling;
         # never feeds simulation state, which runs purely on sim.now.
-        clock = None if profile is None else time.perf_counter  # repro-lint: disable=DET001
+        clock = None if profile is None else time.perf_counter
         try:
             while self._heap and not self._stopped:
                 entry = self._heap[0]

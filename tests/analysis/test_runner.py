@@ -287,9 +287,11 @@ def test_cost_estimate_orders_hard_points_first():
             seed=1,
         )
     )
+    crowded = scenario_to_dict(_config(pause=0.0, duration=12.0).but(num_nodes=40))
     assert estimate_cost(constant_motion) > estimate_cost(quick)
     assert estimate_cost(long_run) > estimate_cost(constant_motion)
     assert estimate_cost(loaded) > estimate_cost(constant_motion)
+    assert estimate_cost(crowded) > estimate_cost(constant_motion)
 
 
 # -- run manifest ------------------------------------------------------------

@@ -14,8 +14,9 @@ from repro.devtools.lint.suppressions import Suppressions
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-# The six rules with a firing history (docs/architecture.md has the audit).
-EXPECTED_CODES = ["CACHE001", "CONC001", "CONC003", "DET001", "DET002", "TRC001"]
+# The rules with a catch no other check makes (docs/architecture.md has the
+# mutation-recall table).
+EXPECTED_CODES = ["CONC001", "CONC003"]
 
 
 class TestRegistry:
@@ -33,64 +34,64 @@ class TestRegistry:
             assert rule.description
 
     def test_select_rules_filters(self):
-        only = select_rules(select=["DET001", "DET002"])
-        assert [rule.code for rule in only] == ["DET001", "DET002"]
-        without = select_rules(ignore=["DET001"])
-        assert "DET001" not in {rule.code for rule in without}
+        only = select_rules(select=["CONC003"])
+        assert [rule.code for rule in only] == ["CONC003"]
+        without = select_rules(ignore=["CONC001"])
+        assert "CONC001" not in {rule.code for rule in without}
         assert len(without) == len(EXPECTED_CODES) - 1
 
     def test_select_codes_case_insensitive(self):
-        assert [rule.code for rule in select_rules(select=["det001"])] == ["DET001"]
+        assert [rule.code for rule in select_rules(select=["conc001"])] == ["CONC001"]
 
 
 class TestSuppressions:
     def test_line_scope_suppresses_only_that_line(self):
-        source = "import time\nx = time.time()  # repro-lint: disable=DET001\n"
+        source = "import time\nx = time.sleep(1)  # repro-lint: disable=CONC003\n"
         supp = Suppressions(source)
-        assert supp.is_suppressed("DET001", 2)
-        assert not supp.is_suppressed("DET001", 1)
-        assert not supp.is_suppressed("DET002", 2)
+        assert supp.is_suppressed("CONC003", 2)
+        assert not supp.is_suppressed("CONC003", 1)
+        assert not supp.is_suppressed("CONC001", 2)
 
     def test_file_scope_suppresses_everywhere(self):
-        source = "# repro-lint: disable-file=DET001\nimport time\nx = time.time()\n"
+        source = "# repro-lint: disable-file=CONC003\nimport time\nx = time.sleep(1)\n"
         supp = Suppressions(source)
-        assert supp.is_suppressed("DET001", 3)
-        assert supp.is_suppressed("DET001", 99)
-        assert not supp.is_suppressed("DET002", 3)
+        assert supp.is_suppressed("CONC003", 3)
+        assert supp.is_suppressed("CONC003", 99)
+        assert not supp.is_suppressed("CONC001", 3)
 
     def test_disable_all(self):
         supp = Suppressions("x = 1  # repro-lint: disable=all\n")
-        assert supp.is_suppressed("DET001", 1)
-        assert supp.is_suppressed("TRC001", 1)
+        assert supp.is_suppressed("CONC001", 1)
+        assert supp.is_suppressed("CONC003", 1)
 
     def test_marker_in_string_literal_is_ignored(self):
-        supp = Suppressions('x = "# repro-lint: disable=DET001"\n')
-        assert not supp.is_suppressed("DET001", 1)
+        supp = Suppressions('x = "# repro-lint: disable=CONC001"\n')
+        assert not supp.is_suppressed("CONC001", 1)
 
     def test_multiple_codes_one_comment(self):
-        supp = Suppressions("x = 1  # repro-lint: disable=DET001,DET002\n")
-        assert supp.is_suppressed("DET001", 1)
-        assert supp.is_suppressed("DET002", 1)
-        assert not supp.is_suppressed("TRC001", 1)
+        supp = Suppressions("x = 1  # repro-lint: disable=CONC001,CONC003\n")
+        assert supp.is_suppressed("CONC001", 1)
+        assert supp.is_suppressed("CONC003", 1)
+        assert not supp.is_suppressed("CONC002", 1)
 
     def test_filter_drops_suppressed_findings(self):
-        source = "import time\nx = time.time()  # repro-lint: disable=DET001\n"
+        source = "import time\nx = time.sleep(1)  # repro-lint: disable=CONC003\n"
         findings = [
-            Finding(path="f.py", line=2, col=5, code="DET001", message="m"),
-            Finding(path="f.py", line=2, col=5, code="DET002", message="m"),
+            Finding(path="f.py", line=2, col=5, code="CONC003", message="m"),
+            Finding(path="f.py", line=2, col=5, code="CONC001", message="m"),
         ]
         kept = Suppressions(source).filter(findings)
-        assert [finding.code for finding in kept] == ["DET002"]
+        assert [finding.code for finding in kept] == ["CONC001"]
 
 
 class TestFindings:
     def test_render_format(self):
-        finding = Finding(path="a/b.py", line=3, col=7, code="DET001", message="no clocks")
-        assert finding.render() == "a/b.py:3:7: DET001 no clocks"
+        finding = Finding(path="a/b.py", line=3, col=7, code="CONC001", message="no lock")
+        assert finding.render() == "a/b.py:3:7: CONC001 no lock"
 
     def test_orderable(self):
-        first = Finding(path="a.py", line=1, col=1, code="DET001", message="m")
-        later = Finding(path="a.py", line=2, col=1, code="DET001", message="m")
+        first = Finding(path="a.py", line=1, col=1, code="CONC001", message="m")
+        later = Finding(path="a.py", line=2, col=1, code="CONC001", message="m")
         assert sorted([later, first]) == [first, later]
 
 
@@ -99,24 +100,24 @@ class TestReporters:
         return lint_paths(paths)
 
     def test_text_clean_summary(self):
-        result = self._result([FIXTURES / "det001" / "good.py"])
+        result = self._result([FIXTURES / "conc001" / "good.py"])
         text = render_text(result)
         assert "1 file checked, no findings" in text
 
     def test_text_findings_listed(self):
-        result = self._result([FIXTURES / "det001" / "bad.py"])
+        result = self._result([FIXTURES / "conc001" / "bad.py"])
         text = render_text(result)
-        assert "DET001" in text
+        assert "CONC001" in text
         assert "finding(s)" in text
 
     def test_json_round_trips(self):
-        result = self._result([FIXTURES / "det001" / "bad.py"])
+        result = self._result([FIXTURES / "conc001" / "bad.py"])
         payload = json.loads(render_json(result))
         assert payload["files_checked"] == 1
         assert payload["errors"] == []
         assert payload["findings"]
         for finding in payload["findings"]:
-            assert finding["code"] == "DET001"
+            assert finding["code"] == "CONC001"
             assert finding["line"] >= 1
 
 
@@ -143,21 +144,21 @@ class TestRunner:
 
 class TestCli:
     def test_clean_fixture_exits_zero(self, capsys):
-        assert cli.main([str(FIXTURES / "det001" / "good.py")]) == cli.EXIT_CLEAN
+        assert cli.main([str(FIXTURES / "conc001" / "good.py")]) == cli.EXIT_CLEAN
         assert "no findings" in capsys.readouterr().out
 
     def test_bad_fixture_exits_one(self, capsys):
-        assert cli.main([str(FIXTURES / "det001" / "bad.py")]) == cli.EXIT_FINDINGS
-        assert "DET001" in capsys.readouterr().out
+        assert cli.main([str(FIXTURES / "conc001" / "bad.py")]) == cli.EXIT_FINDINGS
+        assert "CONC001" in capsys.readouterr().out
 
     def test_json_format(self, capsys):
-        code = cli.main(["--format", "json", str(FIXTURES / "det001" / "bad.py")])
+        code = cli.main(["--format", "json", str(FIXTURES / "conc001" / "bad.py")])
         assert code == cli.EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"]
 
     def test_unknown_rule_code_is_usage_error(self, capsys):
-        code = cli.main(["--select", "NOPE999", str(FIXTURES / "det001" / "good.py")])
+        code = cli.main(["--select", "NOPE999", str(FIXTURES / "conc001" / "good.py")])
         assert code == cli.EXIT_USAGE
         assert "unknown rule code" in capsys.readouterr().err
 
@@ -175,5 +176,5 @@ class TestCli:
             assert code in out
 
     def test_ignore_silences_rule(self):
-        code = cli.main(["--ignore", "DET001", str(FIXTURES / "det001" / "bad.py")])
+        code = cli.main(["--ignore", "CONC001", str(FIXTURES / "conc001" / "bad.py")])
         assert code == cli.EXIT_CLEAN

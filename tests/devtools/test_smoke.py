@@ -2,7 +2,7 @@
 
 These are the acceptance criteria for the linter as a CI gate: running
 ``repro-lint src/repro`` on the repository must exit 0, and a fixture
-with a DET002 violation must exit non-zero.
+with a CONC001 violation must exit non-zero.
 """
 
 from pathlib import Path
@@ -21,7 +21,7 @@ def test_cli_exits_zero_on_shipped_tree(capsys):
     assert "no findings" in out
 
 
-def test_cli_exits_nonzero_on_det002_violation(capsys):
-    exit_code = cli.main([str(FIXTURES / "det002" / "bad.py")])
+def test_cli_exits_nonzero_on_conc001_violation(capsys):
+    exit_code = cli.main([str(FIXTURES / "conc001" / "bad.py")])
     assert exit_code == cli.EXIT_FINDINGS
-    assert "DET002" in capsys.readouterr().out
+    assert "CONC001" in capsys.readouterr().out

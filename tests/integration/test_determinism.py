@@ -11,14 +11,44 @@ import pytest
 import repro
 from repro.analysis.cache import result_to_payload
 from repro.core.config import DsrConfig
-from repro.scenarios.builder import run_scenario
+from repro.scenarios.builder import build_simulation, run_scenario
 from repro.scenarios.presets import scaled_scenario, tiny_scenario
 
 
+def _traced_run(config):
+    """The run's result and every trace record it emitted, in order; fails
+    if a DSR route cache holds a stamp outside the simulated window (a
+    host-clock time stored as protocol state)."""
+    handle = build_simulation(config)
+    records = []
+    handle.tracer.subscribe(
+        "*", lambda r: records.append((r.time, r.kind, sorted(r.fields.items())))
+    )
+    result = handle.run()
+    if config.protocol == "dsr":
+        stamps = [p.added for node in handle.nodes.values() for p in node.agent.cache.paths()]
+        assert stamps and 0.0 <= min(stamps) and max(stamps) <= handle.sim.now
+    return result, records
+
+
 def test_same_seed_same_result():
-    first = run_scenario(tiny_scenario(seed=11))
-    second = run_scenario(tiny_scenario(seed=11))
-    assert first == second  # SimulationResult is a frozen dataclass
+    """Two runs of one seed in one process emit the same trace and result —
+    base DSR, DSR with every optional branch on (salvage, wide-error relays,
+    reply-storm delays and gratuitous replies all happen at seed 2), and
+    AODV: a wall-clock read or a process-global draw that reaches the event
+    schedule on any of them breaks it."""
+    every_branch = DsrConfig.all_techniques().but(
+        freshness_tags=True, snoop_errors=True, reply_storm_prevention=True
+    )
+    configs = {
+        "base": tiny_scenario(seed=11),
+        "every branch": tiny_scenario(dsr=every_branch, seed=2),
+        "aodv": tiny_scenario(seed=11).but(protocol="aodv"),
+    }
+    for name, config in configs.items():
+        (result, trace), (again, retrace) = _traced_run(config), _traced_run(config)
+        assert result == again, name  # SimulationResult is a frozen dataclass
+        assert trace == retrace, f"{name}: the traces diverge"
 
 
 def test_different_seed_different_mobility_outcome():

@@ -32,6 +32,7 @@ from repro.phy.propagation import DiskPropagation
 from repro.phy.spatial import UniformGridIndex
 from repro.scenarios.builder import build_simulation
 from repro.scenarios.presets import tiny_scenario
+from repro.sim.trace import Tracer
 
 from tests.helpers import make_agent
 from tests.phy.test_plan_oracle import KINDS, _pair
@@ -57,6 +58,25 @@ def test_a_whole_run_never_pauses_an_idle_defer_nor_reinitialises_a_clone(monkey
     assert result.data_received > 0
     assert len(entries) > 100  # the run did contend for the medium
     assert entries.count(None) == 0
+
+
+def test_a_run_without_observers_emits_no_unwanted_hot_path_record(monkeypatch):
+    """MAC, PHY and engine emits sit behind ``tracer.wants(kind)``: with only
+    the run's collector subscribed, ``Tracer.emit`` is never reached from
+    those layers for a kind nobody wants (no record dict is built for it)."""
+    hot_layers = ("repro.mac.", "repro.phy.", "repro.sim.")
+    real_emit = Tracer.emit
+
+    def guarded_emit(tracer, time, kind, **fields):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith(hot_layers) and not tracer.wants(kind):
+            raise AssertionError(f"{caller} emits unwanted {kind!r} records")
+        real_emit(tracer, time, kind, **fields)
+
+    monkeypatch.setattr(Tracer, "emit", guarded_emit)
+    config = tiny_scenario(dsr=DsrConfig.all_techniques(), seed=2)
+    result = build_simulation(config).run()
+    assert result.data_received > 0 and result.mac_failures > 0
 
 
 def test_resighting_a_cached_path_validates_nothing(monkeypatch):

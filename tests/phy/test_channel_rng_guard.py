@@ -1,11 +1,12 @@
 """Regression: a lossy channel must not silently invent its own rng.
 
-Before the fix (found by repro-lint DET002), ``Channel`` fell back to
-``np.random.default_rng(0)`` — so a grey-zone simulation wired without an
-explicit generator drew the *same* fading pattern for every scenario seed,
-and seed sweeps understated grey-zone variance.  The corrected behaviour
-is pinned here: probabilistic loss requires an explicitly seeded stream,
-and identical streams still reproduce identical delivery sequences.
+Before the fix (found by a since-retired global-randomness lint rule),
+``Channel`` fell back to ``np.random.default_rng(0)`` — so a grey-zone
+simulation wired without an explicit generator drew the *same* fading
+pattern for every scenario seed, and seed sweeps understated grey-zone
+variance.  The corrected behaviour is pinned here: probabilistic loss
+requires an explicitly seeded stream, and identical streams still reproduce
+identical delivery sequences.
 """
 
 import pytest

@@ -1,4 +1,4 @@
-"""Seeded-rng guard for the profile loss models (DET002 mirror).
+"""Seeded-rng guard for the profile loss models.
 
 Same contract as ``tests/phy/test_channel_rng_guard.py``, for the
 probabilistic-reception channel the radio profiles build: a lossy channel

@@ -1,4 +1,4 @@
-"""Property tests: loss-model determinism across radio profiles (DET002).
+"""Property tests: loss-model determinism across radio profiles.
 
 Identical seeds must give identical reception decisions for every profile
 and loss configuration — the whole-sweep reproducibility contract rests on

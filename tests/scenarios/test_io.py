@@ -87,8 +87,8 @@ def test_loaded_scenario_runs_identically():
 
 
 def test_neighbor_index_flows_through_the_cache_key():
-    """The index knob must reach the canonical encoding (CACHE001): two
-    configs differing only in it must round-trip and encode differently."""
+    """The index knob must reach the canonical encoding: two configs
+    differing only in it must round-trip and encode differently."""
     from repro.scenarios.io import scenario_canonical_json
 
     auto = _config()

@@ -8,6 +8,7 @@ only the end-to-end tests pay for real simulations.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Dict, List
 
 from repro.metrics.collector import SimulationResult
@@ -52,6 +53,19 @@ def fake_result(payload: Dict[str, Any]) -> SimulationResult:
         salvages=0,
         throughput_kbps=8.0 + seed,
     )
+
+
+def claim_when_dispatched(client: Any, worker: str, timeout: float = 5.0) -> Dict[str, Any]:
+    """``client.claim(worker)``, polled until the coordinator's dispatcher
+    thread has moved a just-submitted job onto the shard board."""
+    deadline = time.monotonic() + timeout
+    while True:
+        claim = client.claim(worker)
+        if claim is not None:
+            return claim
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"{worker!r} found no shard to claim within {timeout} s")
+        time.sleep(0.01)
 
 
 class CountingTask:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.service.client import ServiceError, TransientServiceError
 
-from tests.service.helpers import fake_result, small_config
+from tests.service.helpers import claim_when_dispatched, fake_result, small_config
 from tests.service.test_client_retry import FlakyServer, fast_client
 from tests.service.test_http import LiveServer
 
@@ -66,7 +66,7 @@ def test_public_methods_return_the_document_the_server_sent(tmp_path):
         docs["status"] = client.status(job_id)
         docs["list_jobs"] = client.list_jobs()
         docs["health"] = client.health()
-        claim = docs["claim"] = client.claim("w1")
+        claim = docs["claim"] = claim_when_dispatched(client, "w1")
         docs["leases"] = client.leases()
         docs["lease_heartbeat"] = client.lease_heartbeat(claim["id"])
         [task] = claim["tasks"]

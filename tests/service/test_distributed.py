@@ -21,7 +21,13 @@ from repro.scenarios.io import scenario_to_dict
 from repro.service.client import ServiceClient, ServiceError, TransientServiceError
 from repro.service.worker import ShardWorker
 
-from tests.service.helpers import BlockingTask, CountingTask, fake_result, small_config
+from tests.service.helpers import (
+    BlockingTask,
+    CountingTask,
+    claim_when_dispatched,
+    fake_result,
+    small_config,
+)
 from tests.service.test_http import REMOTE_TIER_NAMES, LiveServer
 
 
@@ -103,8 +109,8 @@ def test_dead_worker_lease_expires_and_fleet_recovers(tmp_path):
     ) as client:
         job_id = client.submit(configs)
         # A "worker" that claims and then dies without a single heartbeat.
-        ghost = client.claim("ghost-worker")
-        assert ghost is not None and len(ghost["tasks"]) == 2
+        ghost = claim_when_dispatched(client, "ghost-worker")
+        assert len(ghost["tasks"]) == 2
         # The live worker finishes everything, including the ghost's
         # shard once the janitor expires its lease (ttl 0.4 s).
         with WorkerFleet(

@@ -29,7 +29,7 @@ from repro.obs.fleet import FleetTracer, validate_spans
 from repro.service.jobs import JobState
 from repro.service.journal import JobJournal, replay, replay_spans
 
-from tests.service.helpers import fake_result, small_config
+from tests.service.helpers import claim_when_dispatched, fake_result, small_config
 from tests.service.test_distributed import WorkerFleet, distributed_server
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "parent_commit"
@@ -114,7 +114,7 @@ def test_a_fleet_job_with_an_expired_lease_journals_no_lease_record(tmp_path):
     )
     with server as client:
         job_id = client.submit(configs)
-        ghost = client.claim("ghost-worker")
+        ghost = claim_when_dispatched(client, "ghost-worker")
         client.lease_heartbeat(ghost["id"])
         with WorkerFleet(client.base_url, tmp_path, n=2, task_fn=fake_result):
             assert client.wait(job_id, timeout=60)["state"] == "done"
