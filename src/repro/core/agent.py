@@ -413,13 +413,14 @@ class DsrAgent:
         if our_length >= observed_length:
             event.cancel()
             del self._pending_replies[key]
-            self._emit(
-                "dsr.reply_suppressed",
-                origin=origin,
-                request_id=request_id,
-                length=our_length,
-                observed=observed_length,
-            )
+            if self._tracer.wants("dsr.reply_suppressed"):
+                self._emit(
+                    "dsr.reply_suppressed",
+                    origin=origin,
+                    request_id=request_id,
+                    length=our_length,
+                    observed=observed_length,
+                )
 
     def _handle_reply(self, packet: Packet) -> None:
         reply: RouteReply = packet.info
@@ -649,7 +650,8 @@ class DsrAgent:
             route_index=0,
             info=error,
         )
-        self._emit("dsr.rerr_sent", wide=False, link=link)
+        if self._tracer.wants("dsr.rerr_sent"):
+            self._emit("dsr.rerr_sent", wide=False, link=link)
         self._transmit_source_routed(rerr)
 
     def _unicast_error(self, failed: Packet, error: RouteError) -> None:
@@ -671,7 +673,8 @@ class DsrAgent:
             route_index=0,
             info=error,
         )
-        self._emit("dsr.rerr_sent", wide=False, link=error.link)
+        if self._tracer.wants("dsr.rerr_sent"):
+            self._emit("dsr.rerr_sent", wide=False, link=error.link)
         self._transmit_source_routed(packet)
 
     def _broadcast_error(self, error: RouteError) -> None:
@@ -685,7 +688,8 @@ class DsrAgent:
             born=self._now(),
             info=error,
         )
-        self._emit("dsr.rerr_sent", wide=True, link=error.link)
+        if self._tracer.wants("dsr.rerr_sent"):
+            self._emit("dsr.rerr_sent", wide=True, link=error.link)
         self.node.mac.enqueue(packet, BROADCAST)
 
     def _handle_error(self, packet: Packet) -> None:
@@ -715,7 +719,8 @@ class DsrAgent:
             self._pending_error = error
         if should_relay:
             relayed = packet.clone(src=self.node_id, uid=self.node.next_uid())
-            self._emit("dsr.rerr_relay", link=error.link)
+            if self._tracer.wants("dsr.rerr_relay"):
+                self._emit("dsr.rerr_relay", link=error.link)
             self._broadcast_with_jitter(relayed)
 
     def _absorb_error(self, error: RouteError) -> None:
@@ -799,7 +804,8 @@ class DsrAgent:
             route_index=0,
             info=reply,
         )
-        self._emit("dsr.grat_reply", src=packet.src, length=len(shortened))
+        if self._tracer.wants("dsr.grat_reply"):
+            self._emit("dsr.grat_reply", src=packet.src, length=len(shortened))
         self._transmit_source_routed(grat)
 
     # ------------------------------------------------------------------

@@ -14,11 +14,13 @@ Cache-correctness support, per the paper's section 3:
   any cached route unused for longer than the timeout;
 * it also remembers which links this node actually forwarded over, the
   gating condition for rebroadcasting wider error notifications.
+
+The store is one plain dict, route -> entry time, in eviction order (least
+recently sighted first).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -29,7 +31,8 @@ Link = Tuple[int, int]
 
 @dataclass
 class CachedPath:
-    """One stored source route and its bookkeeping."""
+    """One stored source route and its entry time, as :meth:`PathCache.paths`
+    reports it."""
 
     route: Tuple[int, ...]
     added: float  # when this path (or its untruncated ancestor) was cached
@@ -48,7 +51,8 @@ class PathCache:
             raise ValueError("capacity must be positive")
         self.owner = owner
         self.capacity = capacity
-        self._paths: "OrderedDict[Tuple[int, ...], CachedPath]" = OrderedDict()
+        # route -> when it (or its untruncated ancestor) entered the cache
+        self._paths: Dict[Tuple[int, ...], float] = {}
         self._link_last_seen: Dict[Link, float] = {}
         self._links_forwarded: Set[Link] = set()
 
@@ -60,7 +64,7 @@ class PathCache:
         return len(self._paths)
 
     def paths(self) -> List[CachedPath]:
-        return list(self._paths.values())
+        return [CachedPath(route, added) for route, added in self._paths.items()]
 
     def add(self, route: Sequence[int], now: float) -> bool:
         """Cache ``route`` (must start at the owner).  Returns True if a new
@@ -72,7 +76,8 @@ class PathCache:
         """
         paths = self._paths
         key = tuple(route)
-        if key in paths:
+        added = paths.pop(key, None)
+        if added is not None:
             # A re-sighting, as most adds are, of a key that is valid and
             # starts at the owner by construction.  It moves to the young end
             # of the eviction order but keeps its original entry time:
@@ -80,13 +85,13 @@ class PathCache:
             # *entered* the cache, and refreshing it on every forwarded
             # packet would collapse lifetimes to inter-packet gaps.  (Usage
             # recency is tracked separately via note_links_used.)
-            paths.move_to_end(key)
+            paths[key] = added
             return False
         if not is_valid_route(key) or key[0] != self.owner:
             return False
         if len(paths) >= self.capacity:
-            paths.popitem(last=False)  # evict the least recently sighted
-        paths[key] = CachedPath(route=key, added=now)
+            del paths[next(iter(paths))]  # evict the least recently sighted
+        paths[key] = now
         return True
 
     def find(self, dst: int) -> Optional[List[int]]:
@@ -107,13 +112,12 @@ class PathCache:
         best: Optional[Tuple[int, ...]] = None
         best_hops = 0
         best_added = 0.0
-        for route in paths:
+        for route, added in paths.items():
             if dst not in route:
                 continue
             hops = route.index(dst)
             if hops == 0:
                 continue
-            added = paths[route].added
             if best is None or hops < best_hops or (hops == best_hops and added > best_added):
                 best, best_hops, best_added = route, hops, added
         if best is None:
@@ -160,26 +164,26 @@ class PathCache:
         Returns the lifetimes (``now - added``) of the affected paths — the
         input the adaptive timeout heuristic needs.
         """
+        paths = self._paths
         lifetimes: List[float] = []
-        replacements: List[CachedPath] = []
+        replacements: List[Tuple[Tuple[int, ...], float]] = []
         doomed: List[Tuple[int, ...]] = []
         tail = link[0]
-        for key in self._paths:
+        for key, added in paths.items():
             if tail not in key:  # most paths: skip without a call
                 continue
             position = link_position(key, link)
             if position < 0:
                 continue
-            cached = self._paths[key]
-            lifetimes.append(max(0.0, now - cached.added))
+            lifetimes.append(max(0.0, now - added))
             doomed.append(key)
             if position >= 1:
-                replacements.append(CachedPath(key[: position + 1], cached.added))
+                replacements.append((key[: position + 1], added))
         for key in doomed:
-            del self._paths[key]
-        for replacement in replacements:
-            if replacement.route not in self._paths:
-                self._paths[replacement.route] = replacement
+            del paths[key]
+        for prefix, added in replacements:
+            if prefix not in paths:
+                paths[prefix] = added
         return lifetimes
 
     def prune_stale(self, now: float, timeout: float) -> int:
@@ -187,21 +191,21 @@ class PathCache:
         not seen within ``timeout`` seconds (entry time counts as a
         sighting).  Returns the number of paths shortened or dropped."""
         changed = 0
-        new_paths: "OrderedDict[Tuple[int, ...], CachedPath]" = OrderedDict()
-        for key, cached in self._paths.items():
-            cut = len(cached.route)
-            for i, link in enumerate(route_links(cached.route)):
-                last = max(self._link_last_seen.get(link, cached.added), cached.added)
+        new_paths: Dict[Tuple[int, ...], float] = {}
+        for route, added in self._paths.items():
+            cut = len(route)
+            for i, link in enumerate(route_links(route)):
+                last = max(self._link_last_seen.get(link, added), added)
                 if now - last > timeout:
                     cut = i + 1
                     break
-            if cut == len(cached.route):
-                new_paths[key] = cached
+            if cut == len(route):
+                new_paths[route] = added
                 continue
             changed += 1
             if cut >= 2:
-                prefix = cached.route[:cut]
+                prefix = route[:cut]
                 if prefix not in new_paths:
-                    new_paths[prefix] = CachedPath(prefix, cached.added)
+                    new_paths[prefix] = added
         self._paths = new_paths
         return changed

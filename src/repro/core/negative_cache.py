@@ -10,14 +10,14 @@ next ``timeout`` seconds:
   the positive and negative caches stay mutually exclusive, which stops
   in-flight packets from instantly re-polluting a freshly cleaned cache.
 
-Replacement is FIFO with a fixed entry budget; expiry is lazy (checked on
-read) plus an explicit purge hook.
+Replacement is FIFO with a fixed entry budget, over a plain dict in
+insertion order; expiry is lazy (checked on read) plus an explicit purge
+hook.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 Link = Tuple[int, int]
 
@@ -32,20 +32,19 @@ class NegativeCache:
             raise ValueError("timeout must be positive")
         self.capacity = capacity
         self.timeout = timeout
-        self._entries: "OrderedDict[Link, float]" = OrderedDict()  # link -> expiry
+        self._entries: Dict[Link, float] = {}  # link -> expiry
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def add(self, link: Link, now: float) -> None:
         """Quarantine ``link`` until ``now + timeout``."""
-        if link in self._entries:
-            self._entries[link] = now + self.timeout
-            self._entries.move_to_end(link)
-            return
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)  # FIFO replacement
-        self._entries[link] = now + self.timeout
+        entries = self._entries
+        if link in entries:
+            del entries[link]  # re-quarantined at the young end
+        elif len(entries) >= self.capacity:
+            del entries[next(iter(entries))]  # FIFO replacement
+        entries[link] = now + self.timeout
 
     def contains(self, link: Link, now: float) -> bool:
         expiry = self._entries.get(link)

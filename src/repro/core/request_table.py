@@ -2,13 +2,13 @@
 
 :class:`SeenTable` is a bounded FIFO set with per-entry lifetime; DSR uses
 three instances — seen route requests, seen wider-error broadcasts, and
-recently sent gratuitous replies.
+recently sent gratuitous replies.  The store is a plain dict in insertion
+order: a re-insert deletes then inserts, eviction deletes the first key.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, Optional
+from typing import Dict, Hashable, Optional
 
 
 class SeenTable:
@@ -21,7 +21,7 @@ class SeenTable:
             raise ValueError("lifetime must be positive")
         self.capacity = capacity
         self.lifetime = lifetime
-        self._entries: "OrderedDict[Hashable, float]" = OrderedDict()
+        self._entries: Dict[Hashable, float] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -37,13 +37,12 @@ class SeenTable:
         return True
 
     def insert(self, key: Hashable, now: float) -> None:
-        if key in self._entries:
-            self._entries[key] = now
-            self._entries.move_to_end(key)
-            return
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-        self._entries[key] = now
+        entries = self._entries
+        if key in entries:
+            del entries[key]  # re-inserted at the young end
+        elif len(entries) >= self.capacity:
+            del entries[next(iter(entries))]
+        entries[key] = now
 
     def check_and_insert(self, key: Hashable, now: float) -> bool:
         """Atomically: was it new?  (Inserts either way.)"""

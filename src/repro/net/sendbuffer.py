@@ -4,13 +4,15 @@ Packets waiting for a route (discovery in progress) are buffered *only at
 the traffic source*, exactly as in the CMU ns-2 model the paper used:
 capacity 64 packets, and a packet is dropped if it has waited more than 30
 seconds.  When the buffer is full the oldest packet is evicted.
+
+The entries are a plain list (64 at most; most nodes never buffer at all,
+and an empty ``deque`` costs several times an empty list).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from repro.net.packet import Packet
 
@@ -31,7 +33,7 @@ class SendBuffer:
             raise ValueError("max_wait must be positive")
         self.capacity = capacity
         self.max_wait = max_wait
-        self._entries: Deque[BufferedPacket] = deque()
+        self._entries: List[BufferedPacket] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -41,7 +43,7 @@ class SendBuffer:
         full (the oldest entry is sacrificed)."""
         evicted = None
         if len(self._entries) >= self.capacity:
-            evicted = self._entries.popleft().packet
+            evicted = self._entries.pop(0).packet
         self._entries.append(BufferedPacket(packet, now))
         return evicted
 
@@ -49,9 +51,9 @@ class SendBuffer:
         """Remove and return all buffered packets destined for ``dst``."""
         taken = [entry.packet for entry in self._entries if entry.packet.dst == dst]
         if taken:
-            self._entries = deque(
+            self._entries = [
                 entry for entry in self._entries if entry.packet.dst != dst
-            )
+            ]
         return taken
 
     def destinations(self) -> List[int]:
@@ -69,7 +71,7 @@ class SendBuffer:
         """Drop and return every packet older than ``max_wait``."""
         expired: List[Packet] = []
         while self._entries and now - self._entries[0].enqueued_at > self.max_wait:
-            expired.append(self._entries.popleft().packet)
+            expired.append(self._entries.pop(0).packet)
         # Entries are appended in time order, so the scan above is complete.
         return expired
 

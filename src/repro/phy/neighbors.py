@@ -199,13 +199,21 @@ class NeighborCache:
         """Ground-truth check: does every consecutive hop lie in range?
 
         This is the oracle behind the paper's cache-correctness metrics
-        ("% good replies", "% invalid cached routes").  One refresh and one
-        vectorized per-hop comparison — not a :meth:`connected` (and thus
-        potentially a refresh) per hop.
+        ("% good replies", "% invalid cached routes").  One refresh, then the
+        scalar comparison :meth:`connected` makes, hop by hop up to the first
+        hop out of range: a route is a handful of hops, too few for an index
+        array and a vectorized pass to pay for themselves.
         """
         if len(route) < 2:
             return True
         self._refresh(t)
         index = self._index
-        rows = np.array([index[n] for n in route], dtype=np.intp)
-        return bool((self._backend.hop_sq_dists(rows) <= self._rx_sq).all())
+        sq_dist = self._backend.sq_dist
+        rx_sq = self._rx_sq
+        row = index[route[0]]
+        for node in route[1:]:
+            following = index[node]
+            if sq_dist(row, following) > rx_sq:
+                return False
+            row = following
+        return True

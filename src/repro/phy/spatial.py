@@ -140,9 +140,6 @@ class AllPairsIndex:
     def sq_dist(self, row_a: int, row_b: int) -> float:
         return float(self._sq[row_a, row_b])
 
-    def hop_sq_dists(self, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(self._sq[rows[:-1], rows[1:]])
-
     def component_labels(self) -> np.ndarray:
         if self._labels is None:
             # The diagonal stays set: a node's own label changes no minimum.
@@ -284,11 +281,6 @@ class UniformGridIndex:
         dx = self._positions[row_a, 0] - self._positions[row_b, 0]
         dy = self._positions[row_a, 1] - self._positions[row_b, 1]
         return float(dx * dx + dy * dy)
-
-    def hop_sq_dists(self, rows: np.ndarray) -> np.ndarray:
-        hops = self._positions[rows]
-        deltas = hops[:-1] - hops[1:]
-        return np.asarray(np.einsum("ij,ij->i", deltas, deltas))
 
     def component_labels(self) -> np.ndarray:
         if self._labels is None:

@@ -182,6 +182,8 @@ def build_simulation(config: ScenarioConfig) -> SimulationHandle:
 
     metrics = MetricsCollector(tracer, reachability=reachability)
 
+    # Immutable, so every node shares one.
+    timing = MacTiming.from_profile(profile, use_eifs=config.use_eifs)
     nodes: Dict[int, Node] = {}
     for node_id in range(config.num_nodes):
         agent = _make_agent(config, node_id, sim, streams, tracer, oracle)
@@ -191,7 +193,7 @@ def build_simulation(config: ScenarioConfig) -> SimulationHandle:
             channel,
             agent,
             mac_rng=streams.stream("mac", f"node-{node_id}"),
-            timing=MacTiming.from_profile(profile, use_eifs=config.use_eifs),
+            timing=timing,
             tracer=tracer,
             queue_capacity=config.ifq_capacity,
         )

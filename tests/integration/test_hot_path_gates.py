@@ -61,10 +61,10 @@ def test_a_whole_run_never_pauses_an_idle_defer_nor_reinitialises_a_clone(monkey
 
 
 def test_a_run_without_observers_emits_no_unwanted_hot_path_record(monkeypatch):
-    """MAC, PHY and engine emits sit behind ``tracer.wants(kind)``: with only
-    the run's collector subscribed, ``Tracer.emit`` is never reached from
+    """MAC, PHY, engine and DSR emits sit behind ``tracer.wants(kind)``: with
+    only the run's collector subscribed, ``Tracer.emit`` is never reached from
     those layers for a kind nobody wants (no record dict is built for it)."""
-    hot_layers = ("repro.mac.", "repro.phy.", "repro.sim.")
+    hot_layers = ("repro.mac.", "repro.phy.", "repro.sim.", "repro.core.")
     real_emit = Tracer.emit
 
     def guarded_emit(tracer, time, kind, **fields):

@@ -7,6 +7,7 @@ positive cache free of quarantined links.
 """
 
 import itertools
+from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import given, settings
@@ -154,11 +155,22 @@ def test_seen_table_never_exceeds_capacity(keys, capacity):
 
 
 class _OraclePathCache(PathCache):
-    """``add``, ``find_with_age`` and ``remove_link`` exactly as they stood at
-    commit cbb0458: validate before the key lookup, ``tuple.index`` under
-    try/except with a rank tuple per match, one ``link_position`` call per
-    cached path.  Kept verbatim as the reference the reordered methods must
-    agree with, return value for return value and eviction order included."""
+    """A full reference over its own store: an ``OrderedDict`` of
+    :class:`CachedPath` records.  ``add``, ``find_with_age`` and
+    ``remove_link`` are exactly as they stood at commit cbb0458: validate
+    before the key lookup, ``tuple.index`` under try/except with a rank tuple
+    per match, one ``link_position`` call per cached path.  ``paths`` and
+    ``prune_stale`` are exactly as they stood at commit 904e526, before the
+    cache stored bare entry times.  Kept verbatim as the reference the
+    reordered methods must agree with, return value for return value and
+    eviction order included; only the link bookkeeping is inherited."""
+
+    def __init__(self, owner: int, capacity: int = 64):
+        super().__init__(owner, capacity)
+        self._paths: "OrderedDict[Tuple[int, ...], CachedPath]" = OrderedDict()
+
+    def paths(self) -> List[CachedPath]:
+        return list(self._paths.values())
 
     def add(self, route: Sequence[int], now: float) -> bool:
         if not is_valid_route(route) or route[0] != self.owner:
@@ -207,6 +219,27 @@ class _OraclePathCache(PathCache):
             if replacement.route not in self._paths:
                 self._paths[replacement.route] = replacement
         return lifetimes
+
+    def prune_stale(self, now: float, timeout: float) -> int:
+        changed = 0
+        new_paths: "OrderedDict[Tuple[int, ...], CachedPath]" = OrderedDict()
+        for key, cached in self._paths.items():
+            cut = len(cached.route)
+            for i, link in enumerate(route_links(cached.route)):
+                last = max(self._link_last_seen.get(link, cached.added), cached.added)
+                if now - last > timeout:
+                    cut = i + 1
+                    break
+            if cut == len(cached.route):
+                new_paths[key] = cached
+                continue
+            changed += 1
+            if cut >= 2:
+                prefix = cached.route[:cut]
+                if prefix not in new_paths:
+                    new_paths[prefix] = CachedPath(prefix, cached.added)
+        self._paths = new_paths
+        return changed
 
 
 # Every loop-free route from the owner over three other nodes: 15 routes, so

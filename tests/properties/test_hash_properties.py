@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.cache import scenario_hash
 from repro.core.config import DsrConfig, ExpiryMode
-from repro.errors import ConfigurationError
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import (
     scenario_canonical_json,
@@ -62,17 +61,24 @@ scenario_configs = st.builds(
 
 
 
-def spellings(lo, hi):
-    """Every way a number in ``[lo, hi]`` can be spelled: a float, an int,
-    an int-valued float, a bool, and ``-0.0`` where ``lo`` admits zero.
-    Equal spellings compare and hash alike but encode differently."""
+def spellings(lo, hi, above_lo=False):
+    """Every way a number in ``[lo, hi]`` (``(lo, hi]`` with ``above_lo``)
+    can be spelled: a float, an int, an int-valued float, a bool, and
+    ``-0.0`` where the range admits zero.  Equal spellings compare and hash
+    alike but encode differently.  Only spellings the range holds are drawn:
+    no bool lies in ``[100, 3000]``, so that range has no bool option."""
+    lo, hi = float(lo), float(hi)
+    lowest_int = math.floor(lo) + 1 if above_lo else math.ceil(lo)
+    in_range = [b for b in (False, True) if (lo < b if above_lo else lo <= b) and b <= hi]
     options = [
-        st.floats(min_value=lo, max_value=hi, allow_nan=False),
-        st.integers(min_value=math.ceil(lo), max_value=math.floor(hi)),
-        st.integers(min_value=math.ceil(lo), max_value=math.floor(hi)).map(float),
-        st.booleans().filter(lambda b: lo <= b <= hi),
+        st.floats(min_value=lo, max_value=hi, exclude_min=above_lo, allow_nan=False)
     ]
-    if lo <= 0.0:
+    if lowest_int <= hi:
+        ints = st.integers(min_value=lowest_int, max_value=math.floor(hi))
+        options += [ints, ints.map(float)]
+    if in_range:
+        options.append(st.sampled_from(in_range))
+    if lo < 0.0 or (lo == 0.0 and not above_lo):
         options.append(st.just(-0.0))
     return st.one_of(options)
 
@@ -97,8 +103,8 @@ def _dsr_override(field_):
         return st.booleans() | st.sampled_from([0, 1])
     lo = 1 if field_.name in _POSITIVE_DSR_FIELDS else 0
     if isinstance(field_.default, int):
-        return st.integers(min_value=lo, max_value=300) | st.booleans().filter(
-            lambda b: b >= lo
+        return st.integers(min_value=lo, max_value=300) | st.sampled_from(
+            [b for b in (False, True) if b >= lo]
         )
     return spellings(0.001 if lo else 0.0, 60.0)
 
@@ -127,27 +133,41 @@ spelled_dsr_configs = st.builds(
     ),
 )
 
-def _constructible(**fields):
-    """The config, or ``None`` where the config refuses the combination
-    (a speed range or group count its mobility model could not run)."""
-    try:
-        return ScenarioConfig(**fields)
-    except ConfigurationError:
-        return None
+@st.composite
+def _mobility_fields(draw):
+    """``num_nodes``, the mobility model and the knobs it checks, drawn so
+    the model accepts them: waypoint and random_walk need ``0 < min_speed
+    <= max_speed``, rpgm needs ``0.1 <= max_speed`` and no more groups than
+    nodes, gauss_markov needs ``max_speed > 0``.  A knob the model does not
+    check spans its whole range in every spelling."""
+    num_nodes = draw(st.integers(min_value=6, max_value=60))
+    model = draw(st.sampled_from(["waypoint", "gauss_markov", "rpgm", "random_walk"]))
+    if model in ("waypoint", "random_walk"):
+        min_speed = draw(spellings(0.0, 1.0, above_lo=True))
+        max_speed = draw(spellings(min_speed, 30.0))
+    else:
+        min_speed = draw(spellings(0.0, 1.0))
+        max_speed = draw(
+            spellings(0.1, 30.0) if model == "rpgm" else spellings(0.0, 30.0, above_lo=True)
+        )
+    most_groups = min(8, num_nodes) if model == "rpgm" else 8
+    return {
+        "num_nodes": num_nodes,
+        "mobility_model": model,
+        "min_speed": min_speed,
+        "max_speed": max_speed,
+        "rpgm_groups": draw(st.integers(min_value=1, max_value=most_groups) | st.just(True)),
+    }
 
 
 # Every field in several spellings, each compat field at and off its default.
 spelled_scenario_configs = st.builds(
-    _constructible,
-    num_nodes=st.integers(min_value=6, max_value=60),
+    lambda mobility, **fields: ScenarioConfig(**mobility, **fields),
+    _mobility_fields(),
     field_width=spellings(100.0, 3000.0),
     field_height=spellings(100.0, 1000.0),
-    max_speed=spellings(0.0, 30.0),
-    min_speed=spellings(0.0, 1.0),
     pause_time=spellings(0.0, 500.0),
     duration=spellings(1.0, 500.0),
-    mobility_model=st.sampled_from(["waypoint", "gauss_markov", "rpgm", "random_walk"]),
-    rpgm_groups=st.integers(min_value=1, max_value=8) | st.just(True),
     walk_epoch=st.sampled_from([10.0, 10]) | spellings(0.5, 60.0),
     num_sessions=st.integers(min_value=0, max_value=6) | st.booleans(),
     packet_rate=spellings(0.5, 8.0),
@@ -162,7 +182,7 @@ spelled_scenario_configs = st.builds(
     protocol=st.sampled_from(["dsr", "aodv"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     dsr=spelled_dsr_configs,
-).filter(lambda config: config is not None)
+)
 
 
 @settings(max_examples=60, deadline=None)
