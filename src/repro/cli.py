@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument(
         "--profile",
         action="store_true",
-        help="attribute wall-clock to engine callbacks; table printed to stderr",
+        help="run under cProfile; calls by cumulative time printed to stderr",
     )
     obs.add_argument(
         "--flight-recorder",
@@ -367,27 +367,41 @@ def _run_and_report(args, config) -> int:
 
 
 def _run_observed(args, config):
-    """Run one scenario in-process with the requested observability wiring.
+    """Run one scenario in-process with the observers the flags ask for.
 
-    The observers only subscribe/sample — metrics are bit-identical to the
-    unobserved engine path for the same scenario.
+    The observers only subscribe/sample, and ``--profile`` wraps the run in
+    the stdlib ``cProfile``, so metrics are bit-identical to the unobserved
+    engine path for the same scenario.
     """
-    from repro.obs import Observability
+    import contextlib
+
     from repro.scenarios.builder import build_simulation
     from repro.sim.tracefile import TraceFileWriter
 
     handle = build_simulation(config)
-    obs = Observability(
-        metrics_interval=args.metrics_interval if args.metrics else None,
-        profile=args.profile,
-        flight_capacity=args.flight_capacity if args.flight_recorder else None,
-    ).attach(handle)
+    interval = None
+    if args.metrics:
+        from repro.obs.interval import IntervalMetrics
 
+        interval = IntervalMetrics(args.metrics_interval).attach(handle)
+    flight = None
+    armed = contextlib.nullcontext()
+    if args.flight_recorder:
+        from repro.obs.flight import FlightRecorder
+
+        flight = FlightRecorder(handle.tracer, args.flight_capacity)
+        armed = flight.armed(args.flight_recorder)
     writer = None
     if args.trace:
         writer = TraceFileWriter(handle.tracer, args.trace)
+    profiler = None
+    if args.profile:
+        import cProfile
+
+        profiler = cProfile.Profile()
     try:
-        result = obs.run(handle, flight_dump_path=args.flight_recorder)
+        with armed:
+            result = handle.run() if profiler is None else profiler.runcall(handle.run)
     except BaseException:
         if args.flight_recorder:
             print(f"flight recorder dump    : {args.flight_recorder}", file=sys.stderr)
@@ -402,8 +416,8 @@ def _run_observed(args, config):
             f"({writer.records_written} records)",
             file=sys.stderr,
         )
-    if args.metrics:
-        interval = obs.interval_metrics
+    if interval is not None:
+        interval.finish()
         if str(args.metrics).endswith(".csv"):
             interval.export_csv(args.metrics)
         else:
@@ -413,11 +427,13 @@ def _run_observed(args, config):
             f"({len(interval.rows)} intervals)",
             file=sys.stderr,
         )
-    if args.flight_recorder:
-        obs.flight.dump(args.flight_recorder)
+    if flight is not None:
+        flight.dump(args.flight_recorder)
         print(f"flight recorder          : {args.flight_recorder}", file=sys.stderr)
-    if args.profile:
-        print(obs.profile_report().format(top=12), file=sys.stderr)
+    if profiler is not None:
+        import pstats
+
+        pstats.Stats(profiler, stream=sys.stderr).sort_stats("cumulative").print_stats(12)
     return result
 
 

@@ -117,6 +117,12 @@ class DsrAgent:
         # Reply-storm prevention: (origin, request_id) -> (event, route_len).
         self._pending_replies: Dict[Tuple[int, int], Tuple[object, int]] = {}
 
+        # Each per-link table is written only where it is read: last-seen
+        # times by the expiry sweep (and the link cache's eviction), the
+        # forwarded-links set by wider-error relay gating.
+        self._stamp_links = cfg.use_link_cache or cfg.expiry_mode is not ExpiryMode.NONE
+        self._note_forwarded = cfg.wider_error
+
         self.node = None  # wired by Node.__init__ via attach()
         self._expiry_sweep = PeriodicTimer(sim, cfg.expiry_check_period, self._expire_routes)
         self._buffer_sweep = PeriodicTimer(sim, 1.0, self._sweep_send_buffer)
@@ -230,7 +236,10 @@ class DsrAgent:
                 self.node.deliver_to_app(packet)
             return
         next_hop = route[index + 1]
-        self.cache.note_links_used(route, self._now(), forwarded=True)
+        if self._stamp_links:
+            self.cache.note_links_seen(route, self._now())
+        if self._note_forwarded:
+            self.cache.note_links_forwarded(route)
         outgoing = packet.clone(route_index=index + 1)
         self.node.mac.enqueue(outgoing, next_hop)
 

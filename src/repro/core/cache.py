@@ -9,11 +9,14 @@ Cache-correctness support, per the paper's section 3:
 
 * every path remembers when it was **entered** (``added``) — the adaptive
   timeout needs the lifetime of a route when it breaks;
-* the cache tracks, per link, when it was **last seen in a unicast packet
-  forwarded by this node** — the timer-based expiry prunes the portion of
-  any cached route unused for longer than the timeout;
-* it also remembers which links this node actually forwarded over, the
-  gating condition for rebroadcasting wider error notifications.
+* the cache tracks, per link of a cached path, when it was **last seen in
+  a unicast packet forwarded by this node** — the timer-based expiry prunes
+  the portion of any cached route unused for longer than the timeout;
+* it also remembers which links this node ever forwarded over, the gating
+  condition for rebroadcasting wider error notifications.
+
+The agent writes each of the two link tables only when its reader is
+configured (expiry on, wider error on), so a base-DSR node holds neither.
 
 The store is one plain dict, route -> entry time, in eviction order (least
 recently sighted first).
@@ -84,7 +87,7 @@ class PathCache:
             # "lifetime" in the adaptive timeout is time since the route
             # *entered* the cache, and refreshing it on every forwarded
             # packet would collapse lifetimes to inter-packet gaps.  (Usage
-            # recency is tracked separately via note_links_used.)
+            # recency is tracked separately via note_links_seen.)
             paths[key] = added
             return False
         if not is_valid_route(key) or key[0] != self.owner:
@@ -131,18 +134,17 @@ class PathCache:
     # Link bookkeeping (expiry + wider-error gating)
     # ------------------------------------------------------------------
 
-    def note_links_used(
-        self, route: Sequence[int], now: float, forwarded: bool
-    ) -> None:
-        """Record that this node saw ``route`` in a unicast packet.
-
-        ``forwarded`` is True when the node itself transmitted the packet —
-        only then do the links count for wider-error rebroadcast gating.
-        """
+    def note_links_seen(self, route: Sequence[int], now: float) -> None:
+        """Record that this node forwarded a unicast packet along ``route``
+        at ``now``: the last-seen times the expiry sweep reads."""
+        last_seen = self._link_last_seen
         for link in route_links(route):
-            self._link_last_seen[link] = now
-            if forwarded:
-                self._links_forwarded.add(link)
+            last_seen[link] = now
+
+    def note_links_forwarded(self, route: Sequence[int]) -> None:
+        """Record that this node forwarded over every link of ``route``:
+        the set wider-error rebroadcasts are gated on."""
+        self._links_forwarded.update(route_links(route))
 
     def link_forwarded(self, link: Link) -> bool:
         """Did this node ever forward a packet over ``link``?"""
@@ -189,16 +191,25 @@ class PathCache:
     def prune_stale(self, now: float, timeout: float) -> int:
         """Apply timer-based expiry: truncate each path at its first link
         not seen within ``timeout`` seconds (entry time counts as a
-        sighting).  Returns the number of paths shortened or dropped."""
+        sighting).  Returns the number of paths shortened or dropped.
+
+        Last-seen times survive only for links of the paths kept.  A link in
+        no cached path re-enters only through :meth:`add`, which stamps it
+        ``added = now``, later than any time dropped here, and the sweep
+        reads ``max(last_seen, added)``: a dropped time is never read."""
         changed = 0
         new_paths: Dict[Tuple[int, ...], float] = {}
+        last_seen = self._link_last_seen
+        kept_seen: Dict[Link, float] = {}
         for route, added in self._paths.items():
             cut = len(route)
             for i, link in enumerate(route_links(route)):
-                last = max(self._link_last_seen.get(link, added), added)
-                if now - last > timeout:
+                seen = last_seen.get(link)
+                if now - (added if seen is None or seen < added else seen) > timeout:
                     cut = i + 1
                     break
+                if seen is not None:
+                    kept_seen[link] = seen
             if cut == len(route):
                 new_paths[route] = added
                 continue
@@ -208,4 +219,5 @@ class PathCache:
                 if prefix not in new_paths:
                     new_paths[prefix] = added
         self._paths = new_paths
+        self._link_last_seen = kept_seen
         return changed

@@ -118,15 +118,14 @@ class LinkCache:
         ]
         return route, (min(ages) if ages else 0.0)
 
-    def note_links_used(
-        self, route: Sequence[int], now: float, forwarded: bool
-    ) -> None:
+    def note_links_seen(self, route: Sequence[int], now: float) -> None:
         for link in route_links(route):
             entry = self._links.get(link)
             if entry is not None:
                 entry.last_seen = now
-            if forwarded:
-                self._links_forwarded.add(link)
+
+    def note_links_forwarded(self, route: Sequence[int]) -> None:
+        self._links_forwarded.update(route_links(route))
 
     def link_forwarded(self, link: Link) -> bool:
         return link in self._links_forwarded

@@ -1,24 +1,21 @@
-"""Observability layer: metrics, profiling, and post-mortem tooling.
+"""The observation layer: metrics, flight recording, fleet tracing and logs.
 
 Everything here observes the simulation from outside — trace
-subscriptions, a sampling timer, and an opt-in engine hook — and never
-mutates protocol state or draws randomness, so simulation results are
-bit-identical with observability on or off (pinned by
-``tests/obs/test_identical.py``).
+subscriptions and a sampling timer — and never mutates protocol state or
+draws randomness, so simulation results are bit-identical with
+observability on or off (pinned by ``tests/obs/test_identical.py``).  The
+engine holds no wall clock: ``repro-run --profile`` runs the simulation
+under the stdlib ``cProfile``, the profiler the benchmark ledger uses.
 
 * :class:`MetricsRegistry` / :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` — the instruments behind the service's ``/metrics``.
 * :class:`IntervalMetrics` — the run's metrics collector sampled every
   interval: per-interval deltas of every ``SimulationResult`` counter plus
   send-buffer depth and delivery ratio, exportable to JSONL/CSV.
-* :class:`ProfileReport` — the engine's wall-clock attribution
-  (``Simulator.enable_profiling``) per event callback and component.
 * :class:`FlightRecorder` / :class:`FlightRecordingTaskFn` — bounded ring
   of recent trace records, dumped on demand or on a propagating
   exception; the task-fn form arms one per simulation for
   ``repro-worker``/``repro-serve`` post-mortems.
-* :class:`Observability` — one-call wiring of the above over a
-  ``SimulationHandle``.
 * :class:`FleetTracer` / :class:`Span` — fleet-wide distributed tracing
   of service jobs (spans cross process boundaries via the
   ``X-Repro-Trace`` header and merge on the coordinator).
@@ -40,8 +37,6 @@ from repro.obs.fleet import (
 from repro.obs.flight import FlightRecorder, FlightRecordingTaskFn
 from repro.obs.instruments import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.interval import IntervalMetrics
-from repro.obs.profiler import ComponentProfile, ProfileReport
-from repro.obs.session import Observability
 from repro.obs.slog import StructuredLogger
 from repro.sim.tracefile import iter_records
 
@@ -51,8 +46,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "IntervalMetrics",
-    "ProfileReport",
-    "ComponentProfile",
     "FlightRecorder",
     "FlightRecordingTaskFn",
     "FleetTracer",
@@ -60,7 +53,6 @@ __all__ = [
     "SPAN_KINDS",
     "TRACE_HEADER",
     "StructuredLogger",
-    "Observability",
     "critical_path",
     "trace_breakdown",
     "trace_coverage",

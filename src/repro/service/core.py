@@ -17,7 +17,8 @@ serving system with one execution path:
 * **Who claims** is the only thing ``distributed`` decides.  ``False``
   (the default) starts ``workers`` in-process threads, each running the
   same :class:`~repro.service.worker.ShardWorker` loop as ``repro-worker``
-  over direct calls and the service's own cache.  ``True`` starts none:
+  over direct calls, with no cache of their own: the board reads and
+  writes the service's cache once per key.  ``True`` starts none:
   remote ``repro-worker`` processes claim over HTTP (``/v1/leases*``)
   and deliver each shard's results inside ``complete``, their one way home.
 * **In-flight dedup** — concurrent jobs that share a scenario coalesce on
@@ -172,8 +173,7 @@ class SimulationService:
         self._trace_jobs: Dict[str, str] = {}  # guarded-by: _lock
         self.distributed = distributed
         self.lease_ttl_s = lease_ttl_s
-        # The shared cache instance: the shard board's resolution source
-        # and store, and the in-process workers' engine cache.
+        # The one cache tier: the shard board's resolution source and store.
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache_dir is not None else None
         )
@@ -222,7 +222,8 @@ class SimulationService:
         )
         # Who claims from the board: a distributed coordinator waits for
         # the remote fleet; otherwise ``workers`` threads of this process
-        # run the same loop over direct calls and the service's own cache.
+        # run the same loop over direct calls.  They get no cache: the
+        # board already looked each key up and stores what they deliver.
         self._local_workers: List[ShardWorker] = []
         if not distributed:
             client = _InProcessClient(self)
@@ -233,7 +234,7 @@ class SimulationService:
                     processes=processes,
                     retries=retries,
                     task_fn=task_fn,
-                    cache=self.cache,
+                    cache=None,
                 )
                 for index in range(self.workers)
             ]

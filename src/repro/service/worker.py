@@ -23,7 +23,9 @@ payloads.  Each key is first looked up in a local
 :class:`~repro.analysis.cache.ResultCache` tier and each executed one is
 stored there, so a shard requeued to the same worker after a failed
 delivery resolves from disk.  (A worker handed a cache —
-``ShardWorker(cache=...)`` — uses that instead.)
+``ShardWorker(cache=...)`` — uses that instead; a non-distributed
+service's in-process workers get ``cache=None`` and keep no tier, because
+the board they claim from already looked each key up.)
 
 The claim/heartbeat loops lean on :class:`ServiceClient`'s bounded
 transient-error retry, so a coordinator restart stalls the fleet instead

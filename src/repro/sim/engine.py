@@ -21,9 +21,8 @@ with it, determinism) is unchanged.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
@@ -70,19 +69,6 @@ class Event:
 
 
 @dataclass(frozen=True)
-class ProfileEntry:
-    """Wall-clock attribution for one event-callback identity.
-
-    ``key`` is the callback's ``__qualname__`` (e.g. ``DcfMac._defer_expired``)
-    so entries group naturally by component class.
-    """
-
-    key: str
-    calls: int
-    wall_s: float
-
-
-@dataclass(frozen=True)
 class SimulatorStats:
     """Cheap lifetime counters for benchmarking the event engine."""
 
@@ -92,9 +78,6 @@ class SimulatorStats:
     compactions: int  # heap rebuilds that purged cancelled events
     pending: int  # events currently in the heap (live + cancelled)
     pending_cancelled: int  # cancelled events currently in the heap
-    #: Per-callback wall-clock attribution, sorted by wall time descending;
-    #: None unless :meth:`Simulator.enable_profiling` was called.
-    profile: Optional[Tuple[ProfileEntry, ...]] = None
 
 
 class Simulator:
@@ -147,10 +130,6 @@ class Simulator:
         self._cancelled_total = 0
         self._skipped_total = 0
         self._compactions = 0
-        # Opt-in wall-clock profiling: None means off (the run loop then
-        # pays one ``is None`` test per event).
-        # Keyed by callback __qualname__; value is [calls, wall_seconds].
-        self._profile: Optional[Dict[str, List[float]]] = None
 
     @property
     def pending_events(self) -> int:
@@ -166,41 +145,7 @@ class Simulator:
             compactions=self._compactions,
             pending=len(self._heap),
             pending_cancelled=self._cancelled_in_heap,
-            profile=self.profile_entries(),
         )
-
-    # -- opt-in wall-clock profiling --------------------------------------
-
-    def enable_profiling(self) -> None:
-        """Attribute wall-clock and call counts to event callbacks.
-
-        Profiling observes wall time only — it never touches simulation
-        state or event ordering, so metrics are bit-identical with it on.
-        Accumulation survives multiple :meth:`run` calls until
-        :meth:`disable_profiling`.
-        """
-        if self._profile is None:
-            self._profile = {}
-
-    def disable_profiling(self) -> None:
-        """Stop profiling and discard the accumulated attribution."""
-        self._profile = None
-
-    @property
-    def profiling_enabled(self) -> bool:
-        return self._profile is not None
-
-    def profile_entries(self) -> Optional[Tuple[ProfileEntry, ...]]:
-        """Accumulated per-callback attribution (None when profiling is off),
-        sorted by wall time descending, ties broken by key for determinism."""
-        if self._profile is None:
-            return None
-        entries = [
-            ProfileEntry(key=key, calls=int(acc[0]), wall_s=acc[1])
-            for key, acc in self._profile.items()
-        ]
-        entries.sort(key=lambda entry: (-entry.wall_s, entry.key))
-        return tuple(entries)
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -329,10 +274,6 @@ class Simulator:
         self._stopped = False
         executed = 0
         heappop = heapq.heappop
-        profile = self._profile
-        # Operator-facing wall-clock attribution, read only while profiling;
-        # never feeds simulation state, which runs purely on sim.now.
-        clock = None if profile is None else time.perf_counter
         try:
             while self._heap and not self._stopped:
                 entry = self._heap[0]
@@ -346,20 +287,7 @@ class Simulator:
                     break
                 heappop(self._heap)
                 self.now = entry[0]
-                if clock is None:
-                    event.fn(*event.args)
-                else:
-                    fn = event.fn
-                    start_wall = clock()
-                    fn(*event.args)
-                    elapsed = clock() - start_wall
-                    key = getattr(fn, "__qualname__", "") or type(fn).__qualname__
-                    acc = profile.get(key)
-                    if acc is None:
-                        profile[key] = [1.0, elapsed]
-                    else:
-                        acc[0] += 1.0
-                        acc[1] += elapsed
+                event.fn(*event.args)
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     break

@@ -47,10 +47,20 @@ def test_forwarder_caches_both_directions():
 
 
 def test_forwarding_marks_links_as_forwarded():
-    agent, node, sim = make_agent(2)
+    agent, node, sim = make_agent(2, dsr=DsrConfig.with_wider_error())
     agent.handle_packet(_data_at(2, [0, 2, 5]))
     assert agent.cache.link_forwarded((2, 5))
     assert agent.cache.link_forwarded((0, 2))
+
+
+def test_base_dsr_forwarding_writes_neither_link_table():
+    # No expiry sweep reads last-seen times and no wide error reads the
+    # forwarded set, so base DSR writes neither.
+    agent, node, sim = make_agent(2)
+    agent.handle_packet(_data_at(2, [0, 2, 5]))
+    assert len(node.mac.sent) == 1
+    assert agent.cache._link_last_seen == {}
+    assert not agent.cache.link_forwarded((2, 5))
 
 
 def test_reply_packet_forwarded_and_carried_route_cached():

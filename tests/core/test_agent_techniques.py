@@ -59,7 +59,7 @@ def test_wide_error_relayed_only_if_cached_and_forwarded():
     # Case 1: cached AND forwarded over the link -> relay.
     agent, node, sim = make_agent(3, dsr=DsrConfig.with_wider_error())
     agent.cache.add([3, 2, 5, 6], now=0.0)
-    agent.cache.note_links_used([3, 2, 5, 6], now=0.0, forwarded=True)
+    agent.cache.note_links_forwarded([3, 2, 5, 6])
     agent.handle_packet(_wide_error((2, 5)))
     sim.run(until=0.1)  # rebroadcast jitter
     relays = [p for p, nh in node.mac.sent if p.kind is PacketKind.RERR]
@@ -74,7 +74,7 @@ def test_wide_error_relayed_only_if_cached_and_forwarded():
 
     # Case 3: forwarded but no longer cached -> no relay.
     agent3, node3, sim3 = make_agent(5, dsr=DsrConfig.with_wider_error())
-    agent3.cache.note_links_used([0, 2, 5, 6], now=0.0, forwarded=True)
+    agent3.cache.note_links_forwarded([0, 2, 5, 6])
     agent3.handle_packet(_wide_error((2, 5)))
     sim3.run(until=0.1)
     assert [p for p, _ in node3.mac.sent if p.kind is PacketKind.RERR] == []
@@ -83,10 +83,10 @@ def test_wide_error_relayed_only_if_cached_and_forwarded():
 def test_wide_error_deduplicated():
     agent, node, sim = make_agent(3, dsr=DsrConfig.with_wider_error())
     agent.cache.add([3, 2, 5, 6], now=0.0)
-    agent.cache.note_links_used([3, 2, 5, 6], now=0.0, forwarded=True)
+    agent.cache.note_links_forwarded([3, 2, 5, 6])
     agent.handle_packet(_wide_error((2, 5), error_id=7))
     agent.cache.add([3, 2, 5, 6], now=0.0)  # re-pollute to tempt a second relay
-    agent.cache.note_links_used([3, 2, 5, 6], now=0.0, forwarded=True)
+    agent.cache.note_links_forwarded([3, 2, 5, 6])
     agent.handle_packet(_wide_error((2, 5), error_id=7, src=8))  # relayed copy
     sim.run(until=0.1)
     relays = [p for p, _ in node.mac.sent if p.kind is PacketKind.RERR]
@@ -122,7 +122,7 @@ def test_static_expiry_spares_recently_used_routes():
     )
 
     def refresh():
-        agent.cache.note_links_used([0, 1, 2], sim.now, forwarded=True)
+        agent.cache.note_links_seen([0, 1, 2], sim.now)
 
     for t in (1.0, 2.0, 3.0):
         sim.schedule_at(t, refresh)

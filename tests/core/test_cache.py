@@ -99,9 +99,9 @@ def test_contains_link():
 
 def test_link_forwarded_tracking():
     cache = PathCache(owner=0)
-    cache.note_links_used([5, 0, 1, 2], now=1.0, forwarded=True)
+    cache.note_links_forwarded([5, 0, 1, 2])
     assert cache.link_forwarded((1, 2))
-    cache.note_links_used([5, 3, 4], now=1.0, forwarded=False)
+    cache.note_links_seen([5, 3, 4], now=1.0)  # seen is not forwarded
     assert not cache.link_forwarded((3, 4))
 
 
@@ -109,10 +109,22 @@ def test_prune_stale_truncates_unused_portion():
     cache = PathCache(owner=0)
     cache.add([0, 1, 2, 3], now=0.0)
     # Link (0,1) and (1,2) used recently; (2,3) never used since entry.
-    cache.note_links_used([0, 1, 2], now=9.0, forwarded=True)
+    cache.note_links_seen([0, 1, 2], now=9.0)
     changed = cache.prune_stale(now=10.0, timeout=5.0)
     assert changed == 1
     assert cache.find(3) is None
+    assert cache.find(2) == [0, 1, 2]
+
+
+def test_prune_keeps_last_seen_times_of_kept_paths_only():
+    cache = PathCache(owner=0)
+    cache.add([0, 1, 2], now=0.0)
+    cache.note_links_seen([0, 1, 2], now=4.0)
+    cache.note_links_seen([0, 7, 8], now=4.0)  # on no cached path
+    assert cache.prune_stale(now=5.0, timeout=3.0) == 0
+    assert set(cache._link_last_seen) == {(0, 1), (1, 2)}
+    # The kept sighting still counts at the next sweep.
+    assert cache.prune_stale(now=6.5, timeout=3.0) == 0
     assert cache.find(2) == [0, 1, 2]
 
 

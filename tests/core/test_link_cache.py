@@ -47,7 +47,7 @@ def test_remove_unknown_link_is_noop():
 def test_prune_stale_links():
     cache = LinkCache(owner=0)
     cache.add([0, 1, 2], now=0.0)
-    cache.note_links_used([0, 1], now=9.0, forwarded=True)
+    cache.note_links_seen([0, 1], now=9.0)
     assert cache.prune_stale(now=10.0, timeout=5.0) == 1  # only (1,2) stale
     assert cache.find(1) == [0, 1]
     assert cache.find(2) is None
@@ -74,7 +74,7 @@ def test_contains_and_forwarded():
     cache.add([0, 1, 2], now=0.0)
     assert cache.contains_link((0, 1))
     assert not cache.link_forwarded((0, 1))
-    cache.note_links_used([0, 1], now=1.0, forwarded=True)
+    cache.note_links_forwarded([0, 1])
     assert cache.link_forwarded((0, 1))
 
 

@@ -8,6 +8,8 @@ the float accumulators (``delay_sum``), which would expose any deviation in
 arithmetic order or neighbour ordering immediately.
 """
 
+import pytest
+
 from repro.scenarios.builder import run_scenario
 from repro.scenarios.presets import paper_scenario
 
@@ -31,17 +33,21 @@ def _scenario(index: str):
     )
 
 
-def test_100_node_metrics_bit_identical_across_backends():
-    allpairs = run_scenario(_scenario("allpairs"))
+@pytest.fixture(scope="module")
+def allpairs():
+    """The all-pairs run both tests compare against, simulated once."""
+    return run_scenario(_scenario("allpairs"))
+
+
+def test_100_node_metrics_bit_identical_across_backends(allpairs):
     grid = run_scenario(_scenario("grid"))
     assert allpairs == grid  # every SimulationResult field, bit for bit
     for name, expected in GOLDEN.items():
         assert getattr(allpairs, name) == expected, f"golden drift in {name}"
 
 
-def test_auto_matches_forced_backend_at_100_nodes():
+def test_auto_matches_forced_backend_at_100_nodes(allpairs):
     """``auto`` resolves below the grid threshold at 100 nodes, and the
     resolved run must equal the explicitly forced one."""
     auto = run_scenario(_scenario("auto"))
-    allpairs = run_scenario(_scenario("allpairs"))
     assert auto == allpairs

@@ -5,7 +5,10 @@ The paper's node holds small, capped tables: a 64-path route cache, a
 suppression tables and the negative cache.  A run that leaves any of them
 above its cap, or a MAC that remembers a sequence number for more peers than
 there are other nodes, has state that grows with the run instead of with the
-network.  Checked on a 200-node discovery flood at ``flood1000``'s node
+network.  The route cache's per-link tables are bounded by what reads them:
+after an expiry sweep the last-seen times cover only links of cached paths,
+and a node whose configuration reads neither table (base DSR: no expiry, no
+wider error) holds neither.  Checked on a 200-node discovery flood at ``flood1000``'s node
 density and on a short 100-node AllTechniques run; run as a script,
 ``python -m tests.integration.test_state_caps 1000`` makes the same check on
 the 1000-node flood itself (CI does).
@@ -15,7 +18,9 @@ import math
 import sys
 from typing import List
 
-from repro.core.config import DsrConfig
+from repro.core.cache import PathCache
+from repro.core.config import DsrConfig, ExpiryMode
+from repro.core.routes import route_links
 from repro.scenarios.builder import SimulationHandle, build_simulation
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.presets import paper_scenario
@@ -61,7 +66,38 @@ def over_cap(handle: SimulationHandle) -> List[str]:
             found.append(
                 f"node {node_id}: MAC _last_seq holds {len(node.mac._last_seq)} peers"
             )
+        found.extend(_link_table_excess(node_id, agent))
     return found
+
+
+def _link_table_excess(node_id: int, agent) -> List[str]:
+    """The route cache's per-link tables, each against what reads it."""
+    cache = agent.cache
+    found = []
+    if not agent.config.wider_error and cache._links_forwarded:
+        found.append(
+            f"node {node_id}: forwarded-links set holds {len(cache._links_forwarded)} "
+            "links with wider error off"
+        )
+    if isinstance(cache, PathCache):
+        if agent.config.expiry_mode is ExpiryMode.NONE:
+            stray = len(cache._link_last_seen)
+        else:
+            held = {link for path in cache.paths() for link in route_links(path.route)}
+            stray = len(cache._link_last_seen.keys() - held)
+        if stray:
+            found.append(
+                f"node {node_id}: link last-seen table holds {stray} links "
+                "of no cached path"
+            )
+    return found
+
+
+def sweep(handle: SimulationHandle) -> None:
+    """What the next expiry sweep leaves: every cache pruned at the end of
+    the run, with a timeout that keeps every path."""
+    for node in handle.nodes.values():
+        node.agent.cache.prune_stale(handle.sim.now, math.inf)
 
 
 def _run(config: ScenarioConfig) -> SimulationHandle:
@@ -72,7 +108,7 @@ def _run(config: ScenarioConfig) -> SimulationHandle:
 
 
 def test_a_200_node_flood_keeps_every_table_within_its_cap():
-    handle = _run(flood(200))
+    handle = _run(flood(200))  # base DSR: no sweep runs, no link table is read
     assert over_cap(handle) == []
     # The floods reached every corner: most nodes remember some request.
     remembering = sum(1 for node in handle.nodes.values() if len(node.agent._seen_requests))
@@ -84,8 +120,10 @@ def test_a_100_node_all_techniques_run_keeps_every_table_within_its_cap():
         pause_time=0.0, seed=1, dsr=DsrConfig.all_techniques()
     ).but(duration=5.0, start_window=2.0)
     handle = _run(config)
+    sweep(handle)
     assert over_cap(handle) == []
     assert any(len(node.agent.cache) for node in handle.nodes.values())
+    assert any(node.agent.cache._link_last_seen for node in handle.nodes.values())
 
 
 def test_an_over_cap_table_is_reported():
@@ -95,9 +133,13 @@ def test_an_over_cap_table_is_reported():
     node.agent._seen_requests.insert((0, 2), 0.0)
     node.agent._seen_requests.capacity = 1
     node.mac._last_seq.update((peer, 0) for peer in range(20))
+    node.agent.cache.note_links_seen([3, 4, 5], 0.0)
+    node.agent.cache.note_links_forwarded([3, 4])
     assert over_cap(handle) == [
         "node 3: request table holds 2 > 1",
         "node 3: MAC _last_seq holds 20 peers",
+        "node 3: forwarded-links set holds 1 links with wider error off",
+        "node 3: link last-seen table holds 2 links of no cached path",
     ]
 
 

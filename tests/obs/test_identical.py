@@ -1,18 +1,23 @@
 """The observability layer's core contract: bit-identical simulation metrics.
 
-Every observer (interval metrics, profiler, flight recorder, trace writer)
-only subscribes, samples or reads — the simulation itself must be a pure
-function of its scenario whether observation is on or off.
+Every observer (interval metrics, flight recorder, trace writer, and the
+``cProfile`` run ``repro-run --profile`` makes) only subscribes, samples or
+reads — the simulation itself must be a pure function of its scenario
+whether observation is on or off.
 """
 
+import cProfile
 import inspect
+import pstats
 
 import pytest
 
-from repro.obs import Observability, flight, instruments, interval, profiler, session
-from repro.obs.interval import COLUMNS
+from repro.obs import fleet, flight, instruments, interval, slog
+from repro.obs.flight import FlightRecorder
+from repro.obs.interval import COLUMNS, IntervalMetrics
 from repro.scenarios.builder import build_simulation
 from repro.scenarios.presets import tiny_scenario
+from repro.sim.tracefile import TraceFileWriter
 
 
 def _config():
@@ -27,16 +32,18 @@ def baseline():
 def test_full_observability_is_bit_identical(baseline, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("obs")
     handle = build_simulation(_config())
-    obs = Observability(
-        metrics_interval=5.0, profile=True, flight_capacity=64
-    ).attach(handle)
-    result = obs.run(handle, flight_dump_path=tmp_path / "flight.txt")
+    metrics = IntervalMetrics(5.0).attach(handle)
+    recorder = FlightRecorder(handle.tracer, capacity=64)
+    profiler = cProfile.Profile()
+    with TraceFileWriter(handle.tracer, tmp_path / "run.jsonl"):
+        with recorder.armed(tmp_path / "flight.txt"):
+            result = profiler.runcall(handle.run)
+    metrics.finish()
     assert result == baseline
+    assert pstats.Stats(profiler).total_calls > 0
 
 
 def test_trace_writer_is_bit_identical(baseline, tmp_path):
-    from repro.sim.tracefile import TraceFileWriter
-
     handle = build_simulation(_config())
     with TraceFileWriter(handle.tracer, tmp_path / "run.jsonl"):
         result = handle.run()
@@ -53,18 +60,18 @@ def _assert_rows_sum_to(rows, result):
 
 def test_metrics_rows_reconcile_with_final_result(baseline):
     handle = build_simulation(_config())
-    obs = Observability(metrics_interval=5.0).attach(handle)
-    result = obs.run(handle)
+    metrics = IntervalMetrics(5.0).attach(handle)
+    result = handle.run()
     assert result == baseline
-    _assert_rows_sum_to(obs.interval_metrics.rows, result)
+    _assert_rows_sum_to(metrics.finish(), result)
 
 
 @pytest.mark.parametrize("protocol", ["dsr", "aodv"])
 def test_every_counter_column_sums_to_the_result(protocol):
     handle = build_simulation(tiny_scenario(seed=2).but(duration=20.0, protocol=protocol))
-    obs = Observability(metrics_interval=5.0).attach(handle)
-    result = obs.run(handle)
-    rows = obs.interval_metrics.rows
+    metrics = IntervalMetrics(5.0).attach(handle)
+    result = handle.run()
+    rows = metrics.finish()
     assert [row["t_end"] for row in rows] == [5.0, 10.0, 15.0, 20.0]
     assert result.data_sent > 0
     _assert_rows_sum_to(rows, result)
@@ -80,60 +87,58 @@ def _subscription_state(tracer):
 def test_metrics_interval_adds_no_trace_subscription():
     plain = build_simulation(_config())
     handle = build_simulation(_config())
-    Observability(metrics_interval=5.0).attach(handle)
+    IntervalMetrics(5.0).attach(handle)
     assert _subscription_state(handle.tracer) == _subscription_state(plain.tracer)
 
 
 def test_observability_detach_leaves_tracer_clean():
     handle = build_simulation(_config())
     baseline = _subscription_state(handle.tracer)  # the collector's wiring
-    obs = Observability(metrics_interval=5.0, flight_capacity=16).attach(handle)
+    metrics = IntervalMetrics(5.0).attach(handle)
+    recorder = FlightRecorder(handle.tracer, capacity=16)
     assert _subscription_state(handle.tracer) != baseline
-    obs.detach()
+    metrics.detach()
+    recorder.detach()
     assert _subscription_state(handle.tracer) == baseline
+
+
+def _owner_module(fn):
+    """The module of the object a scheduled callback belongs to, looking
+    through a ``repro.sim.timers`` timer to the callback it runs."""
+    owner = getattr(fn, "__self__", None)
+    inner = getattr(owner, "_fn", None)
+    if inner is not None:
+        owner = getattr(inner, "__self__", None)
+    return type(owner).__module__
 
 
 def test_default_observability_attaches_nothing():
+    """With no observer asked for, a build holds only the metrics
+    collector's subscriptions, no wildcard, and no ``repro.obs`` callback
+    on the event heap."""
     handle = build_simulation(_config())
-    baseline = _subscription_state(handle.tracer)
-    obs = Observability()
-    assert not obs.enabled
-    obs.attach(handle)
-    assert obs.interval_metrics is None
-    assert obs.profiler is None
-    assert obs.flight is None
-    assert _subscription_state(handle.tracer) == baseline
-    assert not handle.tracer.wants("no.such.kind")  # no wildcard leaked
+    assert not handle.tracer.wants("no.such.kind")  # no wildcard subscriber
+    subscribers = [fn for fns in handle.tracer._subscribers.values() for fn in fns]
+    assert subscribers and all(fn.__self__ is handle.metrics for fn in subscribers)
+    scheduled = {_owner_module(entry[2].fn) for entry in handle.sim._heap}
+    assert scheduled and not any(name.startswith("repro.obs") for name in scheduled)
 
 
-def test_attached_but_idle_observability_adds_nothing_to_a_run(baseline, monkeypatch):
-    """What the "< 2 % when attached but idle" budget means, without a
-    stopwatch: the idle facade leaves the tracer, the engine and the event
-    heap exactly as an unattached build has them, and the run that follows
-    never calls into ``repro.obs``."""
-    traced = build_simulation(_config())
-    kinds = set()
-    traced.tracer.subscribe("*", lambda record: kinds.add(record.kind))
-    traced.run()
-
-    plain = build_simulation(_config())
-    # Guards the probe: it saw kinds the metrics collector does not ask for.
-    assert any(not plain.tracer.wants(kind) for kind in kinds)
+def test_a_plain_run_never_calls_into_repro_obs(baseline, monkeypatch):
+    """What the "< 2 % when off" budget means, without a stopwatch: a plain
+    ``build_simulation(...).run()`` never calls into ``repro.obs`` and
+    leaves the tracer's subscriptions as built.  The engine itself keeps no
+    wall clock."""
     handle = build_simulation(_config())
-    Observability().attach(handle)
-    assert _subscription_state(handle.tracer) == _subscription_state(plain.tracer)
-    assert {k for k in kinds if handle.tracer.wants(k)} == {
-        k for k in kinds if plain.tracer.wants(k)
-    }
-    assert not handle.sim.profiling_enabled  # no wall clock in the event loop
-    assert handle.sim.pending_events == plain.sim.pending_events
+    built = _subscription_state(handle.tracer)
 
     def entered(*args, **kwargs):
-        raise AssertionError("an idle observability layer was called during the run")
+        raise AssertionError("a plain run called into repro.obs")
 
-    for module in (flight, instruments, interval, profiler, session):
+    for module in (fleet, flight, instruments, interval, slog):
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__:
                 for name, _ in inspect.getmembers(cls, inspect.isfunction):
                     monkeypatch.setattr(cls, name, entered)
     assert handle.run() == baseline
+    assert _subscription_state(handle.tracer) == built

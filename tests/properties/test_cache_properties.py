@@ -68,7 +68,8 @@ def test_path_cache_invariants_under_arbitrary_ops(ops):
         elif op == "prune":
             cache.prune_stale(now, arg)
         elif op == "use":
-            cache.note_links_used(arg, now, forwarded=True)
+            cache.note_links_seen(arg, now)
+            cache.note_links_forwarded(arg)
         _check_path_cache_invariants(cache)
 
 
@@ -87,7 +88,7 @@ def test_removed_link_never_remains_cached(ops):
         elif op == "prune":
             cache.prune_stale(now, arg)
         elif op == "use":
-            cache.note_links_used(arg, now, forwarded=False)
+            cache.note_links_seen(arg, now)
 
 
 @given(ops=ops_strategy)
@@ -104,7 +105,8 @@ def test_link_cache_routes_always_loop_free(ops):
         elif op == "prune":
             cache.prune_stale(now, arg)
         elif op == "use":
-            cache.note_links_used(arg, now, forwarded=True)
+            cache.note_links_seen(arg, now)
+            cache.note_links_forwarded(arg)
         for dst in range(1, 9):
             route = cache.find(dst)
             if route is not None:
@@ -161,9 +163,11 @@ class _OraclePathCache(PathCache):
     before the key lookup, ``tuple.index`` under try/except with a rank tuple
     per match, one ``link_position`` call per cached path.  ``paths`` and
     ``prune_stale`` are exactly as they stood at commit 904e526, before the
-    cache stored bare entry times.  Kept verbatim as the reference the
-    reordered methods must agree with, return value for return value and
-    eviction order included; only the link bookkeeping is inherited."""
+    cache stored bare entry times; that ``prune_stale`` never drops a
+    last-seen time, and ``note_links_seen`` is the body that stamps them.
+    Kept verbatim as the reference the reordered methods must agree with,
+    return value for return value and eviction order included; only the
+    forwarded-links set is inherited."""
 
     def __init__(self, owner: int, capacity: int = 64):
         super().__init__(owner, capacity)
@@ -171,6 +175,10 @@ class _OraclePathCache(PathCache):
 
     def paths(self) -> List[CachedPath]:
         return list(self._paths.values())
+
+    def note_links_seen(self, route: Sequence[int], now: float) -> None:
+        for link in route_links(route):
+            self._link_last_seen[link] = now
 
     def add(self, route: Sequence[int], now: float) -> bool:
         if not is_valid_route(route) or route[0] != self.owner:
@@ -287,9 +295,12 @@ def test_reordered_cache_paths_agree_with_their_oracle(ops, capacity):
             assert cache.remove_link(arg, now) == oracle.remove_link(arg, now)
         elif op == "prune":
             assert cache.prune_stale(now, arg) == oracle.prune_stale(now, arg)
+            # The cache keeps last-seen times only for links it still holds.
+            held = {link for cached in cache.paths() for link in route_links(cached.route)}
+            assert set(cache._link_last_seen) <= held
         else:
-            cache.note_links_used(arg, now, forwarded=False)
-            oracle.note_links_used(arg, now, forwarded=False)
+            cache.note_links_seen(arg, now)
+            oracle.note_links_seen(arg, now)
         assert cache.paths() == oracle.paths()  # same entries in eviction order
         # Present, absent (4 is on no route) and owner destinations alike.
         for dst in range(5):

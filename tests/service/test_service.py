@@ -149,6 +149,37 @@ def test_warm_cache_job_executes_nothing(tmp_path):
         assert task.calls == calls_after_first, mode  # the warm job ran nothing
 
 
+def test_a_local_job_reads_and_writes_each_key_once(tmp_path, monkeypatch):
+    """The shard board is a non-distributed service's one cache tier: its
+    in-process workers hold no cache, so no key is looked up or stored twice."""
+    from collections import Counter as Tally
+
+    from repro.analysis.cache import ResultCache
+
+    gets, puts = Tally(), Tally()
+    real_get, real_put = ResultCache.get, ResultCache.put
+
+    def counted_get(self, key):
+        gets[key] += 1
+        return real_get(self, key)
+
+    def counted_put(self, key, result):
+        puts[key] += 1
+        return real_put(self, key, result)
+
+    monkeypatch.setattr(ResultCache, "get", counted_get)
+    monkeypatch.setattr(ResultCache, "put", counted_put)
+    service = _service(workers=1, cache_dir=str(tmp_path / "cache")).start()
+    try:
+        job = service.submit([small_config(seed=s) for s in (1, 2, 3)])
+        service.wait(job.id, timeout=30)
+        assert job.state is JobState.DONE
+    finally:
+        service.drain(grace_s=5.0)
+    assert sorted(gets.values()) == [1, 1, 1]
+    assert sorted(puts.values()) == [1, 1, 1]
+
+
 def test_concurrent_identical_jobs_execute_once(tmp_path):
     # Two identical submissions racing on two workers: the board's
     # owner/waiter tables must coalesce them onto one execution, and say so.

@@ -70,8 +70,8 @@ def test_local_job_records_every_coordinator_stage(service):
     trace = service.job_trace(job.id)
     assert trace["trace_id"] == job.trace_id
     kinds = {span["kind"] for span in trace["spans"]}
-    assert {"job", "submit", "queue.wait", "dispatch", "cache.lookup",
-            "journal.fsync"} <= kinds
+    assert {"job", "submit", "queue.wait", "dispatch", "journal.fsync"} <= kinds
+    assert "cache.lookup" not in kinds  # in-process workers hold no cache tier
     assert all(span["trace_id"] == job.trace_id for span in trace["spans"])
     assert validate_spans(trace["spans"]) == []
     coverage = trace_coverage(trace["spans"])
