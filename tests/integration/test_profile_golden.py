@@ -4,7 +4,8 @@ The hard contract of :mod:`repro.phy.profiles`: introducing profiles must
 not move a single bit of any pre-profile result.  An *explicit*
 ``radio_profile="wavelan"`` is the same config as the default one, whose
 100-node run ``test_index_golden`` pins to the pre-profile golden metrics.
-This pins the cache-key side of the contract — default-valued post-v1
+This pins those golden metrics under the explicit profile too, and the
+cache-key side of the contract — default-valued post-v1
 fields stay out of the canonical JSON, while non-default profiles key
 distinct cache entries.
 """
@@ -18,11 +19,37 @@ from repro.scenarios.io import (
 )
 from repro.scenarios.presets import paper_scenario, tiny_scenario
 
+# Captured from the pre-profile simulator (see tests/integration/
+# test_index_golden.py); the wavelan profile must reproduce every field.
+GOLDEN = {
+    "data_sent": 128,
+    "data_received": 119,
+    "delay_sum": 5.599070081384597,
+    "mac_control_tx": 4995,
+    "routing_tx": 1428,
+    "data_tx": 663,
+    "rreq_sent": 23,
+    "link_breaks": 46,
+    "cache_hits": 312,
+}
+
 
 def _scenario(**overrides):
     return paper_scenario(pause_time=0.0, seed=7).but(
         duration=12.0, num_sessions=8, **overrides
     )
+
+
+def test_explicit_wavelan_reproduces_the_golden_metrics_bit_for_bit():
+    result = run_scenario(_scenario(radio_profile="wavelan", link_loss=0.0))
+    for name, expected in GOLDEN.items():
+        assert getattr(result, name) == expected, f"wavelan drift in {name}"
+
+
+def test_default_config_equals_explicit_wavelan():
+    default = run_scenario(_scenario())
+    explicit = run_scenario(_scenario(radio_profile="wavelan", link_loss=0.0))
+    assert default == explicit  # every SimulationResult field
 
 
 def test_post_v1_defaults_stay_out_of_the_canonical_json():
