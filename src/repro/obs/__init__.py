@@ -7,8 +7,6 @@ observability on or off (pinned by ``tests/obs/test_identical.py``).  The
 engine holds no wall clock: ``repro-run --profile`` runs the simulation
 under the stdlib ``cProfile``, the profiler the benchmark ledger uses.
 
-* :class:`MetricsRegistry` / :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` — the instruments behind the service's ``/metrics``.
 * :class:`IntervalMetrics` — the run's metrics collector sampled every
   interval: per-interval deltas of every ``SimulationResult`` counter plus
   send-buffer depth and delivery ratio, exportable to JSONL/CSV.
@@ -35,16 +33,11 @@ from repro.obs.fleet import (
     trace_coverage,
 )
 from repro.obs.flight import FlightRecorder, FlightRecordingTaskFn
-from repro.obs.instruments import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.interval import IntervalMetrics
 from repro.obs.slog import StructuredLogger
 from repro.sim.tracefile import iter_records
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "IntervalMetrics",
     "FlightRecorder",
     "FlightRecordingTaskFn",

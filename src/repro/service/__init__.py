@@ -5,7 +5,7 @@ into a shared, long-lived endpoint: clients POST scenarios, workers execute
 them against a shared content-addressed result cache (so repeated and
 concurrent submissions of the same scenario cost one simulation), a JSONL
 journal makes jobs survive restarts, and ``/metrics`` exposes serving
-telemetry through :mod:`repro.obs.instruments`.
+telemetry sampled at each scrape (:mod:`repro.service.metrics`).
 
 Layers:
 

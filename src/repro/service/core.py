@@ -48,7 +48,6 @@ from repro.devtools.lockdep import OrderedLock
 from repro.errors import ConfigurationError, ReproError
 from repro.metrics.collector import SimulationResult
 from repro.obs.fleet import FleetTracer, Span, new_trace_id
-from repro.obs.instruments import MetricsRegistry
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.io import scenario_from_dict, scenario_to_dict
 from repro.service.jobs import Job, JobState, new_job_id
@@ -139,15 +138,16 @@ class SimulationService:
         processes: int = 1,
         retries: int = 1,
         task_fn: Optional[TaskFn] = None,
-        registry: Optional[MetricsRegistry] = None,
         distributed: bool = False,
         lease_ttl_s: float = 10.0,
         shard_size: int = 4,
         tracer: Optional[FleetTracer] = None,
     ) -> None:
         self.workers = max(1, workers)
-        # Jobs by state and the board's counts are sampled when read.
-        self.metrics = ServiceMetrics(registry, lambda: (self.counts(), self.fleet_status()))
+        # Jobs by state, the board's counts and draining are sampled when read.
+        self.metrics = ServiceMetrics(
+            lambda: (self.counts(), self.fleet_status(), self.draining)
+        )
         # Fleet tracing is strictly optional: ``tracer=None`` keeps every
         # span site to a single attribute check (the bench's "plain" mode),
         # and a disabled tracer adds only its own fast path.
@@ -199,7 +199,7 @@ class SimulationService:
                 except ConfigurationError as exc:
                     job.error, job.state = str(exc), JobState.FAILED
                     job.finished_at = time.time()
-                    self.metrics.jobs_failed.inc()
+                    self.metrics.count("service.jobs.failed")
                     continue
                 self._queue.push(job)
             if tracer is not None:
@@ -326,7 +326,6 @@ class SimulationService:
             if self._stopped:
                 return {"finished": 0, "checkpointed": 0, "pending": 0}
             self._draining = True
-            self.metrics.draining.set(1)
             threads = list(self._threads)
         self._drain_begun.set()
         deadline = time.monotonic() + max(0.0, grace_s)
@@ -403,7 +402,7 @@ class SimulationService:
                     client=client,
                 )
             except AdmissionError:
-                self.metrics.jobs_rejected.inc()
+                self.metrics.count("service.jobs.rejected")
                 raise
             job = Job(
                 id=new_job_id(), client=client, priority=priority, scenarios=payloads
@@ -439,7 +438,7 @@ class SimulationService:
             if self._journal is not None:
                 self._journal.record_submit(job)
             self._queue.push(job)
-            self.metrics.jobs_submitted.inc()
+            self.metrics.count("service.jobs.submitted")
         return job
 
     def get_job(self, job_id: str) -> Job:
@@ -496,7 +495,7 @@ class SimulationService:
                 job.finished_at = time.time()
                 if self._journal is not None:
                     self._journal.record_cancelled(job)
-                self.metrics.jobs_cancelled.inc()
+                self.metrics.count("service.jobs.cancelled")
                 self._finish_trace_locked(job, "cancelled")
             elif job.state is JobState.RUNNING:
                 raise JobNotCancellableError(
@@ -658,8 +657,8 @@ class SimulationService:
                     self._trace_job_running_locked(job)
                 job.touch()
                 results = board.add_job(job)
-                self.metrics.sims_cache_hits.inc(job.progress.cached)
-                self.metrics.sims_deduped.inc(job.progress.deduped)
+                self.metrics.count("service.sims.cache_hits", job.progress.cached)
+                self.metrics.count("service.sims.deduped", job.progress.deduped)
                 if results is not None:
                     self._finish_done(job, results)
             except Exception as exc:
@@ -727,7 +726,7 @@ class SimulationService:
             lease_id, results, failures, now=time.time(), executed=executed
         )
         if outcome.accepted and executed:
-            self.metrics.sims_ran(executed)
+            self.metrics.count("service.sims.executed", executed)
         lease_span = outcome.lease_span
         if tracer is not None and spans:
             if lease_span is not None:
@@ -777,10 +776,10 @@ class SimulationService:
             job.progress.completed = job.progress.total
             if self._journal is not None:
                 self._journal.record_done(job, trace=self._journal_ctx_locked(job))
-            self.metrics.jobs_done.inc()
+            self.metrics.count("service.jobs.done")
             wall = job.wall_s()
             if wall is not None:
-                self.metrics.job_wall.observe(wall)
+                self.metrics.observe("service.job.wall_s", wall)
             self._finish_trace_locked(job, "done")
         job.touch()
 
@@ -793,7 +792,7 @@ class SimulationService:
                 self._journal.record_failed(
                     job, trace=self._journal_ctx_locked(job)
                 )
-            self.metrics.jobs_failed.inc()
+            self.metrics.count("service.jobs.failed")
             self._finish_trace_locked(job, "failed")
         job.touch()
 

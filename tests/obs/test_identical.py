@@ -12,7 +12,7 @@ import pstats
 
 import pytest
 
-from repro.obs import fleet, flight, instruments, interval, slog
+from repro.obs import fleet, flight, interval, slog
 from repro.obs.flight import FlightRecorder
 from repro.obs.interval import COLUMNS, IntervalMetrics
 from repro.scenarios.builder import build_simulation
@@ -135,7 +135,7 @@ def test_a_plain_run_never_calls_into_repro_obs(baseline, monkeypatch):
     def entered(*args, **kwargs):
         raise AssertionError("a plain run called into repro.obs")
 
-    for module in (fleet, flight, instruments, interval, slog):
+    for module in (fleet, flight, interval, slog):
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__:
                 for name, _ in inspect.getmembers(cls, inspect.isfunction):

@@ -253,14 +253,63 @@ def test_metrics_names_are_the_parent_commits():
     assert len(rendered) == 177
 
 
+def _http_only(**service_kwargs):
+    """A LiveServer whose service's own threads never start, and its client."""
+    server = LiveServer(**service_kwargs)
+    server.thread.start()
+    client = ServiceClient(f"http://127.0.0.1:{server.httpd.port}", client_id="pytest")
+    return server, client
+
+
+def test_metrics_document_is_the_parent_commits():
+    """Values as well as names: ``fixtures/parent_commit/metrics_document.txt``
+    is the whole ``/metrics`` text the parent commit rendered for an
+    unstarted service holding one pending job, with no tracer — nothing
+    timed, so every value is deterministic."""
+    expected = (
+        Path(__file__).resolve().parent / "fixtures" / "parent_commit" / "metrics_document.txt"
+    ).read_text(encoding="utf-8")
+    server, client = _http_only(workers=2, task_fn=CountingTask())
+    try:
+        client.submit([small_config(seed=1)])
+        assert client.metrics_text() == expected
+    finally:
+        server.httpd.shutdown()
+        server.service.drain(grace_s=0)
+
+
+def test_counts_past_a_million_keep_every_digit():
+    server, client = _http_only(task_fn=CountingTask())
+    try:
+        server.service.metrics.count("service.sims.executed", 1_234_567)
+        lines = _metrics(client.metrics_text())
+        assert lines["repro_service_sims_executed"] == "1234567"
+    finally:
+        server.httpd.shutdown()
+        server.service.drain(grace_s=0)
+
+
+def test_draining_is_read_at_the_scrape(tmp_path):
+    """``drain()`` only sets the service's flag; the scrape reads it."""
+    server, client = _http_only(
+        distributed=True, cache_dir=str(tmp_path / "cache"), task_fn=fake_result
+    )
+    try:
+        assert _metrics(client.metrics_text())["repro_service_draining"] == "0"
+        server.service.drain(grace_s=0)
+        assert server.service.draining
+        assert _metrics(client.metrics_text())["repro_service_draining"] == "1"
+    finally:
+        server.httpd.shutdown()
+        server.service.drain(grace_s=0)
+
+
 def test_gauges_are_read_at_the_scrape_not_pushed_before_it(tmp_path):
     """No dispatcher, no janitor, no delivery: nothing runs between the
     state changing and the scrape that must show it."""
-    server = LiveServer(
+    server, client = _http_only(
         distributed=True, cache_dir=str(tmp_path / "cache"), task_fn=fake_result
     )
-    server.thread.start()  # HTTP only: the service's own threads never start
-    client = ServiceClient(f"http://127.0.0.1:{server.httpd.port}", client_id="pytest")
     try:
         idle = _metrics(client.metrics_text())
         assert idle["repro_service_jobs_pending"] == idle["repro_service_queue_depth"] == "0"

@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.runner import run_many
 from repro.errors import ConfigurationError
-from repro.obs.instruments import Counter
 from repro.scenarios.io import scenario_to_dict
 from repro.service.client import ServiceError
 from repro.service.core import (
@@ -473,20 +472,20 @@ def test_metrics_count_jobs_and_sims(tmp_path):
 
 def test_sims_executed_counts_every_concurrent_delivery(tmp_path):
     """``complete_shard`` runs on concurrent HTTP-handler and worker threads
-    and ``Counter.inc`` is a bare read-modify-write: with that window held
+    and a count's ``+=`` is a bare read-modify-write: with that window held
     open, a bump made outside the metrics lock loses updates."""
 
-    class SlowCounter(Counter):
-        def inc(self, amount=1):
-            value = self.value
-            time.sleep(0.001)  # another thread's inc lands here unless serialised
-            self.value = value + amount
+    class SlowCounts(dict):
+        def __getitem__(self, name):
+            value = super().__getitem__(name)
+            time.sleep(0.001)  # another thread's bump lands here unless serialised
+            return value
 
     threads, per_thread = 8, 6
     service = SimulationService(
         distributed=True, shard_size=1, cache_dir=str(tmp_path / "cache")
     )
-    service.metrics.sims_executed = SlowCounter("service.sims.executed")
+    service.metrics.events = SlowCounts(service.metrics.events)
     with service:
         job = service.submit(
             [small_config(seed=s) for s in range(1, threads * per_thread + 1)]
@@ -528,7 +527,7 @@ def test_sims_executed_counts_every_concurrent_delivery(tmp_path):
         assert not any(thread.is_alive() for thread in pool)
         service.wait(job.id, timeout=10)
     assert len(accepted) == threads * per_thread
-    assert service.metrics.sims_executed.value == sum(accepted)
+    assert service.metrics.snapshot()["service.sims.executed"] == sum(accepted)
 
 
 def test_wait_times_out_without_terminal_state():
