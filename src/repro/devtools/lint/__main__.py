@@ -1,5 +1,5 @@
 """``python -m repro.devtools.lint`` entry point."""
 
-from repro.devtools.lint.cli import main
+from repro.devtools.lint import main
 
 raise SystemExit(main())

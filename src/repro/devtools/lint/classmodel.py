@@ -1,10 +1,9 @@
 """The per-class lock model the concurrency rules read.
 
-CONC001 and CONC003 (:mod:`repro.devtools.lint.rules.concurrency`) reason
-about a class as a unit — which attributes are locks, which fields are
-written under which lock in *any* method, which methods call which.
-:func:`class_models` builds that once per parsed file and keeps it on the
-:class:`~repro.devtools.lint.context.FileContext`, so both rules share it:
+CONC001 and CONC003 (:mod:`repro.devtools.lint`) reason about a class as a
+unit — which attributes are locks, which fields are written under which
+lock in *any* method, which methods call which.  :func:`class_models`
+builds that once per parsed file and both rules read it:
 
 * **lock attributes** — ``self.x = threading.Lock()/RLock()/Condition()``
   or ``repro.devtools.lockdep.OrderedLock(...)``; a
@@ -27,9 +26,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-from repro.devtools.lint.context import FileContext
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 #: Constructor origins recognised as lock objects, mapped to a kind tag.
 LOCK_FACTORIES: Dict[str, str] = {
@@ -88,17 +85,68 @@ INIT_METHODS: FrozenSet[str] = frozenset({"__init__", "__post_init__", "__new__"
 GUARDED_BY = re.compile(r"#\s*guarded-by:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)")
 
 
-def comment_lines(source: str) -> Dict[int, str]:
-    """line -> comment text, via tokenize (strings never match)."""
+def comment_lines(source: Union[str, bytes]) -> Dict[int, str]:
+    """line -> comment text, via tokenize (strings never match).  Bytes are
+    decoded as the interpreter would, coding cookie included."""
     comments: Dict[int, str] = {}
     try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        if isinstance(source, bytes):
+            tokens = list(tokenize.tokenize(io.BytesIO(source).readline))
+        else:
+            tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):
         return comments
     for token in tokens:
         if token.type == tokenize.COMMENT:
             comments[token.start[0]] = token.string
     return comments
+
+
+def build_import_map(tree: ast.Module) -> Dict[str, str]:
+    """Map local names to the canonical dotted origin they were bound to.
+
+    ``import numpy as np`` maps ``np -> numpy``; ``from time import
+    perf_counter as pc`` maps ``pc -> time.perf_counter``.  Only top-level
+    and function/class-nested import statements are considered — a name
+    rebound by assignment after import is beyond this resolver, which is
+    fine: rules only act when resolution *succeeds*, so unknown names can
+    never create a false positive.
+    """
+    imports: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                origin = alias.name if alias.asname else alias.name.split(".")[0]
+                imports[local] = origin
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or node.module is None:  # relative imports: unknown
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                imports[local] = f"{node.module}.{alias.name}"
+    return imports
+
+
+def resolve(imports: Dict[str, str], node: ast.AST) -> Optional[str]:
+    """Canonical dotted origin of a Name/Attribute chain, or None.
+
+    ``sp.run`` resolves to ``subprocess.run`` when the file did
+    ``import subprocess as sp``; a chain rooted at a name that was never
+    imported resolves to None (unknown — not lintable).
+    """
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    origin = imports.get(node.id)
+    if origin is None:
+        return None
+    return ".".join([origin, *reversed(parts)])
 
 
 @dataclass(frozen=True)
@@ -210,8 +258,8 @@ def _call_keyword_true(call: ast.Call, name: str) -> bool:
 class _LockCollector:
     """Pass 1 over a class: find lock attrs and queue-typed attrs."""
 
-    def __init__(self, ctx: FileContext, model: ClassModel) -> None:
-        self.ctx = ctx
+    def __init__(self, imports: Dict[str, str], model: ClassModel) -> None:
+        self.imports = imports
         self.model = model
 
     def collect(self, node: ast.ClassDef) -> None:
@@ -233,7 +281,7 @@ class _LockCollector:
     def _classify_value(self, attr: str, value: ast.AST, line: int) -> None:
         if not isinstance(value, ast.Call):
             return
-        origin = self.ctx.resolve(value.func)
+        origin = resolve(self.imports, value.func)
         kind = LOCK_FACTORIES.get(origin) if origin is not None else None
         if kind is not None:
             alias: Optional[str] = None
@@ -242,7 +290,7 @@ class _LockCollector:
                 wrapped = value.args[0]
                 alias = _self_attr(wrapped)
                 if alias is None and isinstance(wrapped, ast.Call):
-                    inner = self.ctx.resolve(wrapped.func)
+                    inner = resolve(self.imports, wrapped.func)
                     if inner is not None and LOCK_FACTORIES.get(inner) == "ordered":
                         io_lock = _call_keyword_true(wrapped, "io_lock")
             if kind == "ordered":
@@ -259,9 +307,9 @@ class _MethodScanner(ast.NodeVisitor):
     """Pass 2 over one method: accesses, self-calls, blocking calls."""
 
     def __init__(
-        self, ctx: FileContext, model: ClassModel, method: MethodModel
+        self, imports: Dict[str, str], model: ClassModel, method: MethodModel
     ) -> None:
-        self.ctx = ctx
+        self.imports = imports
         self.model = model
         self.method = method
         self.held: Tuple[str, ...] = ()
@@ -348,7 +396,7 @@ class _MethodScanner(ast.NodeVisitor):
                 self._check_queue_get(node, receiver_attr, func.attr)
                 handled_func = True
         if not handled_func:
-            origin = self.ctx.resolve(func)
+            origin = resolve(self.imports, func)
             if origin is not None and (
                 origin in BLOCKING_ORIGINS or origin.startswith("subprocess.")
             ):
@@ -481,29 +529,26 @@ def _attach_guards(
 
 
 def _build_class(
-    ctx: FileContext, node: ast.ClassDef, comments: Dict[int, str]
+    imports: Dict[str, str], node: ast.ClassDef, comments: Dict[int, str]
 ) -> ClassModel:
     model = ClassModel(name=node.name)
-    _LockCollector(ctx, model).collect(node)
+    _LockCollector(imports, model).collect(node)
     _attach_guards(model, node, comments)
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             method = MethodModel(name=stmt.name, line=stmt.lineno)
-            scanner = _MethodScanner(ctx, model, method)
+            scanner = _MethodScanner(imports, model, method)
             for sub in stmt.body:
                 scanner.visit(sub)
             model.methods[stmt.name] = method
     return model
 
 
-def class_models(ctx: FileContext) -> List[ClassModel]:
-    """The models of ``ctx``'s top-level classes, in source order; built on
-    first use and kept on the context for the next rule that asks."""
-    if ctx.class_models is None:
-        comments = comment_lines(ctx.source)
-        ctx.class_models = [
-            _build_class(ctx, node, comments)
-            for node in ctx.tree.body
-            if isinstance(node, ast.ClassDef)
-        ]
-    return ctx.class_models
+def class_models(tree: ast.Module, comments: Dict[int, str]) -> List[ClassModel]:
+    """The models of the module's top-level classes, in source order."""
+    imports = build_import_map(tree)
+    return [
+        _build_class(imports, node, comments)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    ]

@@ -1,6 +1,6 @@
 """Runtime lock-order sanitizer (the dynamic partner of CONC001 and CONC003).
 
-The static rules in :mod:`repro.devtools.lint.rules.concurrency` check the
+The static rules in :mod:`repro.devtools.lint` check the
 *declared* lock discipline; this package checks the *actual* one.  Wrap a
 ``threading.Lock``/``RLock`` in :class:`OrderedLock` (name + optional rank
 in the documented hierarchy), run the code under test inside a

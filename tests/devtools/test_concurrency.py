@@ -2,15 +2,18 @@
 
 from pathlib import Path
 
-from repro.devtools.lint.classmodel import class_models
-from repro.devtools.lint.context import FileContext
-from repro.devtools.lint.runner import lint_paths, lint_source, select_rules
+import repro.devtools.lint as lint
+from repro.devtools.lint import lint_paths, lint_source
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _lint(source, code, path=Path("module.py")):
-    return lint_source(source, path, rules=select_rules(select=[code]))
+    return [finding for finding in lint_source(source, path) if finding.code == code]
+
+
+def _codes(result, code):
+    return [finding for finding in result.findings if finding.code == code]
 
 
 class TestGuardInference:
@@ -114,12 +117,12 @@ class C:
 
 class TestBlockingUnderLock:
     def test_io_leaf_lock_permits_its_io(self):
-        result = lint_paths([FIXTURES / "conc003" / "good.py"], select=["CONC003"])
+        result = lint_paths([FIXTURES / "conc003" / "good.py"])
         assert result.clean
 
     def test_transitive_blocking_is_flagged_at_the_call_site(self):
-        result = lint_paths([FIXTURES / "conc003" / "bad.py"], select=["CONC003"])
-        messages = [finding.message for finding in result.findings]
+        result = lint_paths([FIXTURES / "conc003" / "bad.py"])
+        messages = [finding.message for finding in _codes(result, "CONC003")]
         assert any("self._backoff()" in message for message in messages)
         assert any("_report_locked" in message for message in messages)
 
@@ -162,17 +165,25 @@ class C:
         assert _lint(source, "CONC003") == []
 
 
-def test_class_models_are_built_once_per_file_and_shared():
-    ctx = FileContext.from_source(
-        Path("x.py"),
+def test_class_models_are_built_once_per_file_and_shared(monkeypatch):
+    built = []
+    build = lint.class_models
+
+    def recording(tree, comments):
+        built.append(build(tree, comments))
+        return built[-1]
+
+    monkeypatch.setattr(lint, "class_models", recording)
+    source = (
         "import threading\n"
         "class A:\n"
         "    def __init__(self):\n"
         "        self._lock = threading.Lock()\n"
         "class B:\n"
-        "    pass\n",
+        "    pass\n"
     )
-    models = class_models(ctx)
+    assert lint_source(source, Path("x.py")) == []
+    assert len(built) == 1  # one model per file, read by both rules
+    models = built[0]
     assert [model.name for model in models] == ["A", "B"]
     assert set(models[0].locks) == {"_lock"}
-    assert class_models(ctx) is models

@@ -1,87 +1,74 @@
-"""Tests for the repro-lint framework: registry, suppressions, reporters, CLI."""
+"""Tests for the repro-lint driver: suppressions, findings, the text report,
+file handling and exit codes."""
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import cli
-from repro.devtools.lint.findings import Finding
-from repro.devtools.lint.registry import all_rules, get_rule, known_codes
-from repro.devtools.lint.report import render_json, render_text
-from repro.devtools.lint.runner import lint_paths, lint_source, select_rules
-from repro.devtools.lint.suppressions import Suppressions
+from repro.devtools.lint import Finding, lint_paths, lint_source, main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-# The rules with a catch no other check makes (docs/architecture.md has the
-# mutation-recall table).
-EXPECTED_CODES = ["CONC001", "CONC003"]
+# One line that breaks both rules: ``self._n`` is guarded by ``_lock`` but
+# read under ``_other`` (CONC001), and the sleep runs under ``_other``
+# (CONC003); findings sort by column, so CONC003 comes first.  ``{here}`` is
+# the comment on that line, ``{above}`` the one on the line before it.
+SOURCE = """\
+import threading
+import time
 
 
-class TestRegistry:
-    def test_all_expected_rules_registered(self):
-        assert known_codes() == EXPECTED_CODES
+class C:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._other = threading.Lock()
+        self._n = 0
 
-    def test_rules_are_sorted_by_code(self):
-        codes = [rule.code for rule in all_rules()]
-        assert codes == sorted(codes)
+    def bump(self):
+        with self._lock:
+            self._n += 1
 
-    def test_get_rule_round_trips(self):
-        for code in EXPECTED_CODES:
-            rule = get_rule(code)
-            assert rule.code == code
-            assert rule.description
+    def slow(self):
+        with self._other:  {above}
+            time.sleep(self._n{arg})  {here}
+"""
 
-    def test_select_rules_filters(self):
-        only = select_rules(select=["CONC003"])
-        assert [rule.code for rule in only] == ["CONC003"]
-        without = select_rules(ignore=["CONC001"])
-        assert "CONC001" not in {rule.code for rule in without}
-        assert len(without) == len(EXPECTED_CODES) - 1
 
-    def test_select_codes_case_insensitive(self):
-        assert [rule.code for rule in select_rules(select=["conc001"])] == ["CONC001"]
+def _codes(here="", above="", arg=""):
+    source = SOURCE.format(here=here, above=above, arg=arg)
+    return [finding.code for finding in lint_source(source, Path("c.py"))]
 
 
 class TestSuppressions:
     def test_line_scope_suppresses_only_that_line(self):
-        source = "import time\nx = time.sleep(1)  # repro-lint: disable=CONC003\n"
-        supp = Suppressions(source)
-        assert supp.is_suppressed("CONC003", 2)
-        assert not supp.is_suppressed("CONC003", 1)
-        assert not supp.is_suppressed("CONC001", 2)
-
-    def test_file_scope_suppresses_everywhere(self):
-        source = "# repro-lint: disable-file=CONC003\nimport time\nx = time.sleep(1)\n"
-        supp = Suppressions(source)
-        assert supp.is_suppressed("CONC003", 3)
-        assert supp.is_suppressed("CONC003", 99)
-        assert not supp.is_suppressed("CONC001", 3)
-
-    def test_disable_all(self):
-        supp = Suppressions("x = 1  # repro-lint: disable=all\n")
-        assert supp.is_suppressed("CONC001", 1)
-        assert supp.is_suppressed("CONC003", 1)
+        assert _codes() == ["CONC003", "CONC001"]
+        assert _codes(here="# repro-lint: disable=CONC003") == ["CONC001"]
+        assert _codes(above="# repro-lint: disable=CONC003") == ["CONC003", "CONC001"]
 
     def test_marker_in_string_literal_is_ignored(self):
-        supp = Suppressions('x = "# repro-lint: disable=CONC001"\n')
-        assert not supp.is_suppressed("CONC001", 1)
+        marker = ', "# repro-lint: disable=CONC001,CONC003"'
+        assert _codes(arg=marker) == ["CONC003", "CONC001"]
 
     def test_multiple_codes_one_comment(self):
-        supp = Suppressions("x = 1  # repro-lint: disable=CONC001,CONC003\n")
-        assert supp.is_suppressed("CONC001", 1)
-        assert supp.is_suppressed("CONC003", 1)
-        assert not supp.is_suppressed("CONC002", 1)
+        assert _codes(here="# repro-lint: disable=CONC001,CONC003") == []
+        assert _codes(here="# repro-lint: disable=conc001, CONC003") == []
+
+    def test_justification_ends_the_codes(self):
+        for comment in (
+            "# repro-lint: disable=CONC001 set once before start",
+            "# repro-lint: disable=CONC001 -- set once before start",
+            "# repro-lint: disable=CONC001: set once, CONC003 unaffected",
+        ):
+            assert _codes(here=comment) == ["CONC003"], comment
 
     def test_filter_drops_suppressed_findings(self):
-        source = "import time\nx = time.sleep(1)  # repro-lint: disable=CONC003\n"
-        findings = [
-            Finding(path="f.py", line=2, col=5, code="CONC003", message="m"),
-            Finding(path="f.py", line=2, col=5, code="CONC001", message="m"),
+        kept = lint_source(
+            SOURCE.format(here="# repro-lint: disable=CONC001", above="", arg=""),
+            Path("c.py"),
+        )
+        assert [(finding.code, finding.line, finding.col) for finding in kept] == [
+            ("CONC003", 17, 13)
         ]
-        kept = Suppressions(source).filter(findings)
-        assert [finding.code for finding in kept] == ["CONC001"]
 
 
 class TestFindings:
@@ -96,29 +83,15 @@ class TestFindings:
 
 
 class TestReporters:
-    def _result(self, paths):
-        return lint_paths(paths)
-
     def test_text_clean_summary(self):
-        result = self._result([FIXTURES / "conc001" / "good.py"])
-        text = render_text(result)
-        assert "1 file checked, no findings" in text
+        text = lint_paths([FIXTURES / "conc001" / "good.py"]).render()
+        assert text == "repro-lint: 1 file checked, no findings"
 
     def test_text_findings_listed(self):
-        result = self._result([FIXTURES / "conc001" / "bad.py"])
-        text = render_text(result)
-        assert "CONC001" in text
-        assert "finding(s)" in text
-
-    def test_json_round_trips(self):
-        result = self._result([FIXTURES / "conc001" / "bad.py"])
-        payload = json.loads(render_json(result))
-        assert payload["files_checked"] == 1
-        assert payload["errors"] == []
-        assert payload["findings"]
-        for finding in payload["findings"]:
-            assert finding["code"] == "CONC001"
-            assert finding["line"] >= 1
+        result = lint_paths([FIXTURES / "conc001" / "bad.py"])
+        lines = result.render().splitlines()
+        assert lines[:-1] == [finding.render() for finding in result.findings]
+        assert lines[-1] == "repro-lint: 1 file checked, 2 finding(s), 0 error(s)"
 
 
 class TestRunner:
@@ -133,6 +106,32 @@ class TestRunner:
         assert not result.clean
         assert result.errors and "syntax error" in result.errors[0]
 
+    def test_undecodable_file_is_one_error(self, tmp_path, capsys):
+        (tmp_path / "binary.py").write_bytes(b"x = 1\n\xff\n")
+        assert main([str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"error: {tmp_path / 'binary.py'}: syntax error: ")
+        assert "can't decode byte 0xff" in lines[0]
+        assert lines[1] == "repro-lint: 0 files checked, 0 finding(s), 1 error(s)"
+
+    def test_coding_cookie_is_honoured(self, tmp_path):
+        latin = tmp_path / "latin.py"
+        latin.write_bytes(
+            b"# -*- coding: latin-1 -*-\n"
+            b"import threading\n"
+            b"import time\n"
+            b"class C:\n"
+            b"    def __init__(self):\n"
+            b"        self._lock = threading.Lock()\n"
+            b"    def tick(self):\n"
+            b"        with self._lock:\n"
+            b"            time.sleep(1)  # repro-lint: disable=CONC003 -- caf\xe9 settle\n"
+        )
+        result = lint_paths([latin])
+        assert result.clean, result.render()
+        assert result.files_checked == 1
+
     def test_skips_pycache(self, tmp_path):
         cache_dir = tmp_path / "__pycache__"
         cache_dir.mkdir()
@@ -144,37 +143,16 @@ class TestRunner:
 
 class TestCli:
     def test_clean_fixture_exits_zero(self, capsys):
-        assert cli.main([str(FIXTURES / "conc001" / "good.py")]) == cli.EXIT_CLEAN
+        assert main([str(FIXTURES / "conc001" / "good.py")]) == 0
         assert "no findings" in capsys.readouterr().out
 
     def test_bad_fixture_exits_one(self, capsys):
-        assert cli.main([str(FIXTURES / "conc001" / "bad.py")]) == cli.EXIT_FINDINGS
+        assert main([str(FIXTURES / "conc001" / "bad.py")]) == 1
         assert "CONC001" in capsys.readouterr().out
 
-    def test_json_format(self, capsys):
-        code = cli.main(["--format", "json", str(FIXTURES / "conc001" / "bad.py")])
-        assert code == cli.EXIT_FINDINGS
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"]
-
-    def test_unknown_rule_code_is_usage_error(self, capsys):
-        code = cli.main(["--select", "NOPE999", str(FIXTURES / "conc001" / "good.py")])
-        assert code == cli.EXIT_USAGE
-        assert "unknown rule code" in capsys.readouterr().err
-
     def test_missing_path_is_usage_error(self, capsys):
-        assert cli.main(["does/not/exist.py"]) == cli.EXIT_USAGE
+        assert main(["does/not/exist.py"]) == 2
         assert "no such path" in capsys.readouterr().err
 
     def test_no_paths_is_usage_error(self, capsys):
-        assert cli.main([]) == cli.EXIT_USAGE
-
-    def test_list_rules(self, capsys):
-        assert cli.main(["--list-rules"]) == cli.EXIT_CLEAN
-        out = capsys.readouterr().out
-        for code in EXPECTED_CODES:
-            assert code in out
-
-    def test_ignore_silences_rule(self):
-        code = cli.main(["--ignore", "CONC001", str(FIXTURES / "conc001" / "bad.py")])
-        assert code == cli.EXIT_CLEAN
+        assert main([]) == 2

@@ -7,7 +7,7 @@ with a CONC001 violation must exit non-zero.
 
 from pathlib import Path
 
-from repro.devtools.lint import cli
+from repro.devtools.lint import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
@@ -15,13 +15,13 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def test_cli_exits_zero_on_shipped_tree(capsys):
-    exit_code = cli.main([str(SRC_REPRO)])
+    exit_code = main([str(SRC_REPRO)])
     out = capsys.readouterr().out
-    assert exit_code == cli.EXIT_CLEAN, out
+    assert exit_code == 0, out
     assert "no findings" in out
 
 
 def test_cli_exits_nonzero_on_conc001_violation(capsys):
-    exit_code = cli.main([str(FIXTURES / "conc001" / "bad.py")])
-    assert exit_code == cli.EXIT_FINDINGS
+    exit_code = main([str(FIXTURES / "conc001" / "bad.py")])
+    assert exit_code == 1
     assert "CONC001" in capsys.readouterr().out

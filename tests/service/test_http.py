@@ -241,8 +241,8 @@ REMOTE_TIER_NAMES = {
 def test_metrics_names_are_the_parent_commits():
     """``/metrics`` is the same document whoever refreshes its gauges:
     ``fixtures/parent_commit/metrics_names.txt`` is what commit 4f005c6
-    rendered (an unstarted service holding one pending job), less the
-    three remote-tier counters."""
+    rendered, less the three remote-tier counters.  The names are read
+    here from a started two-worker service that has been sent no job."""
     names = (
         Path(__file__).resolve().parent / "fixtures" / "parent_commit" / "metrics_names.txt"
     ).read_text(encoding="utf-8").split()

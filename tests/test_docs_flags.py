@@ -12,7 +12,7 @@ import shlex
 from pathlib import Path
 
 from repro import cli as run_cli
-from repro.devtools.lint import cli as lint_cli
+from repro.devtools import lint
 from repro.obs import tracecli
 from repro.service import cli as service_cli
 from repro.service import worker as worker_cli
@@ -26,7 +26,7 @@ PARSERS = {
     "repro-submit": service_cli._build_submit_parser,
     "repro-worker": worker_cli._build_parser,
     "repro-trace": tracecli._build_parser,
-    "repro-lint": lint_cli.build_parser,
+    "repro-lint": lint.build_parser,
 }
 #: ``python -m <module> [<sub-command>]`` spellings of the same commands.
 MODULES = {
