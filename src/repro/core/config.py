@@ -6,7 +6,7 @@ paper's evaluation (``base``, ``wider_error``, ``adaptive_expiry``,
 paper's figure legends.
 
 Three numeric parameters were lost to OCR in the available copy of the
-paper; our documented defaults (see DESIGN.md) are ``adaptive_alpha = 2.0``,
+paper; our documented defaults (see DESIGN.md) are ``adaptive_alpha = 1.0``,
 ``adaptive_min_timeout = 1.0`` s and ``negative_cache_size = 64``.
 """
 

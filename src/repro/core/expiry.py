@@ -61,7 +61,7 @@ class StaticTimeout(TimeoutPolicy):
 class AdaptiveTimeout(TimeoutPolicy):
     """The paper's adaptive per-node timeout selection heuristic."""
 
-    def __init__(self, alpha: float = 2.0, min_timeout: float = 1.0):
+    def __init__(self, alpha: float, min_timeout: float):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         if min_timeout <= 0:

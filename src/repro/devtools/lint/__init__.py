@@ -128,7 +128,7 @@ def _field_guards(model: ClassModel) -> Tuple[Dict[str, FrozenSet[str]], Dict[st
         if method.is_init:
             continue
         for access in method.accesses:
-            if access.kind != "write" or access.attr in guards:
+            if access.kind != "written" or access.attr in guards:
                 continue
             held_class_locks = frozenset(lock for lock in access.held if lock in class_locks)
             if held_class_locks:

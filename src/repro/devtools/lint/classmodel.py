@@ -165,7 +165,7 @@ class Access:
     """One ``self.<attr>`` touch inside a method body."""
 
     attr: str
-    kind: str  # read | write
+    kind: str  # read | written
     held: FrozenSet[str]  # canonical lock attrs lexically held
     line: int
     col: int
@@ -391,7 +391,7 @@ class _MethodScanner(ast.NodeVisitor):
                 handled_func = True
             elif receiver_attr is not None:
                 # self.attr.m(...): a touch of attr.
-                kind = "write" if func.attr in MUTATOR_METHODS else "read"
+                kind = "written" if func.attr in MUTATOR_METHODS else "read"
                 self._record(receiver_attr, kind, func.value)
                 self._check_queue_get(node, receiver_attr, func.attr)
                 handled_func = True
@@ -449,20 +449,20 @@ class _MethodScanner(ast.NodeVisitor):
             if isinstance(node.ctx, ast.Load):
                 self._record(attr, "read", node)
             else:
-                self._record(attr, "write", node)
+                self._record(attr, "written", node)
             return
         self.generic_visit(node)
 
     def _visit_target(self, target: ast.AST) -> None:
         attr = _self_attr(target)
         if attr is not None:
-            self._record(attr, "write", target)
+            self._record(attr, "written", target)
             return
         if isinstance(target, ast.Subscript):
             inner = _self_attr(target.value)
             if inner is not None:
                 # self.d[k] = v mutates the container bound to d.
-                self._record(inner, "write", target.value)
+                self._record(inner, "written", target.value)
             else:
                 self.visit(target.value)
             self.visit(target.slice)
@@ -471,7 +471,7 @@ class _MethodScanner(ast.NodeVisitor):
             inner = _self_attr(target.value)
             if inner is not None:
                 # self.obj.field = v mutates the object bound to obj.
-                self._record(inner, "write", target.value)
+                self._record(inner, "written", target.value)
                 return
             self.visit(target.value)
             return

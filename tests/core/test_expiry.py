@@ -31,7 +31,7 @@ def test_static_timeout_validation():
 
 
 def test_adaptive_no_breaks_means_no_expiry():
-    policy = AdaptiveTimeout()
+    policy = AdaptiveTimeout(alpha=2.0, min_timeout=1.0)
     assert policy.timeout(50.0) is None
 
 
@@ -62,7 +62,7 @@ def test_adaptive_minimum_clamp():
 
 
 def test_adaptive_average_is_running_mean():
-    policy = AdaptiveTimeout()
+    policy = AdaptiveTimeout(alpha=2.0, min_timeout=1.0)
     for lifetime in (2.0, 4.0, 6.0):
         policy.on_route_break(lifetime, now=0.0)
     assert policy.average_lifetime == pytest.approx(4.0)
@@ -70,16 +70,16 @@ def test_adaptive_average_is_running_mean():
 
 
 def test_adaptive_negative_lifetime_clamped():
-    policy = AdaptiveTimeout()
+    policy = AdaptiveTimeout(alpha=2.0, min_timeout=1.0)
     policy.on_route_break(-3.0, now=0.0)
     assert policy.average_lifetime == 0.0
 
 
 def test_adaptive_validation():
     with pytest.raises(ValueError):
-        AdaptiveTimeout(alpha=0.0)
+        AdaptiveTimeout(alpha=0.0, min_timeout=1.0)
     with pytest.raises(ValueError):
-        AdaptiveTimeout(min_timeout=0.0)
+        AdaptiveTimeout(alpha=2.0, min_timeout=0.0)
 
 
 def test_factory_dispatch():

@@ -1,11 +1,12 @@
 """The counted mutants only repro-lint catches stay caught.
 
-``docs/architecture.md`` ("Mutation recall") counts five service mutants
-that pass every test, every golden digest and the lockdep witness: three
-guarded fields touched outside ``_lock`` (CONC001) and two sleeps under a
-non-io lock (CONC003).  Each is applied here as an exact text edit to the
-real ``service/leases.py`` or ``service/core.py`` source, in memory, and
-linted; the unedited sources must be clean.
+``docs/architecture.md`` ("Mutation recall: why the linter has two rules")
+counts five service mutants that pass every test, every golden digest and
+the lockdep witness: three guarded fields touched outside ``_lock``
+(CONC001) and two sleeps under a non-io lock (CONC003).  Each is applied
+here as an exact text edit to the real ``service/leases.py`` or
+``service/core.py`` source, in memory, and linted; the unedited sources
+must be clean.
 """
 
 from pathlib import Path
@@ -53,7 +54,7 @@ MUTANTS = {
         )],
         [(
             "CONC001",
-            f"ShardBoard._workers_seen is write {GUARD}",
+            f"ShardBoard._workers_seen is written {GUARD}",
             "self._workers_seen[lease.worker] = now",
         )],
     ),

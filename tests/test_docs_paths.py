@@ -1,7 +1,7 @@
-"""Docs may only name files that exist, quote numbers that are on file and
-index names that import.
+"""Docs may only name files that exist, quote numbers that are on file,
+index names that import and point at sections that exist.
 
-Three checks, none of which runs a simulation:
+Five checks, none of which runs a simulation:
 
 * every ``benchmarks/…``, ``examples/…``, ``tests/…`` or ``src/…`` path
   written in ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` or
@@ -12,7 +12,11 @@ Three checks, none of which runs a simulation:
   ``experiments_report.md``, the committed output of the command that file
   names;
 * every name ``docs/api.md`` lists in an Item column resolves as an
-  attribute of the module its section heading names.
+  attribute of the module its section heading names, and every dotted
+  ``repro.…`` code span of ``docs/architecture.md`` imports;
+* every reference to a section of ``docs/architecture.md`` — a link
+  anchor, or a section name quoted beside the file's name — in the docs,
+  ``src/`` or ``tests/`` names a heading the file has.
 """
 
 import json
@@ -148,9 +152,8 @@ def api_names():
                 yield module, re.match(r"[\w.]+", span).group(0)
 
 
-def test_every_name_the_api_index_lists_imports():
-    names = list(api_names())
-    assert len(names) > 100  # guards the extraction
+def unresolved(names):
+    """The ``(module, name)`` pairs ``RESOLVE`` cannot resolve."""
     done = subprocess.run(
         [sys.executable, "-c", RESOLVE],
         input=json.dumps(names),
@@ -160,4 +163,72 @@ def test_every_name_the_api_index_lists_imports():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout)
+
+
+def test_every_name_the_api_index_lists_imports():
+    names = list(api_names())
+    assert len(names) > 100  # guards the extraction
+    assert unresolved(names) == []
+
+
+ARCHITECTURE = ROOT / "docs" / "architecture.md"
+#: A code span of its own (not part of a fenced block's backticks).
+CODE_SPAN = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
+
+
+def architecture_names():
+    """``("repro", name)`` for every code span of ``docs/architecture.md``
+    that starts with a dotted ``repro.`` name (a call's arguments cut)."""
+    for span in CODE_SPAN.findall(ARCHITECTURE.read_text()):
+        if span.startswith("repro."):
+            yield "repro", re.match(r"[\w.]+", span).group(0).rstrip(".")
+
+
+def test_every_repro_name_in_the_architecture_doc_imports():
+    names = list(architecture_names())
+    assert len(names) > 20  # guards the extraction
+    assert unresolved(names) == []
+
+
+def _anchor(heading):
+    """The id a markdown renderer gives a heading: lower case, punctuation
+    dropped, each space a hyphen (``A & B`` -> ``a--b``)."""
+    return re.sub(r"[^\w\- ]", "", heading.lower()).replace(" ", "-")
+
+
+HEADING = re.compile(r"^#+ (.+)$", re.MULTILINE)
+#: ``architecture.md#anchor``, or ``(#anchor)`` inside the file itself.
+ANCHOR_REF = re.compile(r"architecture\.md#([\w-]+)")
+LOCAL_ANCHOR = re.compile(r"\]\(#([\w-]+)\)")
+#: The file's name followed by a quoted section, ``… architecture.md`` ("Name"),
+#: or an italic section name before it, *Name* in ``… architecture.md``.
+QUOTED_AFTER = re.compile(r'architecture\.md`*\s*\(\s*"([^"]+)"')
+ITALIC_BEFORE = re.compile(r"\*([^*\n]+)\*\s+in\s+`*(?:docs/)?architecture\.md")
+
+
+def section_references():
+    """``(where, kind, name)`` for every reference to a section of
+    ``docs/architecture.md`` in the docs, ``src/`` and ``tests/``."""
+    code = [path for top in ("src", "tests") for path in sorted((ROOT / top).rglob("*.py"))]
+    for path in [*DOCS, *code]:
+        if path == Path(__file__).resolve():
+            continue
+        text = path.read_text()
+        patterns = [(ANCHOR_REF, "anchor"), (QUOTED_AFTER, "name"), (ITALIC_BEFORE, "name")]
+        if path == ARCHITECTURE:
+            patterns.append((LOCAL_ANCHOR, "anchor"))
+        for pattern, kind in patterns:
+            for match in pattern.finditer(text):
+                line = text.count("\n", 0, match.start()) + 1
+                yield f"{path.relative_to(ROOT)}:{line}", kind, " ".join(match.group(1).split())
+
+
+def test_every_reference_to_an_architecture_section_resolves():
+    text = ARCHITECTURE.read_text()
+    headings = [" ".join(h.replace("`", "").split()) for h in HEADING.findall(text)]
+    targets = {"anchor": {_anchor(h) for h in headings}, "name": set(headings)}
+    references = list(section_references())
+    assert len(references) > 8  # guards the extraction
+    dangling = [f"{where}: {name}" for where, kind, name in references if name not in targets[kind]]
+    assert dangling == []
