@@ -124,7 +124,6 @@ class DsrAgent:
         self._note_forwarded = cfg.wider_error
 
         self.node = None  # wired by Node.__init__ via attach()
-        self._expiry_sweep = PeriodicTimer(sim, cfg.expiry_check_period, self._expire_routes)
         self._buffer_sweep = PeriodicTimer(sim, 1.0, self._sweep_send_buffer)
 
     # ------------------------------------------------------------------
@@ -135,7 +134,8 @@ class DsrAgent:
         """Called by :class:`repro.net.node.Node` once the stack exists."""
         self.node = node
         if self.config.expiry_mode is not ExpiryMode.NONE:
-            self._expiry_sweep.start()
+            # Held by its own pending tick: no node without expiry builds one.
+            PeriodicTimer(self._sim, self.config.expiry_check_period, self._expire_routes).start()
         self._buffer_sweep.start()
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ recently sighted first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.routes import is_valid_route, link_position, route_links
 
@@ -49,6 +49,10 @@ class PathCache:
     without being learned again, not the one that entered first.
     """
 
+    # A set from the first note_links_forwarded on, which the agent makes
+    # only with wider error on: other nodes share this empty one.
+    _links_forwarded: AbstractSet[Link] = frozenset()
+
     def __init__(self, owner: int, capacity: int = 64):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -57,7 +61,6 @@ class PathCache:
         # route -> when it (or its untruncated ancestor) entered the cache
         self._paths: Dict[Tuple[int, ...], float] = {}
         self._link_last_seen: Dict[Link, float] = {}
-        self._links_forwarded: Set[Link] = set()
 
     # ------------------------------------------------------------------
     # Insertion / lookup
@@ -144,6 +147,8 @@ class PathCache:
     def note_links_forwarded(self, route: Sequence[int]) -> None:
         """Record that this node forwarded over every link of ``route``:
         the set wider-error rebroadcasts are gated on."""
+        if not isinstance(self._links_forwarded, set):
+            self._links_forwarded = set()
         self._links_forwarded.update(route_links(route))
 
     def link_forwarded(self, link: Link) -> bool:

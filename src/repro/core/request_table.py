@@ -4,7 +4,8 @@
 three instances — seen route requests, seen wider-error broadcasts, and
 recently sent gratuitous replies.  The store is a plain dict in insertion
 order: a re-insert deletes then inserts, eviction deletes the first key.
-"""
+Times never decrease, so expired keys are a prefix, which each insert drops
+first: a table holds only its last ``lifetime`` seconds of keys."""
 
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ class SeenTable:
 
     def insert(self, key: Hashable, now: float) -> None:
         entries = self._entries
+        if self.lifetime is not None:
+            while entries and now - entries[next(iter(entries))] > self.lifetime:
+                del entries[next(iter(entries))]
         if key in entries:
             del entries[key]  # re-inserted at the young end
         elif len(entries) >= self.capacity:

@@ -33,6 +33,10 @@ from repro.sim.timers import Timer
 from repro.sim.trace import Tracer
 
 
+def ignore(*_args: object) -> None:
+    """The callback every hook holds until it is wired."""
+
+
 class _Attempt:
     """The unicast (or broadcast) currently being worked on."""
 
@@ -82,14 +86,10 @@ class DcfMac:
         radio.mac_idle = True
 
         # Upper-layer callbacks (wired by the node).
-        self.deliver: Callable[[Packet], None] = lambda packet: None
-        self.promiscuous: Callable[[Packet], None] = lambda packet: None
-        self.on_unicast_success: Callable[[Packet, int], None] = (
-            lambda packet, next_hop: None
-        )
-        self.on_unicast_failure: Callable[[Packet, int], None] = (
-            lambda packet, next_hop: None
-        )
+        self.deliver: Callable[[Packet], None] = ignore
+        self.promiscuous: Callable[[Packet], None] = ignore
+        self.on_unicast_success: Callable[[Packet, int], None] = ignore
+        self.on_unicast_failure: Callable[[Packet, int], None] = ignore
 
         self._current: Optional[_Attempt] = None
         self._awaiting: Optional[str] = None  # 'cts' | 'ack'

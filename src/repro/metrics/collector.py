@@ -87,7 +87,8 @@ class MetricsCollector:
         self._delivered_uids.add(uid)
         self.data_received += 1
         self.delay_sum += record.time - record.fields["born"]
-        if uid in self._reachable_uids:
+        if uid in self._reachable_uids:  # read once per uid: the first delivery
+            self._reachable_uids.remove(uid)
             self.data_received_reachable += 1
 
     # -- MAC -------------------------------------------------------------------

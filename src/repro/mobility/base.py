@@ -102,10 +102,12 @@ class MobilityModel:
         Rows follow :attr:`node_ids` order.  The returned array is freshly
         allocated — callers may keep or mutate it.
         """
+        return self._packed().positions(t)
+
+    def _packed(self) -> _TrajectoryPack:
         if self._pack is None:
-            ids = self.node_ids
-            self._pack = _TrajectoryPack([self._trajectories[i] for i in ids])
-        return self._pack.positions(t)
+            self._pack = _TrajectoryPack([self._trajectories[i] for i in self.node_ids])
+        return self._pack
 
     def speed_bound(self) -> float:
         """Largest speed (m/s) any node ever moves at, over all segments.
@@ -117,10 +119,7 @@ class MobilityModel:
         returns 0.0 and is never re-bucketed.
         """
         if self._speed_bound is None:
-            if self._pack is None:
-                ids = self.node_ids
-                self._pack = _TrajectoryPack([self._trajectories[i] for i in ids])
-            pack = self._pack
+            pack = self._packed()
             if pack.vx.size == 0:
                 self._speed_bound = 0.0
             else:

@@ -47,7 +47,6 @@ class Trajectory:
                 raise ValueError("trajectory segments must be time-ordered")
         self._segments = list(segments)
         self._starts = [seg.t0 for seg in self._segments]
-        self._arrays: Tuple[np.ndarray, ...] | None = None  # built lazily
 
     @classmethod
     def stationary(cls, x: float, y: float, t0: float = 0.0) -> "Trajectory":
@@ -69,22 +68,12 @@ class Trajectory:
         return self._segments[index].position(t)
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Segment fields as parallel float64 arrays ``(t0, x0, y0, vx, vy)``.
-
-        Built once and cached — this is the representation the vectorized
-        position evaluators (:meth:`positions_at` and
-        :meth:`repro.mobility.base.MobilityModel.positions`) work on.
-        """
-        if self._arrays is None:
-            segs = self._segments
-            self._arrays = (
-                np.array([s.t0 for s in segs], dtype=np.float64),
-                np.array([s.x0 for s in segs], dtype=np.float64),
-                np.array([s.y0 for s in segs], dtype=np.float64),
-                np.array([s.vx for s in segs], dtype=np.float64),
-                np.array([s.vy for s in segs], dtype=np.float64),
-            )
-        return self._arrays
+        """Segment fields as parallel float64 arrays ``(t0, x0, y0, vx, vy)``,
+        the form the vectorized evaluators (:meth:`positions_at` and
+        :meth:`repro.mobility.base.MobilityModel.positions`) work on.  Built
+        afresh on each call: the model packs them once and keeps no copy."""
+        rows = np.array([(s.t0, s.x0, s.y0, s.vx, s.vy) for s in self._segments], dtype=np.float64)
+        return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4]
 
     def positions_at(self, times: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`position` over an array of query times.

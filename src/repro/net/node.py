@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.mac.dcf import DcfMac
+from repro.mac.dcf import DcfMac, ignore
 from repro.mac.timing import MacTiming
 from repro.net.packet import Packet, PacketKind
 from repro.phy.channel import Channel
@@ -61,7 +61,7 @@ class Node:
         self._uid_counter = 0
 
         # Application-level receive hook (sinks attach here).
-        self.app_receive: Callable[[Packet], None] = lambda packet: None
+        self.app_receive: Callable[[Packet], None] = ignore
 
         # Wire MAC -> agent.
         self.mac.deliver = agent.handle_packet

@@ -39,8 +39,9 @@ class RandomStreams:
         if not names:
             raise ValueError("at least one stream name is required")
         key = tuple(zlib.crc32(name.encode("utf-8")) for name in names)
+        from repro.sim.seeding import OneShotSeed  # imports numpy.random
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-        return np.random.Generator(np.random.PCG64(seq))
+        return np.random.Generator(np.random.PCG64(OneShotSeed(seq)))
 
     def child(self, name: str) -> "RandomStreams":
         """Derive a namespaced sub-factory (e.g. one per node)."""

@@ -8,13 +8,19 @@ there are other nodes, has state that grows with the run instead of with the
 network.  The route cache's per-link tables are bounded by what reads them:
 after an expiry sweep the last-seen times cover only links of cached paths,
 and a node whose configuration reads neither table (base DSR: no expiry, no
-wider error) holds neither.  Checked on a 200-node discovery flood at ``flood1000``'s node
-density and on a short 100-node AllTechniques run; run as a script,
-``python -m tests.integration.test_state_caps 1000`` makes the same check on
-the 1000-node flood itself (CI does).
+wider error) holds neither.  A duplicate-suppression table holds only live
+keys: none had expired by the time of the table's last insert.  Checked on a
+200-node discovery flood at ``flood1000``'s node density and on a short
+100-node AllTechniques run.  Run as a script,
+``python -m tests.integration.test_state_caps 1000`` makes the same checks on
+the 1000-node flood itself and on 150 s of ``paper100_all``'s scenario, base
+DSR and AllTechniques, each in its own process, and prints each run's peak
+RSS (CI does).
 """
 
 import math
+import resource
+import subprocess
 import sys
 from typing import List
 
@@ -41,6 +47,12 @@ def flood(num_nodes: int, seed: int = 1) -> ScenarioConfig:
         num_sessions=3,
         start_window=0.375,
     )
+
+
+def long_run(dsr: DsrConfig, seed: int = 1) -> ScenarioConfig:
+    """``paper100_all``'s scenario (100 nodes, pause 0) for 150 s: five times
+    the 30 s lifetime of the request and seen-error tables."""
+    return paper_scenario(pause_time=0.0, seed=seed, dsr=dsr).but(duration=150.0)
 
 
 def over_cap(handle: SimulationHandle) -> List[str]:
@@ -93,6 +105,28 @@ def _link_table_excess(node_id: int, agent) -> List[str]:
     return found
 
 
+def expired_entries(handle: SimulationHandle) -> List[str]:
+    """One line per duplicate-suppression table that still holds a key which
+    had expired by the table's last insert.  Stamps are in insertion order,
+    so the first is the oldest and the last is that insert's time."""
+    found = []
+    for node_id, node in handle.nodes.items():
+        agent = node.agent
+        tables = {
+            "request table": agent._seen_requests,
+            "seen-error table": agent._seen_errors,
+            "gratuitous-reply table": agent._grat_replies,
+        }
+        for name, table in tables.items():
+            stamps = list(table._entries.values())
+            if stamps and stamps[-1] - stamps[0] > table.lifetime:
+                found.append(
+                    f"node {node_id}: {name} holds a key {stamps[-1] - stamps[0]:g} s "
+                    f"older than its last insert (lifetime {table.lifetime:g} s)"
+                )
+    return found
+
+
 def sweep(handle: SimulationHandle) -> None:
     """What the next expiry sweep leaves: every cache pruned at the end of
     the run, with a timeout that keeps every path."""
@@ -110,6 +144,7 @@ def _run(config: ScenarioConfig) -> SimulationHandle:
 def test_a_200_node_flood_keeps_every_table_within_its_cap():
     handle = _run(flood(200))  # base DSR: no sweep runs, no link table is read
     assert over_cap(handle) == []
+    assert expired_entries(handle) == []
     # The floods reached every corner: most nodes remember some request.
     remembering = sum(1 for node in handle.nodes.values() if len(node.agent._seen_requests))
     assert remembering > len(handle.nodes) // 2
@@ -122,6 +157,7 @@ def test_a_100_node_all_techniques_run_keeps_every_table_within_its_cap():
     handle = _run(config)
     sweep(handle)
     assert over_cap(handle) == []
+    assert expired_entries(handle) == []
     assert any(len(node.agent.cache) for node in handle.nodes.values())
     assert any(node.agent.cache._link_last_seen for node in handle.nodes.values())
 
@@ -143,10 +179,38 @@ def test_an_over_cap_table_is_reported():
     ]
 
 
-if __name__ == "__main__":
-    nodes = int(sys.argv[1]) if len(sys.argv) > 1 else _FLOOD_NODES
-    problems = over_cap(_run(flood(nodes)))
+def test_a_seen_table_holding_an_expired_key_is_reported():
+    handle = build_simulation(flood(20))
+    handle.nodes[3].agent._seen_errors._entries.update({(0, 1): 0.0, (0, 2): 30.5})
+    handle.nodes[4].agent._seen_requests._entries.update({(0, 1): 0.0, (0, 2): 30.0})
+    assert expired_entries(handle) == [
+        "node 3: seen-error table holds a key 30.5 s older than its last insert "
+        "(lifetime 30 s)"
+    ]
+
+
+def _script_run(name: str, nodes: int) -> int:
+    """One run of the script: its tables checked, its peak RSS printed."""
+    if name == "flood":
+        label, handle = f"{nodes}-node flood", _run(flood(nodes))
+    else:
+        variant = "AllTechniques" if name == "all" else "base DSR"
+        dsr = DsrConfig.all_techniques() if name == "all" else DsrConfig.base()
+        label, handle = f"150 s paper100_all scenario, {variant}", _run(long_run(dsr))
+        sweep(handle)
+    problems = over_cap(handle) + expired_entries(handle)
     for line in problems:
         print(line)
-    print(f"{nodes}-node flood: {len(problems)} tables over their caps")
-    sys.exit(1 if problems else 0)
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"{label}: {len(problems)} tables over their bounds, peak RSS {peak_mib:.1f} MiB")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--run"]:
+        sys.exit(_script_run(sys.argv[2], int(sys.argv[3])))
+    nodes = int(sys.argv[1]) if len(sys.argv) > 1 else _FLOOD_NODES
+    # Each run in a process of its own, so that the peak RSS it prints is its own.
+    me = [sys.executable, "-m", "tests.integration.test_state_caps", "--run"]
+    runs = [subprocess.Popen(me + [name, str(nodes)]) for name in ("flood", "base", "all")]
+    sys.exit(max(run.wait() for run in runs))

@@ -34,6 +34,23 @@ def test_duplicate_deliveries_counted_once():
     assert result.packet_delivery_fraction == 1.0
 
 
+def test_a_reachable_uid_is_forgotten_at_its_first_delivery():
+    tracer = Tracer()
+    metrics = MetricsCollector(tracer, reachability=lambda src, dst: dst != 9)
+    tracer.emit(0.0, "app.send", src=0, dst=1, uid=1)
+    tracer.emit(0.0, "app.send", src=0, dst=1, uid=2)
+    tracer.emit(0.0, "app.send", src=0, dst=9, uid=3)
+    assert metrics._reachable_uids == {1, 2}
+    for time in (0.5, 0.6, 0.9):  # one delivery, then two duplicates
+        tracer.emit(time, "app.recv", src=0, dst=1, uid=1, born=0.0)
+    tracer.emit(0.7, "app.recv", src=0, dst=9, uid=3, born=0.0)
+    tracer.emit(0.8, "app.recv", src=0, dst=9, uid=3, born=0.0)
+    assert metrics._reachable_uids == {2}
+    result = metrics.finalize(duration=10.0)
+    assert (result.data_sent_reachable, result.data_received_reachable) == (2, 1)
+    assert (result.data_received, result.duplicate_deliveries) == (2, 3)
+
+
 def test_overhead_separates_frame_classes():
     tracer, metrics = _collector()
     for kind in ("rts", "cts", "ack"):

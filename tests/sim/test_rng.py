@@ -1,5 +1,9 @@
 """Unit tests for named random streams."""
 
+import pickle
+import zlib
+
+import numpy as np
 import pytest
 
 from repro.sim.rng import RandomStreams
@@ -61,3 +65,25 @@ def test_child_factories_are_deterministic_and_distinct():
     child_b = base.child("y")
     assert child_a.seed == RandomStreams(9).child("x").seed
     assert child_a.seed != child_b.seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**40 + 3, (1 << 16) ^ 0xDEADBEEF])
+@pytest.mark.parametrize("names", [("mobility",), ("traffic",), ("mac", "17"), ("a", "b", "c")])
+def test_a_stream_is_the_generator_a_seed_sequence_would_give(seed, names):
+    """A stream is ``Generator(PCG64(SeedSequence(seed, spawn_key)))`` of its
+    seed and the names' CRC-32s: the same state and the same draws."""
+    stream = RandomStreams(seed).stream(*names)
+    key = tuple(zlib.crc32(name.encode("utf-8")) for name in names)
+    reference = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    )
+    assert stream.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(stream.random(1000), reference.random(1000))
+    assert np.array_equal(stream.integers(0, 2**62, 1000), reference.integers(0, 2**62, 1000))
+
+
+def test_a_stream_survives_a_pickle_round_trip():
+    stream = RandomStreams(3).stream("mobility")
+    stream.random(10)
+    copy = pickle.loads(pickle.dumps(stream))
+    assert np.array_equal(copy.random(100), stream.random(100))
